@@ -27,13 +27,9 @@ SEED_ENV_VAR = "SEQMEAS_SEED"
 
 
 def _default_seed() -> int:
+    """The seed from $SEQMEAS_SEED, or the default; a non-integer raises ValueError."""
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return laws.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        return laws.DEFAULT_SEED
+    return laws.DEFAULT_SEED if raw is None else int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+    except ValueError:
+        print(f"error: bad ${SEED_ENV_VAR} value {os.environ[SEED_ENV_VAR]!r}", file=sys.stderr)
+        return 2
     dims = None
     if args.dims:
         try:
@@ -246,9 +246,11 @@ def cmd_eval(args) -> int:
             raise ScenarioError("'objects' must map names to typed objects")
         objects = _parse_objects(raw_objects)
         declared = scenario.get("dim")
+        if declared is not None and (not isinstance(declared, int) or isinstance(declared, bool)):
+            raise ScenarioError(f"'dim' must be an integer, got {declared!r}")
         if declared is not None and objects:
             actual = next(iter(objects.values())).dim
-            if int(declared) != actual:
+            if declared != actual:
                 raise ScenarioError(f"declared dim {declared} but objects have dim {actual}")
         queries = scenario.get("queries", [])
         if not isinstance(queries, list):

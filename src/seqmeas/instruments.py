@@ -15,9 +15,9 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import State
-from .errors import DimensionError, NotChannel, NotProjection, NotSurjective
+from .errors import DimensionError, NotChannel, NotProjection
 from .matcore import max_abs
-from .observables import PRODUCT_SEPARATOR, Observable
+from .observables import PRODUCT_SEPARATOR, Observable, _check_part_map
 from .operations import Operation
 
 INST_SUM_TOL = 1e-9
@@ -224,13 +224,6 @@ def obs_conditioned_on_inst(a: Observable, given: Instrument) -> Observable:
     )
 
 
-def _check_part_map(f, outcomes: tuple[str, ...]) -> dict[str, str]:
-    try:
-        return {str(x): str(f[x]) for x in outcomes}
-    except (KeyError, TypeError) as exc:
-        raise NotSurjective(f"relabeling is not total on the outcome set: {exc}") from None
-
-
 def inst_part(i: Instrument, f) -> Instrument:
     """Coarse-graining along a surjection: merged outcomes concatenate Kraus families."""
     mapping = _check_part_map(f, i.outcomes)
@@ -277,11 +270,9 @@ def random_instrument(dim: int, rng: np.random.Generator,
                  for _ in range(size)]
             )
             families.append(fam)
-        total = sum(op_mod._hat_matrix(fam) for fam in families)
-        if matcore.spectral_bounds(total)[0] > 1e-6:
+        inv_root = matcore.inv_sqrt_pd(sum(op_mod._hat_matrix(fam) for fam in families))
+        if inv_root is not None:
             break
-    spec = matcore.eig_hermitian(total)
-    inv_root = (spec.eigenvectors / np.sqrt(spec.eigenvalues)) @ matcore.dagger(spec.eigenvectors)
     members = tuple(
         Operation(np.einsum("nij,jk->nik", fam, inv_root)) for fam in families
     )
@@ -295,9 +286,7 @@ def random_kraus_instrument(dim: int, rng: np.random.Generator,
     while True:
         mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                 for _ in range(n)]
-        total = sum(matcore.dagger(m) @ m for m in mats)
-        if matcore.spectral_bounds(total)[0] > 1e-6:
+        inv_root = matcore.inv_sqrt_pd(sum(matcore.dagger(m) @ m for m in mats))
+        if inv_root is not None:
             break
-    spec = matcore.eig_hermitian(total)
-    inv_root = (spec.eigenvectors / np.sqrt(spec.eigenvalues)) @ matcore.dagger(spec.eigenvectors)
     return kraus_instrument([m @ inv_root for m in mats])

@@ -37,7 +37,7 @@ from ..observables import (
     verify_coexistence_witness,
 )
 from ._common import random_surjection, resample, trace_real, wit
-from .core import CheckResult, LawCheck, LawContext, Tally, register
+from .core import LawCheck, LawContext, Tally, register
 
 # Probabilities smaller than this are skipped when a law divides by them; the
 # remaining round-off stays far below the 1e-10 assertion tolerances.
@@ -48,55 +48,34 @@ def _obs_distance(a: Observable, b: Observable) -> float:
     return max(max_abs(a.effect(x).op - b.effect(x).op) for x in a.outcomes)
 
 
-def check_bar_of_products(ctx: LawContext) -> CheckResult:
+def check_bar_of_products(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Both the product and the conditioned instrument total to the composed
     bar channels."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            i = random_instrument(dim, ctx.rng)
-            j = random_instrument(dim, ctx.rng)
-            composed = op_mod.compose(bar(i), bar(j))
-            tally.expect(op_mod.action_distance(bar(inst_seq_product(i, j)), composed),
-                         "bar of the product")
-            tally.expect(op_mod.action_distance(bar(inst_conditioned(j, i)), composed),
-                         "bar of the conditioned instrument")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    i = random_instrument(dim, ctx.rng)
+    j = random_instrument(dim, ctx.rng)
+    composed = op_mod.compose(bar(i), bar(j))
+    tally.expect(op_mod.action_distance(bar(inst_seq_product(i, j)), composed),
+                 "bar of the product")
+    tally.expect(op_mod.action_distance(bar(inst_conditioned(j, i)), composed),
+                 "bar of the conditioned instrument")
 
 
-def check_luders_product_hat(ctx: LawContext) -> CheckResult:
+def check_luders_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Measuring through a Lueders front end multiplies the observables."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_observable(dim, ctx.rng)
-            i = random_instrument(dim, ctx.rng)
-            got = measured_observable(inst_seq_product(luders_instrument(a), i))
-            want = obs_seq_product(a, measured_observable(i))
-            tally.expect(_obs_distance(got, want), "hat of Lueders-then-instrument")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    a = random_observable(dim, ctx.rng)
+    i = random_instrument(dim, ctx.rng)
+    got = measured_observable(inst_seq_product(luders_instrument(a), i))
+    want = obs_seq_product(a, measured_observable(i))
+    tally.expect(_obs_distance(got, want), "hat of Lueders-then-instrument")
 
 
-def check_luders_luders_hat(ctx: LawContext) -> CheckResult:
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_observable(dim, ctx.rng)
-            b = random_observable(dim, ctx.rng)
-            got = measured_observable(
-                inst_seq_product(luders_instrument(a), luders_instrument(b)))
-            tally.expect(_obs_distance(got, obs_seq_product(a, b)),
-                         "hat of two Lueders instruments")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+    a = random_observable(dim, ctx.rng)
+    b = random_observable(dim, ctx.rng)
+    got = measured_observable(
+        inst_seq_product(luders_instrument(a), luders_instrument(b)))
+    tally.expect(_obs_distance(got, obs_seq_product(a, b)),
+                 "hat of two Lueders instruments")
 
 
 def _trivial_then_luders_violation(witness: dict) -> float:
@@ -113,35 +92,23 @@ def _trivial_then_luders_violation(witness: dict) -> float:
     return worst
 
 
-def check_trivial_then_luders(ctx: LawContext) -> CheckResult:
+def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally) -> None:
     """A trivial front end makes the product hat tr(alpha a_y) b_x, which is
     not the sequential product of the observables."""
-    tally = Tally(tol=ctx.eq_tol)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            b = random_observable(dim, rng)
-            a = random_observable(dim, rng)
-            alpha = random_state(dim, rng)
-            i = trivial_instrument(b, alpha)
-            got = measured_observable(inst_seq_product(i, luders_instrument(a)))
-            violation = 0.0
-            for x, bx in b.items():
-                for y, ay in a.items():
-                    want = prob(alpha, ay) * bx.op
-                    tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
-                                 "closed form of the product hat")
-                    violation = max(violation, max_abs(seq_product(bx, ay).op - want))
-            if violation > best:
-                best = violation
-                best_witness = wit(b_obs=b, a_obs=a, alpha=alpha, violation=violation)
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    b = random_observable(dim, rng)
+    a = random_observable(dim, rng)
+    alpha = random_state(dim, rng)
+    i = trivial_instrument(b, alpha)
+    got = measured_observable(inst_seq_product(i, luders_instrument(a)))
+    violation = 0.0
+    for x, bx in b.items():
+        for y, ay in a.items():
+            want = prob(alpha, ay) * bx.op
+            tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
+                         "closed form of the product hat")
+            violation = max(violation, max_abs(seq_product(bx, ay).op - want))
+    tally.offer(violation, b_obs=b, a_obs=a, alpha=alpha)
 
 
 def _trivial_trivial_violation(witness: dict) -> float:
@@ -160,58 +127,45 @@ def _trivial_trivial_violation(witness: dict) -> float:
     return worst
 
 
-def check_trivial_trivial_product_hat(ctx: LawContext) -> CheckResult:
+def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Product of trivial instruments: hat entries are tr(alpha b_y) a_x, and
     the rank-one criterion |<phi,psi>|^2 != <psi,alpha psi> forces a gap."""
-    tally = Tally(tol=ctx.eq_tol)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_observable(dim, rng)
-            b = random_observable(dim, rng)
-            alpha = random_state(dim, rng)
-            beta = random_state(dim, rng)
-            got = measured_observable(
-                inst_seq_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)))
-            violation = 0.0
-            for x, ax in a.items():
-                for y, by in b.items():
-                    want = prob(alpha, by) * ax.op
-                    tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
-                                 "closed form of the trivial product hat")
-                    violation = max(violation, max_abs(seq_product(ax, by).op - want))
-            if violation > best:
-                best = violation
-                best_witness = wit(a_obs=a, b_obs=b, alpha=alpha, beta=beta,
-                                   violation=violation)
+    rng = ctx.rng
+    a = random_observable(dim, rng)
+    b = random_observable(dim, rng)
+    alpha = random_state(dim, rng)
+    beta = random_state(dim, rng)
+    got = measured_observable(
+        inst_seq_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)))
+    violation = 0.0
+    for x, ax in a.items():
+        for y, by in b.items():
+            want = prob(alpha, by) * ax.op
+            tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
+                         "closed form of the trivial product hat")
+            violation = max(violation, max_abs(seq_product(ax, by).op - want))
+    tally.offer(violation, a_obs=a, b_obs=b, alpha=alpha, beta=beta)
 
-            # rank-one criterion: resample until the overlap and the state
-            # weight are visibly different, then the gap is guaranteed
-            def draw():
-                phi = matcore.random_unit_vector(dim, rng)
-                psi = matcore.random_unit_vector(dim, rng)
-                return phi, psi
+    # rank-one criterion: resample until the overlap and the state
+    # weight are visibly different, then the gap is guaranteed
+    def draw():
+        phi = matcore.random_unit_vector(dim, rng)
+        psi = matcore.random_unit_vector(dim, rng)
+        return phi, psi
 
-            def accept(sample):
-                phi, psi = sample
-                return abs(abs(np.vdot(phi, psi)) ** 2
-                           - np.vdot(psi, alpha.op @ psi).real) >= 0.05
+    def accept(sample):
+        phi, psi = sample
+        return abs(abs(np.vdot(phi, psi)) ** 2
+                   - np.vdot(psi, alpha.op @ psi).real) >= 0.05
 
-            phi, psi = resample(draw, accept)
-            a_eff = Effect(np.outer(phi, phi.conj()))
-            b_eff = Effect(np.outer(psi, psi.conj()))
-            entry_gap = max_abs(seq_product(a_eff, b_eff).op - prob(alpha, b_eff) * a_eff.op)
-            tally.expect_true(entry_gap > ctx.gap,
-                              "rank-one criterion forces a visible gap",
-                              wit(phi_proj=a_eff, psi_proj=b_eff, alpha=alpha,
-                                  entry_gap=entry_gap))
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    phi, psi = resample(draw, accept)
+    a_eff = Effect(np.outer(phi, phi.conj()))
+    b_eff = Effect(np.outer(psi, psi.conj()))
+    entry_gap = max_abs(seq_product(a_eff, b_eff).op - prob(alpha, b_eff) * a_eff.op)
+    tally.expect_true(entry_gap > ctx.gap,
+                      "rank-one criterion forces a visible gap",
+                      wit(phi_proj=a_eff, psi_proj=b_eff, alpha=alpha,
+                          entry_gap=entry_gap))
 
 
 def _kraus_kraus_violation(witness: dict) -> float:
@@ -228,98 +182,72 @@ def _kraus_kraus_violation(witness: dict) -> float:
     return worst
 
 
-def check_kraus_kraus_product_hat(ctx: LawContext) -> CheckResult:
+def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Kraus instruments compose to A_x† B_y† B_y A_x, not to the sequential
     product of the measured observables."""
-    tally = Tally(tol=ctx.eq_tol)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            i = random_kraus_instrument(dim, rng)
-            j = random_kraus_instrument(dim, rng)
-            got = measured_observable(inst_seq_product(i, j))
-            hat_i = measured_observable(i)
-            hat_j = measured_observable(j)
-            violation = 0.0
-            for x, ix in i.items():
-                ax = ix.kraus[0]
-                for y, jy in j.items():
-                    by = jy.kraus[0]
-                    want = matcore.dagger(ax) @ matcore.dagger(by) @ by @ ax
-                    tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
-                                 "closed form of the Kraus product hat")
-                    naive = seq_product(hat_i.effect(x), hat_j.effect(y)).op
-                    violation = max(violation, max_abs(got.effect(f"{x}⊗{y}").op - naive))
-            if violation > best:
-                best = violation
-                best_witness = wit(i=i, j=j, violation=violation)
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    i = random_kraus_instrument(dim, rng)
+    j = random_kraus_instrument(dim, rng)
+    got = measured_observable(inst_seq_product(i, j))
+    hat_i = measured_observable(i)
+    hat_j = measured_observable(j)
+    violation = 0.0
+    for x, ix in i.items():
+        ax = ix.kraus[0]
+        for y, jy in j.items():
+            by = jy.kraus[0]
+            want = matcore.dagger(ax) @ matcore.dagger(by) @ by @ ax
+            tally.expect(max_abs(got.effect(f"{x}⊗{y}").op - want),
+                         "closed form of the Kraus product hat")
+            naive = seq_product(hat_i.effect(x), hat_j.effect(y)).op
+            violation = max(violation, max_abs(got.effect(f"{x}⊗{y}").op - naive))
+    tally.offer(violation, i=i, j=j)
 
 
-def check_semi_trivial_products(ctx: LawContext) -> CheckResult:
+def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Products and conditionings of (semi-)trivial instruments stay
     (semi-)trivial with the composed observables."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_observable(dim, rng)
-            b = random_observable(dim, rng)
-            alphas = [random_state(dim, rng) for _ in a.outcomes]
-            betas = [random_state(dim, rng) for _ in b.outcomes]
-            i = semi_trivial_instrument(a, alphas)
-            j = semi_trivial_instrument(b, betas)
-            prod = inst_seq_product(i, j)
-            for (x, ax), alpha_x in zip(a.items(), alphas):
-                for (y, by), beta_y in zip(b.items(), betas):
-                    weight = prob(alpha_x, by)
-                    want = op_mod.trivial(Effect(weight * ax.op), beta_y)
-                    tally.expect(
-                        op_mod.action_distance(prod.operation(f"{x}⊗{y}"), want),
-                        "product member is trivial with the weighted effect")
-            cond = inst_conditioned(j, i)
-            for (y, by), beta_y in zip(b.items(), betas):
-                summed = sum(prob(alpha_x, by) * ax.op for ax, alpha_x in zip(a.effects, alphas))
-                want = op_mod.trivial(Effect(summed), beta_y)
-                tally.expect(op_mod.action_distance(cond.operation(y), want),
-                             "conditioned member is trivial with the summed effect")
-            # fully trivial special case: the conditioned observable collapses to
-            # multiples of the identity
-            alpha = alphas[0]
-            beta = betas[0]
-            ti = trivial_instrument(a, alpha)
-            tj = trivial_instrument(b, beta)
-            cond = inst_conditioned(tj, ti)
-            for y, by in b.items():
-                want = op_mod.trivial(Effect(prob(alpha, by) * matcore.identity(dim)), beta)
-                tally.expect(op_mod.action_distance(cond.operation(y), want),
-                             "trivial conditioning weights the identity")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    a = random_observable(dim, rng)
+    b = random_observable(dim, rng)
+    alphas = [random_state(dim, rng) for _ in a.outcomes]
+    betas = [random_state(dim, rng) for _ in b.outcomes]
+    i = semi_trivial_instrument(a, alphas)
+    j = semi_trivial_instrument(b, betas)
+    prod = inst_seq_product(i, j)
+    for (x, ax), alpha_x in zip(a.items(), alphas):
+        for (y, by), beta_y in zip(b.items(), betas):
+            weight = prob(alpha_x, by)
+            want = op_mod.trivial(Effect(weight * ax.op), beta_y)
+            tally.expect(
+                op_mod.action_distance(prod.operation(f"{x}⊗{y}"), want),
+                "product member is trivial with the weighted effect")
+    cond = inst_conditioned(j, i)
+    for (y, by), beta_y in zip(b.items(), betas):
+        summed = sum(prob(alpha_x, by) * ax.op for ax, alpha_x in zip(a.effects, alphas))
+        want = op_mod.trivial(Effect(summed), beta_y)
+        tally.expect(op_mod.action_distance(cond.operation(y), want),
+                     "conditioned member is trivial with the summed effect")
+    # fully trivial special case: the conditioned observable collapses to
+    # multiples of the identity
+    alpha = alphas[0]
+    beta = betas[0]
+    ti = trivial_instrument(a, alpha)
+    tj = trivial_instrument(b, beta)
+    cond = inst_conditioned(tj, ti)
+    for y, by in b.items():
+        want = op_mod.trivial(Effect(prob(alpha, by) * matcore.identity(dim)), beta)
+        tally.expect(op_mod.action_distance(cond.operation(y), want),
+                     "trivial conditioning weights the identity")
 
 
-def check_luders_conditioning_hat(ctx: LawContext) -> CheckResult:
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_observable(dim, ctx.rng)
-            b = random_observable(dim, ctx.rng)
-            got = measured_observable(
-                inst_conditioned(luders_instrument(b), luders_instrument(a)))
-            tally.expect(_obs_distance(got, obs_conditioned(b, a)),
-                         "hat of the Lueders conditioning")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+def check_luders_conditioning_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+    a = random_observable(dim, ctx.rng)
+    b = random_observable(dim, ctx.rng)
+    got = measured_observable(
+        inst_conditioned(luders_instrument(b), luders_instrument(a)))
+    tally.expect(_obs_distance(got, obs_conditioned(b, a)),
+                 "hat of the Lueders conditioning")
 
 
 def _forgotten_state_violation(witness: dict) -> float:
@@ -329,198 +257,144 @@ def _forgotten_state_violation(witness: dict) -> float:
                for by in b.effects)
 
 
-def check_conditioning_forgets_state(ctx: LawContext) -> CheckResult:
+def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally) -> None:
     """(J | I) hat differs from the conditioned observables: a single-outcome
     trivial front end replaces rho by alpha."""
-    tally = Tally(tol=ctx.eq_tol)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            b = random_observable(dim, rng)
-            alpha = random_state(dim, rng)
-            beta = random_state(dim, rng)
-            sure = Observable(("x",), (Effect(matcore.identity(dim)),))
-            i = trivial_instrument(sure, alpha)
-            j = trivial_instrument(b, beta)
-            got = measured_observable(inst_conditioned(j, i))
-            naive = obs_conditioned(measured_observable(j), measured_observable(i))
-            violation = 0.0
-            for y, by in b.items():
-                want = prob(alpha, by) * matcore.identity(dim)
-                tally.expect(max_abs(got.effect(y).op - want),
-                             "conditioned hat weights the identity")
-                violation = max(violation, max_abs(want - naive.effect(y).op))
-            if violation > best:
-                best = violation
-                best_witness = wit(b_obs=b, alpha=alpha, violation=violation)
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    b = random_observable(dim, rng)
+    alpha = random_state(dim, rng)
+    beta = random_state(dim, rng)
+    sure = Observable(("x",), (Effect(matcore.identity(dim)),))
+    i = trivial_instrument(sure, alpha)
+    j = trivial_instrument(b, beta)
+    got = measured_observable(inst_conditioned(j, i))
+    naive = obs_conditioned(measured_observable(j), measured_observable(i))
+    violation = 0.0
+    for y, by in b.items():
+        want = prob(alpha, by) * matcore.identity(dim)
+        tally.expect(max_abs(got.effect(y).op - want),
+                     "conditioned hat weights the identity")
+        violation = max(violation, max_abs(want - naive.effect(y).op))
+    tally.offer(violation, b_obs=b, alpha=alpha)
 
 
-def check_effect_operation_hat(ctx: LawContext) -> CheckResult:
+def check_effect_operation_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """hat(a o I) = a o hat(I) for effects against operations."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_effect(dim, ctx.rng)
-            i = op_mod.random_operation(dim, ctx.rng)
-            got = op_mod.hat(op_mod.effect_then_op(a, i))
-            want = seq_product(a, op_mod.hat(i))
-            tally.expect(max_abs(got.op - want.op), "hat of the mixed product")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    a = random_effect(dim, ctx.rng)
+    i = op_mod.random_operation(dim, ctx.rng)
+    got = op_mod.hat(op_mod.effect_then_op(a, i))
+    want = seq_product(a, op_mod.hat(i))
+    tally.expect(max_abs(got.op - want.op), "hat of the mixed product")
 
 
-def check_obs_instrument_hat(ctx: LawContext) -> CheckResult:
+def check_obs_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """hat(A o I) = A o hat(I) for observables against instruments."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_observable(dim, ctx.rng)
-            i = random_instrument(dim, ctx.rng)
-            got = measured_observable(obs_then_inst(a, i))
-            want = obs_seq_product(a, measured_observable(i))
-            tally.expect(_obs_distance(got, want), "hat of observable-then-instrument")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    a = random_observable(dim, ctx.rng)
+    i = random_instrument(dim, ctx.rng)
+    got = measured_observable(obs_then_inst(a, i))
+    want = obs_seq_product(a, measured_observable(i))
+    tally.expect(_obs_distance(got, want), "hat of observable-then-instrument")
 
 
-def check_conditioned_instrument_hat(ctx: LawContext) -> CheckResult:
+def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """hat(I | A) = (hat(I) | A) for instruments conditioned on observables."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            a = random_observable(dim, ctx.rng)
-            i = random_instrument(dim, ctx.rng)
-            got = measured_observable(inst_conditioned_on_obs(i, a))
-            want = obs_conditioned(measured_observable(i), a)
-            tally.expect(_obs_distance(got, want), "hat of instrument-given-observable")
-            # operator identity: conditioning on the Lueders instrument agrees
-            lhs = inst_conditioned_on_obs(luders_instrument(a), a)
-            rhs = inst_conditioned(luders_instrument(a), luders_instrument(a))
-            tally.expect_true(inst_equal(lhs, rhs, tol=ctx.eq_tol),
-                              "observable conditioning matches Lueders conditioning")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    a = random_observable(dim, ctx.rng)
+    i = random_instrument(dim, ctx.rng)
+    got = measured_observable(inst_conditioned_on_obs(i, a))
+    want = obs_conditioned(measured_observable(i), a)
+    tally.expect(_obs_distance(got, want), "hat of instrument-given-observable")
+    # operator identity: conditioning on the Lueders instrument agrees
+    lhs = inst_conditioned_on_obs(luders_instrument(a), a)
+    rhs = inst_conditioned(luders_instrument(a), luders_instrument(a))
+    tally.expect_true(inst_equal(lhs, rhs, tol=ctx.eq_tol),
+                      "observable conditioning matches Lueders conditioning")
 
 
-def check_mixed_product_forms(ctx: LawContext) -> CheckResult:
+def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Closed forms for mixed products with trivial and semi-trivial pieces."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            # (i) trivial operation against a plain effect
-            a = random_effect(dim, rng)
-            b = random_effect(dim, rng)
-            alpha = random_state(dim, rng)
-            i = op_mod.trivial(b, alpha)
-            got = op_mod.op_then_effect(i, a)
-            tally.expect(max_abs(got.op - prob(alpha, a) * b.op),
-                         "operation-then-effect closed form")
-            got_op = op_mod.effect_then_op(a, i)
-            want_op = op_mod.trivial(seq_product(a, b), alpha)
-            tally.expect(op_mod.action_distance(got_op, want_op),
-                         "effect-then-operation is trivial with the product effect")
-            # (ii) semi-trivial instrument against an observable
-            a_obs = random_observable(dim, rng)
-            b_obs = random_observable(dim, rng)
-            states = [random_state(dim, rng) for _ in b_obs.outcomes]
-            sti = semi_trivial_instrument(b_obs, states)
-            lifted = inst_then_obs(sti, a_obs)
-            for (x, bx), alpha_x in zip(b_obs.items(), states):
-                for y, ay in a_obs.items():
-                    want = prob(alpha_x, ay) * bx.op
-                    tally.expect(max_abs(lifted.effect(f"{x}⊗{y}").op - want),
-                                 "instrument-then-observable closed form")
-            mixed = obs_then_inst(a_obs, sti)
-            prod = obs_seq_product(a_obs, b_obs)
-            for x in a_obs.outcomes:
-                for y, alpha_y in zip(b_obs.outcomes, states):
-                    label = f"{x}⊗{y}"
-                    want_member = op_mod.trivial(prod.effect(label), alpha_y)
-                    tally.expect(
-                        op_mod.action_distance(mixed.operation(label), want_member),
-                        "observable-then-instrument is semi-trivial with the product")
-            # (iii) fully trivial instrument: conditioned observable collapses
-            ti = trivial_instrument(b_obs, states[0])
-            got_obs = obs_conditioned_on_inst(a_obs, ti)
-            for y, ay in a_obs.items():
-                want = prob(states[0], ay) * matcore.identity(dim)
-                tally.expect(max_abs(got_obs.effect(y).op - want),
-                             "observable conditioned on a trivial instrument")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    # (i) trivial operation against a plain effect
+    a = random_effect(dim, rng)
+    b = random_effect(dim, rng)
+    alpha = random_state(dim, rng)
+    i = op_mod.trivial(b, alpha)
+    got = op_mod.op_then_effect(i, a)
+    tally.expect(max_abs(got.op - prob(alpha, a) * b.op),
+                 "operation-then-effect closed form")
+    got_op = op_mod.effect_then_op(a, i)
+    want_op = op_mod.trivial(seq_product(a, b), alpha)
+    tally.expect(op_mod.action_distance(got_op, want_op),
+                 "effect-then-operation is trivial with the product effect")
+    # (ii) semi-trivial instrument against an observable
+    a_obs = random_observable(dim, rng)
+    b_obs = random_observable(dim, rng)
+    states = [random_state(dim, rng) for _ in b_obs.outcomes]
+    sti = semi_trivial_instrument(b_obs, states)
+    lifted = inst_then_obs(sti, a_obs)
+    for (x, bx), alpha_x in zip(b_obs.items(), states):
+        for y, ay in a_obs.items():
+            want = prob(alpha_x, ay) * bx.op
+            tally.expect(max_abs(lifted.effect(f"{x}⊗{y}").op - want),
+                         "instrument-then-observable closed form")
+    mixed = obs_then_inst(a_obs, sti)
+    prod = obs_seq_product(a_obs, b_obs)
+    for x in a_obs.outcomes:
+        for y, alpha_y in zip(b_obs.outcomes, states):
+            label = f"{x}⊗{y}"
+            want_member = op_mod.trivial(prod.effect(label), alpha_y)
+            tally.expect(
+                op_mod.action_distance(mixed.operation(label), want_member),
+                "observable-then-instrument is semi-trivial with the product")
+    # (iii) fully trivial instrument: conditioned observable collapses
+    ti = trivial_instrument(b_obs, states[0])
+    got_obs = obs_conditioned_on_inst(a_obs, ti)
+    for y, ay in a_obs.items():
+        want = prob(states[0], ay) * matcore.identity(dim)
+        tally.expect(max_abs(got_obs.effect(y).op - want),
+                     "observable conditioned on a trivial instrument")
 
 
-def check_parts_commute_with_hat(ctx: LawContext) -> CheckResult:
+def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Coarse-graining commutes with the measured observable, and coexistence
     witnesses push forward to the hats."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            i = random_instrument(dim, rng, n_outcomes=3)
-            f = random_surjection(i.outcomes, rng)
-            part = inst_part(i, f)
-            tally.expect(
-                _obs_distance(measured_observable(part), obs_part(measured_observable(i), f)),
-                "part then hat equals hat then part")
-            g = random_surjection(i.outcomes, rng)
-            j = inst_part(i, f)
-            k = inst_part(i, g)
-            tally.expect_true(verify_inst_coexistence_witness(j, k, i, f, g),
-                              "parts witness their own coexistence")
-            tally.expect_true(
-                verify_coexistence_witness(
-                    measured_observable(j), measured_observable(k),
-                    measured_observable(i), f, g),
-                "coexistence pushes forward to the hats")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    i = random_instrument(dim, rng, n_outcomes=3)
+    f = random_surjection(i.outcomes, rng)
+    part = inst_part(i, f)
+    tally.expect(
+        _obs_distance(measured_observable(part), obs_part(measured_observable(i), f)),
+        "part then hat equals hat then part")
+    g = random_surjection(i.outcomes, rng)
+    j = inst_part(i, f)
+    k = inst_part(i, g)
+    tally.expect_true(verify_inst_coexistence_witness(j, k, i, f, g),
+                      "parts witness their own coexistence")
+    tally.expect_true(
+        verify_coexistence_witness(
+            measured_observable(j), measured_observable(k),
+            measured_observable(i), f, g),
+        "coexistence pushes forward to the hats")
 
 
-def check_trivial_parts(ctx: LawContext) -> CheckResult:
+def check_trivial_parts(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Parts of trivial instruments are trivial over the coarse-grained
     observable; trivial instruments with one state coexist when their hats do."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_observable(dim, rng, n_outcomes=3)
-            alpha = random_state(dim, rng)
-            i = trivial_instrument(a, alpha)
-            f = random_surjection(a.outcomes, rng)
-            part = inst_part(i, f)
-            want = trivial_instrument(obs_part(a, f), alpha)
-            tally.expect_true(inst_equal(part, want, tol=ctx.eq_tol),
-                              "trivial part is trivial over the part observable")
-            # coexistence construction: hats coexist by construction, and the
-            # lifted trivial instruments share the witness
-            g = random_surjection(a.outcomes, rng)
-            j = trivial_instrument(obs_part(a, f), alpha)
-            k = trivial_instrument(obs_part(a, g), alpha)
-            tally.expect_true(verify_inst_coexistence_witness(j, k, i, f, g),
-                              "one-state trivial instruments with coexisting hats coexist")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    a = random_observable(dim, rng, n_outcomes=3)
+    alpha = random_state(dim, rng)
+    i = trivial_instrument(a, alpha)
+    f = random_surjection(a.outcomes, rng)
+    part = inst_part(i, f)
+    want = trivial_instrument(obs_part(a, f), alpha)
+    tally.expect_true(inst_equal(part, want, tol=ctx.eq_tol),
+                      "trivial part is trivial over the part observable")
+    # coexistence construction: hats coexist by construction, and the
+    # lifted trivial instruments share the witness
+    g = random_surjection(a.outcomes, rng)
+    j = trivial_instrument(obs_part(a, f), alpha)
+    k = trivial_instrument(obs_part(a, g), alpha)
+    tally.expect_true(verify_inst_coexistence_witness(j, k, i, f, g),
+                      "one-state trivial instruments with coexisting hats coexist")
 
 
 def _observable_bayes_violation(witness: dict) -> float:
@@ -532,68 +406,51 @@ def _observable_bayes_violation(witness: dict) -> float:
                for y in b.outcomes)
 
 
-def check_observable_bayes_failure(ctx: LawContext) -> CheckResult:
+def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally) -> None:
     """P(b_y) != sum_x P(a_x) P(b_y | a_x) for generic observables."""
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_observable(dim, rng)
-            b = random_observable(dim, rng)
-            rho = random_state(dim, rng)
-            cond = obs_conditioned(b, a)
-            violation = max(abs(prob(rho, b.effect(y)) - prob(rho, cond.effect(y)))
-                            for y in b.outcomes)
-            if violation > best:
-                best = violation
-                best_witness = wit(a_obs=a, b_obs=b, rho=rho, violation=violation)
-    return CheckResult(ok=True, max_deviation=best, trials=trials,
-                       witness=best_witness, found=best > ctx.gap)
+    rng = ctx.rng
+    a = random_observable(dim, rng)
+    b = random_observable(dim, rng)
+    rho = random_state(dim, rng)
+    cond = obs_conditioned(b, a)
+    violation = max(abs(prob(rho, b.effect(y)) - prob(rho, cond.effect(y)))
+                    for y in b.outcomes)
+    tally.offer(violation, a_obs=a, b_obs=b, rho=rho)
 
 
-def check_conditional_prob_measure(ctx: LawContext) -> CheckResult:
+def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Conditional outcome probabilities are probability measures, and the
     conditioned observable/instrument reproduces the total-probability sum."""
-    tally = Tally(tol=1e-10)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_observable(dim, rng)
-            b = random_observable(dim, rng)
-            rho = random_state(dim, rng)
-            cond = obs_conditioned(b, a)
-            for y, by in b.items():
-                total = sum(prob(rho, seq_product(ax, by)) for ax in a.effects)
-                tally.expect(abs(prob(rho, cond.effect(y)) - total),
-                             "total probability through the conditioned observable")
-            for ax in a.effects:
-                if prob(rho, ax) <= PROB_FLOOR:
-                    continue
-                total = sum(cond_prob(rho, by, given=ax) for by in b.effects)
-                tally.expect(abs(total - 1.0), "conditional effect probabilities sum to 1")
-            i = random_instrument(dim, rng)
-            j = random_instrument(dim, rng)
-            cond_i = inst_conditioned(j, i)
-            for y in j.outcomes:
-                lhs = trace_real(op_mod.apply(cond_i.operation(y), rho))
-                rhs = sum(
-                    trace_real(op_mod.apply(j.operation(y), op_mod.apply(i.operation(x), rho)))
-                    for x in i.outcomes)
-                tally.expect(abs(lhs - rhs), "total probability through the conditioned instrument")
-            for x in i.outcomes:
-                px = trace_real(op_mod.apply(i.operation(x), rho))
-                if px <= PROB_FLOOR:
-                    continue
-                total = sum(inst_mod.cond_prob(rho, j.operation(y), given=i.operation(x))
-                            for y in j.outcomes)
-                tally.expect(abs(total - 1.0), "conditional operation probabilities sum to 1")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    a = random_observable(dim, rng)
+    b = random_observable(dim, rng)
+    rho = random_state(dim, rng)
+    cond = obs_conditioned(b, a)
+    for y, by in b.items():
+        total = sum(prob(rho, seq_product(ax, by)) for ax in a.effects)
+        tally.expect(abs(prob(rho, cond.effect(y)) - total),
+                     "total probability through the conditioned observable")
+    for ax in a.effects:
+        if prob(rho, ax) <= PROB_FLOOR:
+            continue
+        total = sum(cond_prob(rho, by, given=ax) for by in b.effects)
+        tally.expect(abs(total - 1.0), "conditional effect probabilities sum to 1")
+    i = random_instrument(dim, rng)
+    j = random_instrument(dim, rng)
+    cond_i = inst_conditioned(j, i)
+    for y in j.outcomes:
+        lhs = trace_real(op_mod.apply(cond_i.operation(y), rho))
+        rhs = sum(
+            trace_real(op_mod.apply(j.operation(y), op_mod.apply(i.operation(x), rho)))
+            for x in i.outcomes)
+        tally.expect(abs(lhs - rhs), "total probability through the conditioned instrument")
+    for x in i.outcomes:
+        px = trace_real(op_mod.apply(i.operation(x), rho))
+        if px <= PROB_FLOOR:
+            continue
+        total = sum(inst_mod.cond_prob(rho, j.operation(y), given=i.operation(x))
+                    for y in j.outcomes)
+        tally.expect(abs(total - 1.0), "conditional operation probabilities sum to 1")
 
 
 register(LawCheck(
@@ -663,4 +520,4 @@ register(LawCheck(
 register(LawCheck(
     id="cond-prob-measure", kind="identity", dims=(2, 3), trials=50,
     description="Conditional outcome probabilities are probability measures",
-    fn=check_conditional_prob_measure))
+    fn=check_conditional_prob_measure, tol=1e-10))

@@ -7,11 +7,20 @@ from __future__ import annotations
 import numpy as np
 
 from .. import matcore, operations as op_mod, serialize
-from ..effects import Effect, State, complement, prob, random_effect, random_state, seq_product
+from ..effects import (
+    Effect,
+    State,
+    complement,
+    perp,
+    prob,
+    random_effect,
+    random_state,
+    seq_product,
+)
 from ..matcore import max_abs
 from ..observables import random_observable
 from ._common import resample, sharp_partition, trace_real, wit
-from .core import CheckResult, LawCheck, LawContext, Tally, register
+from .core import LawCheck, LawContext, Tally, register
 
 
 def _sub_identity_effects(dim: int, rng: np.random.Generator, n: int) -> list[Effect]:
@@ -27,181 +36,132 @@ def _matrix_units(dim: int):
             yield unit
 
 
-def check_semi_trivial_construction(ctx: LawContext) -> CheckResult:
+def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> None:
     """The explicit Kraus family for rho -> sum tr(rho a_i) alpha_i reproduces
     the direct formula on the whole matrix-unit basis, with hat = sum a_i."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            n = int(rng.integers(1, 4))
-            pairs = [
-                (a, random_state(dim, rng)) for a in _sub_identity_effects(dim, rng, n)
-            ]
-            op = op_mod.semi_trivial(pairs)
-            for unit in _matrix_units(dim):
-                direct = sum(np.trace(unit @ a.op) * alpha.op for a, alpha in pairs)
-                tally.expect(max_abs(op_mod.apply(op, unit) - direct),
-                             "construction matches the direct formula")
-            hat_direct = sum(a.op for a, _ in pairs)
-            tally.expect(max_abs(op_mod.hat(op).op - hat_direct),
-                         "induced effect is the sum of the effects")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    n = int(rng.integers(1, 4))
+    pairs = [
+        (a, random_state(dim, rng)) for a in _sub_identity_effects(dim, rng, n)
+    ]
+    op = op_mod.semi_trivial(pairs)
+    for unit in _matrix_units(dim):
+        direct = sum(np.trace(unit @ a.op) * alpha.op for a, alpha in pairs)
+        tally.expect(max_abs(op_mod.apply(op, unit) - direct),
+                     "construction matches the direct formula")
+    hat_direct = sum(a.op for a, _ in pairs)
+    tally.expect(max_abs(op_mod.hat(op).op - hat_direct),
+                 "induced effect is the sum of the effects")
 
 
-def check_trivial_construction(ctx: LawContext) -> CheckResult:
+def check_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Single-pair case: rho -> tr(rho a) alpha measures a, like the Lueders
     operation of a does."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_effect(dim, rng)
-            alpha = random_state(dim, rng)
-            op = op_mod.trivial(a, alpha)
-            for unit in _matrix_units(dim):
-                direct = np.trace(unit @ a.op) * alpha.op
-                tally.expect(max_abs(op_mod.apply(op, unit) - direct),
-                             "trivial action matches")
-            tally.expect(max_abs(op_mod.hat(op).op - a.op), "trivial operation measures a")
-            tally.expect(max_abs(op_mod.hat(op_mod.luders(a)).op - a.op),
-                         "Lueders operation measures a", tol=1e-10)
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    a = random_effect(dim, rng)
+    alpha = random_state(dim, rng)
+    op = op_mod.trivial(a, alpha)
+    for unit in _matrix_units(dim):
+        direct = np.trace(unit @ a.op) * alpha.op
+        tally.expect(max_abs(op_mod.apply(op, unit) - direct),
+                     "trivial action matches")
+    tally.expect(max_abs(op_mod.hat(op).op - a.op), "trivial operation measures a")
+    tally.expect(max_abs(op_mod.hat(op_mod.luders(a)).op - a.op),
+                 "Lueders operation measures a", tol=1e-10)
 
 
-def check_atomic_is_semi_trivial(ctx: LawContext) -> CheckResult:
+def check_atomic_is_semi_trivial(ctx: LawContext, dim: int, tally: Tally) -> None:
     """An operation is atomic iff it is semi-trivial with rank-one states equal
     to their own effects."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            u = matcore.random_unitary(dim, rng)
-            size = int(rng.integers(1, dim + 1))
-            vectors = [u[:, k] for k in range(size)]
-            atomic = op_mod.atomic_operation(vectors)
-            pairs = [
-                (Effect(np.outer(v, v.conj())), State(np.outer(v, v.conj())))
-                for v in vectors
-            ]
-            st = op_mod.semi_trivial(pairs)
-            tally.expect(op_mod.action_distance(atomic, st),
-                         "atomic equals projector-paired semi-trivial")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    u = matcore.random_unitary(dim, rng)
+    size = int(rng.integers(1, dim + 1))
+    vectors = [u[:, k] for k in range(size)]
+    atomic = op_mod.atomic_operation(vectors)
+    pairs = [
+        (Effect(np.outer(v, v.conj())), State(np.outer(v, v.conj())))
+        for v in vectors
+    ]
+    st = op_mod.semi_trivial(pairs)
+    tally.expect(op_mod.action_distance(atomic, st),
+                 "atomic equals projector-paired semi-trivial")
 
 
-def check_luders_complement(ctx: LawContext) -> CheckResult:
+def check_luders_complement(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Every operation is completed to a channel by the Lueders operation of
     the complement of its induced effect."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            op = op_mod.random_operation(dim, ctx.rng)
-            comp = op_mod.complement_luders(op)
-            total = op_mod.add(op, comp)
-            tally.expect(max_abs(op_mod.hat(total).op - matcore.identity(dim)),
-                         "sum is a channel")
-            tally.expect_true(op_mod.is_complement(comp, op), "complement is recognized")
-            chan = op_mod.random_channel(dim, ctx.rng)
-            zero = op_mod.complement_luders(chan)
-            tally.expect(max_abs(op_mod.hat(zero).op), "channels have the zero complement")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    op = op_mod.random_operation(dim, ctx.rng)
+    comp = op_mod.complement_luders(op)
+    total = op_mod.add(op, comp)
+    tally.expect(max_abs(op_mod.hat(total).op - matcore.identity(dim)),
+                 "sum is a channel")
+    tally.expect_true(op_mod.is_complement(comp, op), "complement is recognized")
+    chan = op_mod.random_channel(dim, ctx.rng)
+    zero = op_mod.complement_luders(chan)
+    tally.expect(max_abs(op_mod.hat(zero).op), "channels have the zero complement")
 
 
-def check_luders_and_trivial_complements(ctx: LawContext) -> CheckResult:
+def check_luders_and_trivial_complements(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Lueders of a' complements Lueders of a; trivial of (a', alpha)
     complements trivial of (a, alpha), summing to the constant channel."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_effect(dim, rng)
-            lu = op_mod.add(op_mod.luders(a), op_mod.luders(complement(a)))
-            tally.expect(max_abs(op_mod.hat(lu).op - matcore.identity(dim)),
-                         "Lueders pair sums to a channel")
-            tally.expect_true(op_mod.is_complement(op_mod.luders(complement(a)), op_mod.luders(a)),
-                              "Lueders complement recognized")
-            alpha = random_state(dim, rng)
-            i = op_mod.trivial(a, alpha)
-            j = op_mod.trivial(complement(a), alpha)
-            tally.expect_true(op_mod.is_complement(j, i), "trivial complement recognized")
-            rho = random_state(dim, rng)
-            total = op_mod.apply(op_mod.add(i, j), rho)
-            tally.expect(max_abs(total - alpha.op), "sum is the constant channel")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    a = random_effect(dim, rng)
+    lu = op_mod.add(op_mod.luders(a), op_mod.luders(complement(a)))
+    tally.expect(max_abs(op_mod.hat(lu).op - matcore.identity(dim)),
+                 "Lueders pair sums to a channel")
+    tally.expect_true(op_mod.is_complement(op_mod.luders(complement(a)), op_mod.luders(a)),
+                      "Lueders complement recognized")
+    alpha = random_state(dim, rng)
+    i = op_mod.trivial(a, alpha)
+    j = op_mod.trivial(complement(a), alpha)
+    tally.expect_true(op_mod.is_complement(j, i), "trivial complement recognized")
+    rho = random_state(dim, rng)
+    total = op_mod.apply(op_mod.add(i, j), rho)
+    tally.expect(max_abs(total - alpha.op), "sum is the constant channel")
 
 
-def check_complement_iff(ctx: LawContext) -> CheckResult:
+def check_complement_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
     """j complements i exactly when hat(j) is the complement of hat(i)."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            i = op_mod.random_operation(dim, rng)
-            target = complement(op_mod.hat(i))
-            alpha = random_state(dim, rng)
-            for j in (op_mod.complement_luders(i), op_mod.trivial(target, alpha)):
-                tally.expect_true(op_mod.is_complement(j, i), "matching hat completes i")
-                tally.expect(max_abs(op_mod.hat(op_mod.add(i, j)).op - matcore.identity(dim)),
-                             "the completed sum is a channel")
-            j_far = resample(
-                lambda: op_mod.random_operation(dim, rng),
-                lambda cand: max_abs(op_mod.hat(cand).op - target.op) > 0.05)
-            tally.expect_true(not op_mod.is_complement(j_far, i),
-                              "mismatched hat is rejected")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    i = op_mod.random_operation(dim, rng)
+    target = complement(op_mod.hat(i))
+    alpha = random_state(dim, rng)
+    for j in (op_mod.complement_luders(i), op_mod.trivial(target, alpha)):
+        tally.expect_true(op_mod.is_complement(j, i), "matching hat completes i")
+        tally.expect(max_abs(op_mod.hat(op_mod.add(i, j)).op - matcore.identity(dim)),
+                     "the completed sum is a channel")
+    j_far = resample(
+        lambda: op_mod.random_operation(dim, rng),
+        lambda cand: max_abs(op_mod.hat(cand).op - target.op) > 0.05)
+    tally.expect_true(not op_mod.is_complement(j_far, i),
+                      "mismatched hat is rejected")
 
 
-def check_sharp_meet_is_zero(ctx: LawContext) -> CheckResult:
+def check_sharp_meet_is_zero(ctx: LawContext, dim: int, tally: Tally) -> None:
     """For sharp i with its Lueders complement j, effects below both induced
     effects vanish (the meet-is-zero witness at the effect level)."""
-    tally = Tally(tol=ctx.eq_tol)
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            cells = sharp_partition(dim, rng, coarse=True)
-            size = int(rng.integers(1, len(cells) + 1))
-            projections = [p.op for p in cells[:size]]
-            sharp = op_mod.sharp_operation(projections)
-            j = op_mod.complement_luders(sharp)
-            hat_i = op_mod.hat(sharp)
-            hat_j = op_mod.hat(j)
-            tally.expect(max_abs(seq_product(hat_i, hat_j).op),
-                         "projection meets its complement at zero")
-            lam = float(rng.uniform(0.1, 1.0))
-            candidates = [
-                Effect(lam * hat_i.op),
-                Effect(lam * hat_j.op),
-                Effect(lam * seq_product(hat_i, hat_j).op),
-            ]
-            for c in candidates:
-                below_both = (matcore.loewner_leq(c.op, hat_i.op, tol=ctx.psd_tol)
-                              and matcore.loewner_leq(c.op, hat_j.op, tol=ctx.psd_tol))
-                if below_both:
-                    tally.expect(max_abs(c.op), "effects below both hats vanish",
-                                 wit(candidate=c))
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=trials, witness=tally.witness)
+    rng = ctx.rng
+    cells = sharp_partition(dim, rng, coarse=True)
+    size = int(rng.integers(1, len(cells) + 1))
+    projections = [p.op for p in cells[:size]]
+    sharp = op_mod.sharp_operation(projections)
+    j = op_mod.complement_luders(sharp)
+    hat_i = op_mod.hat(sharp)
+    hat_j = op_mod.hat(j)
+    tally.expect(max_abs(seq_product(hat_i, hat_j).op),
+                 "projection meets its complement at zero")
+    lam = float(rng.uniform(0.1, 1.0))
+    candidates = [
+        Effect(lam * hat_i.op),
+        Effect(lam * hat_j.op),
+        Effect(lam * seq_product(hat_i, hat_j).op),
+    ]
+    for c in candidates:
+        below_both = (matcore.loewner_leq(c.op, hat_i.op, tol=ctx.psd_tol)
+                      and matcore.loewner_leq(c.op, hat_j.op, tol=ctx.psd_tol))
+        if below_both:
+            tally.expect(max_abs(c.op), "effects below both hats vanish",
+                         wit(candidate=c))
 
 
 def _constant_channel_violation(witness: dict) -> float:
@@ -211,30 +171,17 @@ def _constant_channel_violation(witness: dict) -> float:
     return abs(prob(rho, a) - prob(alpha, a))
 
 
-def check_constant_channel_bayes(ctx: LawContext) -> CheckResult:
+def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Conditioning through the constant channel of two trivial operations
     replaces rho by alpha; generic inputs witness the failure."""
-    tally = Tally(tol=ctx.eq_tol)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_effect(dim, rng)
-            alpha = random_state(dim, rng)
-            chan = op_mod.add(op_mod.trivial(a, alpha), op_mod.trivial(complement(a), alpha))
-            rho = random_state(dim, rng)
-            tally.expect(max_abs(op_mod.apply(chan, rho) - alpha.op),
-                         "the pair sums to the constant channel")
-            violation = abs(prob(rho, a) - prob(alpha, a))
-            if violation > best:
-                best = violation
-                best_witness = wit(a=a, alpha=alpha, rho=rho, violation=violation)
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    a = random_effect(dim, rng)
+    alpha = random_state(dim, rng)
+    chan = op_mod.add(op_mod.trivial(a, alpha), op_mod.trivial(complement(a), alpha))
+    rho = random_state(dim, rng)
+    tally.expect(max_abs(op_mod.apply(chan, rho) - alpha.op),
+                 "the pair sums to the constant channel")
+    tally.offer(abs(prob(rho, a) - prob(alpha, a)), a=a, alpha=alpha, rho=rho)
 
 
 def _projection_mixing_violation(witness: dict) -> float:
@@ -245,36 +192,23 @@ def _projection_mixing_violation(witness: dict) -> float:
     return max_abs(b.op - mixed)
 
 
-def check_projection_mixing_bayes(ctx: LawContext) -> CheckResult:
+def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Conditioning through the sharp two-projection channel displaces any
     effect that fails to commute with the projection."""
-    tally = Tally(tol=1e-10)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            u = matcore.random_unitary(dim, rng)
-            rank = int(rng.integers(1, dim))
-            a = sum(np.outer(u[:, k], u[:, k].conj()) for k in range(rank))
-            b = random_effect(dim, rng)
-            rho = random_state(dim, rng)
-            a_perp = np.eye(dim) - a
-            mixed = a @ b.op @ a + a_perp @ b.op @ a_perp
-            chan = op_mod.add(op_mod.kraus_single(a), op_mod.kraus_single(a_perp))
-            j = op_mod.luders(b)
-            lhs = trace_real(op_mod.apply(j, op_mod.apply(chan, rho)))
-            tally.expect(abs(lhs - trace_real(rho.op @ mixed)),
-                         "channel conditioning equals the mixed effect")
-            violation = max_abs(b.op - mixed)
-            if violation > best:
-                best = violation
-                best_witness = wit(a=a, b=b, rho=rho, violation=violation)
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    u = matcore.random_unitary(dim, rng)
+    rank = int(rng.integers(1, dim))
+    a = sum(np.outer(u[:, k], u[:, k].conj()) for k in range(rank))
+    b = random_effect(dim, rng)
+    rho = random_state(dim, rng)
+    a_perp = np.eye(dim) - a
+    mixed = a @ b.op @ a + a_perp @ b.op @ a_perp
+    chan = op_mod.add(op_mod.kraus_single(a), op_mod.kraus_single(a_perp))
+    j = op_mod.luders(b)
+    lhs = trace_real(op_mod.apply(j, op_mod.apply(chan, rho)))
+    tally.expect(abs(lhs - trace_real(rho.op @ mixed)),
+                 "channel conditioning equals the mixed effect")
+    tally.offer(max_abs(b.op - mixed), a=a, b=b, rho=rho)
 
 
 def _operation_bayes_violation(witness: dict) -> float:
@@ -289,38 +223,24 @@ def _operation_bayes_violation(witness: dict) -> float:
     return abs(prob(rho, b) - trace_real(rho.op @ mixed))
 
 
-def check_operation_bayes_first_rule(ctx: LawContext) -> CheckResult:
+def check_operation_bayes_first_rule(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Bayes' first rule for operations, tr[J(rho)] = tr[J(C(rho))], fails for
     both the constant-channel and the projection-mixing constructions."""
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            # Example-1-style: constant channel
-            a = random_effect(dim, rng)
-            alpha = random_state(dim, rng)
-            rho = random_state(dim, rng)
-            violation = abs(prob(rho, a) - prob(alpha, a))
-            if violation > best:
-                best = violation
-                best_witness = wit(a=a, alpha=alpha, rho=rho, violation=violation,
-                                   construction="constant-channel")
-            # Example-2-style: projection mixing
-            u = matcore.random_unitary(dim, rng)
-            p = np.outer(u[:, 0], u[:, 0].conj())
-            b = random_effect(dim, rng)
-            p_perp = np.eye(dim) - p
-            mixed = p @ b.op @ p + p_perp @ b.op @ p_perp
-            violation = abs(prob(rho, b) - trace_real(rho.op @ mixed))
-            if violation > best:
-                best = violation
-                best_witness = wit(a=p, b=b, rho=rho, violation=violation,
-                                   construction="projection-mixing")
-    return CheckResult(ok=True, max_deviation=best, trials=trials,
-                       witness=best_witness, found=best > ctx.gap)
+    rng = ctx.rng
+    # Example-1-style: constant channel
+    a = random_effect(dim, rng)
+    alpha = random_state(dim, rng)
+    rho = random_state(dim, rng)
+    tally.offer(abs(prob(rho, a) - prob(alpha, a)), a=a, alpha=alpha, rho=rho,
+                construction="constant-channel")
+    # Example-2-style: projection mixing
+    u = matcore.random_unitary(dim, rng)
+    p = np.outer(u[:, 0], u[:, 0].conj())
+    b = random_effect(dim, rng)
+    p_perp = np.eye(dim) - p
+    mixed = p @ b.op @ p + p_perp @ b.op @ p_perp
+    tally.offer(abs(prob(rho, b) - trace_real(rho.op @ mixed)), a=p, b=b, rho=rho,
+                construction="projection-mixing")
 
 
 def _sequencing_order_violation(witness: dict) -> float:
@@ -336,58 +256,38 @@ def _sequencing_order_violation(witness: dict) -> float:
     return abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))
 
 
-def check_sequencing_order_matters(ctx: LawContext) -> CheckResult:
+def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> None:
     """tr[J(I(rho))] and tr[I(J(rho))] disagree for trivial pairs sharing an
     effect and for non-commuting Lueders pairs; the closed forms hold exactly."""
-    tally = Tally(tol=1e-10)
-    best = 0.0
-    best_witness = None
-    trials = 0
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            trials += 1
-            rng = ctx.rng
-            a = random_effect(dim, rng)
-            alpha = random_state(dim, rng)
-            beta = random_state(dim, rng)
-            rho = random_state(dim, rng)
-            i_op = op_mod.trivial(a, alpha)
-            j_op = op_mod.trivial(a, beta)
-            forward = trace_real(op_mod.apply(j_op, op_mod.apply(i_op, rho)))
-            backward = trace_real(op_mod.apply(i_op, op_mod.apply(j_op, rho)))
-            tally.expect(abs(forward - prob(rho, a) * prob(alpha, a)),
-                         "forward composition closed form")
-            tally.expect(abs(backward - prob(rho, a) * prob(beta, a)),
-                         "backward composition closed form")
-            violation = abs(forward - backward)
-            if violation > best:
-                best = violation
-                best_witness = wit(a=a, alpha=alpha, beta=beta, rho=rho,
-                                   violation=violation, construction="trivial")
-            b = random_effect(dim, rng)
-            li, lj = op_mod.luders(a), op_mod.luders(b)
-            forward = trace_real(op_mod.apply(lj, op_mod.apply(li, rho)))
-            backward = trace_real(op_mod.apply(li, op_mod.apply(lj, rho)))
-            tally.expect(abs(forward - prob(rho, seq_product(a, b))),
-                         "Lueders forward closed form")
-            tally.expect(abs(backward - prob(rho, seq_product(b, a))),
-                         "Lueders backward closed form")
-            violation = abs(forward - backward)
-            if violation > best:
-                best = violation
-                best_witness = wit(a=a, b=b, rho=rho, violation=violation,
-                                   construction="luders")
-    return CheckResult(ok=tally.ok, max_deviation=best, trials=trials,
-                       witness=best_witness if tally.ok else tally.witness,
-                       found=best > ctx.gap)
+    rng = ctx.rng
+    a = random_effect(dim, rng)
+    alpha = random_state(dim, rng)
+    beta = random_state(dim, rng)
+    rho = random_state(dim, rng)
+    i_op = op_mod.trivial(a, alpha)
+    j_op = op_mod.trivial(a, beta)
+    forward = trace_real(op_mod.apply(j_op, op_mod.apply(i_op, rho)))
+    backward = trace_real(op_mod.apply(i_op, op_mod.apply(j_op, rho)))
+    tally.expect(abs(forward - prob(rho, a) * prob(alpha, a)),
+                 "forward composition closed form")
+    tally.expect(abs(backward - prob(rho, a) * prob(beta, a)),
+                 "backward composition closed form")
+    tally.offer(abs(forward - backward), a=a, alpha=alpha, beta=beta, rho=rho,
+                construction="trivial")
+    b = random_effect(dim, rng)
+    li, lj = op_mod.luders(a), op_mod.luders(b)
+    forward = trace_real(op_mod.apply(lj, op_mod.apply(li, rho)))
+    backward = trace_real(op_mod.apply(li, op_mod.apply(lj, rho)))
+    tally.expect(abs(forward - prob(rho, seq_product(a, b))),
+                 "Lueders forward closed form")
+    tally.expect(abs(backward - prob(rho, seq_product(b, a))),
+                 "Lueders backward closed form")
+    tally.offer(abs(forward - backward), a=a, b=b, rho=rho, construction="luders")
 
 
-def check_post_channel_not_mono(ctx: LawContext) -> CheckResult:
+def check_post_channel_not_mono(ctx: LawContext, dim: int, tally: Tally) -> None:
     """The dephasing fixture: two copies of half the doubled projection are not
     summable, yet their images under the post-channel effect map sum to I."""
-    from ..effects import perp
-
-    tally = Tally(tol=1e-12)
     deph = op_mod.sharp_operation([np.diag([1.0, 0.0]).astype(complex),
                                    np.diag([0.0, 1.0]).astype(complex)])
     d = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -396,8 +296,6 @@ def check_post_channel_not_mono(ctx: LawContext) -> CheckResult:
     tally.expect_true(not perp(a, b), "a + b = d exceeds the identity")
     image_sum = op_mod.op_then_effect(deph, a).op + op_mod.op_then_effect(deph, b).op
     tally.expect(max_abs(image_sum - np.eye(2)), "images sum exactly to the identity")
-    return CheckResult(ok=tally.ok, max_deviation=tally.max_deviation,
-                       trials=1, witness=tally.witness)
 
 
 register(LawCheck(
@@ -424,11 +322,11 @@ register(LawCheck(
 register(LawCheck(
     id="ex-2", kind="counterexample", dims=(2,), trials=100,
     description="Projection mixing displaces non-commuting effects",
-    fn=check_projection_mixing_bayes, replay=_projection_mixing_violation))
+    fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10))
 register(LawCheck(
     id="ex-3", kind="counterexample", dims=(2,), trials=100,
     description="Sequential composition of operations is order sensitive",
-    fn=check_sequencing_order_matters, replay=_sequencing_order_violation))
+    fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10))
 register(LawCheck(
     id="ex-4", kind="identity", dims=(2, 3), trials=50,
     description="Every operation has a Lueders complement to a channel",
@@ -448,4 +346,4 @@ register(LawCheck(
 register(LawCheck(
     id="ex-10", kind="identity", dims=(2,), trials=1,
     description="Post-channel effect map is a morphism but not a monomorphism",
-    fn=check_post_channel_not_mono))
+    fn=check_post_channel_not_mono, tol=1e-12))

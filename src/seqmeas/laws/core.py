@@ -10,6 +10,22 @@ Three kinds of checks:
                          when a violation larger than the gap threshold is
                          found within the trial budget.
 
+A check is a per-trial function ``fn(ctx, dim, tally) -> None``. ``run_law``
+owns the loop: it calls ``fn`` ``ctx.trials`` times for each dimension in
+``ctx.dims``, counts the trials and turns the one ``Tally`` they share into the
+report. Inside a trial a check records
+
+* ``tally.expect(deviation, label)`` -- a deviation that must stay within the
+  tally's tolerance (``tol=`` overrides it for one assertion);
+* ``tally.expect_true(condition, label)`` -- an assertion that must hold;
+* ``tally.offer(violation, **objects)`` -- a counterexample candidate; the
+  largest violation (strictly larger than every earlier one) and its inputs,
+  serialized for replay, become the report's ``max_deviation`` and witness.
+
+The tally's tolerance is the registry field ``LawCheck.tol``, or
+``ctx.eq_tol`` when that is ``None``. The first failed assertion becomes the
+witness of a failing report, counterexample laws included.
+
 Every law draws from its own RNG stream derived from hash(seed, law id), so a
 report is a pure function of (id, dims, trials, seed, tolerances) except for
 its ``elapsed`` field.
@@ -27,6 +43,7 @@ import numpy as np
 
 from ..errors import UnknownLaw
 from ..matcore import EQ_TOL, PSD_TOL
+from ._common import wit
 
 DEFAULT_SEED = 42
 DEFAULT_GAP = 0.01
@@ -46,12 +63,14 @@ class LawContext:
 
 @dataclass
 class Tally:
-    """Accumulates identity-side deviations and boolean assertions."""
+    """Accumulates one law's deviations, assertions and counterexample candidates."""
 
     tol: float
     max_deviation: float = 0.0
     ok: bool = True
     witness: dict | None = None
+    best: float = 0.0
+    best_witness: dict | None = None
 
     def expect(self, deviation: float, label: str, witness: dict | None = None,
                tol: float | None = None) -> None:
@@ -66,14 +85,42 @@ class Tally:
             self.ok = False
             self.witness = {"assertion": label, **(witness or {})}
 
+    def offer(self, violation: float, construction: str | None = None, **objects) -> None:
+        """Keep a counterexample candidate if it beats the best violation so far.
+
+        The witness lists ``objects`` (serialized only when kept), then
+        ``violation``, then ``construction`` when one is named.
+        """
+        if violation > self.best:
+            self.best = violation
+            extra = {} if construction is None else {"construction": construction}
+            self.best_witness = wit(**objects, violation=violation, **extra)
+
+    def result(self, kind: str, trials: int, gap: float) -> CheckResult:
+        """Summarize the finished tally into a report status.
+
+        A failed assertion fails any law. A counterexample law otherwise
+        reports its best violation and that candidate's witness, and is found
+        when the violation exceeds ``gap``.
+        """
+        if kind != "counterexample":
+            return CheckResult(status="pass" if self.ok else "fail",
+                               max_deviation=self.max_deviation, trials=trials,
+                               witness=self.witness)
+        if not self.ok:
+            status = "fail"
+        else:
+            status = "counterexample-found" if self.best > gap else "counterexample-missing"
+        return CheckResult(status=status, max_deviation=self.best, trials=trials,
+                           witness=self.best_witness if self.ok else self.witness)
+
 
 @dataclass
 class CheckResult:
-    ok: bool
+    status: str  # pass | fail | counterexample-found | counterexample-missing
     max_deviation: float
     trials: int
     witness: dict | None = None
-    found: bool | None = None  # counterexample kind only
 
 
 @dataclass(frozen=True)
@@ -85,9 +132,10 @@ class LawCheck:
     dims: tuple[int, ...]
     trials: int
     description: str
-    fn: Callable[[LawContext], CheckResult]
+    fn: Callable[[LawContext, int, Tally], None]  # one trial at one dimension
     gap: float | None = None  # law-specific violation threshold override
     replay: Callable[[dict], float] | None = None
+    tol: float | None = None  # tally tolerance; None means ctx.eq_tol
 
 
 @dataclass
@@ -198,19 +246,15 @@ def run_law(law_id: str, dims=None, trials: int | None = None, seed: int = DEFAU
         dims=use_dims, trials=use_trials, rng=_law_rng(seed, law.id),
         eq_tol=eq_tol, psd_tol=psd_tol, gap=use_gap,
     )
-    result = law.fn(ctx)
-    elapsed = time.perf_counter() - start
-    if law.kind == "counterexample":
-        if not result.ok:
-            status = "fail"
-        else:
-            status = "counterexample-found" if result.found else "counterexample-missing"
-    else:
-        status = "pass" if result.ok else "fail"
+    tally = Tally(tol=eq_tol if law.tol is None else law.tol)
+    for dim in ctx.dims:
+        for _ in range(ctx.trials):
+            law.fn(ctx, dim, tally)
+    result = tally.result(law.kind, trials=len(use_dims) * use_trials, gap=use_gap)
     return LawReport(
-        id=law.id, kind=law.kind, status=status, trials=result.trials,
+        id=law.id, kind=law.kind, status=result.status, trials=result.trials,
         max_deviation=result.max_deviation, witness=result.witness, seed=seed,
-        elapsed=elapsed, dims=use_dims,
+        elapsed=time.perf_counter() - start, dims=use_dims,
     )
 
 

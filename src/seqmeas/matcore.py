@@ -68,10 +68,16 @@ def as_square(m) -> np.ndarray:
 
 
 def as_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrization (M + M†)/2."""
+    """Validate near-Hermiticity and return the symmetrization (M + M†)/2.
+
+    A non-finite entry makes the gap NaN or infinite, so the same comparison
+    rejects it; NaN must not slip through as a failed ``gap > tol``.
+    """
     arr = as_square(m)
     gap = max_abs(arr - dagger(arr))
-    if gap > tol:
+    if not gap <= tol:
+        if not math.isfinite(gap):
+            raise DimensionError("matrix has non-finite (inf or nan) entries")
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
     return (arr + dagger(arr)) / 2
 
@@ -187,6 +193,19 @@ def spectral_bounds(m) -> tuple[float, float]:
     """(min, max) eigenvalue of a Hermitian matrix."""
     values = eigenvalues_hermitian(m)
     return float(values[0]), float(values[-1])
+
+
+def inv_sqrt_pd(m) -> np.ndarray | None:
+    """M^{-1/2} of a positive definite Hermitian matrix from one diagonalization.
+
+    Returns None when the smallest eigenvalue is <= 1e-6, so that a sampler
+    can redraw instead of normalizing by a near-singular matrix.
+    """
+    spec = eig_hermitian(m)
+    if spec.eigenvalues[0] <= 1e-6:
+        return None
+    v = spec.eigenvectors
+    return (v / np.sqrt(spec.eigenvalues)) @ dagger(v)
 
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:

@@ -167,11 +167,9 @@ def random_observable(dim: int, rng: np.random.Generator,
         for _ in range(n):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             grams.append(g @ g.conj().T)
-        total = sum(grams)
-        if matcore.spectral_bounds(total)[0] > 1e-6:
+        inv_root = matcore.inv_sqrt_pd(sum(grams))
+        if inv_root is not None:
             break
-    spec = matcore.eig_hermitian(total)
-    inv_root = (spec.eigenvectors / np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.conj().T
     effs = tuple(Effect(inv_root @ g @ inv_root) for g in grams)
     return Observable(tuple(f"x{k}" for k in range(n)), effs)
 

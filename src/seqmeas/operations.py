@@ -56,7 +56,6 @@ class Operation:
     """
 
     kraus: np.ndarray
-    label: str | None = None
     recipe: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -158,11 +157,11 @@ def action_distance(i: Operation, j: Operation) -> float:
 
 
 def zero_operation(dim: int) -> Operation:
-    return Operation(np.zeros((1, dim, dim), dtype=complex), label="zero")
+    return Operation(np.zeros((1, dim, dim), dtype=complex))
 
 
 def identity_channel(dim: int) -> Operation:
-    return Operation(identity(dim)[None, :, :], label="id")
+    return Operation(identity(dim)[None, :, :])
 
 
 def luders(a: Effect) -> Operation:
@@ -292,11 +291,13 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
 
 
 def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = None) -> bool:
-    """Pointwise order: i(rho) <= j(rho) on a spanning family of states.
+    """Sampled necessary condition for the order i <= j: i(rho) <= j(rho) on probes.
 
-    Checks SAMPLE_N seeded random states plus the d^2 pure states derived from
+    Probes SAMPLE_N seeded random states plus the d^2 pure states derived from
     the matrix-unit basis (e_k, (e_k+e_l)/sqrt2, (e_k+ie_l)/sqrt2), which span
-    L(H); the difference map is linear, so this pins it down at these dims.
+    L(H). A False result refutes i <= j. A True result does not certify it: a
+    linear map can be positive on a spanning set of states without being a
+    positive map, so j - i may still fail on a state that was not probed.
     """
     if i.dim != j.dim:
         raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
@@ -323,12 +324,9 @@ def random_channel(dim: int, rng: np.random.Generator, n_kraus: int | None = Non
         fam = np.stack(
             [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
         )
-        gram = _hat_matrix(fam)
-        lo, _ = matcore.spectral_bounds(gram)
-        if lo > 1e-6:
+        inv_root = matcore.inv_sqrt_pd(_hat_matrix(fam))
+        if inv_root is not None:
             break
-    spec = matcore.eig_hermitian(gram)
-    inv_root = (spec.eigenvectors / np.sqrt(spec.eigenvalues)) @ dagger(spec.eigenvectors)
     return Operation(np.einsum("nij,jk->nik", fam, inv_root))
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from seqmeas import cli, matcore, operations as ops, serialize
 from seqmeas.effects import Effect, State
 
@@ -45,6 +46,24 @@ def test_check_seed_env_fallback(capsys, monkeypatch):
 def test_check_bad_dims(capsys):
     code, _, err = run_cli(["check", "--law", "ex-10", "--dims", "two"], capsys)
     assert code == 2
+
+
+def test_check_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    code, out, err = run_cli(["check", "--law", "ex-10"], capsys)
+    assert code == 2
+    assert "abc" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("dim", ["two", 2.5, [2], True])
+def test_eval_bad_dim_exits_2(tmp_path, capsys, dim):
+    payload = basic_scenario()
+    payload["dim"] = dim
+    code, out, err = run_cli(["eval", scenario_file(tmp_path, payload)], capsys)
+    assert code == 2
+    assert "'dim'" in err
+    assert out == ""
 
 
 def scenario_file(tmp_path, payload):

@@ -21,10 +21,13 @@ from seqmeas.effects import (
 from seqmeas.errors import (
     ConditioningOnNull,
     DimensionError,
+    EigenConvergenceError,
     NotEffect,
     NotState,
+    SeqmeasError,
     WeightError,
 )
+from seqmeas.operations import Operation
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 D = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -57,6 +60,23 @@ def test_state_validation():
         State(np.diag([0.5, 0.4]).astype(complex))
     with pytest.raises(NotState):
         State(np.diag([1.5, -0.5]).astype(complex))
+
+
+NON_FINITE = [
+    [[np.inf, 0.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]],
+    [[np.nan, np.nan], [np.nan, np.nan]],
+]
+
+
+@pytest.mark.parametrize("build", [Effect, State, Operation])
+@pytest.mark.parametrize("entries", NON_FINITE)
+def test_non_finite_matrices_are_rejected(build, entries):
+    with pytest.raises(SeqmeasError, match="non-finite") as info:
+        build(np.array(entries, dtype=complex))
+    assert not isinstance(info.value, EigenConvergenceError)
 
 
 def test_complement_examples():

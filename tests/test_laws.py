@@ -107,3 +107,14 @@ def test_dims_override_applies():
     assert report.dims == (2,)
     assert report.trials == 5
     assert report.status == "pass"
+
+
+def test_eq_tol_reaches_only_laws_without_a_fixed_tolerance():
+    assert laws.registry()["thm-3.1ii"].tol is None
+    assert laws.registry()["cond-prob-measure"].tol == 1e-10
+    for law_id, routed in (("thm-3.1ii", True), ("cond-prob-measure", False)):
+        default = laws.run_law(law_id, dims=[2], trials=3, seed=1)
+        tight = laws.run_law(law_id, dims=[2], trials=3, seed=1, eq_tol=1e-20)
+        assert default.status == "pass"
+        assert default.max_deviation > 1e-20
+        assert tight.status == ("fail" if routed else "pass")

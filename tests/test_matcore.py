@@ -80,6 +80,14 @@ def test_sqrt_psd_rejects_negative():
         matcore.sqrt_psd(np.diag([1.0, -1e-6]).astype(complex))
 
 
+def test_inv_sqrt_pd():
+    r = matcore.inv_sqrt_pd(np.diag([4.0, 0.25]).astype(complex))
+    assert np.allclose(r, np.diag([0.5, 2.0]), atol=1e-12)
+    # at or below the floor the caller must redraw
+    assert matcore.inv_sqrt_pd(HALF) is None
+    assert matcore.inv_sqrt_pd(np.diag([1.0, 1e-6]).astype(complex)) is None
+
+
 def test_loewner_trivial_cases():
     ident = matcore.identity(2)
     assert matcore.loewner_leq(np.diag([0.3, 0.3]).astype(complex), ident)
