@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import effects, instruments as inst_mod, laws, observables as obs_mod, operations as op_mod
 from . import serialize
 from .effects import Effect, State
@@ -119,117 +117,70 @@ def _parse_objects(raw: dict) -> dict:
     return objects
 
 
-def _resolve(objects: dict, query: dict, key: str, want=None):
+def _resolve(objects: dict, query: dict, key: str):
     name = query.get(key)
     if not isinstance(name, str) or name not in objects:
         raise ScenarioError(f"query field {key!r} does not name a scenario object: {name!r}")
-    obj = objects[name]
-    if want is not None and not isinstance(obj, want):
-        raise ScenarioError(
-            f"query field {key!r} expects {want.__name__}, got {type(obj).__name__}")
-    return obj
+    return objects[name]
 
 
-def _result_json(value):
-    if isinstance(value, (Effect, State, Operation, Observable, Instrument)):
-        return serialize.typed_to_json(value)
-    if isinstance(value, np.ndarray):
-        return serialize.matrix_to_json(value)
-    if isinstance(value, dict):
-        return value
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    raise ScenarioError(f"unserializable result {type(value).__name__}")
+# query -> (object fields, dict fields, {operand types: (module, function name)}).
+# The operands, then the dict fields, are passed positionally in field order.
+# Functions are looked up on their module at call time, never stored, so a
+# rebinding of the module attribute (a tracer, a test double) is honoured.
+QUERIES = {
+    "hat": (("of",), (), {(Operation,): (op_mod, "hat")}),
+    "apply": (("op", "state"), (), {(Operation, State): (op_mod, "apply")}),
+    "seq_product": (("a", "b"), (), {(Effect, Effect): (effects, "seq_product")}),
+    "complement": (("of",), (), {(Effect,): (effects, "complement")}),
+    "perp": (("a", "b"), (), {(Effect, Effect): (effects, "perp")}),
+    "prob": (("state", "effect"), (), {(State, Effect): (effects, "prob")}),
+    "cond_prob": (("state", "effect", "given"), (),
+                  {(State, Effect, Effect): (effects, "cond_prob")}),
+    "is_channel": (("of",), (), {(Operation,): (op_mod, "is_channel")}),
+    "compose": (("first", "then"), (), {(Operation, Operation): (op_mod, "compose")}),
+    "equiv": (("a", "b"), (), {(Operation, Operation): (op_mod, "equiv")}),
+    "op_then_effect": (("op", "effect"), (),
+                       {(Operation, Effect): (op_mod, "op_then_effect")}),
+    "effect_then_op": (("effect", "op"), (),
+                       {(Effect, Operation): (op_mod, "effect_then_op")}),
+    "distribution": (("of", "state"), (), {(Observable, State): (obs_mod, "distribution"),
+                                           (Instrument, State): (inst_mod, "distribution")}),
+    "obs_seq_product": (("a", "b"), (),
+                        {(Observable, Observable): (obs_mod, "obs_seq_product")}),
+    "conditioned": (("of", "given"), (), {
+        (Observable, Observable): (obs_mod, "obs_conditioned"),
+        (Instrument, Instrument): (inst_mod, "inst_conditioned"),
+        (Instrument, Observable): (inst_mod, "inst_conditioned_on_obs"),
+        (Observable, Instrument): (inst_mod, "obs_conditioned_on_inst"),
+    }),
+    "measured_observable": (("of",), (), {(Instrument,): (inst_mod, "measured_observable")}),
+    "bar": (("of",), (), {(Instrument,): (inst_mod, "bar")}),
+    "part": (("of",), ("map",), {(Observable,): (obs_mod, "obs_part"),
+                                 (Instrument,): (inst_mod, "inst_part")}),
+    "coexist-witness": (("left", "right", "joint"), ("f", "g"), {
+        (Observable,) * 3: (obs_mod, "verify_coexistence_witness"),
+        (Instrument,) * 3: (inst_mod, "verify_inst_coexistence_witness"),
+    }),
+}
 
 
 def _eval_query(objects: dict, query: dict):
+    """Resolve a query's operands, pick the row for their types and call it."""
     kind = query.get("query")
-    if kind == "hat":
-        return op_mod.hat(_resolve(objects, query, "of", Operation))
-    if kind == "apply":
-        out = op_mod.apply(_resolve(objects, query, "op", Operation),
-                           _resolve(objects, query, "state", State))
-        return serialize.matrix_to_json(out)
-    if kind == "seq_product":
-        return effects.seq_product(_resolve(objects, query, "a", Effect),
-                                   _resolve(objects, query, "b", Effect))
-    if kind == "complement":
-        return effects.complement(_resolve(objects, query, "of", Effect))
-    if kind == "perp":
-        return effects.perp(_resolve(objects, query, "a", Effect),
-                            _resolve(objects, query, "b", Effect))
-    if kind == "prob":
-        return effects.prob(_resolve(objects, query, "state", State),
-                            _resolve(objects, query, "effect", Effect))
-    if kind == "cond_prob":
-        return effects.cond_prob(_resolve(objects, query, "state", State),
-                                 _resolve(objects, query, "effect", Effect),
-                                 given=_resolve(objects, query, "given", Effect))
-    if kind == "is_channel":
-        return op_mod.is_channel(_resolve(objects, query, "of", Operation))
-    if kind == "compose":
-        return op_mod.compose(_resolve(objects, query, "first", Operation),
-                              _resolve(objects, query, "then", Operation))
-    if kind == "equiv":
-        return op_mod.equiv(_resolve(objects, query, "a", Operation),
-                            _resolve(objects, query, "b", Operation))
-    if kind == "op_then_effect":
-        return op_mod.op_then_effect(_resolve(objects, query, "op", Operation),
-                                     _resolve(objects, query, "effect", Effect))
-    if kind == "effect_then_op":
-        return op_mod.effect_then_op(_resolve(objects, query, "effect", Effect),
-                                     _resolve(objects, query, "op", Operation))
-    if kind == "distribution":
-        target = _resolve(objects, query, "of")
-        rho = _resolve(objects, query, "state", State)
-        if isinstance(target, Observable):
-            return obs_mod.distribution(target, rho)
-        if isinstance(target, Instrument):
-            return inst_mod.distribution(target, rho)
-        raise ScenarioError("distribution expects an observable or instrument")
-    if kind == "obs_seq_product":
-        return obs_mod.obs_seq_product(_resolve(objects, query, "a", Observable),
-                                       _resolve(objects, query, "b", Observable))
-    if kind == "conditioned":
-        target = _resolve(objects, query, "of")
-        given = _resolve(objects, query, "given")
-        if isinstance(target, Observable) and isinstance(given, Observable):
-            return obs_mod.obs_conditioned(target, given)
-        if isinstance(target, Instrument) and isinstance(given, Instrument):
-            return inst_mod.inst_conditioned(target, given)
-        if isinstance(target, Instrument) and isinstance(given, Observable):
-            return inst_mod.inst_conditioned_on_obs(target, given)
-        if isinstance(target, Observable) and isinstance(given, Instrument):
-            return inst_mod.obs_conditioned_on_inst(target, given)
-        raise ScenarioError("conditioned expects observable/instrument operands")
-    if kind == "measured_observable":
-        return inst_mod.measured_observable(_resolve(objects, query, "of", Instrument))
-    if kind == "bar":
-        return inst_mod.bar(_resolve(objects, query, "of", Instrument))
-    if kind == "part":
-        target = _resolve(objects, query, "of")
-        mapping = query.get("map")
-        if not isinstance(mapping, dict):
-            raise ScenarioError("part requires a 'map' object of outcome relabelings")
-        if isinstance(target, Observable):
-            return obs_mod.obs_part(target, mapping)
-        if isinstance(target, Instrument):
-            return inst_mod.inst_part(target, mapping)
-        raise ScenarioError("part expects an observable or instrument")
-    if kind == "coexist-witness":
-        left = _resolve(objects, query, "left")
-        right = _resolve(objects, query, "right")
-        joint = _resolve(objects, query, "joint")
-        f = query.get("f")
-        g = query.get("g")
-        if not isinstance(f, dict) or not isinstance(g, dict):
-            raise ScenarioError("coexist-witness requires 'f' and 'g' outcome maps")
-        if isinstance(joint, Observable):
-            return obs_mod.verify_coexistence_witness(left, right, joint, f, g)
-        if isinstance(joint, Instrument):
-            return inst_mod.verify_inst_coexistence_witness(left, right, joint, f, g)
-        raise ScenarioError("coexist-witness expects observable or instrument operands")
-    raise ScenarioError(f"unknown query {kind!r}")
+    if not isinstance(kind, str) or kind not in QUERIES:
+        raise ScenarioError(f"unknown query {kind!r}")
+    fields, dict_fields, rows = QUERIES[kind]
+    operands = [_resolve(objects, query, key) for key in fields]
+    row = rows.get(tuple(type(obj) for obj in operands))
+    if row is None:
+        got = ", ".join(type(obj).__name__ for obj in operands)
+        raise ScenarioError(f"{kind} does not accept operand types ({got})")
+    for key in dict_fields:
+        if not isinstance(query.get(key), dict):
+            raise ScenarioError(f"{kind} requires a {key!r} object of outcome relabelings")
+    module, name = row
+    return getattr(module, name)(*operands, *(query[key] for key in dict_fields))
 
 
 def cmd_eval(args) -> int:
@@ -261,7 +212,7 @@ def cmd_eval(args) -> int:
                 raise ScenarioError(f"query #{idx} is not an object with a 'query' field")
             try:
                 value = _eval_query(objects, query)
-                lines.append(json.dumps({"query": query, "result": _result_json(value)}))
+                lines.append(json.dumps({"query": query, "result": serialize.to_json(value)}))
             except ScenarioError as exc:
                 raise ScenarioError(f"query #{idx}: {exc}") from None
             except SeqmeasError as exc:
@@ -275,14 +226,8 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    parser.error("unknown command")
-    return 2
+    args = build_parser().parse_args(argv)
+    return cmd_check(args) if args.command == "check" else cmd_eval(args)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import State
-from .errors import DimensionError, NotChannel, NotProjection
+from .effects import COND_FLOOR, State
+from .errors import ConditioningOnNull, DimensionError, NotChannel, NotProjection
 from .matcore import max_abs
 from .observables import PRODUCT_SEPARATOR, Observable, _check_part_map
 from .operations import Operation
@@ -247,9 +247,6 @@ def verify_inst_coexistence_witness(j: Instrument, k: Instrument, i: Instrument,
 
 def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
     """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)]."""
-    from .effects import COND_FLOOR
-    from .errors import ConditioningOnNull
-
     front = op_mod.apply(given, rho)
     denom = np.trace(front).real
     if denom <= COND_FLOOR:

@@ -5,27 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .. import matcore, serialize
-from ..effects import Effect, State
-from ..instruments import Instrument
-from ..observables import Observable
-from ..operations import Operation
+from ..effects import Effect
 
 MAX_RESAMPLES = 500
 
 
 def wit(**objects) -> dict:
     """Serialize witness inputs: domain objects become typed JSON, scalars pass through."""
-    out = {}
-    for name, obj in objects.items():
-        if isinstance(obj, (Effect, State, Operation, Observable, Instrument)):
-            out[name] = serialize.typed_to_json(obj)
-        elif isinstance(obj, np.ndarray):
-            out[name] = serialize.matrix_to_json(obj)
-        elif isinstance(obj, (np.floating, np.integer)):
-            out[name] = float(obj)
-        else:
-            out[name] = obj
-    return out
+    return {name: serialize.to_json(obj) for name, obj in objects.items()}
 
 
 def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) -> list[Effect]:

@@ -21,7 +21,7 @@ from ..effects import (
 )
 from ..matcore import max_abs
 from ..observables import Observable, random_observable
-from ._common import resample, sharp_partition, trace_real, wit
+from ._common import resample, sharp_partition, trace_real
 from .core import LawCheck, LawContext, Tally, register
 
 # Rejection floor for "generic" (fail-direction) samples: instances that nearly
@@ -36,10 +36,8 @@ def _split_identity(dim: int, rng: np.random.Generator, n: int = 4) -> list[Effe
 
 def check_axiom_1(ctx: LawContext, dim: int, tally: Tally) -> None:
     x, y, _, _ = _split_identity(dim, ctx.rng)
-    tally.expect_true(perp(x, y) and perp(y, x), "x perp y iff y perp x",
-                      wit(x=x, y=y))
-    tally.expect(max_abs((x.op + y.op) - (y.op + x.op)), "x+y = y+x",
-                 wit(x=x, y=y))
+    tally.expect_true(perp(x, y) and perp(y, x), "x perp y iff y perp x", x=x, y=y)
+    tally.expect(max_abs((x.op + y.op) - (y.op + x.op)), "x+y = y+x", x=x, y=y)
 
 
 def check_axiom_2(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -47,22 +45,22 @@ def check_axiom_2(ctx: LawContext, dim: int, tally: Tally) -> None:
     yz = Effect(y.op + z.op)
     xy = Effect(x.op + y.op)
     tally.expect_true(perp(y, z) and perp(x, yz), "hypothesis holds by construction",
-                      wit(x=x, y=y, z=z))
+                      x=x, y=y, z=z)
     tally.expect_true(perp(x, y) and perp(z, xy), "x perp y and z perp (x+y)",
-                      wit(x=x, y=y, z=z))
+                      x=x, y=y, z=z)
     tally.expect(max_abs((x.op + (y.op + z.op)) - ((x.op + y.op) + z.op)),
-                 "associativity", wit(x=x, y=y, z=z))
+                 "associativity", x=x, y=y, z=z)
 
 
 def check_axiom_3(ctx: LawContext, dim: int, tally: Tally) -> None:
     x = random_effect(dim, ctx.rng)
     xc = complement(x)
-    tally.expect_true(perp(x, xc), "x perp x'", wit(x=x))
-    tally.expect(max_abs(x.op + xc.op - matcore.identity(dim)), "x + x' = I", wit(x=x))
+    tally.expect_true(perp(x, xc), "x perp x'", x=x)
+    tally.expect(max_abs(x.op + xc.op - matcore.identity(dim)), "x + x' = I", x=x)
     # uniqueness: any effect summing with x to I is I - x entrywise
     tally.expect(max_abs(xc.op - (matcore.identity(dim) - x.op)),
-                 "complement is unique", wit(x=x))
-    tally.expect(max_abs(complement(xc).op - x.op), "x'' = x", wit(x=x))
+                 "complement is unique", x=x)
+    tally.expect(max_abs(complement(xc).op - x.op), "x'' = x", x=x)
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +76,7 @@ def check_axiom_4(ctx: LawContext, dim: int, tally: Tally) -> None:
     x = random_effect(dim, ctx.rng)
     if max_abs(x.op) <= 1e-10:
         return
-    tally.expect_true(not perp(x, ident), "x perp I only for x = 0", wit(x=x))
+    tally.expect_true(not perp(x, ident), "x perp I only for x = 0", x=x)
 
 
 def check_hat_isomorphism(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -87,27 +85,27 @@ def check_hat_isomorphism(ctx: LawContext, dim: int, tally: Tally) -> None:
     rng = ctx.rng
     a = random_effect(dim, rng)
     tally.expect(max_abs(op_mod.hat(op_mod.luders(a)).op - a.op),
-                 "surjectivity via Lueders", wit(a=a), tol=1e-10)
+                 "surjectivity via Lueders", a=a, tol=1e-10)
     lam = float(rng.uniform(0.1, 0.9))
     i = op_mod.scale(op_mod.random_operation(dim, rng), lam)
     j = op_mod.scale(op_mod.random_operation(dim, rng), 1.0 - lam)
     tally.expect(
         max_abs(op_mod.hat(op_mod.add(i, j)).op - (op_mod.hat(i).op + op_mod.hat(j).op)),
-        "hat is additive", wit(lam=lam))
+        "hat is additive", lam=lam)
     base = op_mod.random_operation(dim, rng)
     tally.expect(
         max_abs(op_mod.hat(op_mod.scale(base, lam)).op - lam * op_mod.hat(base).op),
-        "hat is homogeneous", wit(lam=lam))
+        "hat is homogeneous", lam=lam)
     chan = op_mod.random_channel(dim, rng)
     tally.expect(max_abs(op_mod.hat(chan).op - matcore.identity(dim)),
                  "channels are the unit class")
     alpha = random_state(dim, rng)
     tally.expect_true(op_mod.equiv(op_mod.luders(a), op_mod.trivial(a, alpha)),
-                      "operations measuring one effect are equivalent", wit(a=a))
+                      "operations measuring one effect are equivalent", a=a)
     b = random_effect(dim, rng)
     if max_abs(a.op - b.op) > 1e-6:
         tally.expect_true(not op_mod.equiv(op_mod.luders(a), op_mod.luders(b)),
-                          "distinct hats are inequivalent", wit(a=a, b=b))
+                          "distinct hats are inequivalent", a=a, b=b)
     # order preservation along i <= i + k
     half = op_mod.scale(base, 0.5)
     more = op_mod.add(half, op_mod.scale(op_mod.random_operation(dim, rng), 0.5))
@@ -125,8 +123,8 @@ def check_kraus_trace_identity(ctx: LawContext, dim: int, tally: Tally) -> None:
     rho = random_state(dim, rng)
     out_trace = trace_real(op_mod.apply(op, rho))
     tally.expect(abs(prob(rho, op_mod.hat(op)) - out_trace),
-                 "hat reproduces the output trace", wit(rho=rho))
-    tally.expect(max(0.0, out_trace - 1.0), "trace nonincreasing", wit(rho=rho))
+                 "hat reproduces the output trace", rho=rho)
+    tally.expect(max(0.0, out_trace - 1.0), "trace nonincreasing", rho=rho)
     m = op.n_kraus + int(rng.integers(0, 3))
     w = matcore.random_unitary(max(m, 2), rng)
     remixed = op_mod.remix_kraus(op, w)
@@ -142,8 +140,7 @@ def check_partition_commutation_iff(ctx: LawContext, dim: int, tally: Tally) -> 
     coeffs = rng.uniform(0.0, 1.0, size=len(cells))
     b = Effect(sum(c * p.op for c, p in zip(coeffs, cells)))
     mixed = sum(seq_product(p, b).op for p in cells)
-    tally.expect(max_abs(b.op - mixed), "commuting b is reproduced",
-                 wit(b=b))
+    tally.expect(max_abs(b.op - mixed), "commuting b is reproduced", b=b)
     tally.expect_true(
         max(max_abs(b.op @ p.op - p.op @ b.op) for p in cells) <= 1e-8,
         "constructed b commutes")
@@ -159,7 +156,7 @@ def check_partition_commutation_iff(ctx: LawContext, dim: int, tally: Tally) -> 
     mixed = sum(seq_product(p, generic).op for p in cells)
     violation = max_abs(generic.op - mixed)
     tally.expect_true(violation > ctx.gap, "generic b is displaced",
-                      wit(b=generic, violation=violation))
+                      b=generic, violation=violation)
 
 
 def _swap_on_span(phi: np.ndarray, psi: np.ndarray) -> np.ndarray | None:
@@ -199,7 +196,7 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
         b = Effect(np.outer(psi, psi.conj()))
         gap = abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))
         tally.expect(gap, "equal diagonals give symmetric probabilities",
-                     wit(a=a, b=b, rho=rho))
+                     a=a, b=b, rho=rho)
     # pass instance 2: orthogonal projections
     u = matcore.random_unitary(dim, rng)
     a = Effect(np.outer(u[:, 0], u[:, 0].conj()))
@@ -207,7 +204,7 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
     rho = random_state(dim, rng)
     gap = abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))
     tally.expect(gap, "orthogonal projections give symmetric probabilities",
-                 wit(a=a, b=b, rho=rho))
+                 a=a, b=b, rho=rho)
 
     # fail direction: overlapping pair over a state with distinct diagonals
     def draw():
@@ -226,7 +223,7 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
     b = Effect(np.outer(psi, psi.conj()))
     violation = abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))
     tally.expect_true(violation > ctx.gap, "generic atomic pair is asymmetric",
-                      wit(a=a, b=b, rho=rho, violation=violation))
+                      a=a, b=b, rho=rho, violation=violation)
 
 
 def _bayes_first_rule_violation(witness: dict) -> float:

@@ -36,7 +36,7 @@ from ..observables import (
     random_observable,
     verify_coexistence_witness,
 )
-from ._common import random_surjection, resample, trace_real, wit
+from ._common import random_surjection, resample, trace_real
 from .core import LawCheck, LawContext, Tally, register
 
 # Probabilities smaller than this are skipped when a law divides by them; the
@@ -164,8 +164,7 @@ def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -
     entry_gap = max_abs(seq_product(a_eff, b_eff).op - prob(alpha, b_eff) * a_eff.op)
     tally.expect_true(entry_gap > ctx.gap,
                       "rank-one criterion forces a visible gap",
-                      wit(phi_proj=a_eff, psi_proj=b_eff, alpha=alpha,
-                          entry_gap=entry_gap))
+                      phi_proj=a_eff, psi_proj=b_eff, alpha=alpha, entry_gap=entry_gap)
 
 
 def _kraus_kraus_violation(witness: dict) -> float:

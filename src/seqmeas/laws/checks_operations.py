@@ -19,7 +19,7 @@ from ..effects import (
 )
 from ..matcore import max_abs
 from ..observables import random_observable
-from ._common import resample, sharp_partition, trace_real, wit
+from ._common import resample, sharp_partition, trace_real
 from .core import LawCheck, LawContext, Tally, register
 
 
@@ -160,8 +160,7 @@ def check_sharp_meet_is_zero(ctx: LawContext, dim: int, tally: Tally) -> None:
         below_both = (matcore.loewner_leq(c.op, hat_i.op, tol=ctx.psd_tol)
                       and matcore.loewner_leq(c.op, hat_j.op, tol=ctx.psd_tol))
         if below_both:
-            tally.expect(max_abs(c.op), "effects below both hats vanish",
-                         wit(candidate=c))
+            tally.expect(max_abs(c.op), "effects below both hats vanish", candidate=c)
 
 
 def _constant_channel_violation(witness: dict) -> float:

@@ -15,16 +15,18 @@ owns the loop: it calls ``fn`` ``ctx.trials`` times for each dimension in
 ``ctx.dims``, counts the trials and turns the one ``Tally`` they share into the
 report. Inside a trial a check records
 
-* ``tally.expect(deviation, label)`` -- a deviation that must stay within the
-  tally's tolerance (``tol=`` overrides it for one assertion);
-* ``tally.expect_true(condition, label)`` -- an assertion that must hold;
+* ``tally.expect(deviation, label, **objects)`` -- a deviation that must stay
+  within the tally's tolerance (``tol=`` overrides it for one assertion);
+* ``tally.expect_true(condition, label, **objects)`` -- an assertion that must
+  hold;
 * ``tally.offer(violation, **objects)`` -- a counterexample candidate; the
   largest violation (strictly larger than every earlier one) and its inputs,
   serialized for replay, become the report's ``max_deviation`` and witness.
 
 The tally's tolerance is the registry field ``LawCheck.tol``, or
-``ctx.eq_tol`` when that is ``None``. The first failed assertion becomes the
-witness of a failing report, counterexample laws included.
+``ctx.eq_tol`` when that is ``None``. The first failed assertion, with its
+``objects`` serialized at that moment, becomes the witness of a failing report,
+counterexample laws included; assertions that hold serialize nothing.
 
 Every law draws from its own RNG stream derived from hash(seed, law id), so a
 report is a pure function of (id, dims, trials, seed, tolerances) except for
@@ -72,18 +74,18 @@ class Tally:
     best: float = 0.0
     best_witness: dict | None = None
 
-    def expect(self, deviation: float, label: str, witness: dict | None = None,
-               tol: float | None = None) -> None:
+    def expect(self, deviation: float, label: str, tol: float | None = None,
+               **objects) -> None:
         deviation = float(deviation)
         self.max_deviation = max(self.max_deviation, deviation)
         if deviation > (self.tol if tol is None else tol) and self.ok:
             self.ok = False
-            self.witness = {"assertion": label, "deviation": deviation, **(witness or {})}
+            self.witness = {"assertion": label, "deviation": deviation, **wit(**objects)}
 
-    def expect_true(self, condition: bool, label: str, witness: dict | None = None) -> None:
+    def expect_true(self, condition: bool, label: str, **objects) -> None:
         if not condition and self.ok:
             self.ok = False
-            self.witness = {"assertion": label, **(witness or {})}
+            self.witness = {"assertion": label, **wit(**objects)}
 
     def offer(self, violation: float, construction: str | None = None, **objects) -> None:
         """Keep a counterexample candidate if it beats the best violation so far.

@@ -37,6 +37,9 @@ def matrix_from_json(data: dict) -> np.ndarray:
         raise SeqmeasError(f"bad matrix JSON: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise SeqmeasError(f"matrix JSON arrays are not {dim}x{dim}")
+    # JSON parsers accept NaN and Infinity; reject them before any arithmetic.
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise SeqmeasError("matrix JSON has non-finite entries")
     return re + 1j * im
 
 
@@ -142,6 +145,14 @@ TYPED_PARSERS = {
     "instrument": instrument_from_json,
 }
 
+TYPED_ENCODERS = {
+    Effect: ("effect", effect_to_json),
+    State: ("state", state_to_json),
+    Operation: ("operation", operation_to_json),
+    Observable: ("observable", observable_to_json),
+    Instrument: ("instrument", instrument_to_json),
+}
+
 
 def typed_from_json(data: dict):
     """Parse an object carrying an explicit {"type": ...} tag (scenario files)."""
@@ -153,14 +164,24 @@ def typed_from_json(data: dict):
 
 
 def typed_to_json(obj) -> dict:
-    if isinstance(obj, Effect):
-        return {"type": "effect", **effect_to_json(obj)}
-    if isinstance(obj, State):
-        return {"type": "state", **state_to_json(obj)}
-    if isinstance(obj, Operation):
-        return {"type": "operation", **operation_to_json(obj)}
-    if isinstance(obj, Observable):
-        return {"type": "observable", **observable_to_json(obj)}
-    if isinstance(obj, Instrument):
-        return {"type": "instrument", **instrument_to_json(obj)}
-    raise SeqmeasError(f"cannot serialize {type(obj).__name__}")
+    entry = TYPED_ENCODERS.get(type(obj))
+    if entry is None:
+        raise SeqmeasError(f"cannot serialize {type(obj).__name__}")
+    tag, encoder = entry
+    return {"type": tag, **encoder(obj)}
+
+
+def to_json(value):
+    """JSON form of a query result or witness value.
+
+    Domain objects become typed JSON, matrices matrix JSON and numpy scalars
+    floats; everything else (Python scalars, strings, dicts of them) passes
+    through unchanged.
+    """
+    if type(value) in TYPED_ENCODERS:
+        return typed_to_json(value)
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    return value
