@@ -4,11 +4,16 @@ sharp/atomic predicates and (conditional) probabilities.
 An effect is an operator a with 0 <= a <= I in the Loewner order; a state is a
 positive operator with unit trace. The sequential product a o b = a^{1/2} b a^{1/2}
 is the effect of measuring a first and b second.
+
+Objects are validated once, at construction, and carry what they derive: an
+effect its root a^{1/2} (``Effect.root``), a state its eigendecomposition
+(``State.spectrum``), each computed on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,11 @@ class Effect:
     def dim(self) -> int:
         return self.op.shape[0]
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """The positive square root a^{1/2} (read-only)."""
+        return _frozen(matcore.sqrt_psd(self.op))
+
 
 @dataclass(frozen=True, eq=False)
 class State:
@@ -67,6 +77,12 @@ class State:
     @property
     def dim(self) -> int:
         return self.op.shape[0]
+
+    @cached_property
+    def spectrum(self) -> matcore.Spectrum:
+        """Eigendecomposition of rho, with read-only arrays."""
+        spec = matcore.eig_hermitian(self.op)
+        return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
 def zero_effect(dim: int) -> Effect:
@@ -98,8 +114,7 @@ def orthosum(a: Effect, b: Effect) -> Effect:
 def seq_product(a: Effect, b: Effect) -> Effect:
     """Sequential product a o b = a^{1/2} b a^{1/2} (measure a, then b)."""
     matcore.check_same_dim(a.op, b.op)
-    root = matcore.sqrt_psd(a.op)
-    return Effect(root @ b.op @ root)
+    return Effect(a.root @ b.op @ a.root)
 
 
 def convex_combine(effects: list[Effect], weights) -> Effect:

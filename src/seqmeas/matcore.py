@@ -61,23 +61,24 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def as_square(m) -> np.ndarray:
+    """Validate a square matrix with finite entries.
+
+    Non-finite entries are rejected before any arithmetic, so none reaches a
+    comparison as NaN or raises a numpy warning.
+    """
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionError("matrix has non-finite (inf or nan) entries")
     return arr
 
 
 def as_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrization (M + M†)/2.
-
-    A non-finite entry makes the gap NaN or infinite, so the same comparison
-    rejects it; NaN must not slip through as a failed ``gap > tol``.
-    """
+    """Validate near-Hermiticity and return the symmetrization (M + M†)/2."""
     arr = as_square(m)
     gap = max_abs(arr - dagger(arr))
-    if not gap <= tol:
-        if not math.isfinite(gap):
-            raise DimensionError("matrix has non-finite (inf or nan) entries")
+    if gap > tol:
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
     return (arr + dagger(arr)) / 2
 

@@ -82,10 +82,9 @@ def obs_seq_product(a: Observable, b: Observable) -> Observable:
     outcomes = []
     effs = []
     for x, ax in a.items():
-        root = matcore.sqrt_psd(ax.op)
         for y, by in b.items():
             outcomes.append(f"{x}{PRODUCT_SEPARATOR}{y}")
-            effs.append(Effect(root @ by.op @ root))
+            effs.append(Effect(ax.root @ by.op @ ax.root))
     return Observable(tuple(outcomes), tuple(effs))
 
 
@@ -94,11 +93,7 @@ def obs_conditioned(b: Observable, given: Observable) -> Observable:
     a = given
     if a.dim != b.dim:
         raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    roots = [matcore.sqrt_psd(ax.op) for ax in a.effects]
-    effs = []
-    for by in b.effects:
-        total = sum(root @ by.op @ root for root in roots)
-        effs.append(Effect(total))
+    effs = (Effect(sum(ax.root @ by.op @ ax.root for ax in a.effects)) for by in b.effects)
     return Observable(b.outcomes, tuple(effs))
 
 

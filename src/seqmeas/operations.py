@@ -4,6 +4,12 @@ An operation maps rho to sum_i A_i rho A_i† with sum_i A_i† A_i <= I; it is 
 channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
+The ``Operation`` constructor is the one place that checks sum_i A_i† A_i <= I:
+it builds the induced effect as its validation and carries it as
+``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
+sum read it instead of recomputing it. Structured constructors (``kraus_single``,
+``semi_trivial``, ``add``) leave that check to it.
+
 Operations are represented extensionally by their Kraus family, stored as one
 (n, dim, dim) complex array. Equality of operations is equality of action on a
 spanning basis, never equality of Kraus lists (the Kraus decomposition is far
@@ -20,13 +26,14 @@ from . import matcore
 from .effects import Effect, State
 from .errors import (
     DimensionError,
+    NotEffect,
     NotOrthogonal,
     NotPerp,
     NotProjection,
     NotSubunital,
     WeightError,
 )
-from .matcore import EQ_TOL, PSD_TOL, dagger, identity, max_abs
+from .matcore import EQ_TOL, dagger, identity, max_abs
 
 # Kraus operators with all entries below this are dropped by the structured
 # constructors (they contribute nothing but bloat the family).
@@ -44,6 +51,8 @@ def _as_kraus_array(kraus) -> np.ndarray:
         raise DimensionError(f"Kraus family must have shape (n, d, d), got {arr.shape}")
     if arr.shape[0] == 0:
         raise DimensionError("Kraus family must be nonempty")
+    if not np.isfinite(arr).all():
+        raise DimensionError("Kraus family has non-finite (inf or nan) entries")
     return arr
 
 
@@ -57,15 +66,17 @@ class Operation:
 
     kraus: np.ndarray
     recipe: dict | None = field(default=None, compare=False)
+    induced: Effect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_kraus_array(self.kraus)
-        matcore.check_dim(arr.shape[1])
-        excess = matcore.spectral_bounds(_hat_matrix(arr))[1] - 1.0
-        if excess > PSD_TOL:
-            raise NotSubunital(f"sum A†A exceeds I by {excess:.3e}")
+        try:
+            induced = Effect(_hat_matrix(arr))
+        except NotEffect as exc:
+            raise NotSubunital(f"sum A†A is not below I: {exc}") from None
         arr.setflags(write=False)
         object.__setattr__(self, "kraus", arr)
+        object.__setattr__(self, "induced", induced)
 
     @property
     def dim(self) -> int:
@@ -95,12 +106,12 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
 
 
 def hat(op: Operation) -> Effect:
-    """The induced effect sum_i A_i† A_i."""
-    return Effect(_hat_matrix(op.kraus))
+    """The induced effect sum_i A_i† A_i, as carried by the operation."""
+    return op.induced
 
 
 def is_channel(op: Operation, tol: float = EQ_TOL) -> bool:
-    return max_abs(_hat_matrix(op.kraus) - identity(op.dim)) <= tol
+    return max_abs(op.induced.op - identity(op.dim)) <= tol
 
 
 def compose(i: Operation, j: Operation) -> Operation:
@@ -115,10 +126,10 @@ def add(i: Operation, j: Operation) -> Operation:
     """Parallel sum; defined only when the induced effects still sum below I."""
     if i.dim != j.dim:
         raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
-    total = _hat_matrix(i.kraus) + _hat_matrix(j.kraus)
-    if matcore.spectral_bounds(total)[1] > 1.0 + PSD_TOL:
-        raise NotPerp("hat(i) + hat(j) exceeds the identity")
-    return Operation(np.concatenate([i.kraus, j.kraus]))
+    try:
+        return Operation(np.concatenate([i.kraus, j.kraus]))
+    except NotSubunital:
+        raise NotPerp("hat(i) + hat(j) exceeds the identity") from None
 
 
 def scale(i: Operation, lam: float) -> Operation:
@@ -134,7 +145,7 @@ def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
     """Probabilistic indistinguishability: equal induced effects."""
     if i.dim != j.dim:
         return False
-    return max_abs(_hat_matrix(i.kraus) - _hat_matrix(j.kraus)) <= tol
+    return max_abs(i.induced.op - j.induced.op) <= tol
 
 
 def action_equal(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
@@ -166,17 +177,35 @@ def identity_channel(dim: int) -> Operation:
 
 def luders(a: Effect) -> Operation:
     """Lueders operation rho -> a^{1/2} rho a^{1/2}; measures a."""
-    root = matcore.sqrt_psd(a.op)
-    return Operation(root[None, :, :], recipe={"kind": "luders", "effect": a})
+    return Operation(a.root[None, :, :], recipe={"kind": "luders", "effect": a})
 
 
 def kraus_single(a_mat: np.ndarray) -> Operation:
     """Single-operator Kraus operation rho -> A rho A†; requires A†A <= I."""
-    mat = matcore.as_square(a_mat)
-    gram = dagger(mat) @ mat
-    if matcore.spectral_bounds(gram)[1] > 1.0 + PSD_TOL:
-        raise NotSubunital("A†A exceeds the identity")
-    return Operation(mat[None, :, :])
+    return Operation(matcore.as_square(a_mat)[None, :, :])
+
+
+def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
+    if not pairs:
+        raise WeightError("at least one (effect, state) pair required")
+    dim = pairs[0][0].dim
+    ops = []
+    for a, alpha in pairs:
+        if a.dim != dim or alpha.dim != dim:
+            raise DimensionError("all pairs must share one dimension")
+        spec = alpha.spectrum
+        for j in range(dim):
+            lam = spec.eigenvalues[j]
+            if lam < NEGLIGIBLE_KRAUS:
+                continue
+            ket = np.sqrt(lam) * spec.eigenvectors[:, j]
+            for k in range(dim):
+                bra = (a.root @ spec.eigenvectors[:, k]).conj()
+                ops.append(np.outer(ket, bra))
+    kept = [m for m in ops if max_abs(m) > NEGLIGIBLE_KRAUS]
+    if not kept:
+        kept = [np.zeros((dim, dim), dtype=complex)]
+    return np.stack(kept)
 
 
 def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
@@ -185,41 +214,16 @@ def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
     The family is built from the spectral representation of each alpha_i:
     with alpha_i = sum_j l_ij |phi_ij><phi_ij| the operators are
     l_ij^{1/2} |phi_ij><a_i^{1/2} phi_ik| over all i, j, k. Spectral terms with
-    l_ij below NEGLIGIBLE_KRAUS are dropped.
+    l_ij below NEGLIGIBLE_KRAUS are dropped. The induced effect is sum_i a_i.
     """
-    if not pairs:
-        raise WeightError("at least one (effect, state) pair required")
-    dim = pairs[0][0].dim
-    total = sum(a.op for a, _ in pairs)
-    if matcore.spectral_bounds(total)[1] > 1.0 + PSD_TOL:
-        raise NotSubunital("sum of effects exceeds the identity")
-    ops = []
-    for a, alpha in pairs:
-        if a.dim != dim or alpha.dim != dim:
-            raise DimensionError("all pairs must share one dimension")
-        root = matcore.sqrt_psd(a.op)
-        spec = matcore.eig_hermitian(alpha.op)
-        for j in range(dim):
-            lam = spec.eigenvalues[j]
-            if lam < NEGLIGIBLE_KRAUS:
-                continue
-            ket = np.sqrt(lam) * spec.eigenvectors[:, j]
-            for k in range(dim):
-                bra = (root @ spec.eigenvectors[:, k]).conj()
-                ops.append(np.outer(ket, bra))
-    kept = [m for m in ops if max_abs(m) > NEGLIGIBLE_KRAUS]
-    if not kept:
-        kept = [np.zeros((dim, dim), dtype=complex)]
-    return Operation(
-        np.stack(kept),
-        recipe={"kind": "semi_trivial", "pairs": list(pairs)},
-    )
+    return Operation(_semi_trivial_kraus(pairs),
+                     recipe={"kind": "semi_trivial", "pairs": list(pairs)})
 
 
 def trivial(a: Effect, alpha: State) -> Operation:
     """Operation rho -> tr(rho a) alpha."""
-    op = semi_trivial([(a, alpha)])
-    return Operation(op.kraus, recipe={"kind": "trivial", "effect": a, "state": alpha})
+    return Operation(_semi_trivial_kraus([(a, alpha)]),
+                     recipe={"kind": "trivial", "effect": a, "state": alpha})
 
 
 def sharp_operation(projections: list[np.ndarray]) -> Operation:
@@ -243,16 +247,15 @@ def atomic_operation(vectors: list[np.ndarray]) -> Operation:
 
 def complement_luders(i: Operation) -> Operation:
     """The unique Lueders complement: Lueders of I - hat(i)."""
-    leftover = Effect(identity(i.dim) - _hat_matrix(i.kraus))
-    return luders(leftover)
+    return luders(Effect(identity(i.dim) - i.induced.op))
 
 
 def is_complement(j: Operation, i: Operation, tol: float = EQ_TOL) -> bool:
     """True iff j completes i to a channel, i.e. hat(j) = I - hat(i)."""
     if i.dim != j.dim:
         return False
-    want = identity(i.dim) - _hat_matrix(i.kraus)
-    return max_abs(_hat_matrix(j.kraus) - want) <= tol
+    want = identity(i.dim) - i.induced.op
+    return max_abs(j.induced.op - want) <= tol
 
 
 def effect_then_op(a: Effect, i: Operation) -> Operation:

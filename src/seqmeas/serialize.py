@@ -85,23 +85,34 @@ def operation_to_json(op: Operation) -> dict:
     return {"kind": "kraus", "operators": [matrix_to_json(k) for k in op.kraus]}
 
 
+def _matrix_list_from_json(data: list) -> np.ndarray:
+    """A nonempty list of matrices of one dim, stacked into (n, dim, dim)."""
+    mats = [matrix_from_json(m) for m in data]
+    if not mats or any(m.shape != mats[0].shape for m in mats):
+        raise SeqmeasError("operator list JSON must be nonempty and of one dim")
+    return np.stack(mats)
+
+
 def operation_from_json(data: dict) -> Operation:
-    kind = data.get("kind")
-    if kind == "kraus":
-        mats = [matrix_from_json(m) for m in data["operators"]]
-        return Operation(np.stack(mats))
-    if kind == "luders":
-        return op_mod.luders(effect_from_json(data["effect"]))
-    if kind == "trivial":
-        return op_mod.trivial(effect_from_json(data["effect"]), state_from_json(data["state"]))
-    if kind == "semi_trivial":
-        pairs = [
-            (effect_from_json(p["effect"]), state_from_json(p["state"]))
-            for p in data["pairs"]
-        ]
-        return op_mod.semi_trivial(pairs)
-    if kind == "sharp":
-        return op_mod.sharp_operation([matrix_from_json(p) for p in data["projections"]])
+    try:
+        kind = data["kind"]
+        if kind == "kraus":
+            return Operation(_matrix_list_from_json(data["operators"]))
+        if kind == "luders":
+            return op_mod.luders(effect_from_json(data["effect"]))
+        if kind == "trivial":
+            return op_mod.trivial(effect_from_json(data["effect"]),
+                                  state_from_json(data["state"]))
+        if kind == "semi_trivial":
+            pairs = [
+                (effect_from_json(p["effect"]), state_from_json(p["state"]))
+                for p in data["pairs"]
+            ]
+            return op_mod.semi_trivial(pairs)
+        if kind == "sharp":
+            return op_mod.sharp_operation(_matrix_list_from_json(data["projections"]))
+    except (KeyError, TypeError) as exc:
+        raise SeqmeasError(f"bad operation JSON: {exc}") from None
     raise SeqmeasError(f"unknown operation kind {kind!r}")
 
 
@@ -156,6 +167,8 @@ TYPED_ENCODERS = {
 
 def typed_from_json(data: dict):
     """Parse an object carrying an explicit {"type": ...} tag (scenario files)."""
+    if not isinstance(data, dict):
+        raise SeqmeasError(f"object JSON must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     parser = TYPED_PARSERS.get(kind)
     if parser is None:

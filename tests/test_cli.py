@@ -320,3 +320,32 @@ def test_eval_non_finite_matrix_exits_2(tmp_path, capsys):
     assert "non-finite" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _pair_json(dim):
+    return {"effect": serialize.matrix_to_json(np.eye(dim) / 2),
+            "state": serialize.matrix_to_json(np.eye(dim) / dim)}
+
+
+MALFORMED_OBJECTS = {
+    "list-object": [1, 2],
+    "operation-missing-key": {"type": "operation", "kind": "kraus"},
+    "kraus-empty": {"type": "operation", "kind": "kraus", "operators": []},
+    "kraus-mixed-dims": {"type": "operation", "kind": "kraus",
+                         "operators": [serialize.matrix_to_json(np.eye(2) / 2),
+                                       serialize.matrix_to_json(np.eye(3) / 2)]},
+    "sharp-mixed-dims": {"type": "operation", "kind": "sharp",
+                         "projections": [serialize.matrix_to_json(np.diag([1.0, 0.0])),
+                                         serialize.matrix_to_json(np.diag([0.0, 1.0, 0.0]))]},
+    "semi-trivial-mixed-dims": {"type": "operation", "kind": "semi_trivial",
+                                "pairs": [_pair_json(2), _pair_json(3)]},
+}
+
+
+@pytest.mark.parametrize("entry", MALFORMED_OBJECTS.values(), ids=MALFORMED_OBJECTS.keys())
+def test_eval_malformed_object_exits_2(tmp_path, capsys, entry):
+    payload = {"objects": {"bad": entry}, "queries": [{"query": "hat", "of": "bad"}]}
+    code, out, err = run_cli(["eval", scenario_file(tmp_path, payload)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'bad'" in err

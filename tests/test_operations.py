@@ -30,6 +30,30 @@ def test_operation_rejects_excess():
         ops.Operation(np.stack([np.eye(2, dtype=complex), np.eye(2, dtype=complex)]))
 
 
+def test_derived_quantities_are_computed_once(monkeypatch):
+    rng = np.random.default_rng(30)
+    a, b, c = (effects.random_effect(3, rng) for _ in range(3))
+    calls = []
+    real_sqrt = matcore.sqrt_psd
+
+    def counting_sqrt(m):
+        calls.append(m)
+        return real_sqrt(m)
+
+    monkeypatch.setattr(matcore, "sqrt_psd", counting_sqrt)
+    effects.seq_product(a, b)
+    effects.seq_product(a, c)
+    lu = ops.luders(a)
+    assert len(calls) == 1
+    assert ops.hat(lu) is lu.induced
+    with pytest.raises(ValueError):
+        a.root[0, 0] = 0.0
+    with pytest.raises(NotSubunital):
+        ops.kraus_single(2 * np.eye(2))
+    with pytest.raises(NotPerp):
+        ops.add(ops.identity_channel(2), ops.identity_channel(2))
+
+
 def test_apply_identity_and_luders():
     rng = np.random.default_rng(0)
     rho = effects.random_state(2, rng)
