@@ -35,17 +35,22 @@ class Effect:
 
     The stored matrix is the Hermitian symmetrization of the input. Violations
     of the unit interval beyond PSD_TOL are rejected, not clamped; silent
-    clamping would mask law-check failures downstream.
+    clamping would mask law-check failures downstream. Membership is certified
+    by Cholesky factorizations of a and I - a (``matcore.psd_certified``);
+    only an input they do not certify is diagonalized, and Jacobi's bounds
+    decide it, so the verdict is always Jacobi's.
     """
 
     op: np.ndarray
 
     def __post_init__(self):
         m = matcore.as_hermitian(self.op)
-        matcore.check_dim(m.shape[0])
-        lo, hi = matcore.spectral_bounds(m)
-        if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
-            raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+        dim = matcore.check_dim(m.shape[0])
+        if not (matcore.psd_certified(m)
+                and matcore.psd_certified(matcore.identity(dim) - m)):
+            lo, hi = matcore.spectral_bounds(m)
+            if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
+                raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
         object.__setattr__(self, "op", _frozen(m))
 
     @property

@@ -57,5 +57,9 @@ class UnknownLaw(SeqmeasError):
     """Requested law id is not registered."""
 
 
+class SamplingError(SeqmeasError):
+    """Rejection sampling found no acceptable sample within its draw budget."""
+
+
 class EigenConvergenceError(SeqmeasError):
     """Jacobi sweep cap exceeded (should not happen for Hermitian input at dim <= 8)."""

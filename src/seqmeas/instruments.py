@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import COND_FLOOR, State
-from .errors import ConditioningOnNull, DimensionError, NotChannel, NotProjection
+from .errors import ConditioningOnNull, DimensionError, NotChannel
 from .matcore import max_abs
 from .observables import PRODUCT_SEPARATOR, Observable, _check_part_map
 from .operations import Operation
@@ -119,21 +119,16 @@ def sharp_instrument(families: list[list[np.ndarray]],
     Summing to I forces the projections to be mutually orthogonal, so only the
     projection property and the total sum are checked.
     """
-    checked: list[list[np.ndarray]] = []
-    for family in families:
-        row = []
-        for p in family:
-            m = matcore.as_hermitian(p, tol=1e-9)
-            if max_abs(m @ m - m) > matcore.EQ_TOL:
-                raise NotProjection("family member is not a projection")
-            row.append(m)
-        checked.append(row)
-    dim = checked[0][0].shape[0]
-    total = sum(p for fam in checked for p in fam)
-    if max_abs(total - matcore.identity(dim)) > INST_SUM_TOL:
+    sizes = [len(family) for family in families]
+    if not sizes or 0 in sizes:
+        raise DimensionError("need a nonempty projection family per outcome")
+    mats = op_mod._projection_list([p for family in families for p in family])
+    if max_abs(sum(mats) - matcore.identity(mats[0].shape[0])) > INST_SUM_TOL:
         raise NotChannel("projection family does not sum to the identity")
-    outcomes = outcomes or tuple(f"x{k}" for k in range(len(checked)))
-    return Instrument(outcomes, tuple(Operation(np.stack(fam)) for fam in checked))
+    ends = np.cumsum(sizes)
+    outcomes = outcomes or tuple(f"x{k}" for k in range(len(sizes)))
+    return Instrument(outcomes, tuple(Operation(np.stack(mats[end - n:end]))
+                                      for n, end in zip(sizes, ends)))
 
 
 def atomic_instrument(vector_families: list[list[np.ndarray]],

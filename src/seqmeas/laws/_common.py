@@ -6,6 +6,7 @@ import numpy as np
 
 from .. import matcore, serialize
 from ..effects import Effect
+from ..errors import SamplingError
 
 MAX_RESAMPLES = 500
 
@@ -56,7 +57,7 @@ def resample(draw, accept):
         sample = draw()
         if accept(sample):
             return sample
-    raise RuntimeError("rejection sampling failed to find an acceptable sample")
+    raise SamplingError(f"rejection sampling found no acceptable sample in {MAX_RESAMPLES} draws")
 
 
 def trace_real(m: np.ndarray) -> float:

@@ -13,7 +13,9 @@ Three kinds of checks:
 A check is a per-trial function ``fn(ctx, dim, tally) -> None``. ``run_law``
 owns the loop: it calls ``fn`` ``ctx.trials`` times for each dimension in
 ``ctx.dims``, counts the trials and turns the one ``Tally`` they share into the
-report. Inside a trial a check records
+report. An exception escaping a trial ends that law with status ``error``; its
+witness names the exception type, message and dimension, and the report is
+not ok. The other laws of a run are unaffected. Inside a trial a check records
 
 * ``tally.expect(deviation, label, **objects)`` -- a deviation that must stay
   within the tally's tolerance (``tol=`` overrides it for one assertion);
@@ -151,7 +153,7 @@ class LawReport:
 
     id: str
     kind: str
-    status: str  # pass | fail | counterexample-found | counterexample-missing
+    status: str  # pass | fail | counterexample-found | counterexample-missing | error
     trials: int
     max_deviation: float
     witness: dict | None
@@ -249,13 +251,20 @@ def run_law(law_id: str, dims=None, trials: int | None = None, seed: int = DEFAU
         eq_tol=eq_tol, psd_tol=psd_tol, gap=use_gap,
     )
     tally = Tally(tol=eq_tol if law.tol is None else law.tol)
-    for dim in ctx.dims:
-        for _ in range(ctx.trials):
-            law.fn(ctx, dim, tally)
-    result = tally.result(law.kind, trials=len(use_dims) * use_trials, gap=use_gap)
+    trials_run = 0
+    error = None
+    try:
+        for dim in ctx.dims:
+            for _ in range(ctx.trials):
+                trials_run += 1
+                law.fn(ctx, dim, tally)
+    except Exception as exc:  # one failing law must not abort a run of all laws
+        error = {"error": type(exc).__name__, "message": str(exc), "dim": dim}
+    result = tally.result(law.kind, trials=trials_run, gap=use_gap)
     return LawReport(
-        id=law.id, kind=law.kind, status=result.status, trials=result.trials,
-        max_deviation=result.max_deviation, witness=result.witness, seed=seed,
+        id=law.id, kind=law.kind, status="error" if error else result.status,
+        trials=result.trials, max_deviation=result.max_deviation,
+        witness=error or result.witness, seed=seed,
         elapsed=time.perf_counter() - start, dims=use_dims,
     )
 

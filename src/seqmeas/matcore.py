@@ -10,6 +10,16 @@ Two tolerance constants govern all approximate comparisons:
 
 * ``PSD_TOL``  -- cone membership: an eigenvalue >= -PSD_TOL counts as >= 0.
 * ``EQ_TOL``   -- operator equality in the max (entrywise) norm.
+
+Cone membership ("smallest eigenvalue >= -tol") is decided in two steps. A
+scalar Cholesky factorization of M + (tol/2) I (``psd_certified``) accepts
+almost every member without computing an eigenvalue; whatever it does not
+accept goes to Jacobi, which decides. The certificate accepts only matrices
+Jacobi accepts too: the tol/2 shift leaves a margin of half the tolerance,
+and below the norm guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at
+PSD_TOL; a positive matrix has its largest entries there) the rounding error
+of the factorization stays well inside that margin. So every verdict is
+Jacobi's.
 """
 
 from __future__ import annotations
@@ -27,6 +37,11 @@ EQ_TOL = 1e-9
 
 MIN_DIM = 2
 MAX_DIM = 8
+
+# Cholesky certificate norm guard: when a diagonal entry exceeds this multiple
+# of tol, the factorization's rounding error could approach the tol/2 margin,
+# so the certificate declines and Jacobi decides.
+CERT_NORM_PER_TOL = 1e13
 
 # Jacobi iteration controls: stop once the off-diagonal Frobenius mass is
 # below this threshold, give up after this many full sweeps.
@@ -209,8 +224,48 @@ def inv_sqrt_pd(m) -> np.ndarray | None:
     return (v / np.sqrt(spec.eigenvalues)) @ dagger(v)
 
 
+def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """Sufficient test for "smallest eigenvalue >= -tol" by scalar Cholesky.
+
+    ``m`` must already be Hermitian (as returned by ``as_hermitian``): only its
+    lower triangle is read. Returns True when the Cholesky factorization of
+    M + (tol/2) I finds every pivot positive. False means "not certified",
+    not "not PSD": the caller asks Jacobi.
+
+    Soundness: a completed factorization L L† = M + (tol/2) I + E has
+    |E|_2 <= g * tr(M + (tol/2) I) with g about (d + 1) * 1.1e-16 (Higham,
+    Accuracy and Stability of Numerical Algorithms, thm 10.3), so the smallest
+    eigenvalue of M is >= -tol/2 - g * d * max_i M_ii. The norm guard
+    (M_ii <= CERT_NORM_PER_TOL * tol) keeps that last term below
+    1.1e-3 * d * (d + 1) * tol, under a tenth of tol at d <= 8, and Jacobi's
+    own rounding at such norms is smaller still, so a True here is a True from
+    Jacobi too.
+    """
+    a = m.tolist()
+    shift = tol / 2.0
+    limit = tol * CERT_NORM_PER_TOL
+    for j, row_j in enumerate(a):
+        diag = row_j[j].real
+        if not diag <= limit:
+            return False
+        pivot = diag + shift - sum(x.real * x.real + x.imag * x.imag for x in row_j[:j])
+        if not pivot > 0.0:
+            return False
+        ljj = math.sqrt(pivot)
+        conj_j = [x.conjugate() for x in row_j[:j]]
+        for row_i in a[j + 1:]:
+            row_i[j] = (row_i[j] - sum(x * y for x, y in zip(row_i, conj_j))) / ljj
+    return True
+
+
 def is_psd(m, tol: float = PSD_TOL) -> bool:
-    return spectral_bounds(m)[0] >= -tol
+    """True iff the smallest eigenvalue of the Hermitian m is >= -tol.
+
+    The Cholesky certificate (``psd_certified``) accepts most members; Jacobi
+    decides the rest, so the verdict is always Jacobi's.
+    """
+    h = as_hermitian(m)
+    return psd_certified(h, tol) or spectral_bounds(h)[0] >= -tol
 
 
 def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:

@@ -226,12 +226,20 @@ def trivial(a: Effect, alpha: State) -> Operation:
                      recipe={"kind": "trivial", "effect": a, "state": alpha})
 
 
-def sharp_operation(projections: list[np.ndarray]) -> Operation:
-    """Operation rho -> sum_i p_i rho p_i for mutually orthogonal projections."""
+def _projection_list(projections) -> list[np.ndarray]:
+    """Validate a nonempty family of projections of one dim; return them symmetrized."""
     mats = [matcore.as_hermitian(p, tol=1e-9) for p in projections]
+    if not mats or any(m.shape != mats[0].shape for m in mats):
+        raise DimensionError("projection family must be nonempty and of one dim")
     for p in mats:
         if max_abs(p @ p - p) > EQ_TOL:
             raise NotProjection("family member is not a projection")
+    return mats
+
+
+def sharp_operation(projections: list[np.ndarray]) -> Operation:
+    """Operation rho -> sum_i p_i rho p_i for mutually orthogonal projections."""
+    mats = _projection_list(projections)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if max_abs(mats[i] @ mats[j]) > 1e-9:

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import pytest
 
-from seqmeas import laws
+from seqmeas import cli, laws
 from seqmeas.errors import UnknownLaw
+from seqmeas.laws import _common, core
 
 # the registry is a closed list: every result in scope has exactly one check
 EXPECTED_IDS = {
@@ -118,3 +122,28 @@ def test_eq_tol_reaches_only_laws_without_a_fixed_tolerance():
         assert default.status == "pass"
         assert default.max_deviation > 1e-20
         assert tight.status == ("fail" if routed else "pass")
+
+
+def _exhausted_sampler(ctx, dim, tally):
+    _common.resample(lambda: 0, lambda sample: False)
+
+
+def test_exception_in_a_trial_is_an_error_report(monkeypatch, capsys):
+    broken = dataclasses.replace(laws.registry()["thm-2.2"], fn=_exhausted_sampler)
+    monkeypatch.setitem(core._REGISTRY, "thm-2.2", broken)
+    reports = laws.run_all(dims=[2], trials=1, seed=1)
+    assert len(reports) == len(EXPECTED_IDS)
+    errors = [r for r in reports if r.status == "error"]
+    assert [r.id for r in errors] == ["thm-2.2"]
+    assert not errors[0].ok
+    assert errors[0].trials == 1
+    assert errors[0].witness["error"] == "SamplingError"
+    assert errors[0].witness["dim"] == 2
+    assert "rejection sampling" in errors[0].witness["message"]
+
+    code = cli.main(["check", "--law", "thm-2.2", "--dims", "2", "--trials", "1",
+                     "--format", "json"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert record["status"] == "error"
+    assert record["witness"]["error"] == "SamplingError"

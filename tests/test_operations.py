@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmeas import effects, matcore, operations as ops
+from seqmeas import effects, instruments, matcore, operations as ops
 from seqmeas.effects import Effect, State, atomic_projection, complement, prob, unit_effect
 from seqmeas.errors import (
     DimensionError,
@@ -256,6 +256,19 @@ def test_sharp_operation_validation():
         ops.sharp_operation([HALF / 2])
     with pytest.raises(NotOrthogonal):
         ops.sharp_operation([P0, HALF])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ops.sharp_operation([]),
+    lambda: ops.atomic_operation([]),
+    lambda: ops.sharp_operation([P0, np.diag([0.0, 1.0, 0.0])]),
+    lambda: instruments.sharp_instrument([]),
+    lambda: instruments.sharp_instrument([[]]),
+], ids=["sharp-empty", "atomic-empty", "sharp-mixed-dims", "instrument-empty",
+        "instrument-empty-family"])
+def test_sharp_constructors_reject_empty_or_mixed_families(build):
+    with pytest.raises(DimensionError):
+        build()
 
 
 def test_complement_luders():

@@ -1,0 +1,135 @@
+"""The Jacobi eigensolver against an independent oracle, the Cholesky
+certificate against Jacobi, and the rule that the package calls no LAPACK
+eigen-routine.
+
+``np.linalg.eigvalsh`` appears here only as a test oracle.
+"""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqmeas import matcore
+from seqmeas.effects import Effect
+from seqmeas.errors import DimensionError, NotEffect
+from seqmeas.matcore import PSD_TOL
+
+
+def _with_spectrum(values, rng) -> np.ndarray:
+    u = matcore.random_unitary(len(values), rng)
+    return (u * np.asarray(values, dtype=float)) @ matcore.dagger(u)
+
+
+def _degenerate_spectrum(kind: str, dim: int, rng) -> list[float]:
+    if kind == "projection":
+        rank = int(rng.integers(0, dim + 1))
+        return [1.0] * rank + [0.0] * (dim - rank)
+    if kind == "repeated":
+        levels = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, dim)))
+        return list(rng.choice(levels, size=dim))
+    return [float(rng.uniform(-1.0, 1.0))] * dim  # "scalar": c * I
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian matrices at d = 2..8: generic, or with a degenerate spectrum."""
+    dim = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["generic", "projection", "repeated", "scalar"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "generic":
+        m = matcore.random_hermitian(dim, rng)
+    else:
+        m = _with_spectrum(_degenerate_spectrum(kind, dim, rng), rng)
+    return matcore.as_hermitian(scale * m, tol=1e-6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hermitian_matrices())
+def test_jacobi_eigenvalues_match_the_oracle(m):
+    ours = matcore.eigenvalues_hermitian(m)
+    oracle = np.linalg.eigvalsh(m)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
+    assert np.max(np.abs(ours - oracle)) <= bound
+
+
+@pytest.mark.parametrize("spectrum", [
+    [0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0, 1.0], [2.0] * 8,
+    [0.25, 0.25, 0.75, 0.75, 0.75, 0.0, 0.0],
+])
+def test_jacobi_degenerate_spectra_match_the_oracle(spectrum):
+    m = matcore.as_hermitian(_with_spectrum(spectrum, np.random.default_rng(len(spectrum))),
+                             tol=1e-6)
+    assert np.max(np.abs(matcore.eigenvalues_hermitian(m) - np.linalg.eigvalsh(m))) <= 1e-12
+
+
+# Smallest eigenvalue placed at -tol times each factor: on, just inside and just
+# outside the tolerance, at the tol/2 certificate shift and inside the cone.
+BOUNDARY_FACTORS = (2.0, 1.001, 1.0, 0.999, 0.5, 0.4999, 1e-3, 0.0, -1e-3)
+
+
+def _boundary_matrix(dim, lo, hi, rng):
+    values = np.concatenate([[lo, hi], rng.uniform(max(lo, 0.0), hi, size=dim - 2)])
+    return matcore.as_hermitian(_with_spectrum(values, rng), tol=1e-6 * max(1.0, hi))
+
+
+@pytest.mark.parametrize("tol", [PSD_TOL, 1e-13])
+@pytest.mark.parametrize("norm", [1.0, 1e2, 1e4, 1e6])
+def test_certificate_implies_jacobi_accepts(norm, tol):
+    rng = np.random.default_rng(2024)
+    certified = 0
+    for dim in range(2, 9):
+        for factor in BOUNDARY_FACTORS:
+            for _ in range(2):
+                m = _boundary_matrix(dim, -tol * factor, norm, rng)
+                if matcore.psd_certified(m, tol):
+                    certified += 1
+                    assert matcore.spectral_bounds(m)[0] >= -tol
+                assert matcore.is_psd(m, tol) == (matcore.spectral_bounds(m)[0] >= -tol)
+    # the certificate does real work below its norm guard, and none above it
+    assert (certified > 0) == (norm <= 1e13 * tol)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_effect_accepts_exactly_when_jacobi_does(dim):
+    rng = np.random.default_rng(dim)
+    for lo_factor in BOUNDARY_FACTORS:
+        for hi_factor in BOUNDARY_FACTORS:
+            m = _boundary_matrix(dim, -PSD_TOL * lo_factor, 1.0 + PSD_TOL * hi_factor, rng)
+            lo, hi = matcore.spectral_bounds(m)
+            jacobi_accepts = lo >= -PSD_TOL and hi <= 1.0 + PSD_TOL
+            try:
+                Effect(m)
+                accepted = True
+            except NotEffect:
+                accepted = False
+            assert accepted == jacobi_accepts
+
+
+def test_certificate_margin_norm_guard_and_hermitian_check():
+    assert matcore.psd_certified(np.zeros((3, 3), dtype=complex))
+    assert not matcore.psd_certified(np.diag([1.0, -PSD_TOL]).astype(complex))
+    assert matcore.psd_certified(np.diag([1.0, -0.4 * PSD_TOL]).astype(complex))
+    assert not matcore.psd_certified(1e4 * np.eye(2, dtype=complex))  # norm guard
+    with pytest.raises(DimensionError):
+        matcore.is_psd(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
+LAPACK_EIGEN = re.compile(r"linalg\.eig|\beig(?:h|vals|valsh)?\b")
+
+
+def test_package_calls_no_lapack_eigen_routine():
+    assert LAPACK_EIGEN.search("w = np.linalg.eigh(m)")
+    assert LAPACK_EIGEN.search("from scipy.linalg import eigvalsh")
+    assert not LAPACK_EIGEN.search("q, r = np.linalg.qr(g); matcore.eig_hermitian(m)")
+    package = Path(matcore.__file__).parent
+    hits = [
+        f"{path.relative_to(package)}:{number}: {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if LAPACK_EIGEN.search(line)
+    ]
+    assert hits == []
