@@ -72,7 +72,7 @@ class State:
     def __post_init__(self):
         m = matcore.as_hermitian(self.op)
         matcore.check_dim(m.shape[0])
-        if not matcore.is_psd(m):
+        if not matcore.psd_hermitian(m):
             raise NotState("state is not positive semidefinite")
         tr = np.trace(m).real
         if abs(tr - 1.0) > 1e-10:

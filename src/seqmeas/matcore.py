@@ -92,10 +92,11 @@ def as_square(m) -> np.ndarray:
 def as_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrization (M + M†)/2."""
     arr = as_square(m)
-    gap = max_abs(arr - dagger(arr))
+    adj = dagger(arr)
+    gap = max_abs(arr - adj)
     if gap > tol:
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
-    return (arr + dagger(arr)) / 2
+    return (arr + adj) / 2
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,11 @@ def is_psd(m, tol: float = PSD_TOL) -> bool:
     The Cholesky certificate (``psd_certified``) accepts most members; Jacobi
     decides the rest, so the verdict is always Jacobi's.
     """
-    h = as_hermitian(m)
+    return psd_hermitian(as_hermitian(m), tol)
+
+
+def psd_hermitian(h: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """``is_psd`` for a matrix already symmetrized by ``as_hermitian``."""
     return psd_certified(h, tol) or spectral_bounds(h)[0] >= -tol
 
 
@@ -290,7 +295,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     check_same_dim(a, b)
-    return is_psd(as_hermitian(b - a, tol=1e-9), tol=tol)
+    return psd_hermitian(as_hermitian(b - a, tol=1e-9), tol)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

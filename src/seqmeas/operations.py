@@ -10,15 +10,22 @@ it builds the induced effect as its validation and carries it as
 sum read it instead of recomputing it. Structured constructors (``kraus_single``,
 ``semi_trivial``, ``add``) leave that check to it.
 
-Operations are represented extensionally by their Kraus family, stored as one
-(n, dim, dim) complex array. Equality of operations is equality of action on a
-spanning basis, never equality of Kraus lists (the Kraus decomposition is far
-from unique).
+Operations are represented by their Kraus family, stored as one (n, dim, dim)
+complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
+dimensions, so a longer family (from ``compose``, ``add``, a semi-trivial
+construction with many pairs, an instrument's ``bar`` or ``part``) is replaced
+at construction by the R factor of its QR decomposition: R†R = X†X for the
+stacked rows X, so the Gram matrix sum_n vec(A_n) vec(A_n)†, and with it the
+map, is unchanged. Each operation also carries its superoperator
+(``Operation.superop``, the dim² x dim² natural representation), computed on
+first use. Equality of operations compares superoperators, never Kraus lists
+(the Kraus decomposition is far from unique).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +76,7 @@ class Operation:
     induced: Effect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _as_kraus_array(self.kraus)
+        arr = _bounded(_as_kraus_array(self.kraus))
         try:
             induced = Effect(_hat_matrix(arr))
         except NotEffect as exc:
@@ -86,10 +93,39 @@ class Operation:
     def n_kraus(self) -> int:
         return self.kraus.shape[0]
 
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """Natural representation S = sum_n A_n (x) conj(A_n) (read-only).
+
+        vec(op(rho)) = S vec(rho) for row-major vec, so column (k, l) of S is
+        the image of the matrix unit E_kl.
+        """
+        d = self.dim
+        s = _gram(self.kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        s.setflags(write=False)
+        return s
+
+
+def _bounded(kraus: np.ndarray) -> np.ndarray:
+    """The same map with at most dim² operators (R of the stacked vec rows)."""
+    n, d, _ = kraus.shape
+    if n <= d * d:
+        return kraus
+    return np.linalg.qr(kraus.reshape(n, d * d), mode="r").reshape(d * d, d, d)
+
+
+def _gram(kraus: np.ndarray) -> np.ndarray:
+    """sum_n vec(A_n) vec(A_n)†: the Choi matrix, up to reordering, of the family."""
+    n, d, _ = kraus.shape
+    flat = kraus.reshape(n, d * d)
+    return flat.T @ flat.conj()
+
 
 def _hat_matrix(kraus: np.ndarray) -> np.ndarray:
-    s = np.einsum("nij,nik->jk", kraus.conj(), kraus)
-    return (s + dagger(s)) / 2
+    """sum_n A_n† A_n. The einsum sums the terms of entries (j, k) and (k, j)
+    in one order, so the result is Hermitian as computed and is symmetrized
+    once, by the ``Effect`` or eigensolver that receives it."""
+    return np.einsum("nij,nik->jk", kraus.conj(), kraus)
 
 
 def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
@@ -149,22 +185,21 @@ def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
 
 
 def action_equal(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
-    """Equality as maps, tested on the matrix-unit basis of L(H)."""
+    """Equality as maps: superoperators equal within tol."""
     if i.dim != j.dim:
         return False
     return action_distance(i, j) <= tol
 
 
 def action_distance(i: Operation, j: Operation) -> float:
-    """Largest max-norm gap between the two maps over the matrix-unit basis."""
-    dim = i.dim
-    worst = 0.0
-    for k in range(dim):
-        for l in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[k, l] = 1.0
-            worst = max(worst, max_abs(apply(i, unit) - apply(j, unit)))
-    return worst
+    """Largest entrywise gap between the superoperators.
+
+    This is the largest max-norm gap between the two maps over the
+    matrix-unit basis, since column (k, l) of ``superop`` is the image of E_kl.
+    """
+    if i.dim != j.dim:
+        raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    return max_abs(i.superop - j.superop)
 
 
 def zero_operation(dim: int) -> Operation:
@@ -189,23 +224,25 @@ def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
     if not pairs:
         raise WeightError("at least one (effect, state) pair required")
     dim = pairs[0][0].dim
-    ops = []
+    blocks = []
     for a, alpha in pairs:
         if a.dim != dim or alpha.dim != dim:
             raise DimensionError("all pairs must share one dimension")
-        spec = alpha.spectrum
-        for j in range(dim):
-            lam = spec.eigenvalues[j]
-            if lam < NEGLIGIBLE_KRAUS:
-                continue
-            ket = np.sqrt(lam) * spec.eigenvectors[:, j]
-            for k in range(dim):
-                bra = (a.root @ spec.eigenvectors[:, k]).conj()
-                ops.append(np.outer(ket, bra))
-    kept = [m for m in ops if max_abs(m) > NEGLIGIBLE_KRAUS]
-    if not kept:
-        kept = [np.zeros((dim, dim), dtype=complex)]
-    return np.stack(kept)
+        lam, vecs = alpha.spectrum.eigenvalues, alpha.spectrum.eigenvectors
+        live = lam >= NEGLIGIBLE_KRAUS
+        kets = np.sqrt(lam[live]) * vecs[:, live]
+        # Row k of bras is conj(a^{1/2} v_k); operator (j, k) is ket j times
+        # bra k. Stacked matrix-vector and broadcast products round like the
+        # one-vector forms (a.root @ vecs and einsum do not), so the family
+        # is bit for bit the one built operator by operator.
+        bras = (a.root @ vecs.T[:, :, None])[:, :, 0].conj()
+        outer = kets.T[:, None, :, None] * bras[None, :, None, :]
+        blocks.append(outer.reshape(-1, dim, dim))
+    ops = np.concatenate(blocks)
+    kept = ops[np.abs(ops).max(axis=(1, 2)) > NEGLIGIBLE_KRAUS]
+    if len(kept) == 0:
+        return np.zeros((1, dim, dim), dtype=complex)
+    return kept
 
 
 def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
@@ -214,7 +251,8 @@ def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
     The family is built from the spectral representation of each alpha_i:
     with alpha_i = sum_j l_ij |phi_ij><phi_ij| the operators are
     l_ij^{1/2} |phi_ij><a_i^{1/2} phi_ik| over all i, j, k. Spectral terms with
-    l_ij below NEGLIGIBLE_KRAUS are dropped. The induced effect is sum_i a_i.
+    l_ij below NEGLIGIBLE_KRAUS are dropped, and a family longer than dim² is
+    compressed by ``Operation``. The induced effect is sum_i a_i.
     """
     return Operation(_semi_trivial_kraus(pairs),
                      recipe={"kind": "semi_trivial", "pairs": list(pairs)})
@@ -302,16 +340,26 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
 
 
 def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = None) -> bool:
-    """Sampled necessary condition for the order i <= j: i(rho) <= j(rho) on probes.
+    """The operation order i <= j: i(rho) <= j(rho) for every state rho.
 
-    Probes SAMPLE_N seeded random states plus the d^2 pure states derived from
-    the matrix-unit basis (e_k, (e_k+e_l)/sqrt2, (e_k+ie_l)/sqrt2), which span
-    L(H). A False result refutes i <= j. A True result does not certify it: a
-    linear map can be positive on a spanning set of states without being a
-    positive map, so j - i may still fail on a state that was not probed.
+    First a certificate: when the Gram (Choi) matrix of j's family minus that
+    of i's passes ``matcore.psd_certified``, j - i is completely positive
+    (Choi 1975), hence positive, and the result is True with no probe drawn.
+    Both sides use PSD_TOL: a Choi matrix C with C + tol I >= 0 gives
+    j(rho) - i(rho) >= -tol I on every state, the margin the probes allow.
+
+    Otherwise probes decide: SAMPLE_N seeded random states plus the d^2 pure
+    states derived from the matrix-unit basis (e_k, (e_k+e_l)/sqrt2,
+    (e_k+ie_l)/sqrt2), which span L(H). A False result refutes i <= j. When
+    the certificate declines and every probe passes, neither decides and the
+    result is True uncertified: j - i may be positive without being completely
+    positive, or fail on a state that was not probed.
     """
     if i.dim != j.dim:
         raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    gap = _gram(j.kraus) - _gram(i.kraus)
+    if matcore.psd_certified((gap + dagger(gap)) / 2):
+        return True
     dim = i.dim
     rng = rng or np.random.default_rng(0)
     probes = [matcore.random_state(dim, rng) for _ in range(SAMPLE_N)]

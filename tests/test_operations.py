@@ -354,6 +354,7 @@ def test_kraus_remix_invariance():
             rhs = ops.op_then_effect(op, a)
             assert matcore.max_abs(lhs.op - rhs.op) <= 1e-9
             assert ops.action_equal(remixed, op)
+            assert matcore.max_abs(remixed.superop - op.superop) <= 1e-12
 
 
 def test_operation_order():
@@ -363,6 +364,128 @@ def test_operation_order():
     j = ops.add(i, k)
     assert ops.operation_leq(i, j, rng)
     assert matcore.loewner_leq(ops.hat(i).op, ops.hat(j).op)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_operation_order_certifies_cp_differences(dim, monkeypatch):
+    rng = np.random.default_rng(23)
+    i = ops.scale(ops.random_operation(dim, rng), 0.5)
+    j = ops.add(i, ops.scale(ops.random_operation(dim, rng), 0.5))
+    state = rng.bit_generator.state
+    real_leq = matcore.loewner_leq
+    probes = []
+
+    def counting_leq(a, b, tol=matcore.PSD_TOL):
+        probes.append(a)
+        return real_leq(a, b, tol)
+
+    monkeypatch.setattr(matcore, "loewner_leq", counting_leq)
+    assert ops.operation_leq(i, j, rng)
+    assert probes == [] and rng.bit_generator.state == state
+    # The reversed pair is not certified; the probes refute it.
+    assert not ops.operation_leq(j, i, rng)
+    assert probes
+
+
+def _gram_superop(kraus):
+    """Superoperator from the Gram matrix of an uncompressed family."""
+    n, d, _ = kraus.shape
+    flat = kraus.reshape(n, d * d)
+    gram = flat.T @ flat.conj()
+    return gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_long_families_are_compressed_to_the_same_map(dim):
+    rng = np.random.default_rng(24 + dim)
+    for n in (dim * dim, dim * dim + 1, 4 * dim * dim, 64 * dim * dim):
+        fam = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        fam = fam @ matcore.inv_sqrt_pd(ops._hat_matrix(fam))  # a channel
+        op = ops.Operation(fam)
+        assert op.n_kraus == min(n, dim * dim)
+        assert matcore.max_abs(op.superop - _gram_superop(fam)) <= 1e-12
+        assert ops.is_channel(op)
+
+
+def test_kraus_families_stay_bounded_along_chains():
+    rng = np.random.default_rng(25)
+    chan = ops.random_channel(3, rng, n_kraus=3)
+    chain = chan
+    for _ in range(6):
+        chain = ops.compose(chain, chan)
+        assert chain.n_kraus <= 9
+    rho = effects.random_state(3, rng)
+    want = rho.op
+    for _ in range(7):
+        want = ops.apply(chan, want)
+    assert matcore.max_abs(ops.apply(chain, rho) - want) <= 1e-12
+    i = instruments.random_instrument(3, rng)
+    prod = instruments.inst_seq_product(instruments.inst_seq_product(i, i), i)
+    total = instruments.bar(prod)
+    assert total.n_kraus <= 9
+    assert all(o.n_kraus <= 9 for o in prod.ops)
+    assert ops.action_equal(total, ops.compose(ops.compose(instruments.bar(i),
+                                                           instruments.bar(i)),
+                                               instruments.bar(i)), tol=1e-12)
+
+
+def _matrix_unit_distance(i, j):
+    """Reference: the largest max-norm gap of the two maps over matrix units."""
+    worst = 0.0
+    for k in range(i.dim):
+        for l in range(i.dim):
+            unit = np.zeros((i.dim, i.dim), dtype=complex)
+            unit[k, l] = 1.0
+            worst = max(worst, matcore.max_abs(ops.apply(i, unit) - ops.apply(j, unit)))
+    return worst
+
+
+def test_action_distance_matches_matrix_unit_reference():
+    rng = np.random.default_rng(26)
+    for dim in (2, 3, 5, 8):
+        for _ in range(5):
+            i = ops.random_operation(dim, rng)
+            w = matcore.random_unitary(max(i.n_kraus + 2, 2), rng)
+            for j in (ops.remix_kraus(i, w), ops.random_operation(dim, rng)):
+                want = _matrix_unit_distance(i, j)
+                assert abs(ops.action_distance(i, j) - want) <= 1e-15
+    with pytest.raises(DimensionError):
+        ops.action_distance(ops.identity_channel(2), ops.identity_channel(3))
+
+
+def _semi_trivial_loop(pairs):
+    """Reference: the operator-by-operator form of the semi-trivial family."""
+    dim = pairs[0][0].dim
+    mats = []
+    for a, alpha in pairs:
+        spec = alpha.spectrum
+        for j in range(dim):
+            lam = spec.eigenvalues[j]
+            if lam < ops.NEGLIGIBLE_KRAUS:
+                continue
+            ket = np.sqrt(lam) * spec.eigenvectors[:, j]
+            for k in range(dim):
+                mats.append(np.outer(ket, (a.root @ spec.eigenvectors[:, k]).conj()))
+    kept = [m for m in mats if matcore.max_abs(m) > ops.NEGLIGIBLE_KRAUS]
+    return np.stack(kept or [np.zeros((dim, dim), dtype=complex)])
+
+
+def test_semi_trivial_kraus_matches_loop_reference():
+    rng = np.random.default_rng(27)
+    for dim in (2, 3, 5):
+        u = matcore.random_unitary(dim, rng)
+        rank_one = State(np.outer(u[:, 0], u[:, 0].conj()))
+        cases = [
+            [(effects.random_effect(dim, rng), effects.random_state(dim, rng))],
+            [(Effect(0.5 * effects.random_effect(dim, rng).op), rank_one),
+             (atomic_projection(u[:, 1]), effects.random_state(dim, rng))],
+            [(effects.zero_effect(dim), rank_one)],
+        ]
+        for pairs in cases:
+            got = ops._semi_trivial_kraus(pairs)
+            want = _semi_trivial_loop(pairs)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_bayes_failure_constant_channel():

@@ -50,6 +50,17 @@ def test_operation_round_trip(build):
     assert ops.action_equal(back, op, tol=ROUND_TRIP_TOL)
 
 
+def test_compressed_operation_round_trip_is_a_fixed_point():
+    rng = np.random.default_rng(6)
+    chan = ops.random_channel(3, rng, n_kraus=3)
+    op = ops.compose(ops.compose(chan, chan), chan)  # 27 products, compressed to 9
+    assert op.n_kraus == 9
+    data = through_json(serialize.operation_to_json(op))
+    back = serialize.operation_from_json(data)
+    assert np.array_equal(back.kraus, op.kraus)
+    assert through_json(serialize.operation_to_json(back)) == data
+
+
 def test_operation_kinds_in_json():
     rng = np.random.default_rng(3)
     a = effects.random_effect(2, rng)
