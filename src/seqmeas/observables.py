@@ -1,72 +1,128 @@
-"""Observables: finite effect-valued measures.
+"""Observables, and the labeled-measure base they share with instruments.
 
-An observable assigns an effect to each outcome label, with the effects
-summing to the identity (a discrete POVM). Sequential products, conditioning,
-coarse-graining into parts and coexistence-witness verification live here.
+An observable assigns an effect to each outcome label, the effects summing to
+the identity (a discrete POVM); an instrument (``instruments.py``) assigns an
+operation. Both are ``_Measure``s, so validation, lookup, parts, equality, the
+distribution, the witness check, products and conditionings are written once.
+A measure taken first runs its front operations: an instrument its own, an
+observable its Lueders instrument L(a): a_x -> a_x^{1/2} . a_x^{1/2} (Gudder &
+Nagy, J. Math. Phys. 42 (2001)). So observable products and conditionings are
+the Lueders case of the instrument ones: a o b = L(a) o b, (b | a) = (b | L(a)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import matcore
+from . import matcore, operations as op_mod
 from .effects import Effect, State, prob
 from .errors import DimensionError, NotSurjective
 from .matcore import max_abs
+from .operations import Operation
 
 OBS_SUM_TOL = 1e-9
 
 PRODUCT_SEPARATOR = "⊗"  # "x⊗y" outcome labels for product observables
 
 
+def _product_items(xs, ys) -> list:
+    """(x + PRODUCT_SEPARATOR + y, u, v) over the (x, u) of xs and (y, v) of ys, x
+    outer: the one product loop, so every product shares its labels and order."""
+    ys = tuple(ys)
+    return [(f"{x}{PRODUCT_SEPARATOR}{y}", u, v) for x, u in xs for y, v in ys]
+
+
+def _sum_ops(ops) -> Operation:
+    """The parallel sum of operations: their Kraus families concatenated."""
+    return Operation(np.concatenate([o.kraus for o in ops]))
+
+
+class _Measure:
+    """Ordered outcome labels with one member per label, member effects summing to I.
+
+    Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member's
+    ``_effect``, ``_prob``, ``_distance``, ``_merge`` (parts), ``_after`` (read after a
+    channel), ``_sum_error`` and ``_front`` (run when taken first). Hooks look module
+    functions up per call, so a rebound module attribute (a tracer) is honoured."""
+
+    def __post_init__(self):
+        outcomes = tuple(str(x) for x in self.outcomes)
+        members = tuple(getattr(self, self._field))
+        if len(outcomes) != len(members) or not outcomes:
+            raise DimensionError("need one member per outcome")
+        if len(set(outcomes)) != len(outcomes):
+            raise DimensionError(f"outcome labels are not unique: {outcomes}")
+        if len({u.dim for u in members}) > 1:
+            raise DimensionError("all members must share one dimension")
+        total = sum(self._effect(u).op for u in members)
+        if max_abs(total - matcore.identity(members[0].dim)) > OBS_SUM_TOL:
+            raise self._sum_error("member effects do not sum to the identity")
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, self._field, members)
+
+    _members = property(lambda self: getattr(self, self._field))
+    dim = property(lambda self: self._members[0].dim)
+
+    def _member(self, outcome: str):
+        return self._members[self.outcomes.index(outcome)]
+
+    def items(self):
+        return zip(self.outcomes, self._members)
+
+    @cached_property
+    def _channel(self) -> Operation:
+        """The total channel of the front operations (``bar`` of an instrument)."""
+        return _sum_ops(self._front)
+
+
 @dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(_Measure):
     """Ordered outcome labels with one effect per outcome, summing to I."""
 
     outcomes: tuple[str, ...]
     effects: tuple[Effect, ...]
 
-    def __post_init__(self):
-        outcomes = tuple(str(x) for x in self.outcomes)
-        effects = tuple(self.effects)
-        if len(outcomes) != len(effects) or not outcomes:
-            raise DimensionError("need one effect per outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise DimensionError(f"outcome labels are not unique: {outcomes}")
-        dim = effects[0].dim
-        if any(e.dim != dim for e in effects):
-            raise DimensionError("all effects must share one dimension")
-        total = sum(e.op for e in effects)
-        if max_abs(total - matcore.identity(dim)) > OBS_SUM_TOL:
-            raise DimensionError("effects do not sum to the identity")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "effects", effects)
+    _field = "effects"
+    _sum_error = DimensionError
+    _effect = staticmethod(lambda e: e)
+    _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
+    _merge = staticmethod(lambda effs: Effect(sum(e.op for e in effs)))
+    _after = staticmethod(lambda channel, e: op_mod.op_then_effect(channel, e))
+    _prob = staticmethod(lambda rho, e: prob(rho, e))
 
-    @property
-    def dim(self) -> int:
-        return self.effects[0].dim
+    effect = _Measure._member
 
-    def effect(self, outcome: str) -> Effect:
-        return self.effects[self.outcomes.index(outcome)]
-
-    def items(self):
-        return zip(self.outcomes, self.effects)
+    @cached_property
+    def _front(self) -> tuple[Operation, ...]:
+        """The Lueders instrument's operations a_x^{1/2} . a_x^{1/2}."""
+        return tuple(op_mod.luders(e) for e in self.effects)
 
 
-def obs_equal(a: Observable, b: Observable, tol: float = OBS_SUM_TOL) -> bool:
-    """Same outcome set (order-insensitive) and effectwise agreement."""
+def _product(m: _Measure, n: _Measure) -> _Measure:
+    """Run front operation x of m, then read n_y: product outcomes, n's member type."""
+    items = _product_items(zip(m.outcomes, m._front), n.items())
+    return type(n)(tuple(xy for xy, _, _ in items), tuple(n._after(u, v) for _, u, v in items))
+
+
+def _conditioned(n: _Measure, given: _Measure) -> _Measure:
+    """n read after the whole front of ``given``: member y is n_y after its channel."""
+    return type(n)(n.outcomes, tuple(n._after(given._channel, v) for v in n._members))
+
+
+def obs_equal(a: _Measure, b: _Measure, tol: float = OBS_SUM_TOL) -> bool:
+    """Same outcome set (order-insensitive) and memberwise agreement within tol,
+    by the member distance (entrywise for effects, ``action_distance`` for ops)."""
     if set(a.outcomes) != set(b.outcomes) or a.dim != b.dim:
         return False
-    return all(max_abs(a.effect(x).op - b.effect(x).op) <= tol for x in a.outcomes)
+    return all(a._distance(u, b._member(x)) <= tol for x, u in a.items())
 
 
-def distribution(a: Observable, rho: State) -> dict[str, float]:
-    """Outcome distribution x -> tr(rho a_x)."""
-    if rho.dim != a.dim:
-        raise DimensionError(f"dim mismatch: {rho.dim} vs {a.dim}")
-    return {x: prob(rho, e) for x, e in a.items()}
+def distribution(a: _Measure, rho: State) -> dict[str, float]:
+    """Outcome distribution: x -> tr(rho a_x), or tr[I_x(rho)] for an instrument."""
+    return {x: a._prob(rho, u) for x, u in a.items()}
 
 
 def event_prob(a: Observable, rho: State, event) -> float:
@@ -76,75 +132,47 @@ def event_prob(a: Observable, rho: State, event) -> float:
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
-    """Product observable with effects a_x o b_y over the product outcome set."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    outcomes = []
-    effs = []
-    for x, ax in a.items():
-        for y, by in b.items():
-            outcomes.append(f"{x}{PRODUCT_SEPARATOR}{y}")
-            effs.append(Effect(ax.root @ by.op @ ax.root))
-    return Observable(tuple(outcomes), tuple(effs))
+    """Product observable a_x o b_y: the Lueders case L(a) o b of ``inst_then_obs``."""
+    return _product(a, b)
 
 
 def obs_conditioned(b: Observable, given: Observable) -> Observable:
-    """The observable b conditioned by a: y -> sum_x a_x o b_y."""
-    a = given
-    if a.dim != b.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {b.dim}")
-    effs = (Effect(sum(ax.root @ by.op @ ax.root for ax in a.effects)) for by in b.effects)
-    return Observable(b.outcomes, tuple(effs))
+    """b conditioned by a, y -> sum_x a_x o b_y: the Lueders case (b | L(a))."""
+    return _conditioned(b, given)
 
 
-def _check_part_map(f, outcomes: tuple[str, ...]) -> dict[str, str]:
+def obs_part(a: _Measure, f) -> _Measure:
+    """Coarse-graining along a surjection of outcomes: b_y merges the a_x with f(x) = y.
+
+    ``f`` maps every outcome to a new label (any mapping type); the image labels
+    are the part's outcomes in first-appearance order. Effects add; operations
+    concatenate their Kraus families."""
     try:
-        mapping = {str(x): str(f[x]) for x in outcomes}
+        mapping = {str(x): str(f[x]) for x in a.outcomes}
     except (KeyError, TypeError) as exc:
         raise NotSurjective(f"relabeling is not total on the outcome set: {exc}") from None
-    return mapping
-
-
-def obs_part(a: Observable, f) -> Observable:
-    """Coarse-graining along a surjection of outcomes: b_y = sum over f(x)=y of a_x.
-
-    ``f`` maps every outcome of ``a`` to a new label (any mapping type); the
-    image labels become the part's outcomes in first-appearance order.
-    """
-    mapping = _check_part_map(f, a.outcomes)
-    order: list[str] = []
-    sums: dict[str, np.ndarray] = {}
-    for x, e in a.items():
-        y = mapping[x]
-        if y not in sums:
-            order.append(y)
-            sums[y] = np.zeros((a.dim, a.dim), dtype=complex)
-        sums[y] = sums[y] + e.op
-    return Observable(tuple(order), tuple(Effect(sums[y]) for y in order))
+    groups: dict[str, list] = {}
+    for x, u in a.items():
+        groups.setdefault(mapping[x], []).append(u)
+    return type(a)(tuple(groups), tuple(a._merge(us) for us in groups.values()))
 
 
 def second_marginal_map(a: Observable, b: Observable) -> dict[str, str]:
     """The surjection (x, y) -> y on the product outcome set of a o b."""
-    return {
-        f"{x}{PRODUCT_SEPARATOR}{y}": y for x in a.outcomes for y in b.outcomes
-    }
+    return {xy: y for xy, _, y in _product_items(zip(a.outcomes, a.outcomes),
+                                                 zip(b.outcomes, b.outcomes))}
 
 
 def first_marginal_map(a: Observable, b: Observable) -> dict[str, str]:
     """The surjection (x, y) -> x on the product outcome set of a o b."""
-    return {
-        f"{x}{PRODUCT_SEPARATOR}{y}": x for x in a.outcomes for y in b.outcomes
-    }
+    return {xy: x for xy, x, _ in _product_items(zip(a.outcomes, a.outcomes),
+                                                 zip(b.outcomes, b.outcomes))}
 
 
-def verify_coexistence_witness(b: Observable, c: Observable, a: Observable, f, g,
+def verify_coexistence_witness(b: _Measure, c: _Measure, a: _Measure, f, g,
                                tol: float = OBS_SUM_TOL) -> bool:
-    """Check that a single observable ``a`` measures both ``b`` and ``c``.
-
-    True iff the coarse-grainings of ``a`` along ``f`` and ``g`` reproduce
-    ``b`` and ``c``; surjectivity onto the target outcome sets is part of the
-    check (a part with the wrong outcome set simply fails).
-    """
+    """True iff the parts of ``a`` along ``f`` and ``g`` reproduce ``b`` and ``c``, so
+    one measure measures both (a part with the wrong outcome set fails)."""
     return obs_equal(obs_part(a, f), b, tol) and obs_equal(obs_part(a, g), c, tol)
 
 
@@ -158,10 +186,7 @@ def random_observable(dim: int, rng: np.random.Generator,
     """Random POVM: Ginibre grams renormalized to sum to the identity."""
     n = n_outcomes or int(rng.integers(2, 4))
     while True:
-        grams = []
-        for _ in range(n):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            grams.append(g @ g.conj().T)
+        grams = [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))]
         inv_root = matcore.inv_sqrt_pd(sum(grams))
         if inv_root is not None:
             break
