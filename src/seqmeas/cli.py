@@ -46,9 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or {laws.DEFAULT_SEED})")
     check.add_argument("--eq-tol", type=float, default=EQ_TOL,
-                       help="operator-equality tolerance (max norm)")
+                       help="operator-equality tolerance (max norm) of the laws without a "
+                            "fixed tolerance, and of eq-1.1's representation independence")
     check.add_argument("--psd-tol", type=float, default=PSD_TOL,
-                       help="cone-membership tolerance")
+                       help="cone-membership tolerance of thm-2.4ii's Loewner comparisons; "
+                            "constructors and certificates keep PSD_TOL")
     check.add_argument("--gap", type=float, default=laws.DEFAULT_GAP,
                        help="violation threshold for counterexample checks")
     check.add_argument("--format", choices=("text", "json"), default="text")

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .errors import ConditioningOnNull, NotEffect, NotPerp, NotState, WeightError
+from .errors import ConditioningOnNull, DimensionError, NotEffect, NotPerp, NotState, WeightError
 from .matcore import EQ_TOL, PSD_TOL, max_abs
 
 COND_FLOOR = 1e-12
@@ -130,6 +130,8 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
         raise WeightError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise WeightError(f"weights sum to {weights.sum()!r}, not 1")
+    if len({e.dim for e in effects}) > 1:
+        raise DimensionError("effects of different dimensions cannot be combined")
     out = sum(w * e.op for w, e in zip(weights, effects))
     return Effect(out)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import matcore, serialize
-from ..effects import Effect
+from ..effects import Effect, State, prob, seq_product
 from ..errors import SamplingError
 
 MAX_RESAMPLES = 500
@@ -14,6 +14,15 @@ MAX_RESAMPLES = 500
 def wit(**objects) -> dict:
     """Serialize witness inputs: domain objects become typed JSON, scalars pass through."""
     return {name: serialize.to_json(obj) for name, obj in objects.items()}
+
+
+def unwit(witness: dict) -> dict:
+    """Inverse of ``wit``: typed JSON becomes an object, matrix JSON an array."""
+    def decode(value):
+        if not isinstance(value, dict):
+            return value
+        return (serialize.typed_from_json if "type" in value else serialize.matrix_from_json)(value)
+    return {name: decode(value) for name, value in witness.items()}
 
 
 def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) -> list[Effect]:
@@ -62,3 +71,8 @@ def resample(draw, accept):
 
 def trace_real(m: np.ndarray) -> float:
     return float(np.trace(m).real)
+
+
+def order_gap(a: Effect, b: Effect, rho: State) -> float:
+    """|P_rho(a o b) - P_rho(b o a)|: how far measuring order moves a probability."""
+    return abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))

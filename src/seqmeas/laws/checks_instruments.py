@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import instruments as inst_mod, matcore, operations as op_mod, serialize
-from ..effects import Effect, cond_prob, prob, random_effect, random_state, seq_product
+from .. import instruments as inst_mod, matcore, operations as op_mod
+from ..effects import Effect, State, cond_prob, prob, random_effect, random_state, seq_product
 from ..instruments import (
+    Instrument,
     bar,
     inst_conditioned,
     inst_conditioned_on_obs,
@@ -80,14 +81,12 @@ def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
                  "hat of two Lueders instruments")
 
 
-def _trivial_then_luders_violation(witness: dict) -> float:
-    b = serialize.observable_from_json(witness["b_obs"])
-    a = serialize.observable_from_json(witness["a_obs"])
-    alpha = serialize.state_from_json(witness["alpha"])
-    i = trivial_instrument(b, alpha)
-    got = measured_observable(inst_seq_product(i, luders_instrument(a)))
-    return max(max_abs(got.effect(xy).op - seq_product(bx, ay).op)
-               for xy, bx, ay in _product_items(b.items(), a.items()))
+def _trivial_front_violation(a_obs: Observable, b_obs: Observable, alpha: State,
+                             beta: State | None = None) -> float:
+    """Distance of a o b from the hat tr(alpha b_y) a_x measured behind a trivial
+    front end with state alpha (examples 6 and 7; the back end's beta drops out)."""
+    return max(max_abs(seq_product(ax, by).op - prob(alpha, by) * ax.op)
+               for ax in a_obs.effects for by in b_obs.effects)
 
 
 def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -99,24 +98,10 @@ def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally) -> None:
     alpha = random_state(dim, rng)
     i = trivial_instrument(b, alpha)
     got = measured_observable(inst_seq_product(i, luders_instrument(a)))
-    violation = 0.0
     for xy, bx, ay in _product_items(b.items(), a.items()):
-        want = prob(alpha, ay) * bx.op
-        tally.expect(max_abs(got.effect(xy).op - want), "closed form of the product hat")
-        violation = max(violation, max_abs(seq_product(bx, ay).op - want))
-    tally.offer(violation, b_obs=b, a_obs=a, alpha=alpha)
-
-
-def _trivial_trivial_violation(witness: dict) -> float:
-    a = serialize.observable_from_json(witness["a_obs"])
-    b = serialize.observable_from_json(witness["b_obs"])
-    alpha = serialize.state_from_json(witness["alpha"])
-    beta = serialize.state_from_json(witness["beta"])
-    i = trivial_instrument(a, alpha)
-    j = trivial_instrument(b, beta)
-    got = measured_observable(inst_seq_product(i, j))
-    return max(max_abs(got.effect(xy).op - seq_product(ax, by).op)
-               for xy, ax, by in _product_items(a.items(), b.items()))
+        tally.expect(max_abs(got.effect(xy).op - prob(alpha, ay) * bx.op),
+                     "closed form of the product hat")
+    tally.offer(b_obs=b, a_obs=a, alpha=alpha)
 
 
 def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -129,12 +114,10 @@ def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -
     beta = random_state(dim, rng)
     got = measured_observable(
         inst_seq_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)))
-    violation = 0.0
     for xy, ax, by in _product_items(a.items(), b.items()):
-        want = prob(alpha, by) * ax.op
-        tally.expect(max_abs(got.effect(xy).op - want), "closed form of the trivial product hat")
-        violation = max(violation, max_abs(seq_product(ax, by).op - want))
-    tally.offer(violation, a_obs=a, b_obs=b, alpha=alpha, beta=beta)
+        tally.expect(max_abs(got.effect(xy).op - prob(alpha, by) * ax.op),
+                     "closed form of the trivial product hat")
+    tally.offer(a_obs=a, b_obs=b, alpha=alpha, beta=beta)
 
     # rank-one criterion: resample until the overlap and the state
     # weight are visibly different, then the gap is guaranteed
@@ -157,12 +140,15 @@ def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -
                       phi_proj=a_eff, psi_proj=b_eff, alpha=alpha, entry_gap=entry_gap)
 
 
-def _kraus_kraus_violation(witness: dict) -> float:
-    i = serialize.instrument_from_json(witness["i"])
-    j = serialize.instrument_from_json(witness["j"])
-    got = measured_observable(inst_seq_product(i, j))
-    return max(max_abs(got.effect(xy).op - seq_product(ix.induced, jy.induced).op)
-               for xy, ix, jy in _product_items(i.items(), j.items()))
+def _kraus_product_hat(ix: op_mod.Operation, jy: op_mod.Operation) -> np.ndarray:
+    """A† B† B A: the induced effect of running A, then B (single-Kraus members)."""
+    ax, by = ix.kraus[0], jy.kraus[0]
+    return matcore.dagger(ax) @ matcore.dagger(by) @ by @ ax
+
+
+def _kraus_kraus_violation(i: Instrument, j: Instrument) -> float:
+    return max(max_abs(_kraus_product_hat(ix, jy) - seq_product(ix.induced, jy.induced).op)
+               for ix in i.ops for jy in j.ops)
 
 
 def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -172,14 +158,10 @@ def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally) -> No
     i = random_kraus_instrument(dim, rng)
     j = random_kraus_instrument(dim, rng)
     got = measured_observable(inst_seq_product(i, j))
-    violation = 0.0
     for xy, ix, jy in _product_items(i.items(), j.items()):
-        ax, by = ix.kraus[0], jy.kraus[0]
-        want = matcore.dagger(ax) @ matcore.dagger(by) @ by @ ax
-        tally.expect(max_abs(got.effect(xy).op - want), "closed form of the Kraus product hat")
-        naive = seq_product(ix.induced, jy.induced).op
-        violation = max(violation, max_abs(got.effect(xy).op - naive))
-    tally.offer(violation, i=i, j=j)
+        tally.expect(max_abs(got.effect(xy).op - _kraus_product_hat(ix, jy)),
+                     "closed form of the Kraus product hat")
+    tally.offer(i=i, j=j)
 
 
 def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -226,11 +208,9 @@ def check_luders_conditioning_hat(ctx: LawContext, dim: int, tally: Tally) -> No
                  "hat of the Lueders conditioning")
 
 
-def _forgotten_state_violation(witness: dict) -> float:
-    b = serialize.observable_from_json(witness["b_obs"])
-    alpha = serialize.state_from_json(witness["alpha"])
-    return max(max_abs(prob(alpha, by) * matcore.identity(b.dim) - by.op)
-               for by in b.effects)
+def _forgotten_state_violation(b_obs: Observable, alpha: State) -> float:
+    return max(max_abs(prob(alpha, by) * matcore.identity(b_obs.dim) - by.op)
+               for by in b_obs.effects)
 
 
 def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -244,13 +224,12 @@ def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally) ->
     j = trivial_instrument(b, beta)
     got = measured_observable(inst_conditioned(j, i))
     naive = obs_conditioned(measured_observable(j), measured_observable(i))
-    violation = 0.0
     for y, by in b.items():
-        want = prob(alpha, by) * matcore.identity(dim)
-        tally.expect(max_abs(got.effect(y).op - want),
+        tally.expect(max_abs(got.effect(y).op - prob(alpha, by) * matcore.identity(dim)),
                      "conditioned hat weights the identity")
-        violation = max(violation, max_abs(want - naive.effect(y).op))
-    tally.offer(violation, b_obs=b, alpha=alpha)
+        tally.expect(max_abs(naive.effect(y).op - by.op),
+                     "conditioning on the sure observable returns b")
+    tally.offer(b_obs=b, alpha=alpha)
 
 
 def check_effect_operation_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -371,13 +350,10 @@ def check_trivial_parts(ctx: LawContext, dim: int, tally: Tally) -> None:
                       "one-state trivial instruments with coexisting hats coexist")
 
 
-def _observable_bayes_violation(witness: dict) -> float:
-    a = serialize.observable_from_json(witness["a_obs"])
-    b = serialize.observable_from_json(witness["b_obs"])
-    rho = serialize.state_from_json(witness["rho"])
-    cond = obs_conditioned(b, a)
-    return max(abs(prob(rho, b.effect(y)) - prob(rho, cond.effect(y)))
-               for y in b.outcomes)
+def _observable_bayes_violation(a_obs: Observable, b_obs: Observable, rho: State) -> float:
+    cond = obs_conditioned(b_obs, a_obs)
+    return max(abs(prob(rho, b_obs.effect(y)) - prob(rho, cond.effect(y)))
+               for y in b_obs.outcomes)
 
 
 def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -386,10 +362,7 @@ def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally) -> N
     a = random_observable(dim, rng)
     b = random_observable(dim, rng)
     rho = random_state(dim, rng)
-    cond = obs_conditioned(b, a)
-    violation = max(abs(prob(rho, b.effect(y)) - prob(rho, cond.effect(y)))
-                    for y in b.outcomes)
-    tally.offer(violation, a_obs=a, b_obs=b, rho=rho)
+    tally.offer(a_obs=a, b_obs=b, rho=rho)
 
 
 def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -442,11 +415,12 @@ register(LawCheck(
 register(LawCheck(
     id="ex-6", kind="counterexample", dims=(2,), trials=100,
     description="Trivial-then-Lueders hat differs from the naive product",
-    fn=check_trivial_then_luders, replay=_trivial_then_luders_violation))
+    fn=check_trivial_then_luders,
+    replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)))
 register(LawCheck(
     id="ex-7", kind="counterexample", dims=(2,), trials=100,
     description="Trivial-pair product hat differs from the observable product",
-    fn=check_trivial_trivial_product_hat, replay=_trivial_trivial_violation))
+    fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation))
 register(LawCheck(
     id="ex-8", kind="counterexample", dims=(2,), trials=100,
     description="Kraus-pair product hat differs from the observable product",

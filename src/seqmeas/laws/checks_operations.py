@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import matcore, operations as op_mod, serialize
+from .. import matcore, operations as op_mod
 from ..effects import (
     Effect,
     State,
@@ -19,7 +19,7 @@ from ..effects import (
 )
 from ..matcore import max_abs
 from ..observables import random_observable
-from ._common import resample, sharp_partition, trace_real
+from ._common import order_gap, resample, sharp_partition, trace_real
 from .core import LawCheck, LawContext, Tally, register
 
 
@@ -156,11 +156,23 @@ def check_sharp_meet_is_zero(ctx: LawContext, dim: int, tally: Tally) -> None:
             tally.expect(max_abs(c.op), "effects below both hats vanish", candidate=c)
 
 
-def _constant_channel_violation(witness: dict) -> float:
-    a = serialize.effect_from_json(witness["a"])
-    alpha = serialize.state_from_json(witness["alpha"])
-    rho = serialize.state_from_json(witness["rho"])
+def _by_construction(formulas: dict):
+    """One replay over several constructions, dispatched on the witness's name."""
+    return lambda construction, **objects: formulas[construction](**objects)
+
+
+def _constant_channel_violation(a: Effect, alpha: State, rho: State) -> float:
     return abs(prob(rho, a) - prob(alpha, a))
+
+
+def _mixed(a: np.ndarray, b: Effect) -> np.ndarray:
+    """a b a + a' b a' for a projection a: b read after the channel of a and a'."""
+    a_perp = np.eye(a.shape[0]) - a
+    return a @ b.op @ a + a_perp @ b.op @ a_perp
+
+
+def _projection_mixing_violation(a: np.ndarray, b: Effect, rho: State) -> float:
+    return max_abs(b.op - _mixed(a, b))
 
 
 def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -173,15 +185,7 @@ def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally) -> Non
     rho = random_state(dim, rng)
     tally.expect(max_abs(op_mod.apply(chan, rho) - alpha.op),
                  "the pair sums to the constant channel")
-    tally.offer(abs(prob(rho, a) - prob(alpha, a)), a=a, alpha=alpha, rho=rho)
-
-
-def _projection_mixing_violation(witness: dict) -> float:
-    a = serialize.matrix_from_json(witness["a"])
-    b = serialize.effect_from_json(witness["b"])
-    dim = a.shape[0]
-    mixed = a @ b.op @ a + (np.eye(dim) - a) @ b.op @ (np.eye(dim) - a)
-    return max_abs(b.op - mixed)
+    tally.offer(a=a, alpha=alpha, rho=rho)
 
 
 def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -193,26 +197,18 @@ def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally) -> No
     a = sum(np.outer(u[:, k], u[:, k].conj()) for k in range(rank))
     b = random_effect(dim, rng)
     rho = random_state(dim, rng)
-    a_perp = np.eye(dim) - a
-    mixed = a @ b.op @ a + a_perp @ b.op @ a_perp
-    chan = op_mod.add(op_mod.kraus_single(a), op_mod.kraus_single(a_perp))
+    chan = op_mod.add(op_mod.kraus_single(a), op_mod.kraus_single(np.eye(dim) - a))
     j = op_mod.luders(b)
     lhs = trace_real(op_mod.apply(j, op_mod.apply(chan, rho)))
-    tally.expect(abs(lhs - trace_real(rho.op @ mixed)),
+    tally.expect(abs(lhs - trace_real(rho.op @ _mixed(a, b))),
                  "channel conditioning equals the mixed effect")
-    tally.offer(max_abs(b.op - mixed), a=a, b=b, rho=rho)
+    tally.offer(a=a, b=b, rho=rho)
 
 
-def _operation_bayes_violation(witness: dict) -> float:
-    kind = witness["construction"]
-    if kind == "constant-channel":
-        return _constant_channel_violation(witness)
-    rho = serialize.state_from_json(witness["rho"])
-    b = serialize.effect_from_json(witness["b"])
-    a = serialize.matrix_from_json(witness["a"])
-    dim = a.shape[0]
-    mixed = a @ b.op @ a + (np.eye(dim) - a) @ b.op @ (np.eye(dim) - a)
-    return abs(prob(rho, b) - trace_real(rho.op @ mixed))
+_operation_bayes_violation = _by_construction({
+    "constant-channel": _constant_channel_violation,
+    "projection-mixing": lambda a, b, rho: abs(prob(rho, b) - trace_real(rho.op @ _mixed(a, b))),
+})
 
 
 def check_operation_bayes_first_rule(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -223,29 +219,18 @@ def check_operation_bayes_first_rule(ctx: LawContext, dim: int, tally: Tally) ->
     a = random_effect(dim, rng)
     alpha = random_state(dim, rng)
     rho = random_state(dim, rng)
-    tally.offer(abs(prob(rho, a) - prob(alpha, a)), a=a, alpha=alpha, rho=rho,
-                construction="constant-channel")
+    tally.offer(a=a, alpha=alpha, rho=rho, construction="constant-channel")
     # Example-2-style: projection mixing
     u = matcore.random_unitary(dim, rng)
     p = np.outer(u[:, 0], u[:, 0].conj())
     b = random_effect(dim, rng)
-    p_perp = np.eye(dim) - p
-    mixed = p @ b.op @ p + p_perp @ b.op @ p_perp
-    tally.offer(abs(prob(rho, b) - trace_real(rho.op @ mixed)), a=p, b=b, rho=rho,
-                construction="projection-mixing")
+    tally.offer(a=p, b=b, rho=rho, construction="projection-mixing")
 
 
-def _sequencing_order_violation(witness: dict) -> float:
-    kind = witness["construction"]
-    rho = serialize.state_from_json(witness["rho"])
-    if kind == "trivial":
-        a = serialize.effect_from_json(witness["a"])
-        alpha = serialize.state_from_json(witness["alpha"])
-        beta = serialize.state_from_json(witness["beta"])
-        return prob(rho, a) * abs(prob(alpha, a) - prob(beta, a))
-    a = serialize.effect_from_json(witness["a"])
-    b = serialize.effect_from_json(witness["b"])
-    return abs(prob(rho, seq_product(a, b)) - prob(rho, seq_product(b, a)))
+_sequencing_order_violation = _by_construction({
+    "trivial": lambda a, alpha, beta, rho: prob(rho, a) * abs(prob(alpha, a) - prob(beta, a)),
+    "luders": order_gap,
+})
 
 
 def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -264,8 +249,7 @@ def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> N
                  "forward composition closed form")
     tally.expect(abs(backward - prob(rho, a) * prob(beta, a)),
                  "backward composition closed form")
-    tally.offer(abs(forward - backward), a=a, alpha=alpha, beta=beta, rho=rho,
-                construction="trivial")
+    tally.offer(a=a, alpha=alpha, beta=beta, rho=rho, construction="trivial")
     b = random_effect(dim, rng)
     li, lj = op_mod.luders(a), op_mod.luders(b)
     forward = trace_real(op_mod.apply(lj, op_mod.apply(li, rho)))
@@ -274,7 +258,7 @@ def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> N
                  "Lueders forward closed form")
     tally.expect(abs(backward - prob(rho, seq_product(b, a))),
                  "Lueders backward closed form")
-    tally.offer(abs(forward - backward), a=a, b=b, rho=rho, construction="luders")
+    tally.offer(a=a, b=b, rho=rho, construction="luders")
 
 
 def check_post_channel_not_mono(ctx: LawContext, dim: int, tally: Tally) -> None:

@@ -21,9 +21,10 @@ not ok. The other laws of a run are unaffected. Inside a trial a check records
   within the tally's tolerance (``tol=`` overrides it for one assertion);
 * ``tally.expect_true(condition, label, **objects)`` -- an assertion that must
   hold;
-* ``tally.offer(violation, **objects)`` -- a counterexample candidate; the
-  largest violation (strictly larger than every earlier one) and its inputs,
-  serialized for replay, become the report's ``max_deviation`` and witness.
+* ``tally.offer(**objects)`` -- a counterexample candidate; the law's
+  ``replay`` computes its violation from ``objects``, and the largest violation
+  (strictly larger than every earlier one) and its inputs, serialized for
+  ``replay_witness``, become the report's ``max_deviation`` and witness.
 
 The tally's tolerance is the registry field ``LawCheck.tol``, or
 ``ctx.eq_tol`` when that is ``None``. The first failed assertion, with its
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..errors import UnknownLaw
 from ..matcore import EQ_TOL, PSD_TOL
-from ._common import wit
+from ._common import unwit, wit
 
 DEFAULT_SEED = 42
 DEFAULT_GAP = 0.01
@@ -70,6 +71,7 @@ class Tally:
     """Accumulates one law's deviations, assertions and counterexample candidates."""
 
     tol: float
+    replay: Callable[..., float] | None = None  # the law's violation formula
     max_deviation: float = 0.0
     ok: bool = True
     witness: dict | None = None
@@ -89,15 +91,16 @@ class Tally:
             self.ok = False
             self.witness = {"assertion": label, **wit(**objects)}
 
-    def offer(self, violation: float, construction: str | None = None, **objects) -> None:
+    def offer(self, construction: str | None = None, **objects) -> None:
         """Keep a counterexample candidate if it beats the best violation so far.
 
-        The witness lists ``objects`` (serialized only when kept), then
-        ``violation``, then ``construction`` when one is named.
+        Its violation is ``replay(**objects)``; the witness lists ``objects``
+        (serialized only when kept), then ``violation``, then ``construction``.
         """
+        extra = {} if construction is None else {"construction": construction}
+        violation = float(self.replay(**objects, **extra))
         if violation > self.best:
             self.best = violation
-            extra = {} if construction is None else {"construction": construction}
             self.best_witness = wit(**objects, violation=violation, **extra)
 
     def result(self, kind: str, trials: int, gap: float) -> CheckResult:
@@ -138,7 +141,7 @@ class LawCheck:
     description: str
     fn: Callable[[LawContext, int, Tally], None]  # one trial at one dimension
     gap: float | None = None  # law-specific violation threshold override
-    replay: Callable[[dict], float] | None = None
+    replay: Callable[..., float] | None = None  # violation from witness objects
     tol: float | None = None  # tally tolerance; None means ctx.eq_tol
 
 
@@ -250,7 +253,7 @@ def run_law(law_id: str, dims=None, trials: int | None = None, seed: int = DEFAU
         dims=use_dims, trials=use_trials, rng=_law_rng(seed, law.id),
         eq_tol=eq_tol, psd_tol=psd_tol, gap=use_gap,
     )
-    tally = Tally(tol=eq_tol if law.tol is None else law.tol)
+    tally = Tally(tol=eq_tol if law.tol is None else law.tol, replay=law.replay)
     trials_run = 0
     error = None
     try:
@@ -283,8 +286,8 @@ def run_all(dims=None, trials: int | None = None, seed: int = DEFAULT_SEED,
 def replay_witness(report: LawReport | dict) -> float:
     """Recompute a counterexample's violation from its serialized witness.
 
-    Closes the loop: the witness embedded in a report must reproduce the
-    violation when pushed back through the library.
+    Closes the loop: the witness objects, decoded, go through the same
+    ``replay`` formula that computed the reported violation.
     """
     _ensure_loaded()
     data = report.to_json() if isinstance(report, LawReport) else report
@@ -295,7 +298,8 @@ def replay_witness(report: LawReport | dict) -> float:
         raise UnknownLaw(f"law {law.id!r} has no witness replay")
     if not data.get("witness"):
         raise UnknownLaw(f"report for {law.id!r} carries no witness")
-    return law.replay(data["witness"])
+    objects = unwit({k: v for k, v in data["witness"].items() if k != "violation"})
+    return float(law.replay(**objects))
 
 
 def report_lines(reports: list[LawReport]) -> str:

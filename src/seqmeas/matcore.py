@@ -81,7 +81,10 @@ def as_square(m) -> np.ndarray:
     Non-finite entries are rejected before any arithmetic, so none reaches a
     comparison as NaN or raises a numpy warning.
     """
-    arr = np.asarray(m, dtype=complex)
+    try:
+        arr = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"not a complex matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -115,7 +118,7 @@ class Spectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def _jacobi_rotation(a: list[list[complex]], v: list[list[complex]] | None,
+def _jacobi_rotation(a: list[list[complex]], v: list[list[complex]],
                      p: int, q: int, dim: int) -> None:
     """Zero a[p][q] by a unitary similarity, accumulating the rotation into v.
 
@@ -157,20 +160,19 @@ def _jacobi_rotation(a: list[list[complex]], v: list[list[complex]] | None,
     a[q][p] = 0.0
     a[p][p] = complex(a[p][p].real)
     a[q][q] = complex(a[q][q].real)
-    if v is not None:
-        for row in v:
-            cp = row[p]
-            cq = row[q]
-            row[p] = c * cp - s_conj * cq
-            row[q] = s * cp + c_conj * cq
+    for row in v:
+        cp = row[p]
+        cq = row[q]
+        row[p] = c * cp - s_conj * cq
+        row[q] = s * cp + c_conj * cq
 
 
-def _jacobi(m, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def eig_hermitian(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations."""
     a_mat = as_hermitian(m)
     dim = a_mat.shape[0]
     a = [[complex(a_mat[i, j]) for j in range(dim)] for i in range(dim)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(dim)] for i in range(dim)] \
-        if want_vectors else None
+    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(dim)] for i in range(dim)]
     skip = JACOBI_OFF_THRESHOLD / (dim * dim)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(
@@ -188,22 +190,13 @@ def _jacobi(m, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
         )
     values = np.array([a[k][k].real for k in range(dim)])
     order = np.argsort(values, kind="stable")
-    vectors = None
-    if v is not None:
-        vectors = np.array(v, dtype=complex)[:, order]
-    return values[order], vectors
-
-
-def eig_hermitian(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations."""
-    values, vectors = _jacobi(m, want_vectors=True)
-    return Spectrum(eigenvalues=values, eigenvectors=vectors)
+    return Spectrum(eigenvalues=values[order],
+                    eigenvectors=np.array(v, dtype=complex)[:, order])
 
 
 def eigenvalues_hermitian(m) -> np.ndarray:
-    """Eigenvalues only (skips accumulating the rotations)."""
-    values, _ = _jacobi(m, want_vectors=False)
-    return values
+    """Eigenvalues only, ascending."""
+    return eig_hermitian(m).eigenvalues
 
 
 def spectral_bounds(m) -> tuple[float, float]:

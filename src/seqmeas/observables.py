@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import Effect, State, prob
-from .errors import DimensionError, NotSurjective
+from .errors import DimensionError, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
 
@@ -67,6 +67,8 @@ class _Measure:
     dim = property(lambda self: self._members[0].dim)
 
     def _member(self, outcome: str):
+        if outcome not in self.outcomes:
+            raise SeqmeasError(f"no outcome {outcome!r}")
         return self._members[self.outcomes.index(outcome)]
 
     def items(self):
@@ -128,7 +130,10 @@ def distribution(a: _Measure, rho: State) -> dict[str, float]:
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive)."""
     dist = distribution(a, rho)
-    return float(sum(dist[x] for x in event))
+    try:
+        return float(sum(dist[x] for x in event))
+    except KeyError as exc:
+        raise SeqmeasError(f"no outcome {exc.args[0]!r}") from None
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:

@@ -51,7 +51,10 @@ SAMPLE_N = 32
 
 
 def _as_kraus_array(kraus) -> np.ndarray:
-    arr = np.asarray(kraus, dtype=complex)
+    try:
+        arr = np.asarray(kraus, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"Kraus family is not a complex array: {exc}") from None
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:

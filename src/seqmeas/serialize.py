@@ -123,10 +123,17 @@ def observable_to_json(a: Observable) -> dict:
     }
 
 
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a JSON list")
+    return value
+
+
 def observable_from_json(data: dict) -> Observable:
     try:
-        outcomes = tuple(str(x) for x in data["outcomes"])
-        effs = tuple(effect_from_json(e) for e in data["effects"])
+        outcomes = tuple(str(x) for x in _json_list(data, "outcomes"))
+        effs = tuple(effect_from_json(e) for e in _json_list(data, "effects"))
     except (KeyError, TypeError) as exc:
         raise SeqmeasError(f"bad observable JSON: {exc}") from None
     return Observable(outcomes, effs)
@@ -141,8 +148,8 @@ def instrument_to_json(i: Instrument) -> dict:
 
 def instrument_from_json(data: dict) -> Instrument:
     try:
-        outcomes = tuple(str(x) for x in data["outcomes"])
-        members = tuple(operation_from_json(o) for o in data["ops"])
+        outcomes = tuple(str(x) for x in _json_list(data, "outcomes"))
+        members = tuple(operation_from_json(o) for o in _json_list(data, "ops"))
     except (KeyError, TypeError) as exc:
         raise SeqmeasError(f"bad instrument JSON: {exc}") from None
     return Instrument(outcomes, members)
@@ -170,7 +177,7 @@ def typed_from_json(data: dict):
     if not isinstance(data, dict):
         raise SeqmeasError(f"object JSON must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    parser = TYPED_PARSERS.get(kind)
+    parser = TYPED_PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         raise SeqmeasError(f"unknown object type {kind!r}")
     return parser(data)

@@ -339,6 +339,12 @@ MALFORMED_OBJECTS = {
                                          serialize.matrix_to_json(np.diag([0.0, 1.0, 0.0]))]},
     "semi-trivial-mixed-dims": {"type": "operation", "kind": "semi_trivial",
                                 "pairs": [_pair_json(2), _pair_json(3)]},
+    "type-not-a-string": {"type": [1]},
+    "observable-outcomes-string": {"type": "observable", "outcomes": "pq",
+                                   "effects": [serialize.matrix_to_json(np.eye(2) / 2)] * 2},
+    "instrument-outcomes-string": {"type": "instrument", "outcomes": "pq",
+                                   "ops": [{"kind": "kraus", "operators": [
+                                       serialize.matrix_to_json(np.eye(2) / np.sqrt(2))]}] * 2},
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmeas import effects, matcore
+from seqmeas import effects, matcore, observables
 from seqmeas.effects import (
     COND_FLOOR,
     Effect,
@@ -27,6 +27,7 @@ from seqmeas.errors import (
     SeqmeasError,
     WeightError,
 )
+from seqmeas.instruments import luders_instrument
 from seqmeas.operations import Operation
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -307,3 +308,26 @@ def test_effect_algebra_axioms():
         assert perp(zero_effect(dim), unit_effect(dim))
         if matcore.max_abs(x.op) > 1e-8:
             assert not perp(x, unit_effect(dim))
+
+
+def _half_observable():
+    return observables.Observable(("p", "q"), (Effect(np.eye(2) / 2), Effect(np.eye(2) / 2)))
+
+
+# Malformed input and unknown labels raise package errors, never a bare
+# ValueError/KeyError from numpy or a container lookup.
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: _half_observable().effect("nope"), SeqmeasError, "'nope'"),
+    (lambda: luders_instrument(_half_observable()).operation("nope"), SeqmeasError, "'nope'"),
+    (lambda: observables.event_prob(_half_observable(), State(np.eye(2) / 2), ["nope"]),
+     SeqmeasError, "'nope'"),
+    (lambda: convex_combine([Effect(np.eye(2) / 2), Effect(np.eye(3) / 2)], [0.5, 0.5]),
+     DimensionError, "dimension"),
+    (lambda: Effect("abc"), DimensionError, "complex"),
+    (lambda: Effect([[1, 0], [0]]), DimensionError, "complex"),
+    (lambda: Operation("abc"), DimensionError, "complex"),
+], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
+        "effect-string", "effect-ragged", "operation-string"])
+def test_bad_calls_raise_package_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

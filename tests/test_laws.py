@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +82,24 @@ def test_witness_replay_closes_the_loop(law_id):
     law = laws.registry()[law_id]
     recomputed = laws.replay_witness(report)
     assert recomputed > (law.gap or laws.DEFAULT_GAP)
-    assert abs(recomputed - report.witness["violation"]) <= 1e-9
+    # the check and the replay share one violation formula, so bit for bit
+    assert recomputed == report.max_deviation == report.witness["violation"]
+
+
+def test_checks_compute_violations_without_serialize():
+    # Each counterexample law's violation lives in its registered replay; the
+    # witness JSON is decoded by the engine, never by a check module.
+    paths = sorted(Path(core.__file__).parent.glob("checks_*.py"))
+    assert len(paths) == 3
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("serialize" in name for name in
+                [getattr(node, "module", None) or "", *(alias.name for alias in node.names)])
+    ]
+    assert hits == []
 
 
 def test_zero_trials_guard():
