@@ -48,9 +48,7 @@ class Effect:
         dim = matcore.check_dim(m.shape[0])
         if not (matcore.psd_certified(m)
                 and matcore.psd_certified(matcore.identity(dim) - m)):
-            lo, hi = matcore.spectral_bounds(m)
-            if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
-                raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+            _check_unit_interval(m)
         object.__setattr__(self, "op", _frozen(m))
 
     @property
@@ -61,6 +59,40 @@ class Effect:
     def root(self) -> np.ndarray:
         """The positive square root a^{1/2} (read-only)."""
         return _frozen(matcore.sqrt_psd(self.op))
+
+
+def _check_unit_interval(m: np.ndarray) -> None:
+    """Jacobi's verdict on 0 <= m <= I, for a Hermitian m the certificate declined."""
+    lo, hi = matcore.spectral_bounds(m)
+    if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
+        raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+
+
+def _effects(mats) -> tuple[Effect, ...]:
+    """``Effect(m)`` for every matrix of a stack, validated as one stack.
+
+    The checks are those of ``Effect``: finite square Hermitian matrices of a
+    supported dim, certified in [0, I] by the stacked Cholesky certificate
+    (``matcore._psd_certified_stack``), with Jacobi deciding every member it
+    declines. Each stored matrix is bit for bit the one ``Effect`` stores; the
+    members share one read-only array.
+    """
+    m = _frozen(matcore._as_hermitian_stack(mats))
+    dim = matcore.check_dim(m.shape[1])
+    certified = matcore._psd_certified_stack(
+        np.concatenate([m, matcore.identity(dim) - m])).reshape(2, -1).all(axis=0)
+    for k in np.flatnonzero(~certified):
+        _check_unit_interval(m[k])
+    return tuple(_validated(Effect, op=x) for x in m)
+
+
+def _validated(cls, **fields):
+    """An instance of a frozen dataclass from fields already validated, without
+    running its constructor's checks again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +155,11 @@ def seq_product(a: Effect, b: Effect) -> Effect:
 
 
 def convex_combine(effects: list[Effect], weights) -> Effect:
-    weights = np.asarray(weights, dtype=float)
-    if len(effects) != weights.size:
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise WeightError(f"weights are not real numbers: {exc}") from None
+    if weights.ndim != 1 or len(effects) != weights.size:
         raise WeightError("one weight per effect required")
     if np.any(weights < 0):
         raise WeightError("weights must be nonnegative")
@@ -168,7 +203,10 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
 
 def atomic_projection(vector: np.ndarray) -> Effect:
     """Rank-one projection |v><v| for a unit vector v."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    try:
+        v = np.asarray(vector, dtype=complex).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"not a complex vector: {exc}") from None
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {norm!r} != 1")

@@ -19,7 +19,9 @@ Jacobi accepts too: the tol/2 shift leaves a margin of half the tolerance,
 and below the norm guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at
 PSD_TOL; a positive matrix has its largest entries there) the rounding error
 of the factorization stays well inside that margin. So every verdict is
-Jacobi's.
+Jacobi's. A stack of matrices (the members of a product measure) is certified
+at once by ``_psd_certified_stack``, a right-looking Cholesky vectorized over
+the stack under the same shift, norm guard and rounding bound.
 """
 
 from __future__ import annotations
@@ -95,7 +97,28 @@ def as_square(m) -> np.ndarray:
 def as_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrization (M + M†)/2."""
     arr = as_square(m)
-    adj = dagger(arr)
+    return _symmetrized(arr, dagger(arr), tol)
+
+
+def _as_hermitian_stack(mats, tol: float = HERM_TOL) -> np.ndarray:
+    """``as_hermitian`` of every matrix of a stack at once, as one (n, d, d) array.
+
+    The checks and the symmetrization are entrywise, so every member is bit for
+    bit what ``as_hermitian`` returns for it; a ragged or empty stack is a
+    ``DimensionError``.
+    """
+    try:
+        arr = np.asarray(mats, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"not a stack of complex matrices: {exc}") from None
+    if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
+        raise DimensionError(f"expected a nonempty stack of square matrices, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionError("matrix has non-finite (inf or nan) entries")
+    return _symmetrized(arr, arr.conj().swapaxes(1, 2), tol)
+
+
+def _symmetrized(arr: np.ndarray, adj: np.ndarray, tol: float) -> np.ndarray:
     gap = max_abs(arr - adj)
     if gap > tol:
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
@@ -233,7 +256,8 @@ def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     (M_ii <= CERT_NORM_PER_TOL * tol) keeps that last term below
     1.1e-3 * d * (d + 1) * tol, under a tenth of tol at d <= 8, and Jacobi's
     own rounding at such norms is smaller still, so a True here is a True from
-    Jacobi too.
+    Jacobi too. The bound holds for any order of the Cholesky sums, so it
+    covers the right-looking stacked form (``_psd_certified_stack``) as well.
     """
     a = m.tolist()
     shift = tol / 2.0
@@ -250,6 +274,33 @@ def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
         for row_i in a[j + 1:]:
             row_i[j] = (row_i[j] - sum(x * y for x, y in zip(row_i, conj_j))) / ljj
     return True
+
+
+def _psd_certified_stack(ms: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """``psd_certified`` of every member of an (n, d, d) Hermitian stack.
+
+    A right-looking Cholesky of M + (tol/2) I vectorized over the stack: step j
+    takes the pivot of column j for all members, scales the column and
+    subtracts its outer product from the trailing block. The shift, the pivot
+    test and the norm guard are those of ``psd_certified``, and so is the
+    soundness argument: Higham's thm 10.3 bounds the backward error of any
+    ordering of the Cholesky sums, so a True here is a True from Jacobi too.
+    The two orderings round differently and may disagree only where rounding
+    decides, a smallest eigenvalue within a few ulps of -tol/2. Returns a bool
+    per member. Members never mix, so a member whose pivot fails just carries
+    on with the nan or inf its square root gives, and stays declined;
+    floating-point warnings are silenced for that reason only.
+    """
+    d = ms.shape[1]
+    a = ms + (tol / 2.0) * identity(d)
+    ok = (ms.diagonal(axis1=1, axis2=2).real <= tol * CERT_NORM_PER_TOL).all(axis=1)
+    with np.errstate(all="ignore"):
+        for j in range(d):
+            pivot = a[:, j, j].real
+            ok &= pivot > 0.0
+            col = a[:, j + 1:, j] / np.sqrt(pivot)[:, None]
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
+    return ok
 
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:

@@ -12,13 +12,14 @@ the Lueders case of the instrument ones: a o b = L(a) o b, (b | a) = (b | L(a)).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import Effect, State, prob
+from .effects import Effect, State, _effects, prob
 from .errors import DimensionError, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
@@ -45,10 +46,13 @@ class _Measure:
 
     Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member's
     ``_effect``, ``_prob``, ``_distance``, ``_merge`` (parts), ``_after`` (read after a
-    channel), ``_sum_error`` and ``_front`` (run when taken first). Hooks look module
+    channel), ``_afters`` (``_after`` over a list of pairs, built as one stack),
+    ``_sum_error`` and ``_front`` (run when taken first). Hooks look module
     functions up per call, so a rebound module attribute (a tracer) is honoured."""
 
     def __post_init__(self):
+        if isinstance(self.outcomes, str) or not isinstance(self.outcomes, Iterable):
+            raise DimensionError(f"outcomes must be a sequence of labels, got {self.outcomes!r}")
         outcomes = tuple(str(x) for x in self.outcomes)
         members = tuple(getattr(self, self._field))
         if len(outcomes) != len(members) or not outcomes:
@@ -93,20 +97,27 @@ class Observable(_Measure):
     _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
     _merge = staticmethod(lambda effs: Effect(sum(e.op for e in effs)))
     _after = staticmethod(lambda channel, e: op_mod.op_then_effect(channel, e))
+    _afters = staticmethod(lambda pairs: _effects([op_mod._sandwich(u.kraus, e.op)
+                                                   for u, e in pairs]))
     _prob = staticmethod(lambda rho, e: prob(rho, e))
 
     effect = _Measure._member
 
     @cached_property
     def _front(self) -> tuple[Operation, ...]:
-        """The Lueders instrument's operations a_x^{1/2} . a_x^{1/2}."""
-        return tuple(op_mod.luders(e) for e in self.effects)
+        """The Lueders instrument's operations a_x^{1/2} . a_x^{1/2}, as ``luders``
+        builds them but validated as one stack."""
+        return op_mod._operations([e.root[None, :, :] for e in self.effects],
+                                  [{"kind": "luders", "effect": e} for e in self.effects])
 
 
 def _product(m: _Measure, n: _Measure) -> _Measure:
-    """Run front operation x of m, then read n_y: product outcomes, n's member type."""
+    """Run front operation x of m, then read n_y: product outcomes, n's member type.
+    All |X|·|Y| members are built and validated as one stack (``_afters``)."""
+    if m.dim != n.dim:
+        raise DimensionError(f"dim mismatch: {m.dim} vs {n.dim}")
     items = _product_items(zip(m.outcomes, m._front), n.items())
-    return type(n)(tuple(xy for xy, _, _ in items), tuple(n._after(u, v) for _, u, v in items))
+    return type(n)(tuple(xy for xy, _, _ in items), n._afters([(u, v) for _, u, v in items]))
 
 
 def _conditioned(n: _Measure, given: _Measure) -> _Measure:

@@ -4,11 +4,14 @@ An operation maps rho to sum_i A_i rho A_i† with sum_i A_i† A_i <= I; it is 
 channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
-The ``Operation`` constructor is the one place that checks sum_i A_i† A_i <= I:
-it builds the induced effect as its validation and carries it as
+Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, and
+``_operations``, which builds many operations of one dim (the members of a
+product measure, the Lueders front of an observable) and validates their
+induced effects as one stack, with the same checks, verdicts and bits. Both
+build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
 sum read it instead of recomputing it. Structured constructors (``kraus_single``,
-``semi_trivial``, ``add``) leave that check to it.
+``semi_trivial``, ``add``) leave that check to them.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
@@ -30,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .effects import Effect, State
+from .effects import Effect, State, _effects, _validated
 from .errors import (
     DimensionError,
     NotEffect,
@@ -80,10 +83,7 @@ class Operation:
 
     def __post_init__(self):
         arr = _bounded(_as_kraus_array(self.kraus))
-        try:
-            induced = Effect(_hat_matrix(arr))
-        except NotEffect as exc:
-            raise NotSubunital(f"sum A†A is not below I: {exc}") from None
+        induced = _induced(Effect, _hat_matrix(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "kraus", arr)
         object.__setattr__(self, "induced", induced)
@@ -107,6 +107,31 @@ class Operation:
         s = _gram(self.kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         s.setflags(write=False)
         return s
+
+
+def _operations(families, recipes=None) -> tuple[Operation, ...]:
+    """``Operation(f, r)`` for every family f and recipe r, validated as one stack.
+
+    Each family is normalized and bounded as ``Operation`` does it, and the
+    induced effects of all of them are checked at once by ``effects._effects``,
+    so each operation's ``kraus`` and ``induced.op`` are bit for bit those of
+    ``Operation(f)``. Families must share one dim.
+    """
+    arrs = [_bounded(_as_kraus_array(f)) for f in families]
+    induced = _induced(_effects, [_hat_matrix(arr) for arr in arrs])
+    for arr in arrs:
+        arr.setflags(write=False)
+    recipes = recipes or [None] * len(arrs)
+    return tuple(_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
+                 for arr, recipe, effect in zip(arrs, recipes, induced))
+
+
+def _induced(validate, hats):
+    """``validate(hats)``, reporting an effect outside [0, I] as sum A†A above I."""
+    try:
+        return validate(hats)
+    except NotEffect as exc:
+        raise NotSubunital(f"sum A†A is not below I: {exc}") from None
 
 
 def _bounded(kraus: np.ndarray) -> np.ndarray:
@@ -157,8 +182,18 @@ def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     if i.dim != j.dim:
         raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
-    prods = np.einsum("jab,ibc->jiac", j.kraus, i.kraus)
-    return Operation(prods.reshape(-1, i.dim, i.dim))
+    return Operation(_compose_kraus(i.kraus, j.kraus))
+
+
+def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The products B_m A_n over the Kraus families A of i and B of j, m outer.
+
+    One GEMM: the rows (m, a) of the stacked B times the columns (n, c) of the
+    side-by-side A, then regrouped into (m, n) blocks.
+    """
+    (ni, d, _), nj = i.shape, j.shape[0]
+    prods = j.reshape(nj * d, d) @ i.transpose(1, 0, 2).reshape(d, ni * d)
+    return prods.reshape(nj, d, ni, d).transpose(0, 2, 1, 3).reshape(nj * ni, d, d)
 
 
 def add(i: Operation, j: Operation) -> Operation:
@@ -321,8 +356,12 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
     """
     if a.dim != i.dim:
         raise DimensionError(f"dim mismatch: {i.dim} vs {a.dim}")
-    out = np.einsum("nji,jk,nkl->il", i.kraus.conj(), a.op, i.kraus)
-    return Effect(out)
+    return Effect(_sandwich(i.kraus, a.op))
+
+
+def _sandwich(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k B_k† a B_k over a Kraus family B."""
+    return np.einsum("nji,jk,nkl->il", kraus.conj(), a, kraus)
 
 
 def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:

@@ -326,8 +326,14 @@ def _half_observable():
     (lambda: Effect("abc"), DimensionError, "complex"),
     (lambda: Effect([[1, 0], [0]]), DimensionError, "complex"),
     (lambda: Operation("abc"), DimensionError, "complex"),
+    (lambda: observables.Observable("pq", _half_observable().effects), DimensionError,
+     "'pq'"),
+    (lambda: observables.Observable(3, (Effect(np.eye(2)),)), DimensionError, "labels"),
+    (lambda: convex_combine([Effect(np.eye(2) / 2)], 1.0), WeightError, "one weight"),
+    (lambda: atomic_projection("ab"), DimensionError, "complex"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
-        "effect-string", "effect-ragged", "operation-string"])
+        "effect-string", "effect-ragged", "operation-string", "outcomes-string",
+        "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

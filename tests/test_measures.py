@@ -124,3 +124,43 @@ def test_product_separator_is_the_only_literal():
         if "⊗" in line and not line.startswith("PRODUCT_SEPARATOR = ")
     ]
     assert hits == []
+
+
+def _close(got, want) -> bool:
+    return max_abs(got - want) <= 1e-15 * max(1.0, max_abs(want))
+
+
+@pytest.mark.parametrize("dim", (2, 3, 5, 8))
+def test_stacked_products_match_the_member_by_member_forms(dim):
+    # Products build their members as one stack; each member must be what
+    # compose or op_then_effect returns for its pair.
+    rng = np.random.default_rng(1200 + dim)
+    a, b = random_observable(dim, rng), random_observable(dim, rng)
+    i, j = random_instrument(dim, rng), random_instrument(dim, rng)
+    front = [ops.luders(e) for e in a.effects]
+    cases = (
+        (inst_seq_product(i, j), [ops.compose(u, v) for u in i.ops for v in j.ops]),
+        (obs_then_inst(a, i), [ops.compose(u, v) for u in front for v in i.ops]),
+        (inst_then_obs(i, b), [ops.op_then_effect(u, e) for u in i.ops for e in b.effects]),
+        (obs_seq_product(a, b), [ops.op_then_effect(u, e) for u in front for e in b.effects]),
+    )
+    for product, members in cases:
+        assert len(product.outcomes) == len(members)
+        for (_, got), want in zip(product.items(), members):
+            if isinstance(product, Observable):
+                assert _close(got.op, want.op)
+            else:
+                assert _close(got.kraus, want.kraus)
+                assert _close(got.induced.op, want.induced.op)
+    for got, want in zip(luders_instrument(a).ops, front):
+        assert np.array_equal(got.kraus, want.kraus)
+        assert np.array_equal(got.induced.op, want.induced.op)
+        assert got.recipe == want.recipe
+
+
+def test_products_of_mismatched_dims_raise():
+    rng = np.random.default_rng(1300)
+    for make in (random_observable, random_instrument):
+        for other in (random_observable, random_instrument):
+            with pytest.raises(DimensionError):
+                obs._product(make(2, rng), other(3, rng))

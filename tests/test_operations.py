@@ -5,6 +5,7 @@ from seqmeas import effects, instruments, matcore, operations as ops
 from seqmeas.effects import Effect, State, atomic_projection, complement, prob, unit_effect
 from seqmeas.errors import (
     DimensionError,
+    NotEffect,
     NotOrthogonal,
     NotPerp,
     NotProjection,
@@ -541,3 +542,62 @@ def test_dim_mismatch_raises():
         ops.compose(ops.identity_channel(2), ops.identity_channel(3))
     with pytest.raises(DimensionError):
         ops.op_then_effect(ops.identity_channel(2), unit_effect(3))
+
+
+def _subunital_families(dim, lengths, rng):
+    """Kraus families of the given lengths whose joint sum A†A is below I."""
+    fams = [rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+            for n in lengths]
+    inv_root = matcore.inv_sqrt_pd(sum(ops._hat_matrix(f) for f in fams) + np.eye(dim))
+    return [np.einsum("nij,jk->nik", f, inv_root) for f in fams]
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_stacked_operations_equal_the_scalar_constructor(dim):
+    rng = np.random.default_rng(900 + dim)
+    fams = _subunital_families(dim, (1, 2, dim * dim, dim * dim + 3), rng)
+    stacked = ops._operations([f.copy() for f in fams], [None, {"kind": "x"}, None, None])
+    for got, fam in zip(stacked, fams):
+        want = ops.Operation(fam.copy())
+        assert np.array_equal(got.kraus, want.kraus)
+        assert np.array_equal(got.induced.op, want.induced.op)
+        assert ops.hat(got) is got.induced and got.n_kraus <= dim * dim
+        with pytest.raises(ValueError):
+            got.kraus[0, 0, 0] = 0.0
+    assert [o.recipe for o in stacked] == [None, {"kind": "x"}, None, None]
+
+
+def _einsum_compose_kraus(i, j):
+    """The Kraus products of ``compose`` as first written, kept as a reference."""
+    return np.einsum("jab,ibc->jiac", j, i).reshape(-1, i.shape[1], i.shape[1])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_compose_kraus_matches_the_einsum_reference(dim):
+    rng = np.random.default_rng(1000 + dim)
+    for ni, nj in ((1, 1), (1, 3), (2, 5), (dim * dim, dim)):
+        i = rng.standard_normal((ni, dim, dim)) + 1j * rng.standard_normal((ni, dim, dim))
+        j = rng.standard_normal((nj, dim, dim)) + 1j * rng.standard_normal((nj, dim, dim))
+        want = _einsum_compose_kraus(i, j)
+        got = ops._compose_kraus(i, j)
+        assert got.shape == want.shape
+        assert matcore.max_abs(got - want) <= 1e-15 * max(1.0, matcore.max_abs(want))
+
+
+def test_stacked_validation_rejects_as_the_scalar_one():
+    rng = np.random.default_rng(1100)
+    good = _subunital_families(3, (2, 2), rng)
+    with pytest.raises(NotSubunital):
+        ops._operations(good + [np.stack([np.eye(3), np.eye(3)])])
+    with pytest.raises(NotEffect):
+        effects._effects([good[0][0] @ good[0][0].conj().T, 2 * np.eye(3)])
+    bad = good[1].copy()
+    bad[0, 1, 1] = np.nan
+    for call in (lambda: ops._operations(good + [bad]),  # non-finite member
+                 lambda: ops._operations(good + _subunital_families(2, (1,), rng)),  # dims
+                 lambda: effects._effects([np.eye(3), [[0.0, 1.0], [0.0, 0.0]]]),
+                 lambda: effects._effects([np.triu(np.ones((3, 3)))]),  # not Hermitian
+                 lambda: effects._effects([np.eye(9)]),  # unsupported dim
+                 lambda: effects._effects([])):
+        with pytest.raises(DimensionError):
+            call()

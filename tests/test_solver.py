@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmeas import matcore
-from seqmeas.effects import Effect
+from seqmeas.effects import Effect, _effects
 from seqmeas.errors import DimensionError, NotEffect
 from seqmeas.matcore import PSD_TOL
 
@@ -93,6 +93,24 @@ def test_certificate_implies_jacobi_accepts(norm, tol):
     assert (certified > 0) == (norm <= 1e13 * tol)
 
 
+@pytest.mark.parametrize("tol", [PSD_TOL, 1e-13])
+@pytest.mark.parametrize("norm", [1.0, 1e2, 1e4, 1e6])
+def test_stacked_certificate_implies_jacobi_accepts(norm, tol):
+    rng = np.random.default_rng(2024)
+    certified = 0
+    for dim in range(2, 9):
+        stack = np.stack([_boundary_matrix(dim, -tol * factor, norm, rng)
+                          for factor in BOUNDARY_FACTORS for _ in range(2)])
+        flags = matcore._psd_certified_stack(stack, tol)
+        assert flags.shape == (len(stack),) and flags.dtype == bool
+        for m, flag in zip(stack, flags):
+            if flag:
+                certified += 1
+                assert matcore.spectral_bounds(m)[0] >= -tol
+    # the certificate does real work below its norm guard, and none above it
+    assert (certified > 0) == (norm <= 1e13 * tol)
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_effect_accepts_exactly_when_jacobi_does(dim):
     rng = np.random.default_rng(dim)
@@ -101,12 +119,13 @@ def test_effect_accepts_exactly_when_jacobi_does(dim):
             m = _boundary_matrix(dim, -PSD_TOL * lo_factor, 1.0 + PSD_TOL * hi_factor, rng)
             lo, hi = matcore.spectral_bounds(m)
             jacobi_accepts = lo >= -PSD_TOL and hi <= 1.0 + PSD_TOL
-            try:
-                Effect(m)
-                accepted = True
-            except NotEffect:
-                accepted = False
-            assert accepted == jacobi_accepts
+            for build in (Effect, lambda m: _effects([np.eye(dim) / 2, m])):
+                try:
+                    build(m)
+                    accepted = True
+                except NotEffect:
+                    accepted = False
+                assert accepted == jacobi_accepts
 
 
 def test_certificate_margin_norm_guard_and_hermitian_check():
