@@ -203,10 +203,7 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
 
 def atomic_projection(vector: np.ndarray) -> Effect:
     """Rank-one projection |v><v| for a unit vector v."""
-    try:
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"not a complex vector: {exc}") from None
+    v = matcore._read(vector, "vector", (1,))
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {norm!r} != 1")

@@ -77,7 +77,8 @@ def semi_trivial_instrument(a: Observable, states: list[State]) -> Instrument:
 
 def kraus_instrument(mats: list[np.ndarray], outcomes: tuple[str, ...] | None = None) -> Instrument:
     """One Kraus operator per outcome; the family must be trace-preserving."""
-    outcomes = outcomes or tuple(f"x{k}" for k in range(len(mats)))
+    if outcomes is None:
+        outcomes = tuple(f"x{k}" for k in range(len(mats)))
     return Instrument(outcomes, tuple(op_mod.kraus_single(m) for m in mats))
 
 
@@ -86,20 +87,18 @@ def sharp_instrument(families: list[list[np.ndarray]],
     """Projection-valued Kraus families; the full family must sum to I, which forces
     the projections to be mutually orthogonal. ``Instrument`` checks that sum."""
     sizes = [len(family) for family in families]
-    if not sizes or 0 in sizes:
-        raise DimensionError("need a nonempty projection family per outcome")
     mats = op_mod._projection_list([p for family in families for p in family])
-    outcomes = outcomes or tuple(f"x{k}" for k in range(len(sizes)))
-    blocks = np.split(np.stack(mats), np.cumsum(sizes)[:-1])
+    if outcomes is None:
+        outcomes = tuple(f"x{k}" for k in range(len(sizes)))
+    blocks = np.split(mats, np.cumsum(sizes)[:-1])
     return Instrument(outcomes, tuple(Operation(block) for block in blocks))
 
 
 def atomic_instrument(vector_families: list[list[np.ndarray]],
                       outcomes: tuple[str, ...] | None = None) -> Instrument:
     """Sharp instrument built from rank-one projections onto the given vectors."""
-    families = [[np.outer(v, v.conj()) for v in (np.asarray(w, dtype=complex) for w in fam)]
-                for fam in vector_families]
-    return sharp_instrument(families, outcomes)
+    return sharp_instrument([[op_mod._ket_bra(v) for v in fam] for fam in vector_families],
+                            outcomes)
 
 
 def identity_instrument(dim: int, outcome: str = "x") -> Instrument:
@@ -148,7 +147,7 @@ def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
 def random_instrument(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Instrument:
     """Random instrument: globally normalized Ginibre Kraus families."""
-    n = n_outcomes or int(rng.integers(2, 4))
+    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
     while True:
         families = [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
                     for _ in range(n)]
@@ -162,7 +161,7 @@ def random_instrument(dim: int, rng: np.random.Generator,
 def random_kraus_instrument(dim: int, rng: np.random.Generator,
                             n_outcomes: int | None = None) -> Instrument:
     """Random Kraus instrument: one operator per outcome, trace-preserving."""
-    n = n_outcomes or int(rng.integers(2, 4))
+    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
     while True:
         mats = [matcore._ginibre(dim, rng) for _ in range(n)]
         inv_root = matcore.inv_sqrt_pd(sum(matcore.dagger(m) @ m for m in mats))

@@ -2,9 +2,11 @@
 
 Everything downstream (effects, operations, observables, instruments) is built
 on plain complex ``numpy`` arrays of shape (dim, dim) with 2 <= dim <= 8.
-This module owns the Hermitian eigensolver (cyclic Jacobi rotations, no
-external eigenvalue routine), the positive square root, the Loewner order and
-the seeded random generators used by the law checks.
+This module owns the one reader of caller input (``_read``: every matrix,
+stack of matrices or vector a caller passes becomes a finite complex array
+there, or a ``DimensionError``), the Hermitian eigensolver (cyclic Jacobi
+rotations, no external eigenvalue routine), the positive square root, the
+Loewner order and the seeded random generators used by the law checks.
 
 Two tolerance constants govern all approximate comparisons:
 
@@ -27,6 +29,7 @@ the stack under the same shift, norm guard and rounding bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,48 +80,50 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
-def as_square(m) -> np.ndarray:
-    """Validate a square matrix with finite entries.
+def _check_same_operand_dim(x, y) -> None:
+    """Two domain objects (effects, operations, measures) must share one ``dim``."""
+    if x.dim != y.dim:
+        raise DimensionError(f"dim mismatch: {x.dim} vs {y.dim}")
 
+
+def _read(m, what: str = "matrix", ranks: tuple[int, ...] = (2,)) -> np.ndarray:
+    """The one reader of caller matrices: a nonempty finite complex array of an
+    allowed rank, square in its last two axes (a vector, of rank 1, is exempt).
     Non-finite entries are rejected before any arithmetic, so none reaches a
-    comparison as NaN or raises a numpy warning.
-    """
+    comparison as NaN. Every failure is a ``DimensionError`` naming ``what``."""
     try:
         arr = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise DimensionError(f"not a complex matrix: {exc}") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+        raise DimensionError(f"{what} is not a complex array: {exc}") from None
+    shape = arr.shape
+    if len(shape) not in ranks or not arr.size or (len(shape) > 1 and shape[-1] != shape[-2]):
+        rank = " or ".join(map(str, ranks))
+        raise DimensionError(f"{what} must be a nonempty array of rank {rank} (matrices "
+                             f"square); got shape {shape}")
     if not np.isfinite(arr).all():
-        raise DimensionError("matrix has non-finite (inf or nan) entries")
+        raise DimensionError(f"{what} has non-finite (inf or nan) entries")
     return arr
+
+
+def as_square(m) -> np.ndarray:
+    """Validate a square matrix with finite entries (``_read`` of one matrix)."""
+    return _read(m)
 
 
 def as_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Validate near-Hermiticity and return the symmetrization (M + M†)/2."""
-    arr = as_square(m)
-    return _symmetrized(arr, dagger(arr), tol)
+    return _symmetrized(_read(m), tol)
 
 
-def _as_hermitian_stack(mats, tol: float = HERM_TOL) -> np.ndarray:
+def _as_hermitian_stack(mats, tol: float = HERM_TOL, what: str = "stack of matrices"):
     """``as_hermitian`` of every matrix of a stack at once, as one (n, d, d) array.
-
     The checks and the symmetrization are entrywise, so every member is bit for
-    bit what ``as_hermitian`` returns for it; a ragged or empty stack is a
-    ``DimensionError``.
-    """
-    try:
-        arr = np.asarray(mats, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"not a stack of complex matrices: {exc}") from None
-    if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"expected a nonempty stack of square matrices, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError("matrix has non-finite (inf or nan) entries")
-    return _symmetrized(arr, arr.conj().swapaxes(1, 2), tol)
+    bit what ``as_hermitian`` returns for it."""
+    return _symmetrized(_read(mats, what, (3,)), tol)
 
 
-def _symmetrized(arr: np.ndarray, adj: np.ndarray, tol: float) -> np.ndarray:
+def _symmetrized(arr: np.ndarray, tol: float) -> np.ndarray:
+    adj = arr.conj().swapaxes(-1, -2)
     gap = max_abs(arr - adj)
     if gap > tol:
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
@@ -336,10 +341,18 @@ def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     """Loewner order: a <= b iff b - a is PSD (min eigenvalue >= -tol)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _read(a), _read(b)
     check_same_dim(a, b)
     return psd_hermitian(as_hermitian(b - a, tol=1e-9), tol)
+
+
+def _count(n: int | None, rng: np.random.Generator, lo: int, hi: int, what: str) -> int:
+    """A family size for a random generator: ``n``, or a draw from [lo, hi) when None."""
+    if n is None:
+        return int(rng.integers(lo, hi))
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DimensionError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -36,6 +36,13 @@ def _product_items(xs, ys) -> list:
     return [(f"{x}{PRODUCT_SEPARATOR}{y}", u, v) for x, u in xs for y, v in ys]
 
 
+def _labels(labels, what: str):
+    """``labels`` if it is a sequence of outcome labels; a string or a scalar is not."""
+    if isinstance(labels, str) or not isinstance(labels, Iterable):
+        raise DimensionError(f"{what} must be a sequence of labels, got {labels!r}")
+    return labels
+
+
 def _sum_ops(ops) -> Operation:
     """The parallel sum of operations: their Kraus families concatenated."""
     return Operation(np.concatenate([o.kraus for o in ops]))
@@ -51,9 +58,7 @@ class _Measure:
     functions up per call, so a rebound module attribute (a tracer) is honoured."""
 
     def __post_init__(self):
-        if isinstance(self.outcomes, str) or not isinstance(self.outcomes, Iterable):
-            raise DimensionError(f"outcomes must be a sequence of labels, got {self.outcomes!r}")
-        outcomes = tuple(str(x) for x in self.outcomes)
+        outcomes = tuple(str(x) for x in _labels(self.outcomes, "outcomes"))
         members = tuple(getattr(self, self._field))
         if len(outcomes) != len(members) or not outcomes:
             raise DimensionError("need one member per outcome")
@@ -114,8 +119,7 @@ class Observable(_Measure):
 def _product(m: _Measure, n: _Measure) -> _Measure:
     """Run front operation x of m, then read n_y: product outcomes, n's member type.
     All |X|·|Y| members are built and validated as one stack (``_afters``)."""
-    if m.dim != n.dim:
-        raise DimensionError(f"dim mismatch: {m.dim} vs {n.dim}")
+    matcore._check_same_operand_dim(m, n)
     items = _product_items(zip(m.outcomes, m._front), n.items())
     return type(n)(tuple(xy for xy, _, _ in items), n._afters([(u, v) for _, u, v in items]))
 
@@ -142,7 +146,7 @@ def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive)."""
     dist = distribution(a, rho)
     try:
-        return float(sum(dist[x] for x in event))
+        return float(sum(dist[x] for x in _labels(event, "event")))
     except KeyError as exc:
         raise SeqmeasError(f"no outcome {exc.args[0]!r}") from None
 
@@ -200,7 +204,7 @@ def identity_observable(dim: int, outcome: str = "x") -> Observable:
 def random_observable(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Observable:
     """Random POVM: Ginibre grams renormalized to sum to the identity."""
-    n = n_outcomes or int(rng.integers(2, 4))
+    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
     while True:
         grams = [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))]
         inv_root = matcore.inv_sqrt_pd(sum(grams))

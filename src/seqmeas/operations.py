@@ -27,6 +27,7 @@ first use. Equality of operations compares superoperators, never Kraus lists
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,19 +55,9 @@ SAMPLE_N = 32
 
 
 def _as_kraus_array(kraus) -> np.ndarray:
-    try:
-        arr = np.asarray(kraus, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"Kraus family is not a complex array: {exc}") from None
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"Kraus family must have shape (n, d, d), got {arr.shape}")
-    if arr.shape[0] == 0:
-        raise DimensionError("Kraus family must be nonempty")
-    if not np.isfinite(arr).all():
-        raise DimensionError("Kraus family has non-finite (inf or nan) entries")
-    return arr
+    """The family as one (n, d, d) array; a single d x d operator is promoted."""
+    arr = matcore._read(kraus, "Kraus family", (2, 3))
+    return arr[None, :, :] if arr.ndim == 2 else arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +154,7 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
     arbitrary matrices (e.g. matrix units) is well defined and used by the
     action-equality tests. Returns the (generally subnormalized) output matrix.
     """
-    mat = rho.op if isinstance(rho, State) else np.asarray(rho, dtype=complex)
+    mat = rho.op if isinstance(rho, State) else matcore.as_square(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionError(f"state shape {mat.shape} vs operation dim {op.dim}")
     return np.einsum("nij,jk,nlk->il", op.kraus, mat, op.kraus.conj())
@@ -180,8 +171,7 @@ def is_channel(op: Operation, tol: float = EQ_TOL) -> bool:
 
 def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
-    if i.dim != j.dim:
-        raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    matcore._check_same_operand_dim(i, j)
     return Operation(_compose_kraus(i.kraus, j.kraus))
 
 
@@ -198,8 +188,7 @@ def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def add(i: Operation, j: Operation) -> Operation:
     """Parallel sum; defined only when the induced effects still sum below I."""
-    if i.dim != j.dim:
-        raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    matcore._check_same_operand_dim(i, j)
     try:
         return Operation(np.concatenate([i.kraus, j.kraus]))
     except NotSubunital:
@@ -208,8 +197,8 @@ def add(i: Operation, j: Operation) -> Operation:
 
 def scale(i: Operation, lam: float) -> Operation:
     """Convex scaling: each Kraus operator is multiplied by sqrt(lam)."""
-    if not 0.0 <= lam <= 1.0:
-        raise WeightError(f"scale factor {lam!r} outside [0, 1]")
+    if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
+        raise WeightError(f"scale factor {lam!r} is not a real number in [0, 1]")
     if lam == 0.0:
         return zero_operation(i.dim)
     return Operation(np.sqrt(lam) * i.kraus)
@@ -235,8 +224,7 @@ def action_distance(i: Operation, j: Operation) -> float:
     This is the largest max-norm gap between the two maps over the
     matrix-unit basis, since column (k, l) of ``superop`` is the image of E_kl.
     """
-    if i.dim != j.dim:
-        raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    matcore._check_same_operand_dim(i, j)
     return max_abs(i.superop - j.superop)
 
 
@@ -302,11 +290,10 @@ def trivial(a: Effect, alpha: State) -> Operation:
                      recipe={"kind": "trivial", "effect": a, "state": alpha})
 
 
-def _projection_list(projections) -> list[np.ndarray]:
-    """Validate a nonempty family of projections of one dim; return them symmetrized."""
-    mats = [matcore.as_hermitian(p, tol=1e-9) for p in projections]
-    if not mats or any(m.shape != mats[0].shape for m in mats):
-        raise DimensionError("projection family must be nonempty and of one dim")
+def _projection_list(projections) -> np.ndarray:
+    """Validate a nonempty family of projections of one dim; return them symmetrized,
+    as one (n, d, d) array."""
+    mats = matcore._as_hermitian_stack(projections, 1e-9, "projection family")
     for p in mats:
         if max_abs(p @ p - p) > EQ_TOL:
             raise NotProjection("family member is not a projection")
@@ -320,13 +307,18 @@ def sharp_operation(projections: list[np.ndarray]) -> Operation:
         for j in range(i + 1, len(mats)):
             if max_abs(mats[i] @ mats[j]) > 1e-9:
                 raise NotOrthogonal("projections are not mutually orthogonal")
-    return Operation(np.stack(mats), recipe={"kind": "sharp", "projections": mats})
+    return Operation(mats, recipe={"kind": "sharp", "projections": mats})
 
 
 def atomic_operation(vectors: list[np.ndarray]) -> Operation:
     """Sharp operation whose projections are |v><v| over orthonormal vectors."""
-    projs = [np.outer(v, np.conj(v)) for v in (np.asarray(w, dtype=complex) for w in vectors)]
-    return sharp_operation(projs)
+    return sharp_operation([_ket_bra(v) for v in vectors])
+
+
+def _ket_bra(vector) -> np.ndarray:
+    """|v><v| for a vector read by ``matcore._read``."""
+    v = matcore._read(vector, "vector", (1,))
+    return np.outer(v, v.conj())
 
 
 def complement_luders(i: Operation) -> Operation:
@@ -344,8 +336,6 @@ def is_complement(j: Operation, i: Operation, tol: float = EQ_TOL) -> bool:
 
 def effect_then_op(a: Effect, i: Operation) -> Operation:
     """Mixed product: measure a (Lueders), then run i; rho -> i(a^{1/2} rho a^{1/2})."""
-    if a.dim != i.dim:
-        raise DimensionError(f"dim mismatch: {a.dim} vs {i.dim}")
     return compose(luders(a), i)
 
 
@@ -354,8 +344,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
 
     Independent of the chosen Kraus family: tr(rho result) = tr(i(rho) a).
     """
-    if a.dim != i.dim:
-        raise DimensionError(f"dim mismatch: {i.dim} vs {a.dim}")
+    matcore._check_same_operand_dim(i, a)
     return Effect(_sandwich(i.kraus, a.op))
 
 
@@ -370,10 +359,10 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
     The family is zero-padded up to the mixing size m >= n and replaced by
     B_j = sum_i W_ji A_i; the represented map is unchanged.
     """
-    w = np.asarray(unitary, dtype=complex)
+    w = matcore._read(unitary, "mixing matrix")
     m = w.shape[0]
-    if w.shape != (m, m) or m < op.n_kraus:
-        raise DimensionError("mixing matrix must be m x m with m >= n_kraus")
+    if m < op.n_kraus:
+        raise DimensionError(f"mixing matrix is {m} x {m}, below n_kraus = {op.n_kraus}")
     if max_abs(dagger(w) @ w - np.eye(m)) > 1e-10:
         raise NotOrthogonal("mixing matrix is not unitary")
     padded = np.zeros((m, op.dim, op.dim), dtype=complex)
@@ -397,8 +386,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     result is True uncertified: j - i may be positive without being completely
     positive, or fail on a state that was not probed.
     """
-    if i.dim != j.dim:
-        raise DimensionError(f"dim mismatch: {i.dim} vs {j.dim}")
+    matcore._check_same_operand_dim(i, j)
     gap = _gram(j.kraus) - _gram(i.kraus)
     if matcore.psd_certified((gap + dagger(gap)) / 2):
         return True
@@ -420,7 +408,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
 
 def random_channel(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> Operation:
     """Random channel: Ginibre family normalized so the Kraus sum is I."""
-    n = n_kraus or int(rng.integers(1, 4))
+    n = matcore._count(n_kraus, rng, 1, 4, "n_kraus")
     while True:
         fam = np.stack(
             [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import operations as op_mod
+from . import matcore, operations as op_mod
 from .effects import Effect, State
 from .errors import SeqmeasError
 from .instruments import Instrument
@@ -20,7 +20,7 @@ from .operations import Operation
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    arr = np.asarray(m, dtype=complex)
+    arr = matcore.as_square(m)
     return {
         "dim": arr.shape[0],
         "re": arr.real.tolist(),
@@ -87,10 +87,7 @@ def operation_to_json(op: Operation) -> dict:
 
 def _matrix_list_from_json(data: list) -> np.ndarray:
     """A nonempty list of matrices of one dim, stacked into (n, dim, dim)."""
-    mats = [matrix_from_json(m) for m in data]
-    if not mats or any(m.shape != mats[0].shape for m in mats):
-        raise SeqmeasError("operator list JSON must be nonempty and of one dim")
-    return np.stack(mats)
+    return matcore._read([matrix_from_json(m) for m in data], "operator list JSON", (3,))
 
 
 def operation_from_json(data: dict) -> Operation:

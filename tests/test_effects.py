@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmeas import effects, matcore, observables
+from seqmeas import effects, instruments, matcore, observables, operations
 from seqmeas.effects import (
     COND_FLOOR,
     Effect,
@@ -310,6 +310,10 @@ def test_effect_algebra_axioms():
             assert not perp(x, unit_effect(dim))
 
 
+def _channel():
+    return operations.identity_channel(2)
+
+
 def _half_observable():
     return observables.Observable(("p", "q"), (Effect(np.eye(2) / 2), Effect(np.eye(2) / 2)))
 
@@ -331,9 +335,40 @@ def _half_observable():
     (lambda: observables.Observable(3, (Effect(np.eye(2)),)), DimensionError, "labels"),
     (lambda: convex_combine([Effect(np.eye(2) / 2)], 1.0), WeightError, "one weight"),
     (lambda: atomic_projection("ab"), DimensionError, "complex"),
+    (lambda: operations.apply(_channel(), "ab"), DimensionError, "complex"),
+    (lambda: operations.apply(_channel(), [[1, 0], [0]]), DimensionError, "complex"),
+    (lambda: operations.apply(_channel(), [[np.inf, 0], [0, 1]]), DimensionError, "non-finite"),
+    (lambda: matcore.loewner_leq([[1, 0], [0]], np.eye(2)), DimensionError, "complex"),
+    (lambda: matcore.loewner_leq("ab", np.eye(2)), DimensionError, "complex"),
+    (lambda: operations.remix_kraus(_channel(), 1.0), DimensionError, "shape"),
+    (lambda: operations.remix_kraus(_channel(), "ab"), DimensionError, "complex"),
+    (lambda: operations.atomic_operation(["ab"]), DimensionError, "complex"),
+    (lambda: instruments.atomic_instrument([["ab"]]), DimensionError, "complex"),
+    (lambda: observables.event_prob(_half_observable(), State(np.eye(2) / 2), "pq"),
+     DimensionError, "'pq'"),
+    (lambda: observables.event_prob(_half_observable(), State(np.eye(2) / 2), 3),
+     DimensionError, "labels"),
+    (lambda: operations.scale(_channel(), "a"), WeightError, "'a'"),
+    (lambda: operations.scale(_channel(), None), WeightError, "None"),
+    (lambda: operations.random_channel(2, np.random.default_rng(0), n_kraus=0),
+     DimensionError, "n_kraus"),
+    (lambda: observables.random_observable(2, np.random.default_rng(0), n_outcomes=0),
+     DimensionError, "n_outcomes"),
+    (lambda: instruments.random_instrument(2, np.random.default_rng(0), n_outcomes=0),
+     DimensionError, "n_outcomes"),
+    (lambda: instruments.random_kraus_instrument(2, np.random.default_rng(0), n_outcomes=0),
+     DimensionError, "n_outcomes"),
+    (lambda: instruments.kraus_instrument([np.eye(2)], outcomes=()), DimensionError, "outcome"),
+    (lambda: instruments.sharp_instrument([[np.eye(2)]], outcomes=()), DimensionError, "outcome"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
-        "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string"])
+        "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
+        "apply-string", "apply-ragged", "apply-non-finite", "loewner-ragged", "loewner-string",
+        "remix-scalar", "remix-string", "atomic-operation-string", "atomic-instrument-string",
+        "event-string", "event-not-iterable", "scale-string", "scale-none", "n-kraus-zero",
+        "observable-n-outcomes-zero", "instrument-n-outcomes-zero",
+        "kraus-instrument-n-outcomes-zero", "kraus-instrument-no-outcomes",
+        "sharp-instrument-no-outcomes"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -265,8 +265,9 @@ def test_sharp_operation_validation():
     lambda: ops.sharp_operation([P0, np.diag([0.0, 1.0, 0.0])]),
     lambda: instruments.sharp_instrument([]),
     lambda: instruments.sharp_instrument([[]]),
+    lambda: instruments.sharp_instrument([[P0], []]),
 ], ids=["sharp-empty", "atomic-empty", "sharp-mixed-dims", "instrument-empty",
-        "instrument-empty-family"])
+        "instrument-empty-family", "instrument-one-empty-family"])
 def test_sharp_constructors_reject_empty_or_mixed_families(build):
     with pytest.raises(DimensionError):
         build()

@@ -144,11 +144,26 @@ def test_package_calls_no_lapack_eigen_routine():
     assert LAPACK_EIGEN.search("w = np.linalg.eigh(m)")
     assert LAPACK_EIGEN.search("from scipy.linalg import eigvalsh")
     assert not LAPACK_EIGEN.search("q, r = np.linalg.qr(g); matcore.eig_hermitian(m)")
+    assert _package_lines(LAPACK_EIGEN) == []
+
+
+def _package_lines(pattern: re.Pattern) -> list[str]:
+    """Every source line of the package that the pattern matches, as path:line: text."""
     package = Path(matcore.__file__).parent
-    hits = [
+    return [
         f"{path.relative_to(package)}:{number}: {line.strip()}"
         for path in sorted(package.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if LAPACK_EIGEN.search(line)
+        if pattern.search(line)
     ]
-    assert hits == []
+
+
+COMPLEX_CONVERSION = re.compile(r"np\.asarray\(.*dtype=complex")
+
+
+def test_only_matcore_converts_caller_matrices():
+    """Caller matrices are read by ``matcore._read`` alone, so its checks cannot fork."""
+    assert COMPLEX_CONVERSION.search("arr = np.asarray(m, dtype=complex)")
+    assert not COMPLEX_CONVERSION.search("np.zeros((d, d), dtype=complex); np.asarray(w)")
+    assert [hit for hit in _package_lines(COMPLEX_CONVERSION)
+            if not hit.startswith("matcore.py:")] == []
