@@ -19,7 +19,7 @@ import numpy as np
 from . import matcore, operations as op_mod
 from .effects import COND_FLOOR, State
 from .errors import ConditioningOnNull, DimensionError, NotChannel
-from .observables import OBS_SUM_TOL, Observable, _conditioned, _Measure, _product, _sum_ops
+from .observables import OBS_SUM_TOL, Observable, _conditioned, _Measure, _product, _sequence
 from .observables import distribution, obs_equal as inst_equal, obs_part as inst_part
 from .observables import verify_coexistence_witness as verify_inst_coexistence_witness
 from .operations import Operation
@@ -39,8 +39,8 @@ class Instrument(_Measure):
     _effect = staticmethod(lambda o: o.induced)
     _prob = staticmethod(lambda rho, o: min(1.0, max(0.0, np.trace(op_mod.apply(o, rho)).real)))
     _distance = staticmethod(lambda i, j: op_mod.action_distance(i, j))
-    _merge = staticmethod(_sum_ops)
-    _after = staticmethod(lambda channel, o: op_mod.compose(channel, o))
+    _merges = staticmethod(lambda groups: op_mod._operations(
+        [np.concatenate([o.kraus for o in ops]) for ops in groups]))
     _afters = staticmethod(lambda pairs: op_mod._operations(
         [op_mod._compose_kraus(u.kraus, o.kraus) for u, o in pairs]))
     _front = property(lambda self: self.ops)
@@ -65,33 +65,39 @@ def luders_instrument(a: Observable) -> Instrument:
 
 def trivial_instrument(a: Observable, alpha: State) -> Instrument:
     """Every outcome prepares the same state: I_x(rho) = tr(rho a_x) alpha."""
-    return Instrument(a.outcomes, tuple(op_mod.trivial(e, alpha) for e in a.effects))
+    return semi_trivial_instrument(a, [alpha] * len(a.outcomes))
 
 
-def semi_trivial_instrument(a: Observable, states: list[State]) -> Instrument:
-    """Outcome-dependent preparations: I_x(rho) = tr(rho a_x) alpha_x."""
+def semi_trivial_instrument(a: Observable, states) -> Instrument:
+    """Outcome-dependent preparations: I_x(rho) = tr(rho a_x) alpha_x, for one state
+    per outcome from any iterable; member x is ``trivial(a_x, alpha_x)``, all built
+    as one stack."""
+    states = _sequence(states, "states")
     if len(states) != len(a.outcomes):
         raise DimensionError("need one state per outcome")
-    return Instrument(a.outcomes, tuple(map(op_mod.trivial, a.effects, states)))
+    families, recipes = zip(*map(op_mod._trivial_parts, a.effects, states))
+    return Instrument(a.outcomes, op_mod._operations(families, recipes))
 
 
 def kraus_instrument(mats: list[np.ndarray], outcomes: tuple[str, ...] | None = None) -> Instrument:
     """One Kraus operator per outcome; the family must be trace-preserving."""
-    if outcomes is None:
-        outcomes = tuple(f"x{k}" for k in range(len(mats)))
-    return Instrument(outcomes, tuple(op_mod.kraus_single(m) for m in mats))
+    return _instrument(matcore._read(mats, "stack of matrices", (3,))[:, None], outcomes)
 
 
 def sharp_instrument(families: list[list[np.ndarray]],
                      outcomes: tuple[str, ...] | None = None) -> Instrument:
     """Projection-valued Kraus families; the full family must sum to I, which forces
     the projections to be mutually orthogonal. ``Instrument`` checks that sum."""
-    sizes = [len(family) for family in families]
-    mats = op_mod._projection_list([p for family in families for p in family])
+    return _instrument([op_mod._projection_list(family) for family in families], outcomes)
+
+
+def _instrument(families, outcomes: tuple[str, ...] | None) -> Instrument:
+    """The instrument with one member per Kraus family, the members built as one
+    stack; the outcomes default to x0, x1, ..."""
+    members = op_mod._operations(families)
     if outcomes is None:
-        outcomes = tuple(f"x{k}" for k in range(len(sizes)))
-    blocks = np.split(mats, np.cumsum(sizes)[:-1])
-    return Instrument(outcomes, tuple(Operation(block) for block in blocks))
+        outcomes = tuple(f"x{k}" for k in range(len(members)))
+    return Instrument(outcomes, members)
 
 
 def atomic_instrument(vector_families: list[list[np.ndarray]],
@@ -154,8 +160,7 @@ def random_instrument(dim: int, rng: np.random.Generator,
         inv_root = matcore.inv_sqrt_pd(sum(op_mod._hat_matrix(fam) for fam in families))
         if inv_root is not None:
             break
-    members = tuple(Operation(np.einsum("nij,jk->nik", fam, inv_root)) for fam in families)
-    return Instrument(tuple(f"x{k}" for k in range(n)), members)
+    return _instrument([np.einsum("nij,jk->nik", fam, inv_root) for fam in families], None)
 
 
 def random_kraus_instrument(dim: int, rng: np.random.Generator,

@@ -4,10 +4,15 @@ An observable assigns an effect to each outcome label, the effects summing to
 the identity (a discrete POVM); an instrument (``instruments.py``) assigns an
 operation. Both are ``_Measure``s, so validation, lookup, parts, equality, the
 distribution, the witness check, products and conditionings are written once.
-A measure taken first runs its front operations: an instrument its own, an
-observable its Lueders instrument L(a): a_x -> a_x^{1/2} . a_x^{1/2} (Gudder &
-Nagy, J. Math. Phys. 42 (2001)). So observable products and conditionings are
-the Lueders case of the instrument ones: a o b = L(a) o b, (b | a) = (b | L(a)).
+Every member of a measure the library builds (products, conditionings, parts,
+the random and structured constructors) comes from the stacked builder of its
+member type, ``effects._effects`` or ``operations._operations``, through the
+stacked hooks ``_afters`` and ``_merges``; the scalar ``Effect`` and
+``Operation`` constructors serve single objects. A measure taken first runs its
+front operations: an instrument its own, an observable its Lueders instrument
+L(a): a_x -> a_x^{1/2} . a_x^{1/2} (Gudder & Nagy, J. Math. Phys. 42 (2001)).
+So observable products and conditionings are the Lueders case of the
+instrument ones: a o b = L(a) o b, (b | a) = (b | L(a)).
 """
 
 from __future__ import annotations
@@ -36,29 +41,30 @@ def _product_items(xs, ys) -> list:
     return [(f"{x}{PRODUCT_SEPARATOR}{y}", u, v) for x, u in xs for y, v in ys]
 
 
-def _labels(labels, what: str):
-    """``labels`` if it is a sequence of outcome labels; a string or a scalar is not."""
-    if isinstance(labels, str) or not isinstance(labels, Iterable):
-        raise DimensionError(f"{what} must be a sequence of labels, got {labels!r}")
-    return labels
+def _sequence(items, what: str) -> tuple:
+    """``items`` read once into a tuple; a string or a non-iterable is not a sequence."""
+    if isinstance(items, str) or not isinstance(items, Iterable):
+        raise DimensionError(f"{what} must be a sequence, got {items!r}")
+    return tuple(items)
 
 
-def _sum_ops(ops) -> Operation:
-    """The parallel sum of operations: their Kraus families concatenated."""
-    return Operation(np.concatenate([o.kraus for o in ops]))
+# The one normalizer of outcome labels, applied at construction and at every
+# lookup: members, events, and the keys and images of a part map.
+_label = str
 
 
 class _Measure:
     """Ordered outcome labels with one member per label, member effects summing to I.
 
     Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member's
-    ``_effect``, ``_prob``, ``_distance``, ``_merge`` (parts), ``_after`` (read after a
-    channel), ``_afters`` (``_after`` over a list of pairs, built as one stack),
-    ``_sum_error`` and ``_front`` (run when taken first). Hooks look module
-    functions up per call, so a rebound module attribute (a tracer) is honoured."""
+    ``_effect``, ``_prob``, ``_distance``, ``_sum_error`` and ``_front`` (run when
+    taken first), and two stacked builders: ``_afters`` (member v read after
+    operation u, for a list of pairs (u, v)) and ``_merges`` (the sum of each group
+    of members, for parts). Hooks look module functions up per call, so a rebound
+    module attribute (a tracer) is honoured."""
 
     def __post_init__(self):
-        outcomes = tuple(str(x) for x in _labels(self.outcomes, "outcomes"))
+        outcomes = tuple(map(_label, _sequence(self.outcomes, "outcome labels")))
         members = tuple(getattr(self, self._field))
         if len(outcomes) != len(members) or not outcomes:
             raise DimensionError("need one member per outcome")
@@ -75,18 +81,19 @@ class _Measure:
     _members = property(lambda self: getattr(self, self._field))
     dim = property(lambda self: self._members[0].dim)
 
-    def _member(self, outcome: str):
-        if outcome not in self.outcomes:
+    def _member(self, outcome):
+        if _label(outcome) not in self.outcomes:
             raise SeqmeasError(f"no outcome {outcome!r}")
-        return self._members[self.outcomes.index(outcome)]
+        return self._members[self.outcomes.index(_label(outcome))]
 
     def items(self):
         return zip(self.outcomes, self._members)
 
     @cached_property
     def _channel(self) -> Operation:
-        """The total channel of the front operations (``bar`` of an instrument)."""
-        return _sum_ops(self._front)
+        """The total channel of the front operations (``bar`` of an instrument): one
+        operation, so the scalar constructor builds it."""
+        return Operation(np.concatenate([o.kraus for o in self._front]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +107,7 @@ class Observable(_Measure):
     _sum_error = DimensionError
     _effect = staticmethod(lambda e: e)
     _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
-    _merge = staticmethod(lambda effs: Effect(sum(e.op for e in effs)))
-    _after = staticmethod(lambda channel, e: op_mod.op_then_effect(channel, e))
+    _merges = staticmethod(lambda groups: _effects([sum(e.op for e in effs) for effs in groups]))
     _afters = staticmethod(lambda pairs: _effects([op_mod._sandwich(u.kraus, e.op)
                                                    for u, e in pairs]))
     _prob = staticmethod(lambda rho, e: prob(rho, e))
@@ -125,8 +131,10 @@ def _product(m: _Measure, n: _Measure) -> _Measure:
 
 
 def _conditioned(n: _Measure, given: _Measure) -> _Measure:
-    """n read after the whole front of ``given``: member y is n_y after its channel."""
-    return type(n)(n.outcomes, tuple(n._after(given._channel, v) for v in n._members))
+    """n read after the whole front of ``given``: member y is n_y after its channel,
+    all members built as one stack (``_afters``)."""
+    matcore._check_same_operand_dim(given, n)
+    return type(n)(n.outcomes, n._afters([(given._channel, v) for v in n._members]))
 
 
 def obs_equal(a: _Measure, b: _Measure, tol: float = OBS_SUM_TOL) -> bool:
@@ -144,11 +152,7 @@ def distribution(a: _Measure, rho: State) -> dict[str, float]:
 
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive)."""
-    dist = distribution(a, rho)
-    try:
-        return float(sum(dist[x] for x in _labels(event, "event")))
-    except KeyError as exc:
-        raise SeqmeasError(f"no outcome {exc.args[0]!r}") from None
+    return float(sum(a._prob(rho, a._member(x)) for x in _sequence(event, "event labels")))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
@@ -164,17 +168,22 @@ def obs_conditioned(b: Observable, given: Observable) -> Observable:
 def obs_part(a: _Measure, f) -> _Measure:
     """Coarse-graining along a surjection of outcomes: b_y merges the a_x with f(x) = y.
 
-    ``f`` maps every outcome to a new label (any mapping type); the image labels
-    are the part's outcomes in first-appearance order. Effects add; operations
-    concatenate their Kraus families."""
+    ``f`` maps every outcome to a new label (any mapping type, keys and images
+    normalized as labels); the image labels are the part's outcomes in
+    first-appearance order. Effects add; operations concatenate their Kraus
+    families. All groups are built as one stack (``_merges``)."""
     try:
-        mapping = {str(x): str(f[x]) for x in a.outcomes}
-    except (KeyError, TypeError) as exc:
+        pairs = {(_label(x), _label(y)) for x, y in f.items()}
+        mapping = dict(pairs)
+        if len(mapping) < len(pairs):
+            raise SeqmeasError(f"relabeling sends outcomes "
+                               f"{sorted(x for x, _ in pairs - mapping.items())} to two labels")
+        groups: dict[str, list] = {}
+        for x, u in a.items():
+            groups.setdefault(mapping[x], []).append(u)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise NotSurjective(f"relabeling is not total on the outcome set: {exc}") from None
-    groups: dict[str, list] = {}
-    for x, u in a.items():
-        groups.setdefault(mapping[x], []).append(u)
-    return type(a)(tuple(groups), tuple(a._merge(us) for us in groups.values()))
+    return type(a)(tuple(groups), a._merges(list(groups.values())))
 
 
 def second_marginal_map(a: Observable, b: Observable) -> dict[str, str]:
@@ -210,12 +219,12 @@ def random_observable(dim: int, rng: np.random.Generator,
         inv_root = matcore.inv_sqrt_pd(sum(grams))
         if inv_root is not None:
             break
-    effs = tuple(Effect(inv_root @ g @ inv_root) for g in grams)
+    effs = _effects([inv_root @ g @ inv_root for g in grams])
     return Observable(tuple(f"x{k}" for k in range(n)), effs)
 
 
 def projective_observable(dim: int, rng: np.random.Generator) -> Observable:
     """Random sharp observable: rank-one eigenprojections of a random unitary."""
     u = matcore.random_unitary(dim, rng)
-    effs = tuple(Effect(np.outer(u[:, k], u[:, k].conj())) for k in range(dim))
+    effs = _effects([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
     return Observable(tuple(f"x{k}" for k in range(dim)), effs)

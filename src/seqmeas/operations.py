@@ -4,14 +4,17 @@ An operation maps rho to sum_i A_i rho A_i† with sum_i A_i† A_i <= I; it is 
 channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
-Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, and
-``_operations``, which builds many operations of one dim (the members of a
-product measure, the Lueders front of an observable) and validates their
-induced effects as one stack, with the same checks, verdicts and bits. Both
+Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, which
+builds single operations, and ``_operations``, which builds many operations of
+one dim and validates their induced effects as one stack, with the same checks,
+verdicts and bits. ``_operations`` builds every operation member of a measure
+the library makes: the members of products, conditionings and parts (the
+measures' ``_afters`` and ``_merges`` hooks), the Lueders front of an
+observable, and the semi-trivial, Kraus, sharp and random instruments. Both
 build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
-sum read it instead of recomputing it. Structured constructors (``kraus_single``,
-``semi_trivial``, ``add``) leave that check to them.
+sum read it instead of recomputing it. Structured constructors
+(``kraus_single``, ``semi_trivial``, ``add``) leave that check to them.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
@@ -286,8 +289,13 @@ def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
 
 def trivial(a: Effect, alpha: State) -> Operation:
     """Operation rho -> tr(rho a) alpha."""
-    return Operation(_semi_trivial_kraus([(a, alpha)]),
-                     recipe={"kind": "trivial", "effect": a, "state": alpha})
+    return Operation(*_trivial_parts(a, alpha))
+
+
+def _trivial_parts(a: Effect, alpha: State) -> tuple[np.ndarray, dict]:
+    """The Kraus family and recipe of ``trivial(a, alpha)``, shared with the stacked
+    semi-trivial instrument."""
+    return _semi_trivial_kraus([(a, alpha)]), {"kind": "trivial", "effect": a, "state": alpha}
 
 
 def _projection_list(projections) -> np.ndarray:

@@ -64,6 +64,18 @@ def test_measured_observable_for_taxonomy():
     assert obs_equal(measured_observable(semi_trivial_instrument(a, states)), a)
 
 
+def test_semi_trivial_instrument_reads_states_once():
+    rng = np.random.default_rng(17)
+    a = random_observable(2, rng, 2)
+    rho = effects.random_state(2, rng)
+    assert inst_equal(semi_trivial_instrument(a, iter([rho, rho])), trivial_instrument(a, rho))
+    for bad in (rho, 3, "rho"):
+        with pytest.raises(DimensionError, match="states must be a sequence"):
+            semi_trivial_instrument(a, bad)
+    with pytest.raises(DimensionError, match="one state per outcome"):
+        semi_trivial_instrument(a, iter([rho]))
+
+
 def test_kraus_instrument():
     rng = np.random.default_rng(2)
     ki = random_kraus_instrument(2, rng)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import observables as obs, operations as ops
-from seqmeas.effects import Effect
-from seqmeas.errors import DimensionError, NotChannel, NotSurjective
+from seqmeas import matcore, observables as obs, operations as ops
+from seqmeas.effects import Effect, State, random_state
+from seqmeas.errors import DimensionError, NotChannel, NotSurjective, SeqmeasError
 from seqmeas.instruments import (
     Instrument,
+    atomic_instrument,
     bar,
     inst_conditioned,
     inst_conditioned_on_obs,
@@ -19,20 +20,29 @@ from seqmeas.instruments import (
     inst_part,
     inst_seq_product,
     inst_then_obs,
+    kraus_instrument,
     luders_instrument,
+    measured_observable,
     obs_conditioned_on_inst,
     obs_then_inst,
     random_instrument,
+    random_kraus_instrument,
+    semi_trivial_instrument,
+    sharp_instrument,
+    trivial_instrument,
 )
 from seqmeas.matcore import max_abs
 from seqmeas.observables import (
     Observable,
+    event_prob,
     obs_conditioned,
     obs_equal,
     obs_part,
     obs_seq_product,
+    projective_observable,
     random_observable,
 )
+from seqmeas.operations import Operation
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -159,8 +169,150 @@ def test_stacked_products_match_the_member_by_member_forms(dim):
 
 
 def test_products_of_mismatched_dims_raise():
+    # Products and conditionings alike; a stacked build would otherwise fail
+    # inside numpy instead of naming the two dims.
     rng = np.random.default_rng(1300)
-    for make in (random_observable, random_instrument):
-        for other in (random_observable, random_instrument):
-            with pytest.raises(DimensionError):
-                obs._product(make(2, rng), other(3, rng))
+    for build in (obs._product, obs._conditioned):
+        for make in (random_observable, random_instrument):
+            for other in (random_observable, random_instrument):
+                with pytest.raises(DimensionError, match="dim mismatch"):
+                    build(make(2, rng), other(3, rng))
+
+
+def test_labels_are_normalized_at_lookup():
+    half = Effect(np.eye(2) / 2)
+    a = Observable((0, 1), (half, half))
+    assert a.outcomes == ("0", "1") and a.effect(0) is a.effects[0]
+    i = luders_instrument(a)
+    assert i.operation(1) is i.ops[1]
+    assert abs(event_prob(a, State(P0), [0]) - 0.5) <= 1e-15
+    part = obs_part(a, {0: "a", 1: "b"})
+    assert part.outcomes == ("a", "b") and np.array_equal(part.effect("b").op, half.op)
+    assert obs_part(a, {0: "a", "0": "a", 1: "a"}).outcomes == ("a",)
+    with pytest.raises(SeqmeasError, match="two labels"):
+        obs_part(a, {0: "a", "0": "b", 1: "b"})
+    with pytest.raises(SeqmeasError, match="no outcome"):
+        a.effect(2)
+    with pytest.raises(NotSurjective):
+        obs_part(a, ["a", "b"])
+
+
+def _same_member(got, want) -> bool:
+    """Bit-for-bit agreement of two effects, or of two operations' Kraus families,
+    induced effects and recipes."""
+    if isinstance(want, Effect):
+        return np.array_equal(got.op, want.op)
+    return (np.array_equal(got.kraus, want.kraus)
+            and np.array_equal(got.induced.op, want.induced.op) and got.recipe == want.recipe)
+
+
+def _summed(ops_):
+    return Operation(np.concatenate([o.kraus for o in ops_]))
+
+
+def _scalar_random_observable(dim, rng):
+    n = matcore._count(None, rng, 2, 4, "n_outcomes")
+    grams = [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))]
+    inv_root = matcore.inv_sqrt_pd(sum(grams))
+    return [Effect(inv_root @ g @ inv_root) for g in grams]
+
+
+def _scalar_random_instrument(dim, rng):
+    n = matcore._count(None, rng, 2, 4, "n_outcomes")
+    families = [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
+                for _ in range(n)]
+    inv_root = matcore.inv_sqrt_pd(sum(ops._hat_matrix(fam) for fam in families))
+    return [Operation(np.einsum("nij,jk->nik", fam, inv_root)) for fam in families]
+
+
+@pytest.mark.parametrize("dim", (2, 3, 5, 8))
+def test_stacked_builders_match_the_scalar_constructors(dim):
+    # Conditionings, parts and the library constructors build their members as
+    # one stack; each member must be bit for bit its scalar form, built from the
+    # same inputs (the random generators from the same seed).
+    rng = np.random.default_rng(1400 + dim)
+    a, b = random_observable(dim, rng, 4), random_observable(dim, rng)
+    i, j = random_instrument(dim, rng, 4), random_instrument(dim, rng)
+    states = [random_state(dim, rng) for _ in a.outcomes]
+    mats = [o.kraus[0] for o in random_kraus_instrument(dim, rng).ops]
+    u = matcore.random_unitary(dim, rng)
+    vectors = [[u[:, 0]], [u[:, k] for k in range(1, dim)]]
+    projections = [[np.outer(v, v.conj()) for v in fam] for fam in vectors]
+    front = [ops.luders(e) for e in a.effects]
+    f = {x: f"y{k % 2}" for k, x in enumerate(a.outcomes)}
+    cases = [
+        (obs_conditioned(b, a), [ops.op_then_effect(_summed(front), e) for e in b.effects]),
+        (obs_conditioned_on_inst(b, i), [ops.op_then_effect(_summed(i.ops), e) for e in b.effects]),
+        (inst_conditioned(j, i), [ops.compose(_summed(i.ops), v) for v in j.ops]),
+        (inst_conditioned_on_obs(j, a), [ops.compose(_summed(front), v) for v in j.ops]),
+        (obs_part(a, f), [Effect(sum(e.op for e in a.effects[r::2])) for r in (0, 1)]),
+        (inst_part(i, f), [_summed(i.ops[r::2]) for r in (0, 1)]),
+        (trivial_instrument(a, states[0]), [ops.trivial(e, states[0]) for e in a.effects]),
+        (semi_trivial_instrument(a, states), list(map(ops.trivial, a.effects, states))),
+        (kraus_instrument(mats), [ops.kraus_single(m) for m in mats]),
+        (sharp_instrument(projections),
+         [Operation(ops._projection_list(fam)) for fam in projections]),
+        (atomic_instrument(vectors), [Operation(ops._projection_list(fam)) for fam in projections]),
+    ]
+    for make, scalar in ((random_observable, _scalar_random_observable),
+                         (random_instrument, _scalar_random_instrument)):
+        cases.append((make(dim, np.random.default_rng(dim)), scalar(dim, np.random.default_rng(dim))))
+    want_u = matcore.random_unitary(dim, np.random.default_rng(dim))
+    cases.append((projective_observable(dim, np.random.default_rng(dim)),
+                  [Effect(np.outer(want_u[:, k], want_u[:, k].conj())) for k in range(dim)]))
+    for measure, members in cases:
+        assert len(measure.outcomes) == len(members)
+        assert all(map(_same_member, measure._members, members))
+
+
+def test_library_measures_validate_no_member_alone(monkeypatch):
+    # Every member of a measure the library builds comes from a stacked
+    # builder; the scalar Effect and Operation constructors serve single
+    # objects (the one-member identity_* measures) only.
+    dim = 3
+    rng = np.random.default_rng(1500)
+    a, b = random_observable(dim, rng), random_observable(dim, rng)
+    i, j = random_instrument(dim, rng), random_instrument(dim, rng)
+    alpha = random_state(dim, rng)
+    mats = [o.kraus[0] for o in random_kraus_instrument(dim, rng).ops]
+    u = matcore.random_unitary(dim, rng)
+    vectors = [[u[:, 0]], [u[:, 1], u[:, 2]]]
+    f = {f"x{k}": "y" for k in range(4)}
+    # The total channel of a given measure is one operation, which Operation builds.
+    assert a._channel.dim == i._channel.dim == dim
+    calls = []
+    for cls in (Effect, Operation):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: calls.append(type(self).__name__) or init(self))
+    builds = {
+        "obs_seq_product": lambda: obs_seq_product(a, b),
+        "inst_seq_product": lambda: inst_seq_product(i, j),
+        "obs_then_inst": lambda: obs_then_inst(a, i),
+        "inst_then_obs": lambda: inst_then_obs(i, b),
+        "obs_conditioned": lambda: obs_conditioned(b, a),
+        "inst_conditioned": lambda: inst_conditioned(j, i),
+        "inst_conditioned_on_obs": lambda: inst_conditioned_on_obs(j, a),
+        "obs_conditioned_on_inst": lambda: obs_conditioned_on_inst(b, i),
+        "obs_part": lambda: obs_part(a, f),
+        "inst_part": lambda: inst_part(i, f),
+        "luders_instrument": lambda: luders_instrument(b),
+        "measured_observable": lambda: measured_observable(j),
+        "trivial_instrument": lambda: trivial_instrument(a, alpha),
+        "semi_trivial_instrument": lambda: semi_trivial_instrument(a, [alpha] * len(a.outcomes)),
+        "kraus_instrument": lambda: kraus_instrument(mats),
+        "sharp_instrument": lambda: sharp_instrument([[np.outer(v, v.conj()) for v in fam]
+                                                      for fam in vectors]),
+        "atomic_instrument": lambda: atomic_instrument(vectors),
+        "random_instrument": lambda: random_instrument(dim, rng),
+        "random_kraus_instrument": lambda: random_kraus_instrument(dim, rng),
+        "random_observable": lambda: random_observable(dim, rng),
+        "projective_observable": lambda: projective_observable(dim, rng),
+    }
+    scalar = {}
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        if calls:
+            scalar[name] = list(calls)
+    assert scalar == {}
