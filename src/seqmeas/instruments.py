@@ -39,8 +39,8 @@ class Instrument(_Measure):
     _effect = staticmethod(lambda o: o.induced)
     _prob = staticmethod(lambda rho, o: min(1.0, max(0.0, np.trace(op_mod.apply(o, rho)).real)))
     _distance = staticmethod(lambda i, j: op_mod.action_distance(i, j))
-    _merges = staticmethod(lambda groups: op_mod._operations(
-        [np.concatenate([o.kraus for o in ops]) for ops in groups]))
+    _merges = staticmethod(lambda groups: op_mod._operations(map(op_mod._summed_kraus, groups)))
+    _after = staticmethod(lambda channel, o: op_mod.compose(channel, o))
     _afters = staticmethod(lambda pairs: op_mod._operations(
         [op_mod._compose_kraus(u.kraus, o.kraus) for u, o in pairs]))
     _front = property(lambda self: self.ops)
@@ -81,7 +81,7 @@ def semi_trivial_instrument(a: Observable, states) -> Instrument:
 
 def kraus_instrument(mats: list[np.ndarray], outcomes: tuple[str, ...] | None = None) -> Instrument:
     """One Kraus operator per outcome; the family must be trace-preserving."""
-    return _instrument(matcore._read(mats, "stack of matrices", (3,))[:, None], outcomes)
+    return _instrument([matcore.as_square(m)[None] for m in _sequence(mats, "matrices")], outcomes)
 
 
 def sharp_instrument(families: list[list[np.ndarray]],
@@ -95,9 +95,8 @@ def _instrument(families, outcomes: tuple[str, ...] | None) -> Instrument:
     """The instrument with one member per Kraus family, the members built as one
     stack; the outcomes default to x0, x1, ..."""
     members = op_mod._operations(families)
-    if outcomes is None:
-        outcomes = tuple(f"x{k}" for k in range(len(members)))
-    return Instrument(outcomes, members)
+    default = tuple(f"x{k}" for k in range(len(members)))
+    return Instrument(default if outcomes is None else outcomes, members)
 
 
 def atomic_instrument(vector_families: list[list[np.ndarray]],

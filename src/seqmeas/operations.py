@@ -7,10 +7,11 @@ effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, which
 builds single operations, and ``_operations``, which builds many operations of
 one dim and validates their induced effects as one stack, with the same checks,
-verdicts and bits. ``_operations`` builds every operation member of a measure
-the library makes: the members of products, conditionings and parts (the
-measures' ``_afters`` and ``_merges`` hooks), the Lueders front of an
-observable, and the semi-trivial, Kraus, sharp and random instruments. Both
+verdicts and bits. ``_operations`` builds the operation members of the
+measures the library makes: the members of products and parts (the measures'
+``_afters`` and ``_merges`` hooks), the Lueders front of an observable, and
+the semi-trivial, Kraus, sharp and random instruments. The members of a
+conditioning are still built one at a time, by ``compose``. Both
 build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
 sum read it instead of recomputing it. Structured constructors
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .effects import Effect, State, _effects, _validated
+from .effects import Effect, State, _effects, _frozen, _validated
 from .errors import (
     DimensionError,
     NotEffect,
@@ -78,8 +79,7 @@ class Operation:
     def __post_init__(self):
         arr = _bounded(_as_kraus_array(self.kraus))
         induced = _induced(Effect, _hat_matrix(arr))
-        arr.setflags(write=False)
-        object.__setattr__(self, "kraus", arr)
+        object.__setattr__(self, "kraus", _frozen(arr))
         object.__setattr__(self, "induced", induced)
 
     @property
@@ -99,8 +99,7 @@ class Operation:
         """
         d = self.dim
         s = _gram(self.kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        s.setflags(write=False)
-        return s
+        return _frozen(s)
 
 
 def _operations(families, recipes=None) -> tuple[Operation, ...]:
@@ -109,14 +108,15 @@ def _operations(families, recipes=None) -> tuple[Operation, ...]:
     Each family is normalized and bounded as ``Operation`` does it, and the
     induced effects of all of them are checked at once by ``effects._effects``,
     so each operation's ``kraus`` and ``induced.op`` are bit for bit those of
-    ``Operation(f)``. Families must share one dim.
+    ``Operation(f)``. Families of different dims raise the ``DimensionError`` a
+    measure of them would.
     """
     arrs = [_bounded(_as_kraus_array(f)) for f in families]
+    if len({arr.shape[1] for arr in arrs}) > 1:
+        raise DimensionError("all members must share one dimension")
     induced = _induced(_effects, [_hat_matrix(arr) for arr in arrs])
-    for arr in arrs:
-        arr.setflags(write=False)
     recipes = recipes or [None] * len(arrs)
-    return tuple(_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
+    return tuple(_validated(Operation, kraus=_frozen(arr), recipe=recipe, induced=effect)
                  for arr, recipe, effect in zip(arrs, recipes, induced))
 
 
@@ -193,9 +193,14 @@ def add(i: Operation, j: Operation) -> Operation:
     """Parallel sum; defined only when the induced effects still sum below I."""
     matcore._check_same_operand_dim(i, j)
     try:
-        return Operation(np.concatenate([i.kraus, j.kraus]))
+        return Operation(_summed_kraus((i, j)))
     except NotSubunital:
         raise NotPerp("hat(i) + hat(j) exceeds the identity") from None
+
+
+def _summed_kraus(ops) -> np.ndarray:
+    """The Kraus family of the parallel sum of operations: their families concatenated."""
+    return np.concatenate([o.kraus for o in ops])
 
 
 def scale(i: Operation, lam: float) -> Operation:

@@ -348,6 +348,8 @@ def _half_observable():
      DimensionError, "'pq'"),
     (lambda: observables.event_prob(_half_observable(), State(np.eye(2) / 2), 3),
      DimensionError, "labels"),
+    (lambda: observables.event_prob(_half_observable(), State(np.eye(3) / 3), []),
+     DimensionError, "dim mismatch"),
     (lambda: operations.scale(_channel(), "a"), WeightError, "'a'"),
     (lambda: operations.scale(_channel(), None), WeightError, "None"),
     (lambda: operations.random_channel(2, np.random.default_rng(0), n_kraus=0),
@@ -360,15 +362,21 @@ def _half_observable():
      DimensionError, "n_outcomes"),
     (lambda: instruments.kraus_instrument([np.eye(2)], outcomes=()), DimensionError, "outcome"),
     (lambda: instruments.sharp_instrument([[np.eye(2)]], outcomes=()), DimensionError, "outcome"),
+    (lambda: instruments.kraus_instrument([np.eye(2), np.eye(3)]), DimensionError,
+     "all members must share one dimension"),
+    (lambda: instruments.sharp_instrument([[np.eye(2)], [np.eye(3)]]), DimensionError,
+     "all members must share one dimension"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
         "apply-string", "apply-ragged", "apply-non-finite", "loewner-ragged", "loewner-string",
         "remix-scalar", "remix-string", "atomic-operation-string", "atomic-instrument-string",
-        "event-string", "event-not-iterable", "scale-string", "scale-none", "n-kraus-zero",
+        "event-string", "event-not-iterable", "event-empty-wrong-dim",
+        "scale-string", "scale-none", "n-kraus-zero",
         "observable-n-outcomes-zero", "instrument-n-outcomes-zero",
         "kraus-instrument-n-outcomes-zero", "kraus-instrument-no-outcomes",
-        "sharp-instrument-no-outcomes"])
+        "sharp-instrument-no-outcomes", "kraus-instrument-mixed-dims",
+        "sharp-instrument-mixed-dims"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
