@@ -122,6 +122,13 @@ class State:
         return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
+def _check_state(rho) -> None:
+    """Reject a caller's non-``State`` where a state is required (a bare matrix is
+    not normalized or checked)."""
+    if not isinstance(rho, State):
+        raise NotState(f"expected a State, got {type(rho).__name__}")
+
+
 def zero_effect(dim: int) -> Effect:
     return Effect(np.zeros((dim, dim), dtype=complex))
 
@@ -183,6 +190,7 @@ def is_atomic(a: Effect, tol: float = EQ_TOL) -> bool:
 
 def prob(rho: State, a: Effect) -> float:
     """P_rho(a) = tr(rho a), clamped into [0, 1]."""
+    _check_state(rho)
     matcore.check_same_dim(rho.op, a.op)
     value = np.trace(rho.op @ a.op).real
     return min(1.0, max(0.0, value))

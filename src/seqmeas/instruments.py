@@ -153,12 +153,10 @@ def random_instrument(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Instrument:
     """Random instrument: globally normalized Ginibre Kraus families."""
     n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    while True:
-        families = [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
-                    for _ in range(n)]
-        inv_root = matcore.inv_sqrt_pd(sum(op_mod._hat_matrix(fam) for fam in families))
-        if inv_root is not None:
-            break
+    families, inv_root = matcore._normalizing_draw(
+        lambda: [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
+                 for _ in range(n)],
+        lambda families: sum(op_mod._hat_matrix(fam) for fam in families))
     return _instrument([np.einsum("nij,jk->nik", fam, inv_root) for fam in families], None)
 
 
@@ -166,9 +164,7 @@ def random_kraus_instrument(dim: int, rng: np.random.Generator,
                             n_outcomes: int | None = None) -> Instrument:
     """Random Kraus instrument: one operator per outcome, trace-preserving."""
     n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    while True:
-        mats = [matcore._ginibre(dim, rng) for _ in range(n)]
-        inv_root = matcore.inv_sqrt_pd(sum(matcore.dagger(m) @ m for m in mats))
-        if inv_root is not None:
-            break
+    mats, inv_root = matcore._normalizing_draw(
+        lambda: [matcore._ginibre(dim, rng) for _ in range(n)],
+        lambda mats: sum(matcore.dagger(m) @ m for m in mats))
     return kraus_instrument([m @ inv_root for m in mats])

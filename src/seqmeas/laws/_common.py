@@ -16,15 +16,6 @@ def wit(**objects) -> dict:
     return {name: serialize.to_json(obj) for name, obj in objects.items()}
 
 
-def unwit(witness: dict) -> dict:
-    """Inverse of ``wit``: typed JSON becomes an object, matrix JSON an array."""
-    def decode(value):
-        if not isinstance(value, dict):
-            return value
-        return (serialize.typed_from_json if "type" in value else serialize.matrix_from_json)(value)
-    return {name: decode(value) for name, value in witness.items()}
-
-
 def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) -> list[Effect]:
     """Projection-valued partition of the identity from a random unitary's columns.
 

@@ -46,9 +46,10 @@ from typing import Callable
 
 import numpy as np
 
+from .. import serialize
 from ..errors import UnknownLaw
 from ..matcore import EQ_TOL, PSD_TOL
-from ._common import unwit, wit
+from ._common import wit
 
 DEFAULT_SEED = 42
 DEFAULT_GAP = 0.01
@@ -298,7 +299,8 @@ def replay_witness(report: LawReport | dict) -> float:
         raise UnknownLaw(f"law {law.id!r} has no witness replay")
     if not data.get("witness"):
         raise UnknownLaw(f"report for {law.id!r} carries no witness")
-    objects = unwit({k: v for k, v in data["witness"].items() if k != "violation"})
+    objects = {name: serialize._from_json(value)
+               for name, value in data["witness"].items() if name != "violation"}
     return float(law.replay(**objects))
 
 

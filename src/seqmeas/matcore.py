@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EigenConvergenceError, NotPositive
+from .errors import DimensionError, EigenConvergenceError, NotPositive, SamplingError
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -52,6 +52,10 @@ CERT_NORM_PER_TOL = 1e13
 # below this threshold, give up after this many full sweeps.
 JACOBI_OFF_THRESHOLD = 1e-13
 JACOBI_MAX_SWEEPS = 100
+
+# Draws a random generator makes before it gives up on a Gram sum that stays
+# near-singular; a Ginibre draw is near-singular with probability close to 0.
+_MAX_NORMALIZING_DRAWS = 100
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -353,6 +357,18 @@ def _count(n: int | None, rng: np.random.Generator, lo: int, hi: int, what: str)
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DimensionError(f"{what} must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _normalizing_draw(draw, gram):
+    """A sample ``draw()`` and the inverse root of ``gram(sample)``, redrawn while
+    that Gram sum is near-singular (``inv_sqrt_pd`` declines it). Raises
+    ``SamplingError`` after _MAX_NORMALIZING_DRAWS draws, so no generator hangs."""
+    for _ in range(_MAX_NORMALIZING_DRAWS):
+        sample = draw()
+        inv_root = inv_sqrt_pd(gram(sample))
+        if inv_root is not None:
+            return sample, inv_root
+    raise SamplingError(f"no draw in {_MAX_NORMALIZING_DRAWS} had a positive definite Gram sum")
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import Effect, State, _effects, prob
+from .effects import Effect, State, _check_state, _effects, prob
 from .errors import DimensionError, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
@@ -155,12 +155,14 @@ def obs_equal(a: _Measure, b: _Measure, tol: float = OBS_SUM_TOL) -> bool:
 
 def distribution(a: _Measure, rho: State) -> dict[str, float]:
     """Outcome distribution: x -> tr(rho a_x), or tr[I_x(rho)] for an instrument."""
+    _check_state(rho)
     return {x: a._prob(rho, u) for x, u in a.items()}
 
 
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive); the
     state is checked against the measure even when the event is empty."""
+    _check_state(rho)
     matcore._check_same_operand_dim(a, rho)
     return float(sum(a._prob(rho, a._member(x)) for x in _sequence(event, "event labels")))
 
@@ -223,11 +225,8 @@ def random_observable(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Observable:
     """Random POVM: Ginibre grams renormalized to sum to the identity."""
     n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    while True:
-        grams = [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))]
-        inv_root = matcore.inv_sqrt_pd(sum(grams))
-        if inv_root is not None:
-            break
+    grams, inv_root = matcore._normalizing_draw(
+        lambda: [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))], sum)
     effs = _effects([inv_root @ g @ inv_root for g in grams])
     return Observable(tuple(f"x{k}" for k in range(n)), effs)
 

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .effects import Effect, State, _effects, _frozen, _validated
+from .effects import Effect, State, _check_state, _effects, _frozen, _validated
 from .errors import (
     DimensionError,
     NotEffect,
@@ -68,8 +68,11 @@ def _as_kraus_array(kraus) -> np.ndarray:
 class Operation:
     """Completely positive trace-nonincreasing map given by Kraus operators.
 
-    ``recipe`` records how a structured constructor built the family (used for
-    JSON round-trips); it carries no semantics and never enters comparisons.
+    ``recipe`` records how a structured constructor built the family: its
+    ``"kind"`` and the constructor's arguments, keyed by the JSON field names of
+    that kind (the kind table of ``serialize``, ``_OPERATION_KINDS``), so the
+    JSON form is written from it and read back through the same constructor. It
+    carries no semantics and never enters comparisons.
     """
 
     kraus: np.ndarray
@@ -260,6 +263,7 @@ def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
     dim = pairs[0][0].dim
     blocks = []
     for a, alpha in pairs:
+        _check_state(alpha)
         if a.dim != dim or alpha.dim != dim:
             raise DimensionError("all pairs must share one dimension")
         lam, vecs = alpha.spectrum.eigenvalues, alpha.spectrum.eigenvectors
@@ -422,13 +426,10 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
 def random_channel(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> Operation:
     """Random channel: Ginibre family normalized so the Kraus sum is I."""
     n = matcore._count(n_kraus, rng, 1, 4, "n_kraus")
-    while True:
-        fam = np.stack(
-            [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n)]
-        )
-        inv_root = matcore.inv_sqrt_pd(_hat_matrix(fam))
-        if inv_root is not None:
-            break
+    fam, inv_root = matcore._normalizing_draw(
+        lambda: np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                          for _ in range(n)]),
+        _hat_matrix)
     return Operation(np.einsum("nij,jk->nik", fam, inv_root))
 
 

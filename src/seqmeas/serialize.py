@@ -1,10 +1,24 @@
-"""JSON encoding and decoding for every domain object.
+"""JSON encoding and decoding for every domain object, as tables.
 
-Matrices (and effects/states) serialize as {"dim": n, "re": [[..]], "im": [[..]]}
-with row-major exact doubles. Operations serialize by constructor kind when one
-is known ("luders", "trivial", "semi_trivial", "sharp") and as a raw "kraus"
-operator list otherwise; both forms parse back. Observables are
-{"outcomes": [...], "effects": [...]}, instruments {"outcomes": [...], "ops": [...]}.
+Each JSON form is stated once and both directions read it:
+
+* A matrix is {"dim": n, "re": [[..]], "im": [[..]]} with row-major exact
+  doubles; an effect or a state is its matrix.
+* An operation is {"kind": k, <field>: ..., ...}. ``_OPERATION_KINDS`` maps
+  each kind to the ``operations`` constructor that builds it and its fields in
+  argument order, and ``_FIELDS`` maps each field to the encoder and decoder of
+  its value. A structured constructor's ``recipe`` stores its arguments under
+  these field names, so an operation with a known recipe is written as that
+  kind and read back through the same constructor. Any other operation is
+  written as "kraus", its raw operator list.
+* A measure is {"outcomes": [...], <member field>: [...]}: "effects" for an
+  observable, "ops" for an instrument (``_Measure._field``), each member in
+  its own type's form.
+* A typed object adds {"type": tag}; ``_TYPES`` holds each class, its tag and
+  its codec, and ``TYPED_PARSERS`` and ``TYPED_ENCODERS`` are read off it.
+
+``to_json`` writes query results and law witnesses; ``_from_json`` reads them
+back: a dict with a "type" key is typed JSON, any other dict matrix JSON.
 """
 
 from __future__ import annotations
@@ -43,46 +57,13 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def effect_to_json(a: Effect) -> dict:
-    return matrix_to_json(a.op)
+def _operator_codec(cls):
+    """Encoder and decoder of a class holding one matrix, ``op``, written as its matrix."""
+    return (lambda x: matrix_to_json(x.op)), (lambda data: cls(matrix_from_json(data)))
 
 
-def effect_from_json(data: dict) -> Effect:
-    return Effect(matrix_from_json(data))
-
-
-def state_to_json(rho: State) -> dict:
-    return matrix_to_json(rho.op)
-
-
-def state_from_json(data: dict) -> State:
-    return State(matrix_from_json(data))
-
-
-def operation_to_json(op: Operation) -> dict:
-    recipe = op.recipe
-    if recipe is None:
-        return {"kind": "kraus", "operators": [matrix_to_json(k) for k in op.kraus]}
-    kind = recipe["kind"]
-    if kind == "luders":
-        return {"kind": "luders", "effect": effect_to_json(recipe["effect"])}
-    if kind == "trivial":
-        return {
-            "kind": "trivial",
-            "effect": effect_to_json(recipe["effect"]),
-            "state": state_to_json(recipe["state"]),
-        }
-    if kind == "semi_trivial":
-        return {
-            "kind": "semi_trivial",
-            "pairs": [
-                {"effect": effect_to_json(a), "state": state_to_json(alpha)}
-                for a, alpha in recipe["pairs"]
-            ],
-        }
-    if kind == "sharp":
-        return {"kind": "sharp", "projections": [matrix_to_json(p) for p in recipe["projections"]]}
-    return {"kind": "kraus", "operators": [matrix_to_json(k) for k in op.kraus]}
+effect_to_json, effect_from_json = _operator_codec(Effect)
+state_to_json, state_from_json = _operator_codec(State)
 
 
 def _matrix_list_from_json(data: list) -> np.ndarray:
@@ -90,34 +71,59 @@ def _matrix_list_from_json(data: list) -> np.ndarray:
     return matcore._read([matrix_from_json(m) for m in data], "operator list JSON", (3,))
 
 
+def _fields_to_json(names, values) -> dict:
+    return {name: _FIELDS[name][0](value) for name, value in zip(names, values)}
+
+
+def _fields_from_json(names, data: dict) -> list:
+    return [_FIELDS[name][1](data[name]) for name in names]
+
+
+_MATRIX_LIST = (lambda mats: [matrix_to_json(m) for m in mats], _matrix_list_from_json)
+
+# Each operation field: (encoder, decoder) of its JSON value. A semi-trivial
+# pair is written as the fields of the trivial operation it stands for.
+_FIELDS = {
+    "operators": _MATRIX_LIST,
+    "projections": _MATRIX_LIST,
+    "effect": (effect_to_json, effect_from_json),
+    "state": (state_to_json, state_from_json),
+    "pairs": (lambda pairs: [_fields_to_json(_OPERATION_KINDS["trivial"][1], p) for p in pairs],
+              lambda data: [tuple(_fields_from_json(_OPERATION_KINDS["trivial"][1], p))
+                            for p in data]),
+}
+
+# Each operation kind: the ``operations`` constructor that builds it (looked up
+# per call, so a rebound module attribute is honoured) and its fields in
+# argument order.
+_OPERATION_KINDS = {
+    "kraus": ("Operation", ("operators",)),
+    "luders": ("luders", ("effect",)),
+    "trivial": ("trivial", ("effect", "state")),
+    "semi_trivial": ("semi_trivial", ("pairs",)),
+    "sharp": ("sharp_operation", ("projections",)),
+}
+
+
+def operation_to_json(op: Operation) -> dict:
+    recipe = op.recipe
+    if recipe is None or recipe["kind"] not in _OPERATION_KINDS:
+        recipe = {"kind": "kraus", "operators": op.kraus}
+    kind = recipe["kind"]
+    names = _OPERATION_KINDS[kind][1]
+    return {"kind": kind, **_fields_to_json(names, [recipe[name] for name in names])}
+
+
 def operation_from_json(data: dict) -> Operation:
     try:
         kind = data["kind"]
-        if kind == "kraus":
-            return Operation(_matrix_list_from_json(data["operators"]))
-        if kind == "luders":
-            return op_mod.luders(effect_from_json(data["effect"]))
-        if kind == "trivial":
-            return op_mod.trivial(effect_from_json(data["effect"]),
-                                  state_from_json(data["state"]))
-        if kind == "semi_trivial":
-            pairs = [
-                (effect_from_json(p["effect"]), state_from_json(p["state"]))
-                for p in data["pairs"]
-            ]
-            return op_mod.semi_trivial(pairs)
-        if kind == "sharp":
-            return op_mod.sharp_operation(_matrix_list_from_json(data["projections"]))
+        entry = _OPERATION_KINDS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise SeqmeasError(f"unknown operation kind {kind!r}")
+        constructor, names = entry
+        return getattr(op_mod, constructor)(*_fields_from_json(names, data))
     except (KeyError, TypeError) as exc:
         raise SeqmeasError(f"bad operation JSON: {exc}") from None
-    raise SeqmeasError(f"unknown operation kind {kind!r}")
-
-
-def observable_to_json(a: Observable) -> dict:
-    return {
-        "outcomes": list(a.outcomes),
-        "effects": [effect_to_json(e) for e in a.effects],
-    }
 
 
 def _json_list(data: dict, key: str) -> list:
@@ -127,46 +133,39 @@ def _json_list(data: dict, key: str) -> list:
     return value
 
 
-def observable_from_json(data: dict) -> Observable:
-    try:
-        outcomes = tuple(str(x) for x in _json_list(data, "outcomes"))
-        effs = tuple(effect_from_json(e) for e in _json_list(data, "effects"))
-    except (KeyError, TypeError) as exc:
-        raise SeqmeasError(f"bad observable JSON: {exc}") from None
-    return Observable(outcomes, effs)
+def _measure_codec(cls, member_to_json, member_from_json):
+    """Encoder and decoder of a measure class whose members have the given codec."""
+    def to_json(m) -> dict:
+        return {"outcomes": list(m.outcomes), cls._field: [member_to_json(u) for u in m._members]}
+
+    def from_json(data: dict):
+        try:
+            outcomes = tuple(str(x) for x in _json_list(data, "outcomes"))
+            members = tuple(member_from_json(u) for u in _json_list(data, cls._field))
+        except (KeyError, TypeError) as exc:
+            raise SeqmeasError(f"bad {cls.__name__.lower()} JSON: {exc}") from None
+        return cls(outcomes, members)
+
+    return to_json, from_json
 
 
-def instrument_to_json(i: Instrument) -> dict:
-    return {
-        "outcomes": list(i.outcomes),
-        "ops": [operation_to_json(o) for o in i.ops],
-    }
+observable_to_json, observable_from_json = _measure_codec(Observable, effect_to_json,
+                                                          effect_from_json)
+instrument_to_json, instrument_from_json = _measure_codec(Instrument, operation_to_json,
+                                                          operation_from_json)
 
+# Each typed JSON form: (class, "type" tag, encoder, decoder).
+_TYPES = (
+    (Effect, "effect", effect_to_json, effect_from_json),
+    (State, "state", state_to_json, state_from_json),
+    (Operation, "operation", operation_to_json, operation_from_json),
+    (Observable, "observable", observable_to_json, observable_from_json),
+    (Instrument, "instrument", instrument_to_json, instrument_from_json),
+)
 
-def instrument_from_json(data: dict) -> Instrument:
-    try:
-        outcomes = tuple(str(x) for x in _json_list(data, "outcomes"))
-        members = tuple(operation_from_json(o) for o in _json_list(data, "ops"))
-    except (KeyError, TypeError) as exc:
-        raise SeqmeasError(f"bad instrument JSON: {exc}") from None
-    return Instrument(outcomes, members)
+TYPED_PARSERS = {tag: decode for _, tag, _, decode in _TYPES}
 
-
-TYPED_PARSERS = {
-    "effect": effect_from_json,
-    "state": state_from_json,
-    "operation": operation_from_json,
-    "observable": observable_from_json,
-    "instrument": instrument_from_json,
-}
-
-TYPED_ENCODERS = {
-    Effect: ("effect", effect_to_json),
-    State: ("state", state_to_json),
-    Operation: ("operation", operation_to_json),
-    Observable: ("observable", observable_to_json),
-    Instrument: ("instrument", instrument_to_json),
-}
+TYPED_ENCODERS = {cls: (tag, encode) for cls, tag, encode, _ in _TYPES}
 
 
 def typed_from_json(data: dict):
@@ -202,3 +201,11 @@ def to_json(value):
     if isinstance(value, (np.floating, np.integer)):
         return float(value)
     return value
+
+
+def _from_json(value):
+    """Inverse of ``to_json`` (law witnesses): typed JSON becomes an object, matrix
+    JSON an array, and anything else passes through."""
+    if not isinstance(value, dict):
+        return value
+    return (typed_from_json if "type" in value else matrix_from_json)(value)

@@ -366,6 +366,20 @@ def _half_observable():
      "all members must share one dimension"),
     (lambda: instruments.sharp_instrument([[np.eye(2)], [np.eye(3)]]), DimensionError,
      "all members must share one dimension"),
+    (lambda: prob(np.eye(2) / 2, Effect(np.eye(2) / 2)), NotState, "ndarray"),
+    (lambda: cond_prob(np.eye(2) / 2, Effect(np.eye(2) / 2), Effect(np.eye(2) / 2)),
+     NotState, "ndarray"),
+    (lambda: observables.distribution(_half_observable(), np.eye(2) / 2), NotState, "ndarray"),
+    (lambda: observables.distribution(luders_instrument(_half_observable()), np.eye(2) / 2),
+     NotState, "ndarray"),
+    (lambda: observables.event_prob(_half_observable(), np.eye(2) / 2, ["p"]), NotState,
+     "ndarray"),
+    (lambda: instruments.semi_trivial_instrument(_half_observable(), [1, 2]), NotState, "int"),
+    (lambda: instruments.semi_trivial_instrument(_half_observable(), ["r", "s"]), NotState,
+     "str"),
+    (lambda: instruments.trivial_instrument(_half_observable(), np.eye(2) / 2), NotState,
+     "ndarray"),
+    (lambda: operations.trivial(Effect(np.eye(2) / 2), np.eye(2) / 2), NotState, "ndarray"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
@@ -376,7 +390,10 @@ def _half_observable():
         "observable-n-outcomes-zero", "instrument-n-outcomes-zero",
         "kraus-instrument-n-outcomes-zero", "kraus-instrument-no-outcomes",
         "sharp-instrument-no-outcomes", "kraus-instrument-mixed-dims",
-        "sharp-instrument-mixed-dims"])
+        "sharp-instrument-mixed-dims", "prob-matrix", "cond-prob-matrix",
+        "distribution-matrix", "instrument-distribution-matrix", "event-prob-matrix",
+        "semi-trivial-instrument-ints", "semi-trivial-instrument-strings",
+        "trivial-instrument-matrix", "trivial-operation-matrix"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from seqmeas import matcore
-from seqmeas.errors import DimensionError, NotPositive
+from seqmeas import instruments, matcore, observables, operations
+from seqmeas.errors import DimensionError, NotPositive, SamplingError
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -143,3 +143,13 @@ def test_random_generators_reject_bad_dim():
         matcore.random_state(1, rng)
     with pytest.raises(DimensionError):
         matcore.random_unitary(9, rng)
+
+
+@pytest.mark.parametrize("generator", [operations.random_channel, observables.random_observable,
+                                       instruments.random_instrument,
+                                       instruments.random_kraus_instrument])
+def test_normalizing_generators_stop_after_bounded_draws(generator, monkeypatch):
+    # A Gram sum that never normalizes must end in SamplingError, not a hang.
+    monkeypatch.setattr(matcore, "inv_sqrt_pd", lambda m: None)
+    with pytest.raises(SamplingError, match="positive definite"):
+        generator(2, np.random.default_rng(0))

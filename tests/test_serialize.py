@@ -1,7 +1,11 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmeas import effects, instruments as inst, matcore, observables as obs, operations as ops, serialize
 from seqmeas.effects import Effect
@@ -110,3 +114,71 @@ def test_bad_json_raises():
         serialize.operation_from_json({"kind": "mystery"})
     with pytest.raises(SeqmeasError):
         serialize.typed_from_json({"type": "widget"})
+
+
+def _sharp(d, rng):
+    """A sharp operation over a random split of a random basis into two blocks."""
+    u = matcore.random_unitary(d, rng)
+    k = int(rng.integers(1, d))
+    return ops.sharp_operation([u[:, :k] @ u[:, :k].conj().T, u[:, k:] @ u[:, k:].conj().T])
+
+
+def _halves(d, rng):
+    """Two random effects summing below the identity, each paired with a random state."""
+    return [(Effect(effects.random_effect(d, rng).op / 2), effects.random_state(d, rng))
+            for _ in range(2)]
+
+
+# One builder per JSON form the round-trip property covers: every type tag and
+# every operation kind, a compressed "kraus" family among them.
+ROUND_TRIP_BUILDERS = {
+    "effect": effects.random_effect,
+    "state": effects.random_state,
+    "kraus": ops.random_operation,
+    "kraus-compressed": lambda d, rng: ops.compose(ops.random_channel(d, rng, n_kraus=d + 1),
+                                                   ops.random_channel(d, rng, n_kraus=d)),
+    "luders": lambda d, rng: ops.luders(effects.random_effect(d, rng)),
+    "trivial": lambda d, rng: ops.trivial(effects.random_effect(d, rng),
+                                          effects.random_state(d, rng)),
+    "semi_trivial": lambda d, rng: ops.semi_trivial(_halves(d, rng)),
+    "sharp": _sharp,
+    "atomic": lambda d, rng: ops.atomic_operation(list(matcore.random_unitary(d, rng).T)),
+    "observable": obs.random_observable,
+    "luders-instrument": lambda d, rng: inst.luders_instrument(obs.random_observable(d, rng, 2)),
+    "random-instrument": inst.random_instrument,
+    "semi-trivial-instrument": lambda d, rng: inst.semi_trivial_instrument(
+        obs.random_observable(d, rng, 2), [effects.random_state(d, rng) for _ in range(2)]),
+}
+
+
+# 20 derandomized examples reach every dim 2-8 for each form.
+@pytest.mark.parametrize("form", sorted(ROUND_TRIP_BUILDERS))
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_json_round_trip_is_a_fixed_point(form, dim, seed):
+    data = through_json(serialize.typed_to_json(
+        ROUND_TRIP_BUILDERS[form](dim, np.random.default_rng(seed))))
+    assert through_json(serialize.typed_to_json(serialize.typed_from_json(data))) == data
+
+
+def test_operation_kind_table_matches_the_recipes():
+    # Each structured constructor stores exactly its kind's JSON fields, and the
+    # table knows exactly "kraus" and the recipe kinds the library writes.
+    rng = np.random.default_rng(8)
+    a, alpha = effects.random_effect(2, rng), effects.random_state(2, rng)
+    observable = obs.random_observable(2, rng, 2)
+    built = [ops.luders(a), ops.trivial(a, alpha), ops.semi_trivial(_halves(2, rng)),
+             _sharp(2, rng), ops.atomic_operation(list(np.eye(2))),
+             *inst.luders_instrument(observable).ops,
+             *inst.semi_trivial_instrument(observable, [alpha, alpha]).ops]
+    table = serialize._OPERATION_KINDS
+    for op in built:
+        assert set(op.recipe) - {"kind"} == set(table[op.recipe["kind"]][1])
+    for kind, (constructor, fields) in table.items():
+        params = inspect.signature(getattr(ops, constructor)).parameters.values()
+        assert len([p for p in params if p.default is p.empty]) == len(fields), kind
+    src = Path(serialize.__file__).parent
+    written = {kind for path in src.glob("*.py") if path.name != "serialize.py"
+               for kind in re.findall(r'"kind": "(\w+)"', path.read_text(encoding="utf-8"))}
+    assert written == {op.recipe["kind"] for op in built}
+    assert set(table) == {"kraus"} | written
