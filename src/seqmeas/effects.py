@@ -122,11 +122,12 @@ class State:
         return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
-def _check_state(rho) -> None:
-    """Reject a caller's non-``State`` where a state is required (a bare matrix is
-    not normalized or checked)."""
-    if not isinstance(rho, State):
-        raise NotState(f"expected a State, got {type(rho).__name__}")
+def _check_type(obj, cls, error) -> None:
+    """Raise ``error`` for a caller's non-``cls`` where a ``cls`` is required (a bare
+    matrix is not validated as an effect or a state)."""
+    if not isinstance(obj, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"expected {article} {cls.__name__}, got {type(obj).__name__}")
 
 
 def zero_effect(dim: int) -> Effect:
@@ -139,11 +140,14 @@ def unit_effect(dim: int) -> Effect:
 
 def complement(a: Effect) -> Effect:
     """The effect a' = I - a."""
+    _check_type(a, Effect, NotEffect)
     return Effect(matcore.identity(a.dim) - a.op)
 
 
 def perp(a: Effect, b: Effect) -> bool:
     """True iff a + b is still an effect, i.e. a + b <= I."""
+    _check_type(a, Effect, NotEffect)
+    _check_type(b, Effect, NotEffect)
     matcore.check_same_dim(a.op, b.op)
     return matcore.loewner_leq(a.op + b.op, matcore.identity(a.dim))
 
@@ -157,6 +161,8 @@ def orthosum(a: Effect, b: Effect) -> Effect:
 
 def seq_product(a: Effect, b: Effect) -> Effect:
     """Sequential product a o b = a^{1/2} b a^{1/2} (measure a, then b)."""
+    _check_type(a, Effect, NotEffect)
+    _check_type(b, Effect, NotEffect)
     matcore.check_same_dim(a.op, b.op)
     return Effect(a.root @ b.op @ a.root)
 
@@ -172,6 +178,8 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
         raise WeightError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise WeightError(f"weights sum to {weights.sum()!r}, not 1")
+    for e in effects:
+        _check_type(e, Effect, NotEffect)
     if len({e.dim for e in effects}) > 1:
         raise DimensionError("effects of different dimensions cannot be combined")
     out = sum(w * e.op for w, e in zip(weights, effects))
@@ -180,6 +188,7 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
 
 def is_sharp(a: Effect, tol: float = EQ_TOL) -> bool:
     """Sharp effects are projections: a^2 = a."""
+    _check_type(a, Effect, NotEffect)
     return max_abs(a.op @ a.op - a.op) <= tol
 
 
@@ -190,7 +199,8 @@ def is_atomic(a: Effect, tol: float = EQ_TOL) -> bool:
 
 def prob(rho: State, a: Effect) -> float:
     """P_rho(a) = tr(rho a), clamped into [0, 1]."""
-    _check_state(rho)
+    _check_type(rho, State, NotState)
+    _check_type(a, Effect, NotEffect)
     matcore.check_same_dim(rho.op, a.op)
     value = np.trace(rho.op @ a.op).real
     return min(1.0, max(0.0, value))
@@ -215,7 +225,13 @@ def atomic_projection(vector: np.ndarray) -> Effect:
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {norm!r} != 1")
-    return Effect(np.outer(v, v.conj()))
+    return Effect(_ket_bra(v))
+
+
+def _ket_bra(vector) -> np.ndarray:
+    """|v><v| for a vector read by ``matcore._read``: the one rank-one builder."""
+    v = matcore._read(vector, "vector", (1,))
+    return np.outer(v, v.conj())
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> Effect:

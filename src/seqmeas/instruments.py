@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import COND_FLOOR, State
-from .errors import ConditioningOnNull, DimensionError, NotChannel
+from .effects import COND_FLOOR, State, _check_type, _ket_bra
+from .errors import ConditioningOnNull, DimensionError, NotChannel, NotState
 from .observables import OBS_SUM_TOL, Observable, _conditioned, _Measure, _product, _sequence
 from .observables import distribution, obs_equal as inst_equal, obs_part as inst_part
 from .observables import verify_coexistence_witness as verify_inst_coexistence_witness
@@ -102,7 +102,7 @@ def _instrument(families, outcomes: tuple[str, ...] | None) -> Instrument:
 def atomic_instrument(vector_families: list[list[np.ndarray]],
                       outcomes: tuple[str, ...] | None = None) -> Instrument:
     """Sharp instrument built from rank-one projections onto the given vectors."""
-    return sharp_instrument([[op_mod._ket_bra(v) for v in fam] for fam in vector_families],
+    return sharp_instrument([[_ket_bra(v) for v in fam] for fam in vector_families],
                             outcomes)
 
 
@@ -142,6 +142,7 @@ def obs_conditioned_on_inst(a: Observable, given: Instrument) -> Observable:
 
 def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
     """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)]."""
+    _check_type(rho, State, NotState)
     front = op_mod.apply(given, rho)
     denom = np.trace(front).real
     if denom <= COND_FLOOR:

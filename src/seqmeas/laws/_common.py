@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import matcore, serialize
+from .. import serialize
 from ..effects import Effect, State, prob, seq_product
 from ..errors import SamplingError
+from ..observables import obs_part, projective_observable, random_observable
 
 MAX_RESAMPLES = 500
 
@@ -16,30 +17,23 @@ def wit(**objects) -> dict:
     return {name: serialize.to_json(obj) for name, obj in objects.items()}
 
 
-def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) -> list[Effect]:
-    """Projection-valued partition of the identity from a random unitary's columns.
+def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) -> tuple[Effect, ...]:
+    """Projection-valued partition of the identity: a random projective observable.
 
-    With ``coarse`` the rank-one projections are merged into random groups, so
-    partitions of every rank profile get exercised.
+    With ``coarse`` its rank-one projections are merged into random groups (a
+    random part of it), so partitions of every rank profile get exercised.
     """
-    u = matcore.random_unitary(dim, rng)
-    cells = [np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]
-    if not coarse or dim == 2:
-        return [Effect(c) for c in cells]
-    n_groups = int(rng.integers(2, dim + 1))
-    labels = _surjective_labels(dim, n_groups, rng)
-    grouped: dict[int, np.ndarray] = {}
-    for label, cell in zip(labels, cells):
-        grouped[label] = grouped.get(label, 0) + cell
-    return [Effect(m) for m in grouped.values()]
+    cells = projective_observable(dim, rng)
+    if coarse and dim > 2:
+        groups = random_surjection(cells.outcomes, rng, int(rng.integers(2, dim + 1)))
+        cells = obs_part(cells, groups)
+    return cells.effects
 
 
-def _surjective_labels(n_items: int, n_groups: int, rng: np.random.Generator) -> list[int]:
-    labels = list(rng.integers(0, n_groups, size=n_items))
-    order = list(rng.permutation(n_items))
-    for g in range(n_groups):
-        labels[order[g]] = g
-    return labels
+def split_identity(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
+    """n generic, mutually non-commuting effects summing exactly to I (any first
+    n - 1 of them sum strictly below I)."""
+    return random_observable(dim, rng, n_outcomes=n).effects
 
 
 def random_surjection(outcomes: tuple[str, ...], rng: np.random.Generator,
@@ -47,7 +41,10 @@ def random_surjection(outcomes: tuple[str, ...], rng: np.random.Generator,
     """Random total surjection from the outcome set onto {y0..y(k-1)}."""
     n = len(outcomes)
     k = n_groups or int(rng.integers(1, n + 1))
-    labels = _surjective_labels(n, k, rng)
+    labels = list(rng.integers(0, k, size=n))
+    order = list(rng.permutation(n))
+    for g in range(k):
+        labels[order[g]] = g
     return {x: f"y{g}" for x, g in zip(outcomes, labels)}
 
 

@@ -12,6 +12,7 @@ from .. import matcore, operations as op_mod
 from ..effects import (
     Effect,
     State,
+    atomic_projection,
     complement,
     perp,
     prob,
@@ -20,28 +21,23 @@ from ..effects import (
     seq_product,
 )
 from ..matcore import max_abs
-from ..observables import Observable, random_observable
-from ._common import order_gap, resample, sharp_partition, trace_real
-from .core import LawCheck, LawContext, Tally, register
+from ..observables import Observable, projective_observable
+from ._common import order_gap, resample, sharp_partition, split_identity, trace_real
+from .core import LawCheck, LawContext, Tally
 
 # Rejection floor for "generic" (fail-direction) samples: instances that nearly
 # satisfy an iff hypothesis are resampled so the asserted gap is never flaky.
 GENERIC_COMMUTATOR_FLOOR = 0.1
 
 
-def _split_identity(dim: int, rng: np.random.Generator, n: int = 4) -> list[Effect]:
-    """n effects summing exactly to I (generic, mutually non-commuting)."""
-    return list(random_observable(dim, rng, n_outcomes=n).effects)
-
-
 def check_axiom_1(ctx: LawContext, dim: int, tally: Tally) -> None:
-    x, y, _, _ = _split_identity(dim, ctx.rng)
+    x, y, _, _ = split_identity(dim, ctx.rng, 4)
     tally.expect_true(perp(x, y) and perp(y, x), "x perp y iff y perp x", x=x, y=y)
     tally.expect(max_abs((x.op + y.op) - (y.op + x.op)), "x+y = y+x", x=x, y=y)
 
 
 def check_axiom_2(ctx: LawContext, dim: int, tally: Tally) -> None:
-    x, y, z, _ = _split_identity(dim, ctx.rng)
+    x, y, z, _ = split_identity(dim, ctx.rng, 4)
     yz = Effect(y.op + z.op)
     xy = Effect(x.op + y.op)
     tally.expect_true(perp(y, z) and perp(x, yz), "hypothesis holds by construction",
@@ -192,14 +188,14 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
     if swap is not None:
         rho0 = matcore.random_state(dim, rng)
         rho = State((rho0 + swap @ rho0 @ swap) / 2)
-        a = Effect(np.outer(phi, phi.conj()))
-        b = Effect(np.outer(psi, psi.conj()))
+        a = atomic_projection(phi)
+        b = atomic_projection(psi)
         tally.expect(order_gap(a, b, rho), "equal diagonals give symmetric probabilities",
                      a=a, b=b, rho=rho)
     # pass instance 2: orthogonal projections
     u = matcore.random_unitary(dim, rng)
-    a = Effect(np.outer(u[:, 0], u[:, 0].conj()))
-    b = Effect(np.outer(u[:, 1], u[:, 1].conj()))
+    a = atomic_projection(u[:, 0])
+    b = atomic_projection(u[:, 1])
     rho = random_state(dim, rng)
     tally.expect(order_gap(a, b, rho), "orthogonal projections give symmetric probabilities",
                  a=a, b=b, rho=rho)
@@ -217,8 +213,8 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
         return abs(np.vdot(phi, psi)) >= 0.4 and diag_gap >= 0.15
 
     phi, psi, rho = resample(draw, accept)
-    a = Effect(np.outer(phi, phi.conj()))
-    b = Effect(np.outer(psi, psi.conj()))
+    a = atomic_projection(phi)
+    b = atomic_projection(psi)
     violation = order_gap(a, b, rho)
     tally.expect_true(violation > ctx.gap, "generic atomic pair is asymmetric",
                       a=a, b=b, rho=rho, violation=violation)
@@ -232,11 +228,10 @@ def _bayes_first_rule_violation(partition: Observable, b: Effect, rho: State) ->
 def check_bayes_first_rule_effects(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Bayes' first rule P(b) = sum_i P(a_i) P(b|a_i) fails for effects."""
     rng = ctx.rng
-    cells = sharp_partition(dim, rng)
-    parts = Observable(tuple(f"x{k}" for k in range(len(cells))), tuple(cells))
+    partition = projective_observable(dim, rng)
     b = random_effect(dim, rng)
     rho = random_state(dim, rng)
-    tally.offer(partition=parts, b=b, rho=rho)
+    tally.offer(partition=partition, b=b, rho=rho)
 
 
 def check_bayes_second_rule_effects(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -248,46 +243,49 @@ def check_bayes_second_rule_effects(ctx: LawContext, dim: int, tally: Tally) -> 
     tally.offer(a=a, b=b, rho=rho)
 
 
-register(LawCheck(
-    id="axioms-1", kind="identity", dims=(2, 3), trials=50,
-    description="Orthosum commutes: x perp y implies y perp x and x+y = y+x",
-    fn=check_axiom_1, tol=1e-12))
-register(LawCheck(
-    id="axioms-2", kind="identity", dims=(2, 3), trials=50,
-    description="Orthosum associates across nested perp sums",
-    fn=check_axiom_2, tol=1e-12))
-register(LawCheck(
-    id="axioms-3", kind="identity", dims=(2, 3), trials=50,
-    description="Every effect has the unique complement I - x",
-    fn=check_axiom_3, tol=1e-12))
-register(LawCheck(
-    id="axioms-4", kind="identity", dims=(2, 3), trials=50,
-    description="Only the zero effect is summable with the identity",
-    fn=check_axiom_4, tol=1e-10))
-register(LawCheck(
-    id="thm-1.1", kind="identity", dims=(2, 3), trials=100,
-    description="The induced-effect map is a convex effect-algebra isomorphism "
-                "on equivalence classes of operations",
-    fn=check_hat_isomorphism))
-register(LawCheck(
-    id="thm-1.2i", kind="iff", dims=(2,), trials=100,
-    description="A sharp partition reproduces b iff b commutes with every cell",
-    fn=check_partition_commutation_iff))
-register(LawCheck(
-    id="thm-1.2ii", kind="iff", dims=(2,), trials=100,
-    description="Atomic sequential probabilities are symmetric iff diagonals "
-                "agree or the projections are orthogonal",
-    fn=check_atomic_symmetry_iff, tol=1e-10))
-register(LawCheck(
-    id="eq-1.1", kind="identity", dims=(2, 3), trials=50,
-    description="Kraus trace identity and representation independence of the "
-                "induced effect",
-    fn=check_kraus_trace_identity, tol=1e-10))
-register(LawCheck(
-    id="eq-2.1", kind="counterexample", dims=(2,), trials=100,
-    description="Bayes' first rule fails for effect conditioning",
-    fn=check_bayes_first_rule_effects, replay=_bayes_first_rule_violation))
-register(LawCheck(
-    id="eq-2.2", kind="counterexample", dims=(2,), trials=100,
-    description="Bayes' second rule fails for effect conditioning",
-    fn=check_bayes_second_rule_effects, replay=order_gap))
+# This module's laws, in the paper's order (section 1 to eq. 2.2).
+LAWS = (
+    LawCheck(
+        id="axioms-1", kind="identity", dims=(2, 3), trials=50,
+        description="Orthosum commutes: x perp y implies y perp x and x+y = y+x",
+        fn=check_axiom_1, tol=1e-12),
+    LawCheck(
+        id="axioms-2", kind="identity", dims=(2, 3), trials=50,
+        description="Orthosum associates across nested perp sums",
+        fn=check_axiom_2, tol=1e-12),
+    LawCheck(
+        id="axioms-3", kind="identity", dims=(2, 3), trials=50,
+        description="Every effect has the unique complement I - x",
+        fn=check_axiom_3, tol=1e-12),
+    LawCheck(
+        id="axioms-4", kind="identity", dims=(2, 3), trials=50,
+        description="Only the zero effect is summable with the identity",
+        fn=check_axiom_4, tol=1e-10),
+    LawCheck(
+        id="thm-1.1", kind="identity", dims=(2, 3), trials=100,
+        description="The induced-effect map is a convex effect-algebra isomorphism "
+                    "on equivalence classes of operations",
+        fn=check_hat_isomorphism),
+    LawCheck(
+        id="thm-1.2i", kind="iff", dims=(2,), trials=100,
+        description="A sharp partition reproduces b iff b commutes with every cell",
+        fn=check_partition_commutation_iff),
+    LawCheck(
+        id="thm-1.2ii", kind="iff", dims=(2,), trials=100,
+        description="Atomic sequential probabilities are symmetric iff diagonals "
+                    "agree or the projections are orthogonal",
+        fn=check_atomic_symmetry_iff, tol=1e-10),
+    LawCheck(
+        id="eq-1.1", kind="identity", dims=(2, 3), trials=50,
+        description="Kraus trace identity and representation independence of the "
+                    "induced effect",
+        fn=check_kraus_trace_identity, tol=1e-10),
+    LawCheck(
+        id="eq-2.1", kind="counterexample", dims=(2,), trials=100,
+        description="Bayes' first rule fails for effect conditioning",
+        fn=check_bayes_first_rule_effects, replay=_bayes_first_rule_violation),
+    LawCheck(
+        id="eq-2.2", kind="counterexample", dims=(2,), trials=100,
+        description="Bayes' second rule fails for effect conditioning",
+        fn=check_bayes_second_rule_effects, replay=order_gap),
+)

@@ -1,14 +1,25 @@
-"""Law checks for observables and instruments: products, conditioning, the
-measured-observable map, the mixed observable/instrument products, parts and
-coexistence, plus the counterexamples showing where hat fails to commute with
-sequential composition."""
+"""Law checks for observables and instruments (sections 3 and 4): products,
+conditioning, the measured-observable map, the mixed observable/instrument
+products, the post-channel effect map that is not a monomorphism (ex. 10),
+parts and coexistence, plus the counterexamples showing where hat fails to
+commute with sequential composition."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .. import instruments as inst_mod, matcore, operations as op_mod
-from ..effects import Effect, State, cond_prob, prob, random_effect, random_state, seq_product
+from ..effects import (
+    Effect,
+    State,
+    atomic_projection,
+    cond_prob,
+    perp,
+    prob,
+    random_effect,
+    random_state,
+    seq_product,
+)
 from ..instruments import (
     Instrument,
     bar,
@@ -31,6 +42,7 @@ from ..instruments import (
 from ..matcore import max_abs
 from ..observables import (
     Observable,
+    _member_distance,
     _product_items,
     identity_observable,
     obs_conditioned,
@@ -40,15 +52,11 @@ from ..observables import (
     verify_coexistence_witness,
 )
 from ._common import random_surjection, resample, trace_real
-from .core import LawCheck, LawContext, Tally, register
+from .core import LawCheck, LawContext, Tally
 
 # Probabilities smaller than this are skipped when a law divides by them; the
 # remaining round-off stays far below the 1e-10 assertion tolerances.
 PROB_FLOOR = 1e-4
-
-
-def _obs_distance(a: Observable, b: Observable) -> float:
-    return max(a._distance(u, b.effect(x)) for x, u in a.items())
 
 
 def check_bar_of_products(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -69,7 +77,7 @@ def check_luders_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     i = random_instrument(dim, ctx.rng)
     got = measured_observable(inst_seq_product(luders_instrument(a), i))
     want = obs_seq_product(a, measured_observable(i))
-    tally.expect(_obs_distance(got, want), "hat of Lueders-then-instrument")
+    tally.expect(_member_distance(got, want), "hat of Lueders-then-instrument")
 
 
 def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -77,7 +85,7 @@ def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     b = random_observable(dim, ctx.rng)
     got = measured_observable(
         inst_seq_product(luders_instrument(a), luders_instrument(b)))
-    tally.expect(_obs_distance(got, obs_seq_product(a, b)),
+    tally.expect(_member_distance(got, obs_seq_product(a, b)),
                  "hat of two Lueders instruments")
 
 
@@ -132,8 +140,8 @@ def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -
                    - np.vdot(psi, alpha.op @ psi).real) >= 0.05
 
     phi, psi = resample(draw, accept)
-    a_eff = Effect(np.outer(phi, phi.conj()))
-    b_eff = Effect(np.outer(psi, psi.conj()))
+    a_eff = atomic_projection(phi)
+    b_eff = atomic_projection(psi)
     entry_gap = max_abs(seq_product(a_eff, b_eff).op - prob(alpha, b_eff) * a_eff.op)
     tally.expect_true(entry_gap > ctx.gap,
                       "rank-one criterion forces a visible gap",
@@ -204,7 +212,7 @@ def check_luders_conditioning_hat(ctx: LawContext, dim: int, tally: Tally) -> No
     b = random_observable(dim, ctx.rng)
     got = measured_observable(
         inst_conditioned(luders_instrument(b), luders_instrument(a)))
-    tally.expect(_obs_distance(got, obs_conditioned(b, a)),
+    tally.expect(_member_distance(got, obs_conditioned(b, a)),
                  "hat of the Lueders conditioning")
 
 
@@ -247,7 +255,7 @@ def check_obs_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     i = random_instrument(dim, ctx.rng)
     got = measured_observable(obs_then_inst(a, i))
     want = obs_seq_product(a, measured_observable(i))
-    tally.expect(_obs_distance(got, want), "hat of observable-then-instrument")
+    tally.expect(_member_distance(got, want), "hat of observable-then-instrument")
 
 
 def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
@@ -256,7 +264,7 @@ def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally) ->
     i = random_instrument(dim, ctx.rng)
     got = measured_observable(inst_conditioned_on_obs(i, a))
     want = obs_conditioned(measured_observable(i), a)
-    tally.expect(_obs_distance(got, want), "hat of instrument-given-observable")
+    tally.expect(_member_distance(got, want), "hat of instrument-given-observable")
     # operator identity: (L(a) | A) member y is rho -> sum_x r_y r_x rho r_x r_y
     # for the roots r = a^{1/2}; its superoperator straight from that formula
     lhs = inst_conditioned_on_obs(luders_instrument(a), a)
@@ -307,6 +315,18 @@ def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally) -> None:
                      "observable conditioned on a trivial instrument")
 
 
+def check_post_channel_not_mono(ctx: LawContext, dim: int, tally: Tally) -> None:
+    """The dephasing fixture: two copies of half the doubled projection are not
+    summable, yet their images under the post-channel effect map sum to I."""
+    deph = op_mod.sharp_operation([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    d = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    a = Effect(d / 2)
+    b = Effect(d / 2)
+    tally.expect_true(not perp(a, b), "a + b = d exceeds the identity")
+    image_sum = op_mod.op_then_effect(deph, a).op + op_mod.op_then_effect(deph, b).op
+    tally.expect(max_abs(image_sum - np.eye(2)), "images sum exactly to the identity")
+
+
 def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
     """Coarse-graining commutes with the measured observable, and coexistence
     witnesses push forward to the hats."""
@@ -315,7 +335,7 @@ def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> Non
     f = random_surjection(i.outcomes, rng)
     part = inst_part(i, f)
     tally.expect(
-        _obs_distance(measured_observable(part), obs_part(measured_observable(i), f)),
+        _member_distance(measured_observable(part), obs_part(measured_observable(i), f)),
         "part then hat equals hat then part")
     g = random_surjection(i.outcomes, rng)
     j = inst_part(i, f)
@@ -400,72 +420,79 @@ def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally) -> N
         tally.expect(abs(total - 1.0), "conditional operation probabilities sum to 1")
 
 
-register(LawCheck(
-    id="thm-3.1i", kind="identity", dims=(2, 3), trials=50,
-    description="Bar channels of products and conditionings compose",
-    fn=check_bar_of_products))
-register(LawCheck(
-    id="thm-3.1ii", kind="identity", dims=(2, 3), trials=50,
-    description="Lueders-then-instrument measures the product observable",
-    fn=check_luders_product_hat))
-register(LawCheck(
-    id="thm-3.1iii", kind="identity", dims=(2, 3), trials=50,
-    description="Two Lueders instruments measure the product of their observables",
-    fn=check_luders_luders_hat))
-register(LawCheck(
-    id="ex-6", kind="counterexample", dims=(2,), trials=100,
-    description="Trivial-then-Lueders hat differs from the naive product",
-    fn=check_trivial_then_luders,
-    replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)))
-register(LawCheck(
-    id="ex-7", kind="counterexample", dims=(2,), trials=100,
-    description="Trivial-pair product hat differs from the observable product",
-    fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation))
-register(LawCheck(
-    id="ex-8", kind="counterexample", dims=(2,), trials=100,
-    description="Kraus-pair product hat differs from the observable product",
-    fn=check_kraus_kraus_product_hat, replay=_kraus_kraus_violation))
-register(LawCheck(
-    id="lemma-3.2", kind="identity", dims=(2, 3), trials=50,
-    description="(Semi-)trivial instruments are closed under products and conditioning",
-    fn=check_semi_trivial_products))
-register(LawCheck(
-    id="lemma-3.3", kind="identity", dims=(2, 3), trials=50,
-    description="Conditioned Lueders instruments measure the conditioned observable",
-    fn=check_luders_conditioning_hat))
-register(LawCheck(
-    id="ex-9", kind="counterexample", dims=(2,), trials=100,
-    description="Instrument conditioning forgets the input state for trivial front ends",
-    fn=check_conditioning_forgets_state, replay=_forgotten_state_violation))
-register(LawCheck(
-    id="thm-4.1i", kind="identity", dims=(2, 3), trials=50,
-    description="hat of effect-then-operation is the sequential product of effects",
-    fn=check_effect_operation_hat))
-register(LawCheck(
-    id="thm-4.1ii", kind="identity", dims=(2, 3), trials=50,
-    description="hat of observable-then-instrument is the product observable",
-    fn=check_obs_instrument_hat))
-register(LawCheck(
-    id="thm-4.1iii", kind="identity", dims=(2, 3), trials=50,
-    description="hat of instrument-given-observable is the conditioned observable",
-    fn=check_conditioned_instrument_hat))
-register(LawCheck(
-    id="thm-4.2", kind="identity", dims=(2, 3), trials=50,
-    description="Closed forms of mixed products with trivial and semi-trivial parts",
-    fn=check_mixed_product_forms))
-register(LawCheck(
-    id="lemma-4.3", kind="identity", dims=(2, 3), trials=50,
-    description="Parts commute with hats; coexistence pushes to measured observables",
-    fn=check_parts_commute_with_hat))
-register(LawCheck(
-    id="lemma-4.4", kind="identity", dims=(2, 3), trials=50,
-    description="Trivial parts stay trivial; shared-state trivial instruments coexist",
-    fn=check_trivial_parts))
-register(LawCheck(
-    id="bayes-obs", kind="counterexample", dims=(2,), trials=100,
-    description="Bayes' first rule fails at the observable level",
-    fn=check_observable_bayes_failure, replay=_observable_bayes_violation))
-register(LawCheck(
-    id="cond-prob-measure", kind="identity", dims=(2, 3), trials=50,
-    description="Conditional outcome probabilities are probability measures",
-    fn=check_conditional_prob_measure, tol=1e-10))
+# This module's laws, in the paper's order (sections 3 and 4).
+LAWS = (
+    LawCheck(
+        id="thm-3.1i", kind="identity", dims=(2, 3), trials=50,
+        description="Bar channels of products and conditionings compose",
+        fn=check_bar_of_products),
+    LawCheck(
+        id="thm-3.1ii", kind="identity", dims=(2, 3), trials=50,
+        description="Lueders-then-instrument measures the product observable",
+        fn=check_luders_product_hat),
+    LawCheck(
+        id="thm-3.1iii", kind="identity", dims=(2, 3), trials=50,
+        description="Two Lueders instruments measure the product of their observables",
+        fn=check_luders_luders_hat),
+    LawCheck(
+        id="ex-6", kind="counterexample", dims=(2,), trials=100,
+        description="Trivial-then-Lueders hat differs from the naive product",
+        fn=check_trivial_then_luders,
+        replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)),
+    LawCheck(
+        id="ex-7", kind="counterexample", dims=(2,), trials=100,
+        description="Trivial-pair product hat differs from the observable product",
+        fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation),
+    LawCheck(
+        id="ex-8", kind="counterexample", dims=(2,), trials=100,
+        description="Kraus-pair product hat differs from the observable product",
+        fn=check_kraus_kraus_product_hat, replay=_kraus_kraus_violation),
+    LawCheck(
+        id="lemma-3.2", kind="identity", dims=(2, 3), trials=50,
+        description="(Semi-)trivial instruments are closed under products and conditioning",
+        fn=check_semi_trivial_products),
+    LawCheck(
+        id="lemma-3.3", kind="identity", dims=(2, 3), trials=50,
+        description="Conditioned Lueders instruments measure the conditioned observable",
+        fn=check_luders_conditioning_hat),
+    LawCheck(
+        id="ex-9", kind="counterexample", dims=(2,), trials=100,
+        description="Instrument conditioning forgets the input state for trivial front ends",
+        fn=check_conditioning_forgets_state, replay=_forgotten_state_violation),
+    LawCheck(
+        id="thm-4.1i", kind="identity", dims=(2, 3), trials=50,
+        description="hat of effect-then-operation is the sequential product of effects",
+        fn=check_effect_operation_hat),
+    LawCheck(
+        id="thm-4.1ii", kind="identity", dims=(2, 3), trials=50,
+        description="hat of observable-then-instrument is the product observable",
+        fn=check_obs_instrument_hat),
+    LawCheck(
+        id="thm-4.1iii", kind="identity", dims=(2, 3), trials=50,
+        description="hat of instrument-given-observable is the conditioned observable",
+        fn=check_conditioned_instrument_hat),
+    LawCheck(
+        id="thm-4.2", kind="identity", dims=(2, 3), trials=50,
+        description="Closed forms of mixed products with trivial and semi-trivial parts",
+        fn=check_mixed_product_forms),
+    LawCheck(
+        id="ex-10", kind="identity", dims=(2,), trials=1,
+        description="Post-channel effect map is a morphism but not a monomorphism",
+        fn=check_post_channel_not_mono, tol=1e-12),
+    LawCheck(
+        id="lemma-4.3", kind="identity", dims=(2, 3), trials=50,
+        description="Parts commute with hats; coexistence pushes to measured observables",
+        fn=check_parts_commute_with_hat),
+    LawCheck(
+        id="lemma-4.4", kind="identity", dims=(2, 3), trials=50,
+        description="Trivial parts stay trivial; shared-state trivial instruments coexist",
+        fn=check_trivial_parts),
+    LawCheck(
+        id="bayes-obs", kind="counterexample", dims=(2,), trials=100,
+        description="Bayes' first rule fails at the observable level",
+        fn=check_observable_bayes_failure, replay=_observable_bayes_violation),
+    LawCheck(
+        id="cond-prob-measure", kind="identity", dims=(2, 3), trials=50,
+        description="Conditional outcome probabilities are probability measures",
+        fn=check_conditional_prob_measure, tol=1e-10),
+)

@@ -1,6 +1,7 @@
-"""Law checks at the operation level: the explicit Kraus constructions for
-trivial/semi-trivial operations, complements, the operation-level Bayes
-failures, and the non-monomorphism fixture for the post-channel effect map."""
+"""Law checks at the operation level (section 2, eq. 2.3/2.4 to thm 2.4): the
+explicit Kraus constructions for trivial/semi-trivial operations, complements
+and the operation-level Bayes failures. Ex. 10, the post-channel effect map of
+section 4, is checked with the instrument laws."""
 
 from __future__ import annotations
 
@@ -10,22 +11,16 @@ from .. import matcore, operations as op_mod
 from ..effects import (
     Effect,
     State,
+    atomic_projection,
     complement,
-    perp,
     prob,
     random_effect,
     random_state,
     seq_product,
 )
 from ..matcore import max_abs
-from ..observables import random_observable
-from ._common import order_gap, resample, sharp_partition, trace_real
-from .core import LawCheck, LawContext, Tally, register
-
-
-def _sub_identity_effects(dim: int, rng: np.random.Generator, n: int) -> list[Effect]:
-    """n generic effects with sum strictly below the identity."""
-    return list(random_observable(dim, rng, n_outcomes=n + 1).effects[:n])
+from ._common import order_gap, resample, sharp_partition, split_identity, trace_real
+from .core import LawCheck, LawContext, Tally
 
 
 def _trivial_superop(a: Effect, alpha: State) -> np.ndarray:
@@ -39,9 +34,7 @@ def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> 
     superoperator of the direct formula, with hat = sum a_i."""
     rng = ctx.rng
     n = int(rng.integers(1, 4))
-    pairs = [
-        (a, random_state(dim, rng)) for a in _sub_identity_effects(dim, rng, n)
-    ]
+    pairs = [(a, random_state(dim, rng)) for a in split_identity(dim, rng, n + 1)[:n]]
     op = op_mod.semi_trivial(pairs)
     direct = sum(_trivial_superop(a, alpha) for a, alpha in pairs)
     tally.expect(max_abs(op.superop - direct), "construction matches the direct formula")
@@ -71,10 +64,7 @@ def check_atomic_is_semi_trivial(ctx: LawContext, dim: int, tally: Tally) -> Non
     size = int(rng.integers(1, dim + 1))
     vectors = [u[:, k] for k in range(size)]
     atomic = op_mod.atomic_operation(vectors)
-    pairs = [
-        (Effect(np.outer(v, v.conj())), State(np.outer(v, v.conj())))
-        for v in vectors
-    ]
+    pairs = [(atomic_projection(v), State(np.outer(v, v.conj()))) for v in vectors]
     st = op_mod.semi_trivial(pairs)
     tally.expect(op_mod.action_distance(atomic, st),
                  "atomic equals projector-paired semi-trivial")
@@ -261,65 +251,51 @@ def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> N
     tally.offer(a=a, b=b, rho=rho, construction="luders")
 
 
-def check_post_channel_not_mono(ctx: LawContext, dim: int, tally: Tally) -> None:
-    """The dephasing fixture: two copies of half the doubled projection are not
-    summable, yet their images under the post-channel effect map sum to I."""
-    deph = op_mod.sharp_operation([np.diag([1.0, 0.0]).astype(complex),
-                                   np.diag([0.0, 1.0]).astype(complex)])
-    d = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    a = Effect(d / 2)
-    b = Effect(d / 2)
-    tally.expect_true(not perp(a, b), "a + b = d exceeds the identity")
-    image_sum = op_mod.op_then_effect(deph, a).op + op_mod.op_then_effect(deph, b).op
-    tally.expect(max_abs(image_sum - np.eye(2)), "images sum exactly to the identity")
-
-
-register(LawCheck(
-    id="eq-2.3/2.4", kind="counterexample", dims=(2,), trials=100,
-    description="Bayes' first rule for operations fails through nontrivial channels",
-    fn=check_operation_bayes_first_rule, replay=_operation_bayes_violation))
-register(LawCheck(
-    id="lemma-2.1", kind="identity", dims=(2, 3), trials=50,
-    description="Atomic operations are the projector-paired semi-trivial ones",
-    fn=check_atomic_is_semi_trivial))
-register(LawCheck(
-    id="thm-2.2", kind="identity", dims=(2, 3, 4, 5), trials=50,
-    description="Explicit Kraus family for semi-trivial operations",
-    fn=check_semi_trivial_construction))
-register(LawCheck(
-    id="cor-2.3", kind="identity", dims=(2, 3), trials=50,
-    description="Explicit Kraus family for trivial operations; both trivial "
-                "and Lueders operations measure the same effect",
-    fn=check_trivial_construction))
-register(LawCheck(
-    id="ex-1", kind="counterexample", dims=(2,), trials=100, gap=0.1,
-    description="Constant-channel conditioning forgets the input state",
-    fn=check_constant_channel_bayes, replay=_constant_channel_violation))
-register(LawCheck(
-    id="ex-2", kind="counterexample", dims=(2,), trials=100,
-    description="Projection mixing displaces non-commuting effects",
-    fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10))
-register(LawCheck(
-    id="ex-3", kind="counterexample", dims=(2,), trials=100,
-    description="Sequential composition of operations is order sensitive",
-    fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10))
-register(LawCheck(
-    id="ex-4", kind="identity", dims=(2, 3), trials=50,
-    description="Every operation has a Lueders complement to a channel",
-    fn=check_luders_complement))
-register(LawCheck(
-    id="ex-5", kind="identity", dims=(2, 3), trials=50,
-    description="Lueders and trivial complements built from the complement effect",
-    fn=check_luders_and_trivial_complements))
-register(LawCheck(
-    id="thm-2.4i", kind="identity", dims=(2, 3), trials=50,
-    description="Complement of an operation is exactly a complement of its hat",
-    fn=check_complement_iff))
-register(LawCheck(
-    id="thm-2.4ii", kind="identity", dims=(2, 3), trials=50,
-    description="Sharp operations meet their complements at zero (effect-level witness)",
-    fn=check_sharp_meet_is_zero))
-register(LawCheck(
-    id="ex-10", kind="identity", dims=(2,), trials=1,
-    description="Post-channel effect map is a morphism but not a monomorphism",
-    fn=check_post_channel_not_mono, tol=1e-12))
+# This module's laws, in the paper's order (eq. 2.3/2.4 to thm. 2.4).
+LAWS = (
+    LawCheck(
+        id="eq-2.3/2.4", kind="counterexample", dims=(2,), trials=100,
+        description="Bayes' first rule for operations fails through nontrivial channels",
+        fn=check_operation_bayes_first_rule, replay=_operation_bayes_violation),
+    LawCheck(
+        id="lemma-2.1", kind="identity", dims=(2, 3), trials=50,
+        description="Atomic operations are the projector-paired semi-trivial ones",
+        fn=check_atomic_is_semi_trivial),
+    LawCheck(
+        id="thm-2.2", kind="identity", dims=(2, 3, 4, 5), trials=50,
+        description="Explicit Kraus family for semi-trivial operations",
+        fn=check_semi_trivial_construction),
+    LawCheck(
+        id="cor-2.3", kind="identity", dims=(2, 3), trials=50,
+        description="Explicit Kraus family for trivial operations; both trivial "
+                    "and Lueders operations measure the same effect",
+        fn=check_trivial_construction),
+    LawCheck(
+        id="ex-1", kind="counterexample", dims=(2,), trials=100, gap=0.1,
+        description="Constant-channel conditioning forgets the input state",
+        fn=check_constant_channel_bayes, replay=_constant_channel_violation),
+    LawCheck(
+        id="ex-2", kind="counterexample", dims=(2,), trials=100,
+        description="Projection mixing displaces non-commuting effects",
+        fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10),
+    LawCheck(
+        id="ex-3", kind="counterexample", dims=(2,), trials=100,
+        description="Sequential composition of operations is order sensitive",
+        fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10),
+    LawCheck(
+        id="ex-4", kind="identity", dims=(2, 3), trials=50,
+        description="Every operation has a Lueders complement to a channel",
+        fn=check_luders_complement),
+    LawCheck(
+        id="ex-5", kind="identity", dims=(2, 3), trials=50,
+        description="Lueders and trivial complements built from the complement effect",
+        fn=check_luders_and_trivial_complements),
+    LawCheck(
+        id="thm-2.4i", kind="identity", dims=(2, 3), trials=50,
+        description="Complement of an operation is exactly a complement of its hat",
+        fn=check_complement_iff),
+    LawCheck(
+        id="thm-2.4ii", kind="identity", dims=(2, 3), trials=50,
+        description="Sharp operations meet their complements at zero (effect-level witness)",
+        fn=check_sharp_meet_is_zero),
+)

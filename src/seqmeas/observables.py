@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import Effect, State, _check_state, _effects, prob
-from .errors import DimensionError, NotSurjective, SeqmeasError
+from .effects import Effect, State, _check_type, _effects, prob
+from .errors import DimensionError, NotState, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
 
@@ -122,8 +122,7 @@ class Observable(_Measure):
     def _front(self) -> tuple[Operation, ...]:
         """The Lueders instrument's operations a_x^{1/2} . a_x^{1/2}, as ``luders``
         builds them but validated as one stack."""
-        return op_mod._operations([e.root[None, :, :] for e in self.effects],
-                                  [{"kind": "luders", "effect": e} for e in self.effects])
+        return op_mod._operations(*zip(*map(op_mod._luders_parts, self.effects)))
 
 
 def _product(m: _Measure, n: _Measure) -> _Measure:
@@ -146,23 +145,28 @@ def _conditioned(n: _Measure, given: _Measure) -> _Measure:
 
 
 def obs_equal(a: _Measure, b: _Measure, tol: float = OBS_SUM_TOL) -> bool:
-    """Same outcome set (order-insensitive) and memberwise agreement within tol,
-    by the member distance (entrywise for effects, ``action_distance`` for ops)."""
+    """Same outcome set (order-insensitive) and memberwise agreement within tol."""
     if set(a.outcomes) != set(b.outcomes) or a.dim != b.dim:
         return False
-    return all(a._distance(u, b._member(x)) <= tol for x, u in a.items())
+    return _member_distance(a, b) <= tol
+
+
+def _member_distance(a: _Measure, b: _Measure) -> float:
+    """The largest distance between a_x and b_x over the outcomes x of a, by the member
+    distance (entrywise for effects, ``action_distance`` for operations)."""
+    return max(a._distance(u, b._member(x)) for x, u in a.items())
 
 
 def distribution(a: _Measure, rho: State) -> dict[str, float]:
     """Outcome distribution: x -> tr(rho a_x), or tr[I_x(rho)] for an instrument."""
-    _check_state(rho)
+    _check_type(rho, State, NotState)
     return {x: a._prob(rho, u) for x, u in a.items()}
 
 
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive); the
     state is checked against the measure even when the event is empty."""
-    _check_state(rho)
+    _check_type(rho, State, NotState)
     matcore._check_same_operand_dim(a, rho)
     return float(sum(a._prob(rho, a._member(x)) for x in _sequence(event, "event labels")))
 

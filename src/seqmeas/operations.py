@@ -38,13 +38,14 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .effects import Effect, State, _check_state, _effects, _frozen, _validated
+from .effects import Effect, State, _check_type, _effects, _frozen, _ket_bra, _validated
 from .errors import (
     DimensionError,
     NotEffect,
     NotOrthogonal,
     NotPerp,
     NotProjection,
+    NotState,
     NotSubunital,
     WeightError,
 )
@@ -249,7 +250,14 @@ def identity_channel(dim: int) -> Operation:
 
 def luders(a: Effect) -> Operation:
     """Lueders operation rho -> a^{1/2} rho a^{1/2}; measures a."""
-    return Operation(a.root[None, :, :], recipe={"kind": "luders", "effect": a})
+    return Operation(*_luders_parts(a))
+
+
+def _luders_parts(a: Effect) -> tuple[np.ndarray, dict]:
+    """The Kraus family and recipe of ``luders(a)``, shared with the stacked Lueders
+    front of an observable."""
+    _check_type(a, Effect, NotEffect)
+    return a.root[None, :, :], {"kind": "luders", "effect": a}
 
 
 def kraus_single(a_mat: np.ndarray) -> Operation:
@@ -260,10 +268,12 @@ def kraus_single(a_mat: np.ndarray) -> Operation:
 def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
     if not pairs:
         raise WeightError("at least one (effect, state) pair required")
+    for a, alpha in pairs:
+        _check_type(a, Effect, NotEffect)
+        _check_type(alpha, State, NotState)
     dim = pairs[0][0].dim
     blocks = []
     for a, alpha in pairs:
-        _check_state(alpha)
         if a.dim != dim or alpha.dim != dim:
             raise DimensionError("all pairs must share one dimension")
         lam, vecs = alpha.spectrum.eigenvalues, alpha.spectrum.eigenvectors
@@ -332,12 +342,6 @@ def atomic_operation(vectors: list[np.ndarray]) -> Operation:
     return sharp_operation([_ket_bra(v) for v in vectors])
 
 
-def _ket_bra(vector) -> np.ndarray:
-    """|v><v| for a vector read by ``matcore._read``."""
-    v = matcore._read(vector, "vector", (1,))
-    return np.outer(v, v.conj())
-
-
 def complement_luders(i: Operation) -> Operation:
     """The unique Lueders complement: Lueders of I - hat(i)."""
     return luders(Effect(identity(i.dim) - i.induced.op))
@@ -361,6 +365,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
 
     Independent of the chosen Kraus family: tr(rho result) = tr(i(rho) a).
     """
+    _check_type(a, Effect, NotEffect)
     matcore._check_same_operand_dim(i, a)
     return Effect(_sandwich(i.kraus, a.op))
 
@@ -427,8 +432,7 @@ def random_channel(dim: int, rng: np.random.Generator, n_kraus: int | None = Non
     """Random channel: Ginibre family normalized so the Kraus sum is I."""
     n = matcore._count(n_kraus, rng, 1, 4, "n_kraus")
     fam, inv_root = matcore._normalizing_draw(
-        lambda: np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                          for _ in range(n)]),
+        lambda: np.stack([matcore._ginibre(dim, rng) for _ in range(n)]),
         _hat_matrix)
     return Operation(np.einsum("nij,jk->nik", fam, inv_root))
 

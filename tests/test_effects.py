@@ -380,6 +380,23 @@ def _half_observable():
     (lambda: instruments.trivial_instrument(_half_observable(), np.eye(2) / 2), NotState,
      "ndarray"),
     (lambda: operations.trivial(Effect(np.eye(2) / 2), np.eye(2) / 2), NotState, "ndarray"),
+    (lambda: operations.luders(np.eye(2) / 2), NotEffect, "expected an Effect, got ndarray"),
+    (lambda: seq_product(np.eye(2) / 2, Effect(np.eye(2) / 2)), NotEffect, "ndarray"),
+    (lambda: seq_product(Effect(np.eye(2) / 2), np.eye(2) / 2), NotEffect, "ndarray"),
+    (lambda: prob(State(np.eye(2) / 2), np.eye(2) / 2), NotEffect, "ndarray"),
+    (lambda: perp(np.eye(2) / 2, Effect(np.eye(2) / 2)), NotEffect, "ndarray"),
+    (lambda: complement(np.eye(2) / 2), NotEffect, "ndarray"),
+    (lambda: convex_combine([np.eye(2) / 2], [1.0]), NotEffect, "ndarray"),
+    (lambda: is_sharp(np.eye(2) / 2), NotEffect, "ndarray"),
+    (lambda: operations.trivial(np.eye(2) / 2, State(np.eye(2) / 2)), NotEffect, "ndarray"),
+    (lambda: operations.semi_trivial([(np.eye(2) / 2, State(np.eye(2) / 2))]), NotEffect,
+     "ndarray"),
+    (lambda: operations.op_then_effect(_channel(), np.eye(2) / 2), NotEffect, "ndarray"),
+    (lambda: operations.effect_then_op(np.eye(2) / 2, _channel()), NotEffect, "ndarray"),
+    (lambda: cond_prob(State(np.eye(2) / 2), np.eye(2) / 2, Effect(np.eye(2) / 2)), NotEffect,
+     "ndarray"),
+    (lambda: instruments.cond_prob(np.eye(2) / 2, _channel(), _channel()), NotState,
+     "expected a State, got ndarray"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
@@ -393,7 +410,11 @@ def _half_observable():
         "sharp-instrument-mixed-dims", "prob-matrix", "cond-prob-matrix",
         "distribution-matrix", "instrument-distribution-matrix", "event-prob-matrix",
         "semi-trivial-instrument-ints", "semi-trivial-instrument-strings",
-        "trivial-instrument-matrix", "trivial-operation-matrix"])
+        "trivial-instrument-matrix", "trivial-operation-matrix", "luders-matrix",
+        "seq-product-first-matrix", "seq-product-second-matrix", "prob-effect-matrix",
+        "perp-matrix", "complement-matrix", "convex-combine-matrix", "is-sharp-matrix",
+        "trivial-effect-matrix", "semi-trivial-effect-matrix", "op-then-effect-matrix",
+        "effect-then-op-matrix", "cond-prob-effect-matrix", "instrument-cond-prob-matrix"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

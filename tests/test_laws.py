@@ -1,16 +1,21 @@
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqmeas
 from seqmeas import cli, laws
 from seqmeas.errors import UnknownLaw
 from seqmeas.laws import _common, core
 
-# the registry is a closed list: every result in scope has exactly one check
-EXPECTED_IDS = {
+# the registry is a closed list in the paper's order: every result in scope
+# has exactly one check
+EXPECTED_IDS = (
     "axioms-1", "axioms-2", "axioms-3", "axioms-4",
     "thm-1.1", "thm-1.2i", "thm-1.2ii",
     "eq-1.1", "eq-2.1", "eq-2.2", "eq-2.3/2.4",
@@ -23,7 +28,7 @@ EXPECTED_IDS = {
     "thm-4.1i", "thm-4.1ii", "thm-4.1iii", "thm-4.2",
     "ex-10", "lemma-4.3", "lemma-4.4",
     "bayes-obs", "cond-prob-measure",
-}
+)
 
 COUNTEREXAMPLE_IDS = {
     "eq-2.1", "eq-2.2", "eq-2.3/2.4", "ex-1", "ex-2", "ex-3",
@@ -38,8 +43,9 @@ def strip_elapsed(report):
 
 
 def test_registry_covers_the_fixed_list():
-    assert set(laws.law_ids()) == EXPECTED_IDS
+    assert laws.law_ids() == list(EXPECTED_IDS)
     reg = laws.registry()
+    assert list(reg) == list(EXPECTED_IDS)
     for law_id, law in reg.items():
         assert law.id == law_id
         assert law.kind in ("identity", "iff", "counterexample")
@@ -103,12 +109,33 @@ def test_checks_compute_violations_without_serialize():
 
 
 def test_zero_trials_guard():
-    identity_report = laws.run_law("thm-2.2", trials=0)
-    assert identity_report.status == "fail"
-    assert identity_report.trials == 0
-    assert identity_report.witness == {"reason": "no trials run"}
-    counter_report = laws.run_law("eq-2.2", trials=0)
-    assert counter_report.status == "counterexample-missing"
+    # a run that starts no trial, for want of trials or of dims, is not ok
+    for budget in ({"trials": 0}, {"dims": ()}):
+        identity_report = laws.run_law("thm-2.2", **budget)
+        assert identity_report.status == "fail"
+        assert not identity_report.ok
+        assert identity_report.trials == 0
+        assert identity_report.witness == {"reason": "no trials run"}
+        counter_report = laws.run_law("eq-2.2", **budget)
+        assert counter_report.status == "counterexample-missing"
+        assert not counter_report.ok
+        assert counter_report.witness == {"reason": "no trials run"}
+
+
+def test_checks_load_on_first_use_in_one_order():
+    # ``import seqmeas`` loads no check module, and the registry order does not
+    # depend on which check module is imported first.
+    script = (
+        "import sys, seqmeas\n"
+        "print(sorted(m for m in sys.modules if '.checks_' in m))\n"
+        "import seqmeas.laws.checks_instruments\n"
+        "print(seqmeas.laws.law_ids())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(seqmeas.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()
+    assert out == ["[]", repr(list(EXPECTED_IDS))]
 
 
 def test_ex10_fixture():
