@@ -67,7 +67,7 @@ def cmd_check(args) -> int:
         print(f"error: bad ${SEED_ENV_VAR} value {os.environ[SEED_ENV_VAR]!r}", file=sys.stderr)
         return 2
     dims = None
-    if args.dims:
+    if args.dims is not None:
         try:
             dims = tuple(int(d) for d in str(args.dims).split(","))
         except ValueError:

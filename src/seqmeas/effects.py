@@ -8,6 +8,17 @@ is the effect of measuring a first and b second.
 Objects are validated once, at construction, and carry what they derive: an
 effect its root a^{1/2} (``Effect.root``), a state its eigendecomposition
 (``State.spectrum``), each computed on first use and kept.
+
+The stacked generators (``random_effects``, ``random_states`` and those of
+observables, operations and instruments) draw many objects at once and seed
+these caches: they write each object's root or spectrum into its ``__dict__``,
+where the cached property finds it, from one stacked Jacobi pass
+(``matcore._solve_stack``) or, for a drawn effect u diag(values) u†, from the
+drawn eigendecomposition itself. A seeded value is read-only, like a computed
+one, and agrees with what the first use would compute to rounding. Below
+``matcore.STACK_BREAK_EVEN`` objects the caches are left to fill on first use,
+as a scalar solve is faster there; only the effects of a projective observable
+are always seeded, since a projection is its own root and costs nothing.
 """
 
 from __future__ import annotations
@@ -79,8 +90,12 @@ def _effects(mats) -> tuple[Effect, ...]:
     """
     m = _frozen(matcore._as_hermitian_stack(mats))
     dim = matcore.check_dim(m.shape[1])
-    certified = matcore._psd_certified_stack(
-        np.concatenate([m, matcore.identity(dim) - m])).reshape(2, -1).all(axis=0)
+    if len(m) == 1:  # one member: the scalar certificate is the faster
+        certified = np.array([matcore.psd_certified(m[0])
+                              and matcore.psd_certified(matcore.identity(dim) - m[0])])
+    else:
+        certified = matcore._psd_certified_stack(
+            np.concatenate([m, matcore.identity(dim) - m])).reshape(2, -1).all(axis=0)
     for k in np.flatnonzero(~certified):
         _check_unit_interval(m[k])
     return tuple(_validated(Effect, op=x) for x in m)
@@ -122,12 +137,14 @@ class State:
         return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
-def _check_type(obj, cls, error) -> None:
+def _check_type(obj, cls, error, what: str | None = None) -> None:
     """Raise ``error`` for a caller's non-``cls`` where a ``cls`` is required (a bare
-    matrix is not validated as an effect or a state)."""
+    matrix is not validated as an effect, a state or an operation); ``what``
+    names the requirement when the class name does not."""
     if not isinstance(obj, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise error(f"expected {article} {cls.__name__}, got {type(obj).__name__}")
+        if what is None:
+            what = ("an " if cls.__name__[0] in "AEIOU" else "a ") + cls.__name__
+        raise error(f"expected {what}, got {type(obj).__name__}")
 
 
 def zero_effect(dim: int) -> Effect:
@@ -234,9 +251,40 @@ def _ket_bra(vector) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _seeded(objs: tuple, name: str, values) -> tuple:
+    """``objs``, each with its cached property ``name`` filled in with its value
+    (``values`` None leaves the caches to fill on first use)."""
+    if values is not None:
+        for obj, value in zip(objs, values):
+            obj.__dict__[name] = value
+    return objs
+
+
+def _with_roots(effs: tuple[Effect, ...]) -> tuple[Effect, ...]:
+    """``effs``, their roots filled from one stacked solve (below break-even each
+    root is solved alone, on first use)."""
+    roots = matcore._solve_stack("root", [e.op for e in effs])
+    return _seeded(effs, "root", roots and map(_frozen, roots))
+
+
+def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
+    """n random effects, drawn as n ``random_effect`` calls would draw them, each
+    with the root read off its drawn eigendecomposition, with no solve (below
+    break-even each root is solved on first use)."""
+    ops, roots = matcore._random_effects(dim, rng, n)
+    return _seeded(_effects(ops), "root", roots if roots is None else _frozen(roots))
+
+
 def random_effect(dim: int, rng: np.random.Generator) -> Effect:
-    return Effect(matcore.random_effect(dim, rng))
+    return random_effects(dim, rng, 1)[0]
+
+
+def random_states(dim: int, rng: np.random.Generator, n: int) -> tuple[State, ...]:
+    """n random states, drawn as n ``random_state`` calls would draw them, their
+    spectra from one stacked solve."""
+    states = tuple(map(State, matcore._random_states(dim, rng, n)))
+    return _seeded(states, "spectrum", matcore._solve_stack("spectrum", [s.op for s in states]))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> State:
-    return State(matcore.random_state(dim, rng))
+    return random_states(dim, rng, 1)[0]

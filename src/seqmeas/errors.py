@@ -63,3 +63,11 @@ class SamplingError(SeqmeasError):
 
 class EigenConvergenceError(SeqmeasError):
     """Jacobi sweep cap exceeded (should not happen for Hermitian input at dim <= 8)."""
+
+
+class NotOperation(SeqmeasError):
+    """An operation argument is not an ``Operation``."""
+
+
+class NotMeasure(SeqmeasError):
+    """A measure argument is not an ``Observable`` or ``Instrument`` (or not the one required)."""

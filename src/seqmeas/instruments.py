@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import COND_FLOOR, State, _check_type, _ket_bra
-from .errors import ConditioningOnNull, DimensionError, NotChannel, NotState
+from .errors import ConditioningOnNull, DimensionError, NotChannel, NotMeasure, NotState
 from .observables import OBS_SUM_TOL, Observable, _conditioned, _Measure, _product, _sequence
 from .observables import distribution, obs_equal as inst_equal, obs_part as inst_part
 from .observables import verify_coexistence_witness as verify_inst_coexistence_witness
@@ -50,11 +50,13 @@ class Instrument(_Measure):
 
 def bar(i: Instrument) -> Operation:
     """The total channel: concatenation of all member Kraus families."""
+    _check_type(i, Instrument, NotMeasure)
     return i._channel
 
 
 def measured_observable(i: Instrument) -> Observable:
     """The unique observable the instrument measures (hats of the members)."""
+    _check_type(i, Instrument, NotMeasure)
     return Observable(i.outcomes, tuple(op_mod.hat(o) for o in i.ops))
 
 
@@ -150,22 +152,48 @@ def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
     return np.trace(op_mod.apply(j_member, front)).real / denom
 
 
+def _instruments(families: list[list[np.ndarray]]) -> tuple[Instrument, ...]:
+    """Instruments with outcomes x0, x1, ..., one member per Kraus family of each
+    ``families[k]``; all members are built as one stack."""
+    members = op_mod._operations([fam for fams in families for fam in fams])
+    ends = np.cumsum([len(fams) for fams in families])
+    return tuple(Instrument(tuple(f"x{j}" for j in range(len(fams))), members[end - len(fams):end])
+                 for fams, end in zip(families, ends))
+
+
+def random_instruments(dim: int, rng: np.random.Generator, n: int,
+                       n_outcomes=None) -> tuple[Instrument, ...]:
+    """n random instruments, as n ``random_instrument`` calls would draw them, their
+    normalizers from one stacked solve and their members built as one stack.
+    ``n_outcomes`` is one count for all, a sequence of n counts, or None."""
+    draws, inv_roots = matcore._normalizing_draws(
+        lambda k: [matcore._ginibres(dim, rng, int(rng.integers(1, 3))) for _ in range(k)],
+        lambda families: sum(op_mod._hat_matrix(fam) for fam in families),
+        matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+    return _instruments([[np.einsum("nij,jk->nik", fam, inv_root) for fam in families]
+                         for families, inv_root in zip(draws, inv_roots)])
+
+
 def random_instrument(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Instrument:
     """Random instrument: globally normalized Ginibre Kraus families."""
-    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    families, inv_root = matcore._normalizing_draw(
-        lambda: [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
-                 for _ in range(n)],
-        lambda families: sum(op_mod._hat_matrix(fam) for fam in families))
-    return _instrument([np.einsum("nij,jk->nik", fam, inv_root) for fam in families], None)
+    return random_instruments(dim, rng, 1, n_outcomes)[0]
+
+
+def random_kraus_instruments(dim: int, rng: np.random.Generator, n: int,
+                             n_outcomes=None) -> tuple[Instrument, ...]:
+    """n random Kraus instruments, as n ``random_kraus_instrument`` calls would draw
+    them, their normalizers from one stacked solve and their members built as
+    one stack."""
+    draws, inv_roots = matcore._normalizing_draws(
+        lambda k: matcore._ginibres(dim, rng, k),
+        lambda mats: sum(matcore.dagger(m) @ m for m in mats),
+        matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+    return _instruments([[(m @ inv_root)[None] for m in mats]
+                         for mats, inv_root in zip(draws, inv_roots)])
 
 
 def random_kraus_instrument(dim: int, rng: np.random.Generator,
                             n_outcomes: int | None = None) -> Instrument:
     """Random Kraus instrument: one operator per outcome, trace-preserving."""
-    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    mats, inv_root = matcore._normalizing_draw(
-        lambda: [matcore._ginibre(dim, rng) for _ in range(n)],
-        lambda mats: sum(matcore.dagger(m) @ m for m in mats))
-    return kraus_instrument([m @ inv_root for m in mats])
+    return random_kraus_instruments(dim, rng, 1, n_outcomes)[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .. import serialize
@@ -46,6 +48,12 @@ def random_surjection(outcomes: tuple[str, ...], rng: np.random.Generator,
     for g in range(k):
         labels[order[g]] = g
     return {x: f"y{g}" for x, g in zip(outcomes, labels)}
+
+
+def chunks(items, sizes) -> list[tuple]:
+    """``items`` cut into consecutive groups of the given sizes."""
+    items = iter(items)
+    return [tuple(itertools.islice(items, k)) for k in sizes]
 
 
 def resample(draw, accept):

@@ -17,10 +17,13 @@ from ..effects import (
     perp,
     prob,
     random_effect,
+    random_effects,
     random_state,
+    random_states,
     seq_product,
 )
 from ..matcore import max_abs
+from ..operations import Operation
 from ..observables import Observable, projective_observable
 from ._common import order_gap, resample, sharp_partition, split_identity, trace_real
 from .core import LawCheck, LawContext, Tally
@@ -75,37 +78,42 @@ def check_axiom_4(ctx: LawContext, dim: int, tally: Tally) -> None:
     tally.expect_true(not perp(x, ident), "x perp I only for x = 0", x=x)
 
 
-def check_hat_isomorphism(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_hat_isomorphism(ctx: LawContext, dim: int, n: int):
+    rng = ctx.rng
+    a = random_effects(dim, rng, n)
+    lams = rng.uniform(0.1, 0.9, size=n).tolist()
+    ops = op_mod.random_operations(dim, rng, 4 * n)
+    return zip(a, lams, ops[0::4], ops[1::4], ops[2::4], ops[3::4],
+               op_mod.random_channels(dim, rng, n), random_states(dim, rng, n),
+               random_effects(dim, rng, n))
+
+
+def check_hat_isomorphism(ctx: LawContext, dim: int, tally: Tally, a: Effect, lam: float,
+                          op_i: Operation, op_j: Operation, base: Operation, op_k: Operation,
+                          chan: Operation, alpha: State, b: Effect) -> None:
     """Additivity, convex-linearity, surjectivity, injectivity-on-classes and
     order preservation of the induced-effect map."""
-    rng = ctx.rng
-    a = random_effect(dim, rng)
     tally.expect(max_abs(op_mod.hat(op_mod.luders(a)).op - a.op),
                  "surjectivity via Lueders", a=a, tol=1e-10)
-    lam = float(rng.uniform(0.1, 0.9))
-    i = op_mod.scale(op_mod.random_operation(dim, rng), lam)
-    j = op_mod.scale(op_mod.random_operation(dim, rng), 1.0 - lam)
+    i = op_mod.scale(op_i, lam)
+    j = op_mod.scale(op_j, 1.0 - lam)
     tally.expect(
         max_abs(op_mod.hat(op_mod.add(i, j)).op - (op_mod.hat(i).op + op_mod.hat(j).op)),
         "hat is additive", lam=lam)
-    base = op_mod.random_operation(dim, rng)
     tally.expect(
         max_abs(op_mod.hat(op_mod.scale(base, lam)).op - lam * op_mod.hat(base).op),
         "hat is homogeneous", lam=lam)
-    chan = op_mod.random_channel(dim, rng)
     tally.expect(max_abs(op_mod.hat(chan).op - matcore.identity(dim)),
                  "channels are the unit class")
-    alpha = random_state(dim, rng)
     tally.expect_true(op_mod.equiv(op_mod.luders(a), op_mod.trivial(a, alpha)),
                       "operations measuring one effect are equivalent", a=a)
-    b = random_effect(dim, rng)
     if max_abs(a.op - b.op) > 1e-6:
         tally.expect_true(not op_mod.equiv(op_mod.luders(a), op_mod.luders(b)),
                           "distinct hats are inequivalent", a=a, b=b)
     # order preservation along i <= i + k
     half = op_mod.scale(base, 0.5)
-    more = op_mod.add(half, op_mod.scale(op_mod.random_operation(dim, rng), 0.5))
-    tally.expect_true(op_mod.operation_leq(half, more, rng),
+    more = op_mod.add(half, op_mod.scale(op_k, 0.5))
+    tally.expect_true(op_mod.operation_leq(half, more, ctx.rng),
                       "construction satisfies the operation order")
     tally.expect_true(matcore.loewner_leq(op_mod.hat(half).op, op_mod.hat(more).op),
                       "hat preserves order")
@@ -225,12 +233,15 @@ def _bayes_first_rule_violation(partition: Observable, b: Effect, rho: State) ->
     return abs(prob(rho, b) - total)
 
 
-def check_bayes_first_rule_effects(ctx: LawContext, dim: int, tally: Tally) -> None:
-    """Bayes' first rule P(b) = sum_i P(a_i) P(b|a_i) fails for effects."""
+def draw_bayes_first_rule_effects(ctx: LawContext, dim: int, n: int):
     rng = ctx.rng
-    partition = projective_observable(dim, rng)
-    b = random_effect(dim, rng)
-    rho = random_state(dim, rng)
+    return zip([projective_observable(dim, rng) for _ in range(n)],
+               random_effects(dim, rng, n), random_states(dim, rng, n))
+
+
+def check_bayes_first_rule_effects(ctx: LawContext, dim: int, tally: Tally,
+                                   partition: Observable, b: Effect, rho: State) -> None:
+    """Bayes' first rule P(b) = sum_i P(a_i) P(b|a_i) fails for effects."""
     tally.offer(partition=partition, b=b, rho=rho)
 
 
@@ -265,7 +276,7 @@ LAWS = (
         id="thm-1.1", kind="identity", dims=(2, 3), trials=100,
         description="The induced-effect map is a convex effect-algebra isomorphism "
                     "on equivalence classes of operations",
-        fn=check_hat_isomorphism),
+        fn=check_hat_isomorphism, draw=draw_hat_isomorphism),
     LawCheck(
         id="thm-1.2i", kind="iff", dims=(2,), trials=100,
         description="A sharp partition reproduces b iff b commutes with every cell",
@@ -283,7 +294,8 @@ LAWS = (
     LawCheck(
         id="eq-2.1", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' first rule fails for effect conditioning",
-        fn=check_bayes_first_rule_effects, replay=_bayes_first_rule_violation),
+        fn=check_bayes_first_rule_effects, replay=_bayes_first_rule_violation,
+        draw=draw_bayes_first_rule_effects),
     LawCheck(
         id="eq-2.2", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' second rule fails for effect conditioning",

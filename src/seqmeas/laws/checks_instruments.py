@@ -16,8 +16,10 @@ from ..effects import (
     cond_prob,
     perp,
     prob,
+    _with_roots,
     random_effect,
-    random_state,
+    random_effects,
+    random_states,
     seq_product,
 )
 from ..instruments import (
@@ -34,7 +36,8 @@ from ..instruments import (
     obs_conditioned_on_inst,
     obs_then_inst,
     random_instrument,
-    random_kraus_instrument,
+    random_instruments,
+    random_kraus_instruments,
     semi_trivial_instrument,
     trivial_instrument,
     verify_inst_coexistence_witness,
@@ -49,9 +52,10 @@ from ..observables import (
     obs_part,
     obs_seq_product,
     random_observable,
+    random_observables,
     verify_coexistence_witness,
 )
-from ._common import random_surjection, resample, trace_real
+from ._common import chunks, random_surjection, resample, trace_real
 from .core import LawCheck, LawContext, Tally
 
 # Probabilities smaller than this are skipped when a law divides by them; the
@@ -97,13 +101,15 @@ def _trivial_front_violation(a_obs: Observable, b_obs: Observable, alpha: State,
                for ax in a_obs.effects for by in b_obs.effects)
 
 
-def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_trivial_then_luders(ctx: LawContext, dim: int, n: int):
+    observables = random_observables(dim, ctx.rng, 2 * n)
+    return zip(observables[0::2], observables[1::2], random_states(dim, ctx.rng, n))
+
+
+def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally, b: Observable,
+                              a: Observable, alpha: State) -> None:
     """A trivial front end makes the product hat tr(alpha a_y) b_x, which is
     not the sequential product of the observables."""
-    rng = ctx.rng
-    b = random_observable(dim, rng)
-    a = random_observable(dim, rng)
-    alpha = random_state(dim, rng)
     i = trivial_instrument(b, alpha)
     got = measured_observable(inst_seq_product(i, luders_instrument(a)))
     for xy, bx, ay in _product_items(b.items(), a.items()):
@@ -112,14 +118,17 @@ def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally) -> None:
     tally.offer(b_obs=b, a_obs=a, alpha=alpha)
 
 
-def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_trivial_trivial_product(ctx: LawContext, dim: int, n: int):
+    observables = random_observables(dim, ctx.rng, 2 * n)
+    states = random_states(dim, ctx.rng, 2 * n)
+    return zip(observables[0::2], observables[1::2], states[0::2], states[1::2])
+
+
+def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                      b: Observable, alpha: State, beta: State) -> None:
     """Product of trivial instruments: hat entries are tr(alpha b_y) a_x, and
     the rank-one criterion |<phi,psi>|^2 != <psi,alpha psi> forces a gap."""
     rng = ctx.rng
-    a = random_observable(dim, rng)
-    b = random_observable(dim, rng)
-    alpha = random_state(dim, rng)
-    beta = random_state(dim, rng)
     got = measured_observable(
         inst_seq_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)))
     for xy, ax, by in _product_items(a.items(), b.items()):
@@ -159,12 +168,18 @@ def _kraus_kraus_violation(i: Instrument, j: Instrument) -> float:
                for ix in i.ops for jy in j.ops)
 
 
-def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_kraus_kraus_product(ctx: LawContext, dim: int, n: int):
+    """Pairs of random Kraus instruments; the roots of their induced effects, which
+    the violation reads, come from one stacked solve."""
+    insts = random_kraus_instruments(dim, ctx.rng, 2 * n)
+    _with_roots(tuple(o.induced for inst in insts for o in inst.ops))
+    return zip(insts[0::2], insts[1::2])
+
+
+def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally, i: Instrument,
+                                  j: Instrument) -> None:
     """Kraus instruments compose to A_x† B_y† B_y A_x, not to the sequential
     product of the measured observables."""
-    rng = ctx.rng
-    i = random_kraus_instrument(dim, rng)
-    j = random_kraus_instrument(dim, rng)
     got = measured_observable(inst_seq_product(i, j))
     for xy, ix, jy in _product_items(i.items(), j.items()):
         tally.expect(max_abs(got.effect(xy).op - _kraus_product_hat(ix, jy)),
@@ -172,14 +187,19 @@ def check_kraus_kraus_product_hat(ctx: LawContext, dim: int, tally: Tally) -> No
     tally.offer(i=i, j=j)
 
 
-def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_semi_trivial_products(ctx: LawContext, dim: int, n: int):
+    """Pairs of random observables, with one random state per outcome of each."""
+    observables = random_observables(dim, ctx.rng, 2 * n)
+    sizes = [len(obs.outcomes) for obs in observables]
+    states = chunks(random_states(dim, ctx.rng, sum(sizes)), sizes)
+    return zip(observables[0::2], observables[1::2], states[0::2], states[1::2])
+
+
+def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                b: Observable, alphas: tuple[State, ...],
+                                betas: tuple[State, ...]) -> None:
     """Products and conditionings of (semi-)trivial instruments stay
     (semi-)trivial with the composed observables."""
-    rng = ctx.rng
-    a = random_observable(dim, rng)
-    b = random_observable(dim, rng)
-    alphas = [random_state(dim, rng) for _ in a.outcomes]
-    betas = [random_state(dim, rng) for _ in b.outcomes]
     i = semi_trivial_instrument(a, alphas)
     j = semi_trivial_instrument(b, betas)
     prod = inst_seq_product(i, j)
@@ -221,13 +241,15 @@ def _forgotten_state_violation(b_obs: Observable, alpha: State) -> float:
                for by in b_obs.effects)
 
 
-def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_conditioning_forgets_state(ctx: LawContext, dim: int, n: int):
+    states = random_states(dim, ctx.rng, 2 * n)
+    return zip(random_observables(dim, ctx.rng, n), states[0::2], states[1::2])
+
+
+def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally, b: Observable,
+                                     alpha: State, beta: State) -> None:
     """(J | I) hat differs from the conditioned observables: a single-outcome
     trivial front end replaces rho by alpha."""
-    rng = ctx.rng
-    b = random_observable(dim, rng)
-    alpha = random_state(dim, rng)
-    beta = random_state(dim, rng)
     i = trivial_instrument(identity_observable(dim), alpha)
     j = trivial_instrument(b, beta)
     got = measured_observable(inst_conditioned(j, i))
@@ -275,13 +297,23 @@ def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally) ->
                      "observable conditioning matches the Lueders formula")
 
 
-def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally) -> None:
-    """Closed forms for mixed products with trivial and semi-trivial pieces."""
+def draw_mixed_product_forms(ctx: LawContext, dim: int, n: int):
+    """Two effects and a state, then two observables with a state per outcome of
+    the second."""
     rng = ctx.rng
+    effs = random_effects(dim, rng, 2 * n)
+    alphas = random_states(dim, rng, n)
+    observables = random_observables(dim, rng, 2 * n)
+    sizes = [len(obs.outcomes) for obs in observables[1::2]]
+    states = chunks(random_states(dim, rng, sum(sizes)), sizes)
+    return zip(effs[0::2], effs[1::2], alphas, observables[0::2], observables[1::2], states)
+
+
+def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally, a: Effect, b: Effect,
+                              alpha: State, a_obs: Observable, b_obs: Observable,
+                              states: tuple[State, ...]) -> None:
+    """Closed forms for mixed products with trivial and semi-trivial pieces."""
     # (i) trivial operation against a plain effect
-    a = random_effect(dim, rng)
-    b = random_effect(dim, rng)
-    alpha = random_state(dim, rng)
     i = op_mod.trivial(b, alpha)
     got = op_mod.op_then_effect(i, a)
     tally.expect(max_abs(got.op - prob(alpha, a) * b.op),
@@ -291,9 +323,6 @@ def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally) -> None:
     tally.expect(op_mod.action_distance(got_op, want_op),
                  "effect-then-operation is trivial with the product effect")
     # (ii) semi-trivial instrument against an observable
-    a_obs = random_observable(dim, rng)
-    b_obs = random_observable(dim, rng)
-    states = [random_state(dim, rng) for _ in b_obs.outcomes]
     sti = semi_trivial_instrument(b_obs, states)
     lifted = inst_then_obs(sti, a_obs)
     for xy, (bx, alpha_x), ay in _product_items(zip(b_obs.outcomes, zip(b_obs.effects, states)),
@@ -349,12 +378,16 @@ def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> Non
         "coexistence pushes forward to the hats")
 
 
-def check_trivial_parts(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_trivial_parts(ctx: LawContext, dim: int, n: int):
+    return zip(random_observables(dim, ctx.rng, n, n_outcomes=3),
+               random_states(dim, ctx.rng, n))
+
+
+def check_trivial_parts(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                        alpha: State) -> None:
     """Parts of trivial instruments are trivial over the coarse-grained
     observable; trivial instruments with one state coexist when their hats do."""
     rng = ctx.rng
-    a = random_observable(dim, rng, n_outcomes=3)
-    alpha = random_state(dim, rng)
     i = trivial_instrument(a, alpha)
     f = random_surjection(a.outcomes, rng)
     part = inst_part(i, f)
@@ -376,22 +409,29 @@ def _observable_bayes_violation(a_obs: Observable, b_obs: Observable, rho: State
                for y in b_obs.outcomes)
 
 
-def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_observable_pair_and_state(ctx: LawContext, dim: int, n: int):
+    observables = random_observables(dim, ctx.rng, 2 * n)
+    return zip(observables[0::2], observables[1::2], random_states(dim, ctx.rng, n))
+
+
+def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                   b: Observable, rho: State) -> None:
     """P(b_y) != sum_x P(a_x) P(b_y | a_x) for generic observables."""
-    rng = ctx.rng
-    a = random_observable(dim, rng)
-    b = random_observable(dim, rng)
-    rho = random_state(dim, rng)
     tally.offer(a_obs=a, b_obs=b, rho=rho)
 
 
-def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_conditional_prob_measure(ctx: LawContext, dim: int, n: int):
+    observables = random_observables(dim, ctx.rng, 2 * n)
+    states = random_states(dim, ctx.rng, n)
+    insts = random_instruments(dim, ctx.rng, 2 * n)
+    return zip(observables[0::2], observables[1::2], states, insts[0::2], insts[1::2])
+
+
+def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                   b: Observable, rho: State, i: Instrument,
+                                   j: Instrument) -> None:
     """Conditional outcome probabilities are probability measures, and the
     conditioned observable/instrument reproduces the total-probability sum."""
-    rng = ctx.rng
-    a = random_observable(dim, rng)
-    b = random_observable(dim, rng)
-    rho = random_state(dim, rng)
     cond = obs_conditioned(b, a)
     for y, by in b.items():
         total = sum(prob(rho, seq_product(ax, by)) for ax in a.effects)
@@ -402,8 +442,6 @@ def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally) -> N
             continue
         total = sum(cond_prob(rho, by, given=ax) for by in b.effects)
         tally.expect(abs(total - 1.0), "conditional effect probabilities sum to 1")
-    i = random_instrument(dim, rng)
-    j = random_instrument(dim, rng)
     cond_i = inst_conditioned(j, i)
     for y in j.outcomes:
         lhs = trace_real(op_mod.apply(cond_i.operation(y), rho))
@@ -437,20 +475,22 @@ LAWS = (
     LawCheck(
         id="ex-6", kind="counterexample", dims=(2,), trials=100,
         description="Trivial-then-Lueders hat differs from the naive product",
-        fn=check_trivial_then_luders,
+        fn=check_trivial_then_luders, draw=draw_trivial_then_luders,
         replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)),
     LawCheck(
         id="ex-7", kind="counterexample", dims=(2,), trials=100,
         description="Trivial-pair product hat differs from the observable product",
-        fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation),
+        fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation,
+        draw=draw_trivial_trivial_product),
     LawCheck(
         id="ex-8", kind="counterexample", dims=(2,), trials=100,
         description="Kraus-pair product hat differs from the observable product",
-        fn=check_kraus_kraus_product_hat, replay=_kraus_kraus_violation),
+        fn=check_kraus_kraus_product_hat, replay=_kraus_kraus_violation,
+        draw=draw_kraus_kraus_product),
     LawCheck(
         id="lemma-3.2", kind="identity", dims=(2, 3), trials=50,
         description="(Semi-)trivial instruments are closed under products and conditioning",
-        fn=check_semi_trivial_products),
+        fn=check_semi_trivial_products, draw=draw_semi_trivial_products),
     LawCheck(
         id="lemma-3.3", kind="identity", dims=(2, 3), trials=50,
         description="Conditioned Lueders instruments measure the conditioned observable",
@@ -458,7 +498,8 @@ LAWS = (
     LawCheck(
         id="ex-9", kind="counterexample", dims=(2,), trials=100,
         description="Instrument conditioning forgets the input state for trivial front ends",
-        fn=check_conditioning_forgets_state, replay=_forgotten_state_violation),
+        fn=check_conditioning_forgets_state, replay=_forgotten_state_violation,
+        draw=draw_conditioning_forgets_state),
     LawCheck(
         id="thm-4.1i", kind="identity", dims=(2, 3), trials=50,
         description="hat of effect-then-operation is the sequential product of effects",
@@ -474,7 +515,7 @@ LAWS = (
     LawCheck(
         id="thm-4.2", kind="identity", dims=(2, 3), trials=50,
         description="Closed forms of mixed products with trivial and semi-trivial parts",
-        fn=check_mixed_product_forms),
+        fn=check_mixed_product_forms, draw=draw_mixed_product_forms),
     LawCheck(
         id="ex-10", kind="identity", dims=(2,), trials=1,
         description="Post-channel effect map is a morphism but not a monomorphism",
@@ -486,13 +527,15 @@ LAWS = (
     LawCheck(
         id="lemma-4.4", kind="identity", dims=(2, 3), trials=50,
         description="Trivial parts stay trivial; shared-state trivial instruments coexist",
-        fn=check_trivial_parts),
+        fn=check_trivial_parts, draw=draw_trivial_parts),
     LawCheck(
         id="bayes-obs", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' first rule fails at the observable level",
-        fn=check_observable_bayes_failure, replay=_observable_bayes_violation),
+        fn=check_observable_bayes_failure, replay=_observable_bayes_violation,
+        draw=draw_observable_pair_and_state),
     LawCheck(
         id="cond-prob-measure", kind="identity", dims=(2, 3), trials=50,
         description="Conditional outcome probabilities are probability measures",
-        fn=check_conditional_prob_measure, tol=1e-10),
+        fn=check_conditional_prob_measure, tol=1e-10,
+        draw=draw_conditional_prob_measure),
 )

@@ -15,11 +15,14 @@ from ..effects import (
     complement,
     prob,
     random_effect,
+    random_effects,
     random_state,
+    random_states,
     seq_product,
 )
 from ..matcore import max_abs
-from ._common import order_gap, resample, sharp_partition, split_identity, trace_real
+from ..observables import random_observables
+from ._common import chunks, order_gap, resample, sharp_partition, trace_real
 from .core import LawCheck, LawContext, Tally
 
 
@@ -29,12 +32,20 @@ def _trivial_superop(a: Effect, alpha: State) -> np.ndarray:
     return np.outer(alpha.op.reshape(-1), a.op.T.reshape(-1))
 
 
-def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_semi_trivial_construction(ctx: LawContext, dim: int, n: int):
+    """Per trial 1-3 pairs: the first effects of a random observable with one
+    outcome more (so they sum strictly below I), each with a random state."""
+    rng = ctx.rng
+    sizes = rng.integers(1, 4, size=n)
+    observables = random_observables(dim, rng, n, n_outcomes=sizes + 1)
+    states = chunks(random_states(dim, rng, int(sizes.sum())), sizes)
+    return [(list(zip(obs.effects, alphas)),) for obs, alphas in zip(observables, states)]
+
+
+def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally,
+                                    pairs: list[tuple[Effect, State]]) -> None:
     """The explicit Kraus family for rho -> sum tr(rho a_i) alpha_i has the
     superoperator of the direct formula, with hat = sum a_i."""
-    rng = ctx.rng
-    n = int(rng.integers(1, 4))
-    pairs = [(a, random_state(dim, rng)) for a in split_identity(dim, rng, n + 1)[:n]]
     op = op_mod.semi_trivial(pairs)
     direct = sum(_trivial_superop(a, alpha) for a, alpha in pairs)
     tally.expect(max_abs(op.superop - direct), "construction matches the direct formula")
@@ -223,14 +234,17 @@ _sequencing_order_violation = _by_construction({
 })
 
 
-def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_sequencing_order(ctx: LawContext, dim: int, n: int):
+    rng = ctx.rng
+    a = random_effects(dim, rng, n)
+    states = random_states(dim, rng, 3 * n)
+    return zip(a, states[0::3], states[1::3], states[2::3], random_effects(dim, rng, n))
+
+
+def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                                   alpha: State, beta: State, rho: State, b: Effect) -> None:
     """tr[J(I(rho))] and tr[I(J(rho))] disagree for trivial pairs sharing an
     effect and for non-commuting Lueders pairs; the closed forms hold exactly."""
-    rng = ctx.rng
-    a = random_effect(dim, rng)
-    alpha = random_state(dim, rng)
-    beta = random_state(dim, rng)
-    rho = random_state(dim, rng)
     i_op = op_mod.trivial(a, alpha)
     j_op = op_mod.trivial(a, beta)
     forward = trace_real(op_mod.apply(j_op, op_mod.apply(i_op, rho)))
@@ -240,7 +254,6 @@ def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally) -> N
     tally.expect(abs(backward - prob(rho, a) * prob(beta, a)),
                  "backward composition closed form")
     tally.offer(a=a, alpha=alpha, beta=beta, rho=rho, construction="trivial")
-    b = random_effect(dim, rng)
     li, lj = op_mod.luders(a), op_mod.luders(b)
     forward = trace_real(op_mod.apply(lj, op_mod.apply(li, rho)))
     backward = trace_real(op_mod.apply(li, op_mod.apply(lj, rho)))
@@ -264,7 +277,7 @@ LAWS = (
     LawCheck(
         id="thm-2.2", kind="identity", dims=(2, 3, 4, 5), trials=50,
         description="Explicit Kraus family for semi-trivial operations",
-        fn=check_semi_trivial_construction),
+        fn=check_semi_trivial_construction, draw=draw_semi_trivial_construction),
     LawCheck(
         id="cor-2.3", kind="identity", dims=(2, 3), trials=50,
         description="Explicit Kraus family for trivial operations; both trivial "
@@ -281,7 +294,8 @@ LAWS = (
     LawCheck(
         id="ex-3", kind="counterexample", dims=(2,), trials=100,
         description="Sequential composition of operations is order sensitive",
-        fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10),
+        fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10,
+        draw=draw_sequencing_order),
     LawCheck(
         id="ex-4", kind="identity", dims=(2, 3), trials=50,
         description="Every operation has a Lueders complement to a channel",

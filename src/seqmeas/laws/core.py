@@ -15,14 +15,22 @@ order, and the registry holds the three tuples in declaration order (effects,
 operations, instruments): ``law_ids``, ``registry`` and ``run_all`` list the
 laws section by section.
 
-A check is a per-trial function ``fn(ctx, dim, tally) -> None``. ``run_law``
-owns the loop: it calls ``fn`` ``ctx.trials`` times for each dimension in
-``ctx.dims``, counts the trials and turns the one ``Tally`` they share into the
-report. A run that starts no trial (no trials, or no dims) fails, or reports a
-counterexample law's counterexample missing, with the witness
-``{"reason": "no trials run"}``. An exception escaping a trial ends that law
-with status ``error``; its witness names the exception type, message and
-dimension, and the report is not ok. The other laws of a run are unaffected.
+A check is a per-trial function ``fn(ctx, dim, tally, *inputs) -> None``.
+``run_law`` owns the loop: it calls ``fn`` ``ctx.trials`` times for each
+dimension in ``ctx.dims``, counts the trials and turns the one ``Tally`` they
+share into the report. A law may register ``draw(ctx, dim, n)``, which returns
+the inputs of n trials (one tuple each), drawn at once so that their roots,
+spectra and normalizers come from stacked solves; ``run_law`` calls it once per
+dimension with n = ``ctx.trials``, before that dimension's trials, and passes
+trial k its k-th tuple. A law without ``draw`` gets no inputs. So a law's RNG
+stream is consumed as: the draw of the first dimension, then its trials (in
+order, with whatever they draw themselves, such as rejection samples), then the
+draw of the next dimension, and so on. A run that starts no trial (no trials,
+or no dims) calls no ``draw`` and fails, or reports a counterexample law's
+counterexample missing, with the witness ``{"reason": "no trials run"}``. An
+exception escaping a ``draw`` or a trial ends that law with status ``error``;
+its witness names the exception type, message and dimension, and the report is
+not ok. The other laws of a run are unaffected.
 Inside a trial a check records
 
 * ``tally.expect(deviation, label, **objects)`` -- a deviation that must stay
@@ -30,9 +38,14 @@ Inside a trial a check records
 * ``tally.expect_true(condition, label, **objects)`` -- an assertion that must
   hold;
 * ``tally.offer(**objects)`` -- a counterexample candidate; the law's
-  ``replay`` computes its violation from ``objects``, and the largest violation
-  (strictly larger than every earlier one) and its inputs, serialized for
-  ``replay_witness``, become the report's ``max_deviation`` and witness.
+  ``replay`` computes its violation from ``objects``, and the candidate with the
+  largest violation (strictly larger than every earlier one) is kept, its
+  inputs serialized for ``replay_witness``. When the run ends, the kept witness
+  is decoded and replayed once, the way ``replay_witness`` does it, and that
+  replayed violation becomes the report's ``max_deviation`` and the witness's
+  ``violation``. The in-run violation only ranks the candidates: inputs from a
+  stacked draw carry roots from the stacked solver, which agree with the scalar
+  roots of the decoded witness to rounding, not bit for bit.
 
 The tally's tolerance is the registry field ``LawCheck.tol``, or
 ``ctx.eq_tol`` when that is ``None``. The first failed assertion, with its
@@ -51,7 +64,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -113,17 +126,26 @@ class Tally:
             self.best = violation
             self.best_witness = wit(**objects, violation=violation, **extra)
 
-    def result(self, kind: str, trials: int, gap: float) -> CheckResult:
+    def result(self, kind: str, trials: int, gap: float,
+               error: dict | None = None) -> CheckResult:
         """Summarize the finished tally into a report status.
 
-        A run that started no trial fails (a counterexample law reports its
-        counterexample missing) with the witness ``{"reason": "no trials run"}``.
-        A failed assertion fails any law. A counterexample law otherwise
-        reports its best violation and that candidate's witness, and is found
-        when the violation exceeds ``gap``.
+        An ``error`` (an exception that ended the run) is the status ``error``
+        with that witness. A run that started no trial fails (a counterexample
+        law reports its counterexample missing) with the witness
+        ``{"reason": "no trials run"}``. A failed assertion fails any law. A
+        counterexample law otherwise reports the replayed violation of its best
+        candidate (``_replayed``: the witness decoded and put through ``replay``
+        once) and that candidate's witness, and is found when the violation
+        exceeds ``gap``.
         """
         counterexample = kind == "counterexample"
-        if trials == 0:
+        if counterexample and error is None and self.best_witness is not None:
+            self.best = _replayed(self.replay, self.best_witness)
+            self.best_witness["violation"] = self.best
+        if error is not None:
+            status, witness = "error", error
+        elif trials == 0:
             status = "counterexample-missing" if counterexample else "fail"
             witness = {"reason": "no trials run"}
         elif not self.ok:
@@ -139,7 +161,7 @@ class Tally:
 
 @dataclass
 class CheckResult:
-    status: str  # pass | fail | counterexample-found | counterexample-missing
+    status: str  # pass | fail | counterexample-found | counterexample-missing | error
     max_deviation: float
     trials: int
     witness: dict | None = None
@@ -154,10 +176,11 @@ class LawCheck:
     dims: tuple[int, ...]
     trials: int
     description: str
-    fn: Callable[[LawContext, int, Tally], None]  # one trial at one dimension
+    fn: Callable[..., None]  # one trial at one dimension: fn(ctx, dim, tally, *inputs)
     gap: float | None = None  # law-specific violation threshold override
     replay: Callable[..., float] | None = None  # violation from witness objects
     tol: float | None = None  # tally tolerance; None means ctx.eq_tol
+    draw: Callable[[LawContext, int, int], Iterable[tuple]] | None = None  # n trials' inputs
 
 
 @dataclass
@@ -251,19 +274,24 @@ def run_law(law_id: str, dims=None, trials: int | None = None, seed: int = DEFAU
                      gap=law.gap if law.gap is not None else gap)
     tally = Tally(tol=eq_tol if law.tol is None else law.tol, replay=law.replay)
     trials_run = 0
-    error = None
+    dim = None
     try:
         for dim in ctx.dims:
-            for _ in range(ctx.trials):
+            if law.draw is None or ctx.trials <= 0:
+                inputs = [()] * max(ctx.trials, 0)
+            else:
+                inputs = law.draw(ctx, dim, ctx.trials)
+            for args in inputs:
                 trials_run += 1
-                law.fn(ctx, dim, tally)
+                law.fn(ctx, dim, tally, *args)
+        result = tally.result(law.kind, trials=trials_run, gap=ctx.gap)
     except Exception as exc:  # one failing law must not abort a run of all laws
         error = {"error": type(exc).__name__, "message": str(exc), "dim": dim}
-    result = tally.result(law.kind, trials=trials_run, gap=ctx.gap)
+        result = tally.result(law.kind, trials=trials_run, gap=ctx.gap, error=error)
     return LawReport(
-        id=law.id, kind=law.kind, status="error" if error else result.status,
+        id=law.id, kind=law.kind, status=result.status,
         trials=result.trials, max_deviation=result.max_deviation,
-        witness=error or result.witness, seed=seed,
+        witness=result.witness, seed=seed,
         elapsed=time.perf_counter() - start, dims=ctx.dims,
     )
 
@@ -291,9 +319,14 @@ def replay_witness(report: LawReport | dict) -> float:
         raise UnknownLaw(f"law {law.id!r} has no witness replay")
     if not data.get("witness"):
         raise UnknownLaw(f"report for {law.id!r} carries no witness")
+    return _replayed(law.replay, data["witness"])
+
+
+def _replayed(replay: Callable[..., float], witness: dict) -> float:
+    """The violation ``replay`` computes from a serialized witness's decoded objects."""
     objects = {name: serialize._from_json(value)
-               for name, value in data["witness"].items() if name != "violation"}
-    return float(law.replay(**objects))
+               for name, value in witness.items() if name != "violation"}
+    return float(replay(**objects))
 
 
 def report_lines(reports: list[LawReport]) -> str:

@@ -24,10 +24,24 @@ of the factorization stays well inside that margin. So every verdict is
 Jacobi's. A stack of matrices (the members of a product measure) is certified
 at once by ``_psd_certified_stack``, a right-looking Cholesky vectorized over
 the stack under the same shift, norm guard and rounding bound.
+
+A stack of matrices drawn at once (the random inputs of many law trials) is
+diagonalized by the stacked Jacobi kernel, ``_eig_hermitian_stack``: the same
+cyclic sweeps, thresholds and sweep cap as ``eig_hermitian``, each rotation
+applied with numpy to every member that still needs it. A member rotates only
+while its own off-diagonal mass is above JACOBI_OFF_THRESHOLD, and only where
+its own entry is above the skip threshold, so members never affect one another.
+``_sqrt_psd_stack`` and ``_inv_sqrt_pd_stack`` follow ``sqrt_psd`` and
+``inv_sqrt_pd``. At d <= 3 a scalar solve is mostly per-call overhead, which the
+stack pays once; below STACK_BREAK_EVEN members the scalar solver is the faster,
+so ``_solve_stack``, the one entry point, returns None there and the caller
+solves member by member. The stacked and scalar kernels agree to rounding, not
+bit for bit (numpy and Python round complex products differently).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,6 +66,11 @@ CERT_NORM_PER_TOL = 1e13
 # below this threshold, give up after this many full sweeps.
 JACOBI_OFF_THRESHOLD = 1e-13
 JACOBI_MAX_SWEEPS = 100
+
+# Stacks below this many members are solved by the scalar solver: a stacked
+# Jacobi pass costs more than that many scalar solves below it (measured
+# break-even 4-12 members at d = 2-5).
+STACK_BREAK_EVEN = 8
 
 # Draws a random generator makes before it gives up on a Gram sum that stays
 # near-singular; a Ginibre draw is near-singular with probability close to 0.
@@ -250,6 +269,125 @@ def inv_sqrt_pd(m) -> np.ndarray | None:
     return (v / np.sqrt(spec.eigenvalues)) @ dagger(v)
 
 
+def _jacobi_rotation_stack(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """``_jacobi_rotation`` of every member of the (n, d, d) stacks a and v at once,
+    in place. Every member must have |a_pq| above the skip threshold."""
+    apq = a[:, p, q]
+    mod = np.abs(apq)
+    phase = apq / mod
+    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * mod)
+    t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = (t * c)[:, None]
+    c = c[:, None]
+    s_phase = s * phase[:, None]
+    c_phase = c * phase[:, None]
+    rp = a[:, p, :].copy()
+    rq = a[:, q, :].copy()
+    a[:, p, :] = c * rp - s_phase * rq
+    a[:, q, :] = s * rp + c_phase * rq
+    for m in (a, v):
+        cp = m[:, :, p].copy()
+        cq = m[:, :, q].copy()
+        m[:, :, p] = c * cp - s_phase.conj() * cq
+        m[:, :, q] = s * cp + c_phase.conj() * cq
+    a[:, p, q] = 0.0
+    a[:, q, p] = 0.0
+    a[:, p, p] = a[:, p, p].real
+    a[:, q, q] = a[:, q, q].real
+
+
+def _eig_hermitian_stack(ms) -> tuple[np.ndarray, np.ndarray]:
+    """``eig_hermitian`` of every member of an (n, d, d) stack: eigenvalues (n, d),
+    ascending per member, and eigenvectors (n, d, d), one per column.
+
+    Cyclic Jacobi with the scalar solver's sweep order, thresholds and sweep cap.
+    A sweep rotates only the members whose off-diagonal mass is still above
+    JACOBI_OFF_THRESHOLD, and each (p, q) rotation only those of them whose
+    |a_pq| is above the skip threshold.
+    """
+    a = _as_hermitian_stack(ms)
+    n, dim, _ = a.shape
+    v = np.repeat(identity(dim)[None], n, axis=0)
+    skip = JACOBI_OFF_THRESHOLD / (dim * dim)
+    rows, cols = _upper_pairs(dim)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = np.sqrt(2.0 * (np.abs(a[:, rows, cols]) ** 2).sum(axis=1))
+        live = off > JACOBI_OFF_THRESHOLD
+        if not live.any():
+            break
+        for p, q in zip(rows.tolist(), cols.tolist()):
+            turn = live & (np.abs(a[:, p, q]) > skip)
+            if turn.all():
+                _jacobi_rotation_stack(a, v, p, q)
+            elif turn.any():
+                members = np.flatnonzero(turn)
+                turn_a, turn_v = a[members], v[members]
+                _jacobi_rotation_stack(turn_a, turn_v, p, q)
+                a[members], v[members] = turn_a, turn_v
+    else:
+        raise EigenConvergenceError(
+            f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    values = a.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(values, axis=1, kind="stable")
+    member = np.arange(n)[:, None]
+    return values[member, order], v.swapaxes(1, 2)[member, order].swapaxes(1, 2)
+
+
+@functools.cache
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (p, q) with p < q in the scalar solver's sweep order, as index arrays."""
+    return np.triu_indices(dim, 1)
+
+
+def _adjoint(v: np.ndarray) -> np.ndarray:
+    return v.conj().swapaxes(-1, -2)
+
+
+def _spectra_stack(ms) -> list[Spectrum]:
+    """``eig_hermitian`` of every member of a stack, as read-only ``Spectrum``s."""
+    values, vectors = _eig_hermitian_stack(ms)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return [Spectrum(w, u) for w, u in zip(values, vectors)]
+
+
+def _sqrt_psd_stack(ms, tol: float = PSD_TOL) -> np.ndarray:
+    """``sqrt_psd`` of every member of an (n, d, d) stack, as one stack."""
+    values, v = _eig_hermitian_stack(ms)
+    low = values[:, 0]
+    if (low < -tol).any():
+        raise NotPositive(f"matrix has eigenvalue {low.min():.3e} < -{tol:.1e}")
+    roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
+    return _as_hermitian_stack((v * roots[:, None, :]) @ _adjoint(v), tol=1e-9)
+
+
+def _inv_sqrt_pd_stack(ms) -> list[np.ndarray | None]:
+    """``inv_sqrt_pd`` of every member of an (n, d, d) stack: None for a member
+    whose smallest eigenvalue is <= 1e-6."""
+    values, v = _eig_hermitian_stack(ms)
+    ok = values[:, 0] > 1e-6
+    safe = np.where(ok[:, None], values, 1.0)
+    inv_roots = (v / np.sqrt(safe)[:, None, :]) @ _adjoint(v)
+    return [m if good else None for m, good in zip(inv_roots, ok)]
+
+
+_STACKED_KERNELS = {"spectrum": _spectra_stack, "root": _sqrt_psd_stack,
+                    "inv_root": _inv_sqrt_pd_stack}
+
+
+def _solve_stack(kind: str, mats):
+    """The one entry point of the stacked solver: the ``kind`` of every matrix of a
+    stack, one per member: "spectrum" (``eig_hermitian``), "root" (``sqrt_psd``)
+    or "inv_root" (``inv_sqrt_pd``). Returns None
+    below STACK_BREAK_EVEN members, where scalar solves are faster; the caller
+    then solves each member with the scalar kernel, when it needs it."""
+    if len(mats) < STACK_BREAK_EVEN:
+        return None
+    return list(_STACKED_KERNELS[kind](np.asarray(mats)))
+
+
 def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Sufficient test for "smallest eigenvalue >= -tol" by scalar Cholesky.
 
@@ -359,42 +497,104 @@ def _count(n: int | None, rng: np.random.Generator, lo: int, hi: int, what: str)
     return int(n)
 
 
-def _normalizing_draw(draw, gram):
-    """A sample ``draw()`` and the inverse root of ``gram(sample)``, redrawn while
-    that Gram sum is near-singular (``inv_sqrt_pd`` declines it). Raises
-    ``SamplingError`` after _MAX_NORMALIZING_DRAWS draws, so no generator hangs."""
-    for _ in range(_MAX_NORMALIZING_DRAWS):
-        sample = draw()
-        inv_root = inv_sqrt_pd(gram(sample))
-        if inv_root is not None:
-            return sample, inv_root
+def _draws(n) -> int:
+    """The number of draws of a stacked generator: a positive integer."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DimensionError(f"number of draws must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _counts(sizes, rng: np.random.Generator, lo: int, hi: int, what: str, n: int):
+    """``_count`` for each of n draws, as an iterator: ``sizes`` is None (each size
+    drawn when the iterator reaches it), one size for all, or a sequence of n."""
+    n = _draws(n)
+    if not isinstance(sizes, (list, tuple, np.ndarray)):
+        sizes = [sizes] * n
+    elif len(sizes) != n:
+        raise DimensionError(f"{what} needs one size per draw, got {len(sizes)} for {n}")
+    return (_count(k, rng, lo, hi, what) for k in sizes)
+
+
+def _normalizing_draws(draw, gram, sizes):
+    """One sample ``draw(k)`` per size k of ``sizes``, with the inverse root of
+    ``gram(sample)``.
+
+    Each size is taken from ``sizes`` just before its sample is drawn, so n
+    members draw what n single draws would. The Gram sums of all samples are
+    solved at once (``_solve_stack``), and a sample whose sum is near-singular
+    (``inv_sqrt_pd`` declines it) is redrawn, alone, after the others are
+    drawn. A member still declined after _MAX_NORMALIZING_DRAWS draws raises
+    ``SamplingError``, so no generator hangs.
+    """
+    drawn = [(k, draw(k)) for k in sizes]
+    sizes = [k for k, _ in drawn]
+    samples = [sample for _, sample in drawn]
+    inv_roots: list = [None] * len(samples)
+    todo = list(range(len(samples)))
+    for attempt in range(1, _MAX_NORMALIZING_DRAWS + 1):
+        grams = [gram(samples[k]) for k in todo]
+        for k, inv_root in zip(todo, _solve_stack("inv_root", grams)
+                               or map(inv_sqrt_pd, grams)):
+            inv_roots[k] = inv_root
+        todo = [k for k in todo if inv_roots[k] is None]
+        if not todo:
+            return samples, inv_roots
+        if attempt < _MAX_NORMALIZING_DRAWS:
+            for k in todo:
+                samples[k] = draw(sizes[k])
     raise SamplingError(f"no draw in {_MAX_NORMALIZING_DRAWS} had a positive definite Gram sum")
+
+
+def _random_states(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random density matrices (normalized Ginibre G G†), as one stack."""
+    check_dim(dim)
+    g = _ginibres(dim, rng, _draws(n))
+    rho = g @ _adjoint(g)
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return (rho + _adjoint(rho)) / 2
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random density matrix: normalized Ginibre G G†."""
+    return _random_states(dim, rng, 1)[0]
+
+
+def _random_effects(dim: int, rng: np.random.Generator,
+                    n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """n random effects u diag(values) u† (Haar u, uniform[0,1] values), drawn as
+    n ``random_effect`` calls would draw them, as one stack, and their positive
+    roots read off the same eigendecomposition with the rule of ``sqrt_psd``
+    (values below PSD_TOL count as 0). Like ``_solve_stack``, it gives no roots
+    (None) below STACK_BREAK_EVEN members: there each root is left to a scalar
+    solve on first use."""
     check_dim(dim)
-    g = _ginibre(dim, rng)
-    rho = g @ dagger(g)
-    rho = rho / np.trace(rho).real
-    return (rho + dagger(rho)) / 2
+    draws = [(_ginibre(dim, rng), rng.uniform(0.0, 1.0, size=dim)) for _ in range(_draws(n))]
+    u = _haar(np.stack([g for g, _ in draws]))
+    values = np.stack([v for _, v in draws])
+    e = (u * values[:, None, :]) @ _adjoint(u)
+    if n < STACK_BREAK_EVEN:
+        return (e + _adjoint(e)) / 2, None
+    roots = np.where(values < PSD_TOL, 0.0, np.sqrt(values))
+    return (e + _adjoint(e)) / 2, _as_hermitian_stack((u * roots[:, None, :]) @ _adjoint(u),
+                                                      tol=1e-9)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random effect: unitary conjugation of a uniform[0,1] diagonal."""
-    check_dim(dim)
-    u = random_unitary(dim, rng)
-    values = rng.uniform(0.0, 1.0, size=dim)
-    e = (u * values) @ dagger(u)
-    return (e + dagger(e)) / 2
+    return _random_effects(dim, rng, 1)[0][0]
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from a stack of Ginibre matrices: QR with the phase fix."""
+    q, r = np.linalg.qr(g)
+    d = r.diagonal(axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a Ginibre matrix with the phase fix."""
     check_dim(dim)
-    q, r = np.linalg.qr(_ginibre(dim, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar(_ginibres(dim, rng, 1))[0]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -408,4 +608,11 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _ginibres(dim, rng, 1)[0]
+
+
+def _ginibres(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Ginibre matrices, each drawn as the real then the imaginary part, so the
+    stack draws exactly what n ``_ginibre`` calls would."""
+    x = rng.standard_normal((n, 2, dim, dim))
+    return x[:, 0] + 1j * x[:, 1]

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import Effect, State, _check_type, _effects, prob
-from .errors import DimensionError, NotState, NotSurjective, SeqmeasError
+from .effects import Effect, State, _check_type, _effects, _seeded, _with_roots, prob
+from .errors import DimensionError, NotMeasure, NotState, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
 
@@ -125,10 +125,20 @@ class Observable(_Measure):
         return op_mod._operations(*zip(*map(op_mod._luders_parts, self.effects)))
 
 
+_MEASURE = "an Observable or Instrument"
+
+
+def _check_measures(m, n) -> None:
+    """Both arguments are measures (observables or instruments) of one dim."""
+    _check_type(m, _Measure, NotMeasure, _MEASURE)
+    _check_type(n, _Measure, NotMeasure, _MEASURE)
+    matcore._check_same_operand_dim(m, n)
+
+
 def _product(m: _Measure, n: _Measure) -> _Measure:
     """Run front operation x of m, then read n_y: product outcomes, n's member type.
     All |X|·|Y| members are built and validated as one stack (``_afters``)."""
-    matcore._check_same_operand_dim(m, n)
+    _check_measures(m, n)
     items = _product_items(zip(m.outcomes, m._front), n.items())
     return type(n)(tuple(xy for xy, _, _ in items), n._afters([(u, v) for _, u, v in items]))
 
@@ -140,7 +150,7 @@ def _conditioned(n: _Measure, given: _Measure) -> _Measure:
     build them bit for bit alike, but ``compose`` inside an instrument conditioning
     is the only call of ``compose`` in the benchmark's product-chains workload,
     whose coverage check requires one (ROADMAP item 1)."""
-    matcore._check_same_operand_dim(given, n)
+    _check_measures(given, n)
     return type(n)(n.outcomes, tuple(n._after(given._channel, v) for v in n._members))
 
 
@@ -159,6 +169,7 @@ def _member_distance(a: _Measure, b: _Measure) -> float:
 
 def distribution(a: _Measure, rho: State) -> dict[str, float]:
     """Outcome distribution: x -> tr(rho a_x), or tr[I_x(rho)] for an instrument."""
+    _check_type(a, _Measure, NotMeasure, _MEASURE)
     _check_type(rho, State, NotState)
     return {x: a._prob(rho, u) for x, u in a.items()}
 
@@ -225,18 +236,33 @@ def identity_observable(dim: int, outcome: str = "x") -> Observable:
     return Observable((outcome,), (Effect(matcore.identity(dim)),))
 
 
+def random_observables(dim: int, rng: np.random.Generator, n: int,
+                       n_outcomes=None) -> tuple[Observable, ...]:
+    """n random POVMs, as n ``random_observable`` calls would draw them; the
+    normalizers of all n, and the roots of all their effects, come from one
+    stacked solve each. ``n_outcomes`` is one count for all, a sequence of n
+    counts, or None (each drawn from {2, 3})."""
+    grams, inv_roots = matcore._normalizing_draws(
+        lambda k: (lambda g: g @ matcore._adjoint(g))(matcore._ginibres(dim, rng, k)),
+        sum, matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+    effs = _with_roots(_effects(np.concatenate(
+        [inv_root @ g @ inv_root for g, inv_root in zip(grams, inv_roots)])))
+    counts = [len(g) for g in grams]
+    ends = np.cumsum(counts)
+    return tuple(Observable(tuple(f"x{j}" for j in range(k)), effs[end - k:end])
+                 for k, end in zip(counts, ends))
+
+
 def random_observable(dim: int, rng: np.random.Generator,
                       n_outcomes: int | None = None) -> Observable:
     """Random POVM: Ginibre grams renormalized to sum to the identity."""
-    n = matcore._count(n_outcomes, rng, 2, 4, "n_outcomes")
-    grams, inv_root = matcore._normalizing_draw(
-        lambda: [g @ g.conj().T for g in (matcore._ginibre(dim, rng) for _ in range(n))], sum)
-    effs = _effects([inv_root @ g @ inv_root for g in grams])
-    return Observable(tuple(f"x{k}" for k in range(n)), effs)
+    return random_observables(dim, rng, 1, n_outcomes)[0]
 
 
 def projective_observable(dim: int, rng: np.random.Generator) -> Observable:
-    """Random sharp observable: rank-one eigenprojections of a random unitary."""
+    """Random sharp observable: rank-one eigenprojections of a random unitary. A
+    projection is its own root, so the roots are filled in with no solve."""
     u = matcore.random_unitary(dim, rng)
     effs = _effects([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
-    return Observable(tuple(f"x{k}" for k in range(dim)), effs)
+    return Observable(tuple(f"x{k}" for k in range(dim)),
+                      _seeded(effs, "root", [e.op for e in effs]))

@@ -38,10 +38,20 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .effects import Effect, State, _check_type, _effects, _frozen, _ket_bra, _validated
+from .effects import (
+    Effect,
+    State,
+    _check_type,
+    _effects,
+    _frozen,
+    _ket_bra,
+    _validated,
+    random_effects,
+)
 from .errors import (
     DimensionError,
     NotEffect,
+    NotOperation,
     NotOrthogonal,
     NotPerp,
     NotProjection,
@@ -161,6 +171,7 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
     arbitrary matrices (e.g. matrix units) is well defined and used by the
     action-equality tests. Returns the (generally subnormalized) output matrix.
     """
+    _check_type(op, Operation, NotOperation)
     mat = rho.op if isinstance(rho, State) else matcore.as_square(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionError(f"state shape {mat.shape} vs operation dim {op.dim}")
@@ -169,17 +180,26 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
 
 def hat(op: Operation) -> Effect:
     """The induced effect sum_i A_i† A_i, as carried by the operation."""
+    _check_type(op, Operation, NotOperation)
     return op.induced
 
 
 def is_channel(op: Operation, tol: float = EQ_TOL) -> bool:
+    _check_type(op, Operation, NotOperation)
     return max_abs(op.induced.op - identity(op.dim)) <= tol
 
 
 def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
-    matcore._check_same_operand_dim(i, j)
+    _check_operations(i, j)
     return Operation(_compose_kraus(i.kraus, j.kraus))
+
+
+def _check_operations(i, j) -> None:
+    """Both arguments are operations of one dim."""
+    _check_type(i, Operation, NotOperation)
+    _check_type(j, Operation, NotOperation)
+    matcore._check_same_operand_dim(i, j)
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -195,7 +215,7 @@ def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def add(i: Operation, j: Operation) -> Operation:
     """Parallel sum; defined only when the induced effects still sum below I."""
-    matcore._check_same_operand_dim(i, j)
+    _check_operations(i, j)
     try:
         return Operation(_summed_kraus((i, j)))
     except NotSubunital:
@@ -209,6 +229,7 @@ def _summed_kraus(ops) -> np.ndarray:
 
 def scale(i: Operation, lam: float) -> Operation:
     """Convex scaling: each Kraus operator is multiplied by sqrt(lam)."""
+    _check_type(i, Operation, NotOperation)
     if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
         raise WeightError(f"scale factor {lam!r} is not a real number in [0, 1]")
     if lam == 0.0:
@@ -218,6 +239,8 @@ def scale(i: Operation, lam: float) -> Operation:
 
 def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
     """Probabilistic indistinguishability: equal induced effects."""
+    _check_type(i, Operation, NotOperation)
+    _check_type(j, Operation, NotOperation)
     if i.dim != j.dim:
         return False
     return max_abs(i.induced.op - j.induced.op) <= tol
@@ -365,6 +388,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
 
     Independent of the chosen Kraus family: tr(rho result) = tr(i(rho) a).
     """
+    _check_type(i, Operation, NotOperation)
     _check_type(a, Effect, NotEffect)
     matcore._check_same_operand_dim(i, a)
     return Effect(_sandwich(i.kraus, a.op))
@@ -428,16 +452,35 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     return all(matcore.loewner_leq(apply(i, rho), apply(j, rho)) for rho in probes)
 
 
+def random_channels(dim: int, rng: np.random.Generator, n: int,
+                    n_kraus=None) -> tuple[Operation, ...]:
+    """n random channels, as n ``random_channel`` calls would draw them, their
+    normalizers from one stacked solve and their members built as one stack.
+    ``n_kraus`` is one family size for all, a sequence of n sizes, or None (each
+    drawn from {1, 2, 3})."""
+    sizes = matcore._counts(n_kraus, rng, 1, 4, "n_kraus", n)
+    fams, inv_roots = matcore._normalizing_draws(
+        lambda k: matcore._ginibres(dim, rng, k), _hat_matrix, sizes)
+    return _operations([np.einsum("nij,jk->nik", fam, inv_root)
+                        for fam, inv_root in zip(fams, inv_roots)])
+
+
 def random_channel(dim: int, rng: np.random.Generator, n_kraus: int | None = None) -> Operation:
     """Random channel: Ginibre family normalized so the Kraus sum is I."""
-    n = matcore._count(n_kraus, rng, 1, 4, "n_kraus")
-    fam, inv_root = matcore._normalizing_draw(
-        lambda: np.stack([matcore._ginibre(dim, rng) for _ in range(n)]),
-        _hat_matrix)
-    return Operation(np.einsum("nij,jk->nik", fam, inv_root))
+    return random_channels(dim, rng, 1, n_kraus)[0]
+
+
+def random_operations(dim: int, rng: np.random.Generator, n: int) -> tuple[Operation, ...]:
+    """n random operations ``effect_then_op(e, c)``: the n effects e are drawn
+    first (``random_effects``), then the n channels c (``random_channels``), and
+    the members are built as one stack. One operation draws what
+    ``random_operation`` draws; n operations draw in another order than n
+    calls, which alternate effect and channel."""
+    effs = random_effects(dim, rng, n)
+    chans = random_channels(dim, rng, n)
+    return _operations([_compose_kraus(e.root[None], c.kraus) for e, c in zip(effs, chans)])
 
 
 def random_operation(dim: int, rng: np.random.Generator) -> Operation:
     """Random operation with a generic induced effect (channel after a Lueders filter)."""
-    e = Effect(matcore.random_effect(dim, rng))
-    return effect_then_op(e, random_channel(dim, rng))
+    return random_operations(dim, rng, 1)[0]

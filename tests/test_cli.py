@@ -50,6 +50,14 @@ def test_check_bad_dims(capsys):
     assert code == 2
 
 
+def test_check_empty_dims_exits_2(capsys):
+    # an empty list is a malformed value, not "use the per-law dims"
+    code, out, err = run_cli(["check", "--law", "ex-10", "--dims", ""], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad --dims value ''" in err
+
+
 def test_check_bad_seed_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
     code, out, err = run_cli(["check", "--law", "ex-10"], capsys)

@@ -23,6 +23,8 @@ from seqmeas.errors import (
     DimensionError,
     EigenConvergenceError,
     NotEffect,
+    NotMeasure,
+    NotOperation,
     NotState,
     SeqmeasError,
     WeightError,
@@ -397,6 +399,24 @@ def _half_observable():
      "ndarray"),
     (lambda: instruments.cond_prob(np.eye(2) / 2, _channel(), _channel()), NotState,
      "expected a State, got ndarray"),
+    (lambda: operations.apply(np.eye(2), State(np.eye(2) / 2)), NotOperation,
+     "expected an Operation, got ndarray"),
+    (lambda: operations.hat(np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.compose(np.eye(2), _channel()), NotOperation, "ndarray"),
+    (lambda: operations.add(_channel(), np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.scale(np.eye(2), 0.5), NotOperation, "ndarray"),
+    (lambda: operations.equiv(np.eye(2), _channel()), NotOperation, "ndarray"),
+    (lambda: operations.is_channel(np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.op_then_effect(np.eye(2), Effect(np.eye(2) / 2)), NotOperation,
+     "ndarray"),
+    (lambda: instruments.cond_prob(State(np.eye(2) / 2), np.eye(2), _channel()), NotOperation,
+     "ndarray"),
+    (lambda: observables.obs_seq_product(np.eye(2), _half_observable()), NotMeasure,
+     "expected an Observable or Instrument, got ndarray"),
+    (lambda: observables.distribution(np.eye(2), State(np.eye(2) / 2)), NotMeasure, "ndarray"),
+    (lambda: instruments.measured_observable(np.eye(2)), NotMeasure,
+     "expected an Instrument, got ndarray"),
+    (lambda: instruments.bar(np.eye(2)), NotMeasure, "ndarray"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
@@ -414,7 +434,11 @@ def _half_observable():
         "seq-product-first-matrix", "seq-product-second-matrix", "prob-effect-matrix",
         "perp-matrix", "complement-matrix", "convex-combine-matrix", "is-sharp-matrix",
         "trivial-effect-matrix", "semi-trivial-effect-matrix", "op-then-effect-matrix",
-        "effect-then-op-matrix", "cond-prob-effect-matrix", "instrument-cond-prob-matrix"])
+        "effect-then-op-matrix", "cond-prob-effect-matrix", "instrument-cond-prob-matrix",
+        "apply-operation-matrix", "hat-matrix", "compose-matrix", "add-matrix", "scale-matrix",
+        "equiv-matrix", "is-channel-matrix", "op-then-effect-operation-matrix",
+        "instrument-cond-prob-operation-matrix", "obs-seq-product-matrix",
+        "distribution-measure-matrix", "measured-observable-matrix", "bar-matrix"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

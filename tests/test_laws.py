@@ -175,7 +175,7 @@ def _exhausted_sampler(ctx, dim, tally):
 
 
 def test_exception_in_a_trial_is_an_error_report(monkeypatch, capsys):
-    broken = dataclasses.replace(laws.registry()["thm-2.2"], fn=_exhausted_sampler)
+    broken = dataclasses.replace(laws.registry()["thm-2.2"], fn=_exhausted_sampler, draw=None)
     monkeypatch.setitem(core._REGISTRY, "thm-2.2", broken)
     reports = laws.run_all(dims=[2], trials=1, seed=1)
     assert len(reports) == len(EXPECTED_IDS)
@@ -193,3 +193,52 @@ def test_exception_in_a_trial_is_an_error_report(monkeypatch, capsys):
     assert code == 1
     assert record["status"] == "error"
     assert record["witness"]["error"] == "SamplingError"
+
+
+def test_exception_in_a_draw_is_an_error_report(monkeypatch):
+    law = laws.registry()["ex-7"]
+
+    def draw_failing_at_3(ctx, dim, n):
+        if dim == 3:
+            _common.resample(lambda: 0, lambda sample: False)
+        return law.draw(ctx, dim, n)
+
+    broken = dataclasses.replace(law, draw=draw_failing_at_3)
+    monkeypatch.setitem(core._REGISTRY, "ex-7", broken)
+    report = laws.run_law("ex-7", dims=[2, 3], trials=2, seed=1)
+    assert report.status == "error"
+    assert not report.ok
+    assert report.trials == 2  # the trials of dim 2 ran; dim 3 drew nothing
+    assert report.witness["error"] == "SamplingError"
+    assert report.witness["dim"] == 3
+
+
+def test_a_law_draws_once_per_dim_then_runs_its_trials(monkeypatch):
+    calls = []
+
+    def draw(ctx, dim, n):
+        calls.append(("draw", dim, n))
+        return [(dim, k) for k in range(n)]
+
+    def trial(ctx, dim, tally, drawn_dim, k):
+        calls.append(("trial", drawn_dim, k))
+        tally.expect(0.0, "nothing to check")
+
+    law = dataclasses.replace(laws.registry()["thm-2.2"], fn=trial, draw=draw)
+    monkeypatch.setitem(core._REGISTRY, "thm-2.2", law)
+    report = laws.run_law("thm-2.2", dims=[2, 3], trials=2, seed=1)
+    assert (report.status, report.trials) == ("pass", 4)
+    assert calls == [("draw", 2, 2), ("trial", 2, 0), ("trial", 2, 1),
+                     ("draw", 3, 2), ("trial", 3, 0), ("trial", 3, 1)]
+    # no trials, no draw
+    calls.clear()
+    assert laws.run_law("thm-2.2", dims=[2], trials=0).witness == {"reason": "no trials run"}
+    assert calls == []
+
+
+def test_counterexample_reports_the_replayed_violation():
+    # the in-run violation only ranks candidates; the report carries the replay
+    # of the kept witness, which the decoded witness reproduces bit for bit
+    report = laws.run_law("ex-7", seed=1)
+    assert report.status == "counterexample-found"
+    assert report.max_deviation == report.witness["violation"] == laws.replay_witness(report)

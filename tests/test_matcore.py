@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmeas import instruments, matcore, observables, operations
+from seqmeas import effects, instruments, matcore, observables, operations
 from seqmeas.errors import DimensionError, NotPositive, SamplingError
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -153,3 +153,58 @@ def test_normalizing_generators_stop_after_bounded_draws(generator, monkeypatch)
     monkeypatch.setattr(matcore, "inv_sqrt_pd", lambda m: None)
     with pytest.raises(SamplingError, match="positive definite"):
         generator(2, np.random.default_rng(0))
+
+
+def _members(obj) -> list[np.ndarray]:
+    """The matrices an object is made of: its op, its Kraus family, or its members'."""
+    if isinstance(obj, (observables.Observable, instruments.Instrument)):
+        return [m for member in obj._members for m in _members(member)]
+    return [obj.kraus if isinstance(obj, operations.Operation) else obj.op]
+
+
+@pytest.mark.parametrize("stacked, single", [
+    (effects.random_effects, effects.random_effect),
+    (effects.random_states, effects.random_state),
+    (observables.random_observables, observables.random_observable),
+    (operations.random_channels, operations.random_channel),
+    (instruments.random_instruments, instruments.random_instrument),
+    (instruments.random_kraus_instruments, instruments.random_kraus_instrument),
+])
+@pytest.mark.parametrize("n", [3, 12])
+def test_stacked_generators_draw_what_single_calls_draw(stacked, single, n):
+    # one stacked draw of n, or n single draws: the same draws, so the same
+    # matrices, bit for bit below break-even; from break-even on, the stacked
+    # normalizers round differently from the scalar ones
+    for dim in (2, 3):
+        many = stacked(dim, np.random.default_rng(dim), n)
+        rng = np.random.default_rng(dim)
+        ones = [single(dim, rng) for _ in range(n)]
+        assert len(many) == n
+        for x, y in zip(many, ones):
+            pairs = list(zip(_members(x), _members(y), strict=True))
+            if n < matcore.STACK_BREAK_EVEN:
+                assert all(np.array_equal(a, b) for a, b in pairs)
+            else:
+                assert all(matcore.max_abs(a - b) <= 1e-12 for a, b in pairs)
+
+
+def test_stacked_operations_are_lueders_filters_before_stacked_channels():
+    # n effects, then n channels: member k is effect_then_op(effect k, channel k)
+    ops = operations.random_operations(3, np.random.default_rng(5), 12)
+    rng = np.random.default_rng(5)
+    filters = effects.random_effects(3, rng, 12)
+    for op, e, c in zip(ops, filters, operations.random_channels(3, rng, 12), strict=True):
+        assert np.array_equal(op.kraus, operations.effect_then_op(e, c).kraus)
+        assert np.array_equal(op.induced.op, operations.effect_then_op(e, c).induced.op)
+
+
+def test_stacked_generators_take_one_size_per_draw():
+    povms = observables.random_observables(2, np.random.default_rng(0), 3, n_outcomes=[2, 4, 3])
+    assert [len(p.outcomes) for p in povms] == [2, 4, 3]
+    with pytest.raises(DimensionError, match="one size per draw"):
+        observables.random_observables(2, np.random.default_rng(0), 3, n_outcomes=[2, 3])
+    with pytest.raises(DimensionError, match="n_kraus"):
+        operations.random_channels(2, np.random.default_rng(0), 2, n_kraus=[1, 0])
+    for n in (0, -1, 2.0, None):
+        with pytest.raises(DimensionError, match="number of draws"):
+            effects.random_states(2, np.random.default_rng(0), n)

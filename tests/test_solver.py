@@ -1,6 +1,6 @@
 """The Jacobi eigensolver against an independent oracle, the Cholesky
-certificate against Jacobi, and the rule that the package calls no LAPACK
-eigen-routine.
+certificate against Jacobi, the stacked solver and the caches it fills against
+the scalar solver, and the rule that the package calls no LAPACK eigen-routine.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeas import matcore
+from seqmeas import effects, matcore, observables, operations
 from seqmeas.effects import Effect, _effects
-from seqmeas.errors import DimensionError, NotEffect
+from seqmeas.errors import DimensionError, NotEffect, NotPositive
 from seqmeas.matcore import PSD_TOL
 
 
@@ -167,3 +167,98 @@ def test_only_matcore_converts_caller_matrices():
     assert not COMPLEX_CONVERSION.search("np.zeros((d, d), dtype=complex); np.asarray(w)")
     assert [hit for hit in _package_lines(COMPLEX_CONVERSION)
             if not hit.startswith("matcore.py:")] == []
+
+
+# The stacked solver (``matcore._eig_hermitian_stack`` and the kernels built on it)
+# against the scalar one, and the caches the stacked generators fill.
+
+BREAK_EVEN = matcore.STACK_BREAK_EVEN
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Stacks of n Hermitian matrices of one dim, n on both sides of break-even, each
+    member generic or with a degenerate spectrum."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.sampled_from([1, 3, BREAK_EVEN - 1, BREAK_EVEN, 2 * BREAK_EVEN]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    kinds = draw(st.lists(st.sampled_from(["generic", "projection", "repeated", "scalar"]),
+                          min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [matcore.random_hermitian(dim, rng) if kind == "generic"
+            else _with_spectrum(_degenerate_spectrum(kind, dim, rng), rng) for kind in kinds]
+    return np.stack([matcore.as_hermitian(scale * m, tol=1e-6) for m in mats])
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(hermitian_stacks())
+def test_stacked_jacobi_matches_the_scalar_solver(ms):
+    values, vectors = matcore._eig_hermitian_stack(ms)
+    assert values.shape == ms.shape[:2] and vectors.shape == ms.shape
+    for m, w, v in zip(ms, values, vectors):
+        scalar = matcore.eig_hermitian(m)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(scalar.eigenvalues))))
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(w - scalar.eigenvalues)) <= bound
+        assert matcore.max_abs((v * w) @ matcore.dagger(v) - m) <= bound
+        assert matcore.max_abs(matcore.dagger(v) @ v - np.eye(len(m))) <= 1e-12
+    # the one entry point solves a stack only from break-even on
+    solved = matcore._solve_stack("spectrum", ms)
+    assert (solved is None) == (len(ms) < BREAK_EVEN)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 8), st.sampled_from([1, BREAK_EVEN - 1, BREAK_EVEN, 3 * BREAK_EVEN]),
+       st.integers(0, 2**32 - 1))
+def test_stacked_roots_and_inverse_roots_match_the_scalar_kernels(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    grams = [sum(g @ matcore.dagger(g) for g in matcore._ginibres(dim, rng, 2))
+             for _ in range(n)]
+    psd = [matcore.random_effect(dim, rng) for _ in range(n)]
+    for m, root in zip(psd, matcore._sqrt_psd_stack(np.stack(psd))):
+        assert matcore.max_abs(root - matcore.sqrt_psd(m)) <= 1e-12
+    for m, inv_root in zip(grams, matcore._inv_sqrt_pd_stack(np.stack(grams))):
+        assert matcore.max_abs(inv_root - matcore.inv_sqrt_pd(m)) <= 1e-12
+    with pytest.raises(NotPositive):
+        matcore._sqrt_psd_stack(np.stack([*psd, -np.eye(dim)]))
+    assert matcore._inv_sqrt_pd_stack(np.stack([*grams, np.zeros((dim, dim))]))[-1] is None
+
+
+def _seeded(obj, name):
+    return vars(obj).get(name)
+
+
+@settings(max_examples=16, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 5), st.sampled_from([1, BREAK_EVEN - 1, BREAK_EVEN, 20]),
+       st.integers(0, 2**32 - 1))
+def test_seeded_caches_match_the_lazy_path(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    drawn = effects.random_effects(dim, rng, n)
+    states = effects.random_states(dim, rng, n)
+    povms = observables.random_observables(dim, rng, n)
+    sharp = observables.projective_observable(dim, rng)
+    members = [e for povm in povms for e in povm.effects]
+    # below break-even the caches are left to the lazy scalar solve
+    assert all(_seeded(e, "root") is not None for e in drawn) == (n >= BREAK_EVEN)
+    assert all(_seeded(s, "spectrum") is not None for s in states) == (n >= BREAK_EVEN)
+    assert all(_seeded(e, "root") is not None for e in members) == (len(members) >= BREAK_EVEN)
+    assert all(_seeded(e, "root") is not None for e in sharp.effects)
+    for e in [*drawn, *members, *sharp.effects]:
+        root = _seeded(e, "root")
+        if root is not None:
+            assert not root.flags.writeable
+            assert matcore.max_abs(root - matcore.sqrt_psd(e.op)) <= 1e-12
+    for s in states:
+        spec = _seeded(s, "spectrum")
+        if spec is not None:
+            assert not spec.eigenvalues.flags.writeable
+            assert not spec.eigenvectors.flags.writeable
+            lazy = matcore.eig_hermitian(s.op)
+            assert np.max(np.abs(spec.eigenvalues - lazy.eigenvalues)) <= 1e-12
+            assert matcore.max_abs(spec.reconstruct() - s.op) <= 1e-12
+    # the normalizers: the inverse roots the generators draw with
+    grams, inv_roots = matcore._normalizing_draws(
+        lambda k: matcore._ginibres(dim, rng, k), operations._hat_matrix, [2] * n)
+    for fam, inv_root in zip(grams, inv_roots):
+        lazy = matcore.inv_sqrt_pd(operations._hat_matrix(fam))
+        assert matcore.max_abs(inv_root - lazy) <= 1e-12
