@@ -252,8 +252,8 @@ def _ket_bra(vector) -> np.ndarray:
 
 
 def _seeded(objs: tuple, name: str, values) -> tuple:
-    """``objs``, each with its cached property ``name`` filled in with its value
-    (``values`` None leaves the caches to fill on first use)."""
+    """``objs``, each with its cached property ``name`` filled in with its
+    (read-only) value; ``values`` None leaves the caches to fill on first use."""
     if values is not None:
         for obj, value in zip(objs, values):
             obj.__dict__[name] = value
@@ -263,8 +263,7 @@ def _seeded(objs: tuple, name: str, values) -> tuple:
 def _with_roots(effs: tuple[Effect, ...]) -> tuple[Effect, ...]:
     """``effs``, their roots filled from one stacked solve (below break-even each
     root is solved alone, on first use)."""
-    roots = matcore._solve_stack("root", [e.op for e in effs])
-    return _seeded(effs, "root", roots and map(_frozen, roots))
+    return _seeded(effs, "root", matcore._solve_stack("root", [e.op for e in effs]))
 
 
 def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
@@ -272,7 +271,7 @@ def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, 
     with the root read off its drawn eigendecomposition, with no solve (below
     break-even each root is solved on first use)."""
     ops, roots = matcore._random_effects(dim, rng, n)
-    return _seeded(_effects(ops), "root", roots if roots is None else _frozen(roots))
+    return _seeded(_effects(ops), "root", roots)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> Effect:

@@ -19,7 +19,8 @@ import numpy as np
 from . import matcore, operations as op_mod
 from .effects import COND_FLOOR, State, _check_type, _ket_bra
 from .errors import ConditioningOnNull, DimensionError, NotChannel, NotMeasure, NotState
-from .observables import OBS_SUM_TOL, Observable, _conditioned, _Measure, _product, _sequence
+from .observables import OBS_SUM_TOL, Observable, _conditioned, _labeled, _Measure, _product
+from .observables import _sequence
 from .observables import distribution, obs_equal as inst_equal, obs_part as inst_part
 from .observables import verify_coexistence_witness as verify_inst_coexistence_witness
 from .operations import Operation
@@ -155,10 +156,8 @@ def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
 def _instruments(families: list[list[np.ndarray]]) -> tuple[Instrument, ...]:
     """Instruments with outcomes x0, x1, ..., one member per Kraus family of each
     ``families[k]``; all members are built as one stack."""
-    members = op_mod._operations([fam for fams in families for fam in fams])
-    ends = np.cumsum([len(fams) for fams in families])
-    return tuple(Instrument(tuple(f"x{j}" for j in range(len(fams))), members[end - len(fams):end])
-                 for fams, end in zip(families, ends))
+    return _labeled(Instrument, op_mod._operations([f for fams in families for f in fams]),
+                    [len(fams) for fams in families])
 
 
 def random_instruments(dim: int, rng: np.random.Generator, n: int,

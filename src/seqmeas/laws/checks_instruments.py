@@ -101,7 +101,7 @@ def _trivial_front_violation(a_obs: Observable, b_obs: Observable, alpha: State,
                for ax in a_obs.effects for by in b_obs.effects)
 
 
-def draw_trivial_then_luders(ctx: LawContext, dim: int, n: int):
+def draw_observable_pair_and_state(ctx: LawContext, dim: int, n: int):
     observables = random_observables(dim, ctx.rng, 2 * n)
     return zip(observables[0::2], observables[1::2], random_states(dim, ctx.rng, n))
 
@@ -409,11 +409,6 @@ def _observable_bayes_violation(a_obs: Observable, b_obs: Observable, rho: State
                for y in b_obs.outcomes)
 
 
-def draw_observable_pair_and_state(ctx: LawContext, dim: int, n: int):
-    observables = random_observables(dim, ctx.rng, 2 * n)
-    return zip(observables[0::2], observables[1::2], random_states(dim, ctx.rng, n))
-
-
 def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally, a: Observable,
                                    b: Observable, rho: State) -> None:
     """P(b_y) != sum_x P(a_x) P(b_y | a_x) for generic observables."""
@@ -475,7 +470,7 @@ LAWS = (
     LawCheck(
         id="ex-6", kind="counterexample", dims=(2,), trials=100,
         description="Trivial-then-Lueders hat differs from the naive product",
-        fn=check_trivial_then_luders, draw=draw_trivial_then_luders,
+        fn=check_trivial_then_luders, draw=draw_observable_pair_and_state,
         replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)),
     LawCheck(
         id="ex-7", kind="counterexample", dims=(2,), trials=100,

@@ -345,22 +345,31 @@ def _adjoint(v: np.ndarray) -> np.ndarray:
     return v.conj().swapaxes(-1, -2)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _spectra_stack(ms) -> list[Spectrum]:
     """``eig_hermitian`` of every member of a stack, as read-only ``Spectrum``s."""
-    values, vectors = _eig_hermitian_stack(ms)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
+    values, vectors = map(_read_only, _eig_hermitian_stack(ms))
     return [Spectrum(w, u) for w, u in zip(values, vectors)]
 
 
 def _sqrt_psd_stack(ms, tol: float = PSD_TOL) -> np.ndarray:
-    """``sqrt_psd`` of every member of an (n, d, d) stack, as one stack."""
+    """``sqrt_psd`` of every member of an (n, d, d) stack, as one read-only stack."""
     values, v = _eig_hermitian_stack(ms)
     low = values[:, 0]
     if (low < -tol).any():
         raise NotPositive(f"matrix has eigenvalue {low.min():.3e} < -{tol:.1e}")
+    return _psd_roots(v, values, tol)
+
+
+def _psd_roots(v: np.ndarray, values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """The roots v diag(values^1/2) v† of a stack of eigendecompositions, values
+    below tol counted as 0 (the rule of ``sqrt_psd``), as one read-only stack."""
     roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
-    return _as_hermitian_stack((v * roots[:, None, :]) @ _adjoint(v), tol=1e-9)
+    return _read_only(_as_hermitian_stack((v * roots[:, None, :]) @ _adjoint(v), tol=1e-9))
 
 
 def _inv_sqrt_pd_stack(ms) -> list[np.ndarray | None]:
@@ -380,7 +389,7 @@ _STACKED_KERNELS = {"spectrum": _spectra_stack, "root": _sqrt_psd_stack,
 def _solve_stack(kind: str, mats):
     """The one entry point of the stacked solver: the ``kind`` of every matrix of a
     stack, one per member: "spectrum" (``eig_hermitian``), "root" (``sqrt_psd``)
-    or "inv_root" (``inv_sqrt_pd``). Returns None
+    or "inv_root" (``inv_sqrt_pd``), spectra and roots read-only. Returns None
     below STACK_BREAK_EVEN members, where scalar solves are faster; the caller
     then solves each member with the scalar kernel, when it needs it."""
     if len(mats) < STACK_BREAK_EVEN:
@@ -563,20 +572,15 @@ def _random_effects(dim: int, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """n random effects u diag(values) u† (Haar u, uniform[0,1] values), drawn as
     n ``random_effect`` calls would draw them, as one stack, and their positive
-    roots read off the same eigendecomposition with the rule of ``sqrt_psd``
-    (values below PSD_TOL count as 0). Like ``_solve_stack``, it gives no roots
-    (None) below STACK_BREAK_EVEN members: there each root is left to a scalar
-    solve on first use."""
+    roots read off the same eigendecomposition (``_psd_roots``). Like
+    ``_solve_stack``, it gives no roots (None) below STACK_BREAK_EVEN members:
+    there each root is left to a scalar solve on first use."""
     check_dim(dim)
     draws = [(_ginibre(dim, rng), rng.uniform(0.0, 1.0, size=dim)) for _ in range(_draws(n))]
     u = _haar(np.stack([g for g, _ in draws]))
     values = np.stack([v for _, v in draws])
     e = (u * values[:, None, :]) @ _adjoint(u)
-    if n < STACK_BREAK_EVEN:
-        return (e + _adjoint(e)) / 2, None
-    roots = np.where(values < PSD_TOL, 0.0, np.sqrt(values))
-    return (e + _adjoint(e)) / 2, _as_hermitian_stack((u * roots[:, None, :]) @ _adjoint(u),
-                                                      tol=1e-9)
+    return (e + _adjoint(e)) / 2, None if n < STACK_BREAK_EVEN else _psd_roots(u, values)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -247,9 +247,14 @@ def random_observables(dim: int, rng: np.random.Generator, n: int,
         sum, matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
     effs = _with_roots(_effects(np.concatenate(
         [inv_root @ g @ inv_root for g, inv_root in zip(grams, inv_roots)])))
-    counts = [len(g) for g in grams]
+    return _labeled(Observable, effs, [len(g) for g in grams])
+
+
+def _labeled(cls, members: tuple, counts: list[int]) -> tuple:
+    """Measures of type ``cls`` with outcomes x0, x1, ...: measure k takes the next
+    counts[k] members."""
     ends = np.cumsum(counts)
-    return tuple(Observable(tuple(f"x{j}" for j in range(k)), effs[end - k:end])
+    return tuple(cls(tuple(f"x{j}" for j in range(k)), members[end - k:end])
                  for k, end in zip(counts, ends))
 
 
@@ -264,5 +269,4 @@ def projective_observable(dim: int, rng: np.random.Generator) -> Observable:
     projection is its own root, so the roots are filled in with no solve."""
     u = matcore.random_unitary(dim, rng)
     effs = _effects([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
-    return Observable(tuple(f"x{k}" for k in range(dim)),
-                      _seeded(effs, "root", [e.op for e in effs]))
+    return _labeled(Observable, _seeded(effs, "root", [e.op for e in effs]), [dim])[0]
