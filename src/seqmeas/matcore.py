@@ -337,8 +337,9 @@ def _eig_hermitian_stack(ms) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (p, q) with p < q in the scalar solver's sweep order, as index arrays."""
-    return np.triu_indices(dim, 1)
+    """The (p, q) with p < q in the scalar solver's sweep order, as read-only index
+    arrays (cached, so shared by every caller)."""
+    return tuple(map(_read_only, np.triu_indices(dim, 1)))
 
 
 def _adjoint(v: np.ndarray) -> np.ndarray:
