@@ -63,11 +63,13 @@ def measured_observable(i: Instrument) -> Observable:
 
 def luders_instrument(a: Observable) -> Instrument:
     """Lueders instrument of an observable: outcome x applies a_x^{1/2} . a_x^{1/2}."""
+    _check_type(a, Observable, NotMeasure)
     return Instrument(a.outcomes, a._front)
 
 
 def trivial_instrument(a: Observable, alpha: State) -> Instrument:
     """Every outcome prepares the same state: I_x(rho) = tr(rho a_x) alpha."""
+    _check_type(a, Observable, NotMeasure)
     return semi_trivial_instrument(a, [alpha] * len(a.outcomes))
 
 
@@ -75,6 +77,7 @@ def semi_trivial_instrument(a: Observable, states) -> Instrument:
     """Outcome-dependent preparations: I_x(rho) = tr(rho a_x) alpha_x, for one state
     per outcome from any iterable; member x is ``trivial(a_x, alpha_x)``, all built
     as one stack."""
+    _check_type(a, Observable, NotMeasure)
     states = _sequence(states, "states")
     if len(states) != len(a.outcomes):
         raise DimensionError("need one state per outcome")

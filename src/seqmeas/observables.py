@@ -125,20 +125,17 @@ class Observable(_Measure):
         return op_mod._operations(*zip(*map(op_mod._luders_parts, self.effects)))
 
 
-_MEASURE = "an Observable or Instrument"
-
-
-def _check_measures(m, n) -> None:
-    """Both arguments are measures (observables or instruments) of one dim."""
-    _check_type(m, _Measure, NotMeasure, _MEASURE)
-    _check_type(n, _Measure, NotMeasure, _MEASURE)
-    matcore._check_same_operand_dim(m, n)
+def _check_measures(*ms) -> None:
+    """Every argument is a measure: an observable or an instrument."""
+    for m in ms:
+        _check_type(m, _Measure, NotMeasure, "an Observable or Instrument")
 
 
 def _product(m: _Measure, n: _Measure) -> _Measure:
     """Run front operation x of m, then read n_y: product outcomes, n's member type.
     All |X|·|Y| members are built and validated as one stack (``_afters``)."""
     _check_measures(m, n)
+    matcore._check_same_operand_dim(m, n)
     items = _product_items(zip(m.outcomes, m._front), n.items())
     return type(n)(tuple(xy for xy, _, _ in items), n._afters([(u, v) for _, u, v in items]))
 
@@ -151,11 +148,13 @@ def _conditioned(n: _Measure, given: _Measure) -> _Measure:
     is the only call of ``compose`` in the benchmark's product-chains workload,
     whose coverage check requires one (ROADMAP item 1)."""
     _check_measures(given, n)
+    matcore._check_same_operand_dim(given, n)
     return type(n)(n.outcomes, tuple(n._after(given._channel, v) for v in n._members))
 
 
 def obs_equal(a: _Measure, b: _Measure, tol: float = OBS_SUM_TOL) -> bool:
     """Same outcome set (order-insensitive) and memberwise agreement within tol."""
+    _check_measures(a, b)
     if set(a.outcomes) != set(b.outcomes) or a.dim != b.dim:
         return False
     return _member_distance(a, b) <= tol
@@ -169,7 +168,7 @@ def _member_distance(a: _Measure, b: _Measure) -> float:
 
 def distribution(a: _Measure, rho: State) -> dict[str, float]:
     """Outcome distribution: x -> tr(rho a_x), or tr[I_x(rho)] for an instrument."""
-    _check_type(a, _Measure, NotMeasure, _MEASURE)
+    _check_measures(a)
     _check_type(rho, State, NotState)
     return {x: a._prob(rho, u) for x, u in a.items()}
 
@@ -177,6 +176,7 @@ def distribution(a: _Measure, rho: State) -> dict[str, float]:
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive); the
     state is checked against the measure even when the event is empty."""
+    _check_measures(a)
     _check_type(rho, State, NotState)
     matcore._check_same_operand_dim(a, rho)
     return float(sum(a._prob(rho, a._member(x)) for x in _sequence(event, "event labels")))
@@ -199,6 +199,7 @@ def obs_part(a: _Measure, f) -> _Measure:
     normalized as labels); the image labels are the part's outcomes in
     first-appearance order. Effects add; operations concatenate their Kraus
     families. All groups are built as one stack (``_merges``)."""
+    _check_measures(a)
     try:
         pairs = {(_label(x), _label(y)) for x, y in f.items()}
         mapping = dict(pairs)
@@ -214,12 +215,14 @@ def obs_part(a: _Measure, f) -> _Measure:
 
 def second_marginal_map(a: Observable, b: Observable) -> dict[str, str]:
     """The surjection (x, y) -> y on the product outcome set of a o b."""
+    _check_measures(a, b)
     return {xy: y for xy, _, y in _product_items(zip(a.outcomes, a.outcomes),
                                                  zip(b.outcomes, b.outcomes))}
 
 
 def first_marginal_map(a: Observable, b: Observable) -> dict[str, str]:
     """The surjection (x, y) -> x on the product outcome set of a o b."""
+    _check_measures(a, b)
     return {xy: x for xy, x, _ in _product_items(zip(a.outcomes, a.outcomes),
                                                  zip(b.outcomes, b.outcomes))}
 

@@ -164,6 +164,12 @@ def _hat_matrix(kraus: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nik->jk", kraus.conj(), kraus)
 
 
+def _check_operations(*ops) -> None:
+    """Every argument is an ``Operation`` (a bare Kraus matrix is not one)."""
+    for op in ops:
+        _check_type(op, Operation, NotOperation)
+
+
 def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
     """Apply the operation: sum_i A_i rho A_i†.
 
@@ -171,7 +177,7 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
     arbitrary matrices (e.g. matrix units) is well defined and used by the
     action-equality tests. Returns the (generally subnormalized) output matrix.
     """
-    _check_type(op, Operation, NotOperation)
+    _check_operations(op)
     mat = rho.op if isinstance(rho, State) else matcore.as_square(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionError(f"state shape {mat.shape} vs operation dim {op.dim}")
@@ -180,26 +186,20 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
 
 def hat(op: Operation) -> Effect:
     """The induced effect sum_i A_i† A_i, as carried by the operation."""
-    _check_type(op, Operation, NotOperation)
+    _check_operations(op)
     return op.induced
 
 
 def is_channel(op: Operation, tol: float = EQ_TOL) -> bool:
-    _check_type(op, Operation, NotOperation)
+    _check_operations(op)
     return max_abs(op.induced.op - identity(op.dim)) <= tol
 
 
 def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     _check_operations(i, j)
-    return Operation(_compose_kraus(i.kraus, j.kraus))
-
-
-def _check_operations(i, j) -> None:
-    """Both arguments are operations of one dim."""
-    _check_type(i, Operation, NotOperation)
-    _check_type(j, Operation, NotOperation)
     matcore._check_same_operand_dim(i, j)
+    return Operation(_compose_kraus(i.kraus, j.kraus))
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -216,6 +216,7 @@ def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def add(i: Operation, j: Operation) -> Operation:
     """Parallel sum; defined only when the induced effects still sum below I."""
     _check_operations(i, j)
+    matcore._check_same_operand_dim(i, j)
     try:
         return Operation(_summed_kraus((i, j)))
     except NotSubunital:
@@ -229,7 +230,7 @@ def _summed_kraus(ops) -> np.ndarray:
 
 def scale(i: Operation, lam: float) -> Operation:
     """Convex scaling: each Kraus operator is multiplied by sqrt(lam)."""
-    _check_type(i, Operation, NotOperation)
+    _check_operations(i)
     if not (isinstance(lam, numbers.Real) and 0.0 <= lam <= 1.0):
         raise WeightError(f"scale factor {lam!r} is not a real number in [0, 1]")
     if lam == 0.0:
@@ -239,8 +240,7 @@ def scale(i: Operation, lam: float) -> Operation:
 
 def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
     """Probabilistic indistinguishability: equal induced effects."""
-    _check_type(i, Operation, NotOperation)
-    _check_type(j, Operation, NotOperation)
+    _check_operations(i, j)
     if i.dim != j.dim:
         return False
     return max_abs(i.induced.op - j.induced.op) <= tol
@@ -248,6 +248,7 @@ def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
 
 def action_equal(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
     """Equality as maps: superoperators equal within tol."""
+    _check_operations(i, j)
     if i.dim != j.dim:
         return False
     return action_distance(i, j) <= tol
@@ -259,6 +260,7 @@ def action_distance(i: Operation, j: Operation) -> float:
     This is the largest max-norm gap between the two maps over the
     matrix-unit basis, since column (k, l) of ``superop`` is the image of E_kl.
     """
+    _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
     return max_abs(i.superop - j.superop)
 
@@ -367,11 +369,13 @@ def atomic_operation(vectors: list[np.ndarray]) -> Operation:
 
 def complement_luders(i: Operation) -> Operation:
     """The unique Lueders complement: Lueders of I - hat(i)."""
+    _check_operations(i)
     return luders(Effect(identity(i.dim) - i.induced.op))
 
 
 def is_complement(j: Operation, i: Operation, tol: float = EQ_TOL) -> bool:
     """True iff j completes i to a channel, i.e. hat(j) = I - hat(i)."""
+    _check_operations(i, j)
     if i.dim != j.dim:
         return False
     want = identity(i.dim) - i.induced.op
@@ -388,7 +392,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
 
     Independent of the chosen Kraus family: tr(rho result) = tr(i(rho) a).
     """
-    _check_type(i, Operation, NotOperation)
+    _check_operations(i)
     _check_type(a, Effect, NotEffect)
     matcore._check_same_operand_dim(i, a)
     return Effect(_sandwich(i.kraus, a.op))
@@ -405,6 +409,7 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
     The family is zero-padded up to the mixing size m >= n and replaced by
     B_j = sum_i W_ji A_i; the represented map is unchanged.
     """
+    _check_operations(op)
     w = matcore._read(unitary, "mixing matrix")
     m = w.shape[0]
     if m < op.n_kraus:
@@ -432,6 +437,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     result is True uncertified: j - i may be positive without being completely
     positive, or fail on a state that was not probed.
     """
+    _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
     gap = _gram(j.kraus) - _gram(i.kraus)
     if matcore.psd_certified((gap + dagger(gap)) / 2):

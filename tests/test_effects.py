@@ -417,6 +417,23 @@ def _half_observable():
     (lambda: instruments.measured_observable(np.eye(2)), NotMeasure,
      "expected an Instrument, got ndarray"),
     (lambda: instruments.bar(np.eye(2)), NotMeasure, "ndarray"),
+    (lambda: operations.action_distance(np.eye(2), _channel()), NotOperation, "ndarray"),
+    (lambda: operations.action_equal(_channel(), np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.remix_kraus(np.eye(2), np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.operation_leq(np.eye(2), _channel()), NotOperation, "ndarray"),
+    (lambda: operations.complement_luders(np.eye(2)), NotOperation, "ndarray"),
+    (lambda: operations.is_complement(np.eye(2), _channel()), NotOperation, "ndarray"),
+    (lambda: observables.event_prob(np.eye(2), State(np.eye(2) / 2), []), NotMeasure,
+     "ndarray"),
+    (lambda: observables.obs_equal(_half_observable(), np.eye(2)), NotMeasure, "ndarray"),
+    (lambda: observables.obs_part(np.eye(2), {"p": "y"}), NotMeasure, "ndarray"),
+    (lambda: observables.second_marginal_map(np.eye(2), _half_observable()), NotMeasure,
+     "ndarray"),
+    (lambda: luders_instrument(np.eye(2)), NotMeasure, "expected an Observable, got ndarray"),
+    (lambda: instruments.trivial_instrument(np.eye(2), State(np.eye(2) / 2)), NotMeasure,
+     "ndarray"),
+    (lambda: instruments.semi_trivial_instrument(np.eye(2), [State(np.eye(2) / 2)]),
+     NotMeasure, "ndarray"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
@@ -438,7 +455,12 @@ def _half_observable():
         "apply-operation-matrix", "hat-matrix", "compose-matrix", "add-matrix", "scale-matrix",
         "equiv-matrix", "is-channel-matrix", "op-then-effect-operation-matrix",
         "instrument-cond-prob-operation-matrix", "obs-seq-product-matrix",
-        "distribution-measure-matrix", "measured-observable-matrix", "bar-matrix"])
+        "distribution-measure-matrix", "measured-observable-matrix", "bar-matrix",
+        "action-distance-matrix", "action-equal-matrix", "remix-matrix",
+        "operation-leq-matrix", "complement-luders-matrix", "is-complement-matrix",
+        "event-prob-measure-matrix", "obs-equal-matrix", "obs-part-matrix",
+        "marginal-map-matrix", "luders-instrument-matrix", "trivial-instrument-measure-matrix",
+        "semi-trivial-instrument-measure-matrix"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
