@@ -107,12 +107,15 @@ class ScenarioError(SeqmeasError):
 
 
 def _parse_objects(raw: dict) -> dict:
+    """Decode a scenario's objects; those that repeat a matrix share one decoded
+    effect or state (``serialize._decoding_once``)."""
     objects = {}
-    for name, data in raw.items():
-        try:
-            objects[name] = serialize.typed_from_json(data)
-        except SeqmeasError as exc:
-            raise ScenarioError(f"object {name!r}: {exc}") from None
+    with serialize._decoding_once():
+        for name, data in raw.items():
+            try:
+                objects[name] = serialize.typed_from_json(data)
+            except SeqmeasError as exc:
+                raise ScenarioError(f"object {name!r}: {exc}") from None
     dims = {obj.dim for obj in objects.values()}
     if len(dims) > 1:
         raise ScenarioError(f"objects live on different dimensions: {sorted(dims)}")

@@ -177,7 +177,18 @@ def _swap_on_span(phi: np.ndarray, psi: np.ndarray) -> np.ndarray | None:
     return v @ block @ v.conj().T + (np.eye(dim) - v @ v.conj().T)
 
 
-def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_atomic_symmetry_iff(ctx: LawContext, dim: int, n: int):
+    """Per trial the pass-direction inputs: a state to symmetrize, a projective
+    observable (its first two cells are the orthogonal pair) and a state. The
+    fail direction is rejection-sampled inside the trial."""
+    rng = ctx.rng
+    states = random_states(dim, rng, 2 * n)
+    return zip(states[0::2], [projective_observable(dim, rng) for _ in range(n)],
+               states[1::2])
+
+
+def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally, rho0: State,
+                              cells: Observable, rho_orth: State) -> None:
     """P_rho(a o b) = P_rho(b o a) for atomic a, b iff the diagonal matrix
     elements of rho agree or the projections are orthogonal."""
     rng = ctx.rng
@@ -194,19 +205,15 @@ def check_atomic_symmetry_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
         psi = psi * (overlap.conjugate() / abs(overlap))
     swap = _swap_on_span(phi, psi)
     if swap is not None:
-        rho0 = matcore.random_state(dim, rng)
-        rho = State((rho0 + swap @ rho0 @ swap) / 2)
+        rho = State((rho0.op + swap @ rho0.op @ swap) / 2)
         a = atomic_projection(phi)
         b = atomic_projection(psi)
         tally.expect(order_gap(a, b, rho), "equal diagonals give symmetric probabilities",
                      a=a, b=b, rho=rho)
     # pass instance 2: orthogonal projections
-    u = matcore.random_unitary(dim, rng)
-    a = atomic_projection(u[:, 0])
-    b = atomic_projection(u[:, 1])
-    rho = random_state(dim, rng)
-    tally.expect(order_gap(a, b, rho), "orthogonal projections give symmetric probabilities",
-                 a=a, b=b, rho=rho)
+    a, b = cells.effects[:2]
+    tally.expect(order_gap(a, b, rho_orth),
+                 "orthogonal projections give symmetric probabilities", a=a, b=b, rho=rho_orth)
 
     # fail direction: overlapping pair over a state with distinct diagonals
     def draw():
@@ -245,12 +252,15 @@ def check_bayes_first_rule_effects(ctx: LawContext, dim: int, tally: Tally,
     tally.offer(partition=partition, b=b, rho=rho)
 
 
-def check_bayes_second_rule_effects(ctx: LawContext, dim: int, tally: Tally) -> None:
-    """Bayes' second rule P(b)P(a|b) = P(a)P(b|a) fails for effects."""
+def draw_bayes_second_rule_effects(ctx: LawContext, dim: int, n: int):
     rng = ctx.rng
-    a = random_effect(dim, rng)
-    b = random_effect(dim, rng)
-    rho = random_state(dim, rng)
+    effs = random_effects(dim, rng, 2 * n)
+    return zip(effs[0::2], effs[1::2], random_states(dim, rng, n))
+
+
+def check_bayes_second_rule_effects(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                                    b: Effect, rho: State) -> None:
+    """Bayes' second rule P(b)P(a|b) = P(a)P(b|a) fails for effects."""
     tally.offer(a=a, b=b, rho=rho)
 
 
@@ -285,7 +295,7 @@ LAWS = (
         id="thm-1.2ii", kind="iff", dims=(2,), trials=100,
         description="Atomic sequential probabilities are symmetric iff diagonals "
                     "agree or the projections are orthogonal",
-        fn=check_atomic_symmetry_iff, tol=1e-10),
+        fn=check_atomic_symmetry_iff, tol=1e-10, draw=draw_atomic_symmetry_iff),
     LawCheck(
         id="eq-1.1", kind="identity", dims=(2, 3), trials=50,
         description="Kraus trace identity and representation independence of the "
@@ -299,5 +309,6 @@ LAWS = (
     LawCheck(
         id="eq-2.2", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' second rule fails for effect conditioning",
-        fn=check_bayes_second_rule_effects, replay=order_gap),
+        fn=check_bayes_second_rule_effects, replay=order_gap,
+        draw=draw_bayes_second_rule_effects),
 )

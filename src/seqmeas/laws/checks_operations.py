@@ -176,28 +176,35 @@ def _projection_mixing_violation(a: np.ndarray, b: Effect, rho: State) -> float:
     return max_abs(b.op - _mixed(a, b))
 
 
-def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_constant_channel_bayes(ctx: LawContext, dim: int, n: int):
+    rng = ctx.rng
+    states = random_states(dim, rng, 2 * n)
+    return zip(random_effects(dim, rng, n), states[0::2], states[1::2])
+
+
+def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                                 alpha: State, rho: State) -> None:
     """Conditioning through the constant channel of two trivial operations
     replaces rho by alpha; generic inputs witness the failure."""
-    rng = ctx.rng
-    a = random_effect(dim, rng)
-    alpha = random_state(dim, rng)
     chan = op_mod.add(op_mod.trivial(a, alpha), op_mod.trivial(complement(a), alpha))
-    rho = random_state(dim, rng)
     tally.expect(max_abs(op_mod.apply(chan, rho) - alpha.op),
                  "the pair sums to the constant channel")
     tally.offer(a=a, alpha=alpha, rho=rho)
 
 
-def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally) -> None:
+def draw_projection_mixing_bayes(ctx: LawContext, dim: int, n: int):
+    rng = ctx.rng
+    return zip(random_effects(dim, rng, n), random_states(dim, rng, n))
+
+
+def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally, b: Effect,
+                                  rho: State) -> None:
     """Conditioning through the sharp two-projection channel displaces any
     effect that fails to commute with the projection."""
     rng = ctx.rng
     u = matcore.random_unitary(dim, rng)
     rank = int(rng.integers(1, dim))
     a = sum(np.outer(u[:, k], u[:, k].conj()) for k in range(rank))
-    b = random_effect(dim, rng)
-    rho = random_state(dim, rng)
     chan = op_mod.add(op_mod.kraus_single(a), op_mod.kraus_single(np.eye(dim) - a))
     j = op_mod.luders(b)
     lhs = trace_real(op_mod.apply(j, op_mod.apply(chan, rho)))
@@ -286,11 +293,13 @@ LAWS = (
     LawCheck(
         id="ex-1", kind="counterexample", dims=(2,), trials=100, gap=0.1,
         description="Constant-channel conditioning forgets the input state",
-        fn=check_constant_channel_bayes, replay=_constant_channel_violation),
+        fn=check_constant_channel_bayes, replay=_constant_channel_violation,
+        draw=draw_constant_channel_bayes),
     LawCheck(
         id="ex-2", kind="counterexample", dims=(2,), trials=100,
         description="Projection mixing displaces non-commuting effects",
-        fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10),
+        fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10,
+        draw=draw_projection_mixing_bayes),
     LawCheck(
         id="ex-3", kind="counterexample", dims=(2,), trials=100,
         description="Sequential composition of operations is order sensitive",

@@ -498,6 +498,14 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     return psd_hermitian(as_hermitian(b - a, tol=1e-9), tol)
 
 
+def _check_rng(rng) -> None:
+    """The one check of a random generator's ``rng`` argument: a numpy ``Generator``.
+    Every draw passes it first: a Ginibre stack (``_ginibres``), a family size
+    (``_counts``) or a unit vector (``random_unit_vector``)."""
+    if not isinstance(rng, np.random.Generator):
+        raise SamplingError(f"rng must be a numpy random Generator, got {type(rng).__name__}")
+
+
 def _count(n: int | None, rng: np.random.Generator, lo: int, hi: int, what: str) -> int:
     """A family size for a random generator: ``n``, or a draw from [lo, hi) when None."""
     if n is None:
@@ -517,6 +525,7 @@ def _draws(n) -> int:
 def _counts(sizes, rng: np.random.Generator, lo: int, hi: int, what: str, n: int):
     """``_count`` for each of n draws, as an iterator: ``sizes`` is None (each size
     drawn when the iterator reaches it), one size for all, or a sequence of n."""
+    _check_rng(rng)
     n = _draws(n)
     if not isinstance(sizes, (list, tuple, np.ndarray)):
         sizes = [sizes] * n
@@ -608,6 +617,7 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    _check_rng(rng)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -619,5 +629,6 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _ginibres(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n Ginibre matrices, each drawn as the real then the imaginary part, so the
     stack draws exactly what n ``_ginibre`` calls would."""
+    _check_rng(rng)
     x = rng.standard_normal((n, 2, dim, dim))
     return x[:, 0] + 1j * x[:, 1]

@@ -17,11 +17,20 @@ Each JSON form is stated once and both directions read it:
 * A typed object adds {"type": tag}; ``_TYPES`` holds each class, its tag and
   its codec, and ``TYPED_PARSERS`` and ``TYPED_ENCODERS`` are read off it.
 
+A scenario file's objects are decoded inside ``_decoding_once``: objects that
+repeat a matrix (an effect and the Lueders operation or observable built over
+it, say) share one decoded effect or state, validated once, whose root or
+spectrum is solved once. Nothing is kept from one scenario file to the next,
+and outside that block every decode builds a new object.
+
 ``to_json`` writes query results and law witnesses; ``_from_json`` reads them
 back: a dict with a "type" key is typed JSON, any other dict matrix JSON.
 """
 
 from __future__ import annotations
+
+import contextlib
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -57,9 +66,40 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return re + 1j * im
 
 
+# The effects and states decoded so far in one scenario, keyed by (class, shape,
+# bytes of the decoded matrix); None, the default, outside ``_decoding_once``.
+_decoded: ContextVar[dict | None] = ContextVar("_decoded", default=None)
+
+
+@contextlib.contextmanager
+def _decoding_once():
+    """Within the block, every effect or state decoded from the same matrix is one
+    instance, validated once, whose root or spectrum is solved at most once;
+    the memo is dropped when the block ends."""
+    token = _decoded.set({})
+    try:
+        yield
+    finally:
+        _decoded.reset(token)
+
+
 def _operator_codec(cls):
-    """Encoder and decoder of a class holding one matrix, ``op``, written as its matrix."""
-    return (lambda x: matrix_to_json(x.op)), (lambda data: cls(matrix_from_json(data)))
+    """Encoder and decoder of a class holding one matrix, ``op``, written as its matrix.
+
+    Inside ``_decoding_once`` the decoder returns the instance already decoded
+    from the same matrix, if any; the instances are frozen, so sharing one is
+    the same as building it again."""
+    def from_json(data: dict):
+        m = matrix_from_json(data)
+        memo = _decoded.get()
+        if memo is None:
+            return cls(m)
+        key = (cls, m.shape, m.tobytes())
+        if key not in memo:
+            memo[key] = cls(m)
+        return memo[key]
+
+    return (lambda x: matrix_to_json(x.op)), from_json
 
 
 effect_to_json, effect_from_json = _operator_codec(Effect)

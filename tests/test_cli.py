@@ -6,6 +6,7 @@ import pytest
 from seqmeas import cli, effects, matcore, operations as ops, serialize
 from seqmeas import instruments as inst_mod, observables as obs_mod
 from seqmeas.effects import Effect, State
+from seqmeas.errors import NotEffect
 
 
 def run_cli(argv, capsys):
@@ -363,3 +364,101 @@ def test_eval_malformed_object_exits_2(tmp_path, capsys, entry):
     assert code == 2
     assert out == ""
     assert "'bad'" in err
+
+
+def _counting_solves(monkeypatch) -> list:
+    """Record every Jacobi solve (``matcore.eig_hermitian``) from here on."""
+    calls = []
+    real = matcore.eig_hermitian
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(matcore, "eig_hermitian", counting)
+    return calls
+
+
+def shared_matrix_scenario():
+    """A d = 3 scenario repeating an effect matrix across an effect, a Lueders and a
+    trivial operation and an observable, and a state matrix across a state, the
+    trivial operation and an effect."""
+    u = matcore.random_unitary(3, np.random.default_rng(5))
+    a = u @ np.diag([0.2, 0.5, 0.8]) @ u.conj().T
+    rho = u.conj().T @ np.diag([0.5, 0.3, 0.2]) @ u
+    mat = serialize.matrix_to_json
+    return {
+        "dim": 3,
+        "objects": {
+            "a": {"type": "effect", **mat(a)},
+            "luders_a": {"type": "operation", "kind": "luders", "effect": mat(a)},
+            "A": {"type": "observable", "outcomes": ["y", "n"],
+                  "effects": [mat(a), mat(np.eye(3) - a)]},
+            "triv": {"type": "operation", "kind": "trivial", "effect": mat(a), "state": mat(rho)},
+            "rho": {"type": "state", **mat(rho)},
+            "rho_effect": {"type": "effect", **mat(rho)},
+        },
+        "queries": [
+            {"query": "hat", "of": "luders_a"},
+            {"query": "hat", "of": "triv"},
+            {"query": "distribution", "of": "A", "state": "rho"},
+            {"query": "seq_product", "a": "a", "b": "rho_effect"},
+            {"query": "prob", "state": "rho", "effect": "rho_effect"},
+        ],
+    }
+
+
+def test_eval_decodes_each_repeated_matrix_once(monkeypatch):
+    solves = _counting_solves(monkeypatch)
+    o = cli._parse_objects(shared_matrix_scenario()["objects"])
+    a, rho = o["a"], o["rho"]
+    assert o["luders_a"].recipe["effect"] is a
+    assert o["triv"].recipe["effect"] is a
+    assert o["A"].effects[0] is a
+    assert o["triv"].recipe["state"] is rho
+    # one matrix declared as an effect and as a state: one object of each type
+    assert type(o["rho_effect"]) is Effect and type(rho) is State
+    assert np.array_equal(o["rho_effect"].op, rho.op)
+    # the Lueders and trivial operations need a's root and rho's spectrum: one
+    # solve each, and none left for the objects that share them
+    assert len(solves) == 2
+    assert o["A"].effects[0].root is a.root and rho.spectrum is not None
+    assert len(solves) == 2
+    # outside a scenario every decode builds a new object
+    data = shared_matrix_scenario()["objects"]["a"]
+    assert serialize.typed_from_json(data) is not serialize.typed_from_json(data)
+
+
+def test_eval_solves_again_in_each_scenario_file(tmp_path, capsys, monkeypatch):
+    path = scenario_file(tmp_path, shared_matrix_scenario())
+    solves = _counting_solves(monkeypatch)
+    first = run_cli(["eval", path], capsys)
+    after_first = len(solves)
+    assert serialize._decoded.get() is None
+    second = run_cli(["eval", path], capsys)
+    assert first == second
+    assert first[0] == 0, first[2]
+    # a's root (Lueders, trivial, the seq_product query) and rho's spectrum (trivial)
+    assert after_first == 2
+    assert len(solves) == 2 * after_first
+
+
+def test_eval_shared_invalid_matrix_names_its_first_holder(tmp_path, capsys, monkeypatch):
+    bad = np.diag([1.5, 0.25])
+    with pytest.raises(NotEffect) as parent_error:
+        Effect(bad)
+    mat = serialize.matrix_to_json
+    payload = {"objects": {"ok": {"type": "effect", **mat(np.eye(2) / 2)},
+                           "luders_bad": {"type": "operation", "kind": "luders",
+                                          "effect": mat(bad)},
+                           "bad": {"type": "effect", **mat(bad)}},
+               "queries": [{"query": "hat", "of": "luders_bad"}]}
+    code, out, err = run_cli(["eval", scenario_file(tmp_path, payload)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: object 'luders_bad': {parent_error.value}\n"
+    assert serialize._decoded.get() is None
+    # the next scenario decodes afresh
+    solves = _counting_solves(monkeypatch)
+    code, _, err = run_cli(["eval", scenario_file(tmp_path, shared_matrix_scenario())], capsys)
+    assert code == 0, err
+    assert len(solves) == 2

@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from seqmeas.errors import (
     NotMeasure,
     NotOperation,
     NotState,
+    SamplingError,
     SeqmeasError,
     WeightError,
 )
@@ -464,3 +469,23 @@ def _half_observable():
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# Every public random generator of the library modules, found by a source scan so
+# that a new one cannot skip the test below.
+RANDOM_GENERATORS = [
+    (module, name)
+    for module in (matcore, effects, observables, operations, instruments)
+    for name in re.findall(r"^def (random_\w+)\(", Path(module.__file__).read_text(), re.M)
+]
+
+
+@pytest.mark.parametrize("rng", ["seed", 42, None], ids=["string", "int", "none"])
+def test_random_generators_reject_a_non_generator_rng(rng):
+    assert {module for module, _ in RANDOM_GENERATORS} == {
+        matcore, effects, observables, operations, instruments}
+    for module, name in RANDOM_GENERATORS:
+        generator = getattr(module, name)
+        draws = (3,) if "n" in inspect.signature(generator).parameters else ()
+        with pytest.raises(SamplingError, match="numpy random Generator"):
+            generator(2, rng, *draws)
