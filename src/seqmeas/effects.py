@@ -6,19 +6,20 @@ positive operator with unit trace. The sequential product a o b = a^{1/2} b a^{1
 is the effect of measuring a first and b second.
 
 Objects are validated once, at construction, and carry what they derive: an
-effect its root a^{1/2} (``Effect.root``), a state its eigendecomposition
-(``State.spectrum``), each computed on first use and kept.
+effect its root a^{1/2} (``Effect.root``), computed on first use and kept. A
+state's eigendecomposition (``State.spectrum``) is computed on first use too;
+nothing in the library reads it.
 
-The stacked generators (``random_effects``, ``random_states`` and those of
-observables, operations and instruments) draw many objects at once and seed
-these caches: they write each object's root or spectrum into its ``__dict__``,
-where the cached property finds it, from one stacked Jacobi pass
-(``matcore._solve_stack``) or, for a drawn effect u diag(values) u†, from the
-drawn eigendecomposition itself. A seeded value is read-only, like a computed
-one, and agrees with what the first use would compute to rounding. Below
-``matcore.STACK_BREAK_EVEN`` objects the caches are left to fill on first use,
-as a scalar solve is faster there; only the effects of a projective observable
-are always seeded, since a projection is its own root and costs nothing.
+The stacked generators (``random_effects`` and those of observables,
+operations and instruments) draw many effects at once and seed their roots:
+they write each root into the effect's ``__dict__``, where the cached property
+finds it, from one stacked Jacobi pass (``matcore._solve_stack``) or, for a
+drawn effect u diag(values) u†, from the drawn eigendecomposition itself. A
+seeded root is read-only, like a computed one, and agrees with what the first
+use would compute to rounding. Below ``matcore.STACK_BREAK_EVEN`` effects the
+roots are left to fill on first use, as a scalar solve is faster there; only
+the effects of a projective observable are always seeded, since a projection
+is its own root and costs nothing.
 """
 
 from __future__ import annotations
@@ -251,19 +252,19 @@ def _ket_bra(vector) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _seeded(objs: tuple, name: str, values) -> tuple:
-    """``objs``, each with its cached property ``name`` filled in with its
-    (read-only) value; ``values`` None leaves the caches to fill on first use."""
-    if values is not None:
-        for obj, value in zip(objs, values):
-            obj.__dict__[name] = value
-    return objs
+def _seeded(effs: tuple[Effect, ...], roots) -> tuple[Effect, ...]:
+    """``effs``, each with its cached ``root`` filled in with its (read-only) root;
+    ``roots`` None leaves the roots to fill on first use."""
+    if roots is not None:
+        for e, root in zip(effs, roots):
+            e.__dict__["root"] = root
+    return effs
 
 
 def _with_roots(effs: tuple[Effect, ...]) -> tuple[Effect, ...]:
     """``effs``, their roots filled from one stacked solve (below break-even each
     root is solved alone, on first use)."""
-    return _seeded(effs, "root", matcore._solve_stack("root", [e.op for e in effs]))
+    return _seeded(effs, matcore._solve_stack("root", [e.op for e in effs]))
 
 
 def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
@@ -271,7 +272,7 @@ def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, 
     with the root read off its drawn eigendecomposition, with no solve (below
     break-even each root is solved on first use)."""
     ops, roots = matcore._random_effects(dim, rng, n)
-    return _seeded(_effects(ops), "root", roots)
+    return _seeded(_effects(ops), roots)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> Effect:
@@ -279,10 +280,8 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
 
 
 def random_states(dim: int, rng: np.random.Generator, n: int) -> tuple[State, ...]:
-    """n random states, drawn as n ``random_state`` calls would draw them, their
-    spectra from one stacked solve."""
-    states = tuple(map(State, matcore._random_states(dim, rng, n)))
-    return _seeded(states, "spectrum", matcore._solve_stack("spectrum", [s.op for s in states]))
+    """n random states, drawn as n ``random_state`` calls would draw them."""
+    return tuple(map(State, matcore._random_states(dim, rng, n)))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> State:

@@ -65,6 +65,13 @@ def resample(draw, accept):
     raise SamplingError(f"rejection sampling found no acceptable sample in {MAX_RESAMPLES} draws")
 
 
+def trivial_superop(a: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> tr(rho a) alpha for matrices a and alpha, straight
+    from the formula, with no constructor and no solve: vec(alpha) vec(a^T)^T in
+    the row-major vec of ``Operation.superop``."""
+    return np.outer(alpha.reshape(-1), a.T.reshape(-1))
+
+
 def trace_real(m: np.ndarray) -> float:
     return float(np.trace(m).real)
 

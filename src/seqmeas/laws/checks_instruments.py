@@ -55,7 +55,7 @@ from ..observables import (
     random_observables,
     verify_coexistence_witness,
 )
-from ._common import chunks, random_surjection, resample, trace_real
+from ._common import chunks, random_surjection, resample, trace_real, trivial_superop
 from .core import LawCheck, LawContext, Tally
 
 # Probabilities smaller than this are skipped when a law divides by them; the
@@ -199,20 +199,20 @@ def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally, a: Obse
                                 b: Observable, alphas: tuple[State, ...],
                                 betas: tuple[State, ...]) -> None:
     """Products and conditionings of (semi-)trivial instruments stay
-    (semi-)trivial with the composed observables."""
+    (semi-)trivial with the composed observables. The expected members are
+    superoperators of the trivial maps, from the formula (``trivial_superop``)."""
     i = semi_trivial_instrument(a, alphas)
     j = semi_trivial_instrument(b, betas)
     prod = inst_seq_product(i, j)
     for xy, (ax, alpha_x), (by, beta_y) in _product_items(
             zip(a.outcomes, zip(a.effects, alphas)), zip(b.outcomes, zip(b.effects, betas))):
-        want = op_mod.trivial(Effect(prob(alpha_x, by) * ax.op), beta_y)
-        tally.expect(op_mod.action_distance(prod.operation(xy), want),
+        want = trivial_superop(prob(alpha_x, by) * ax.op, beta_y.op)
+        tally.expect(max_abs(prod.operation(xy).superop - want),
                      "product member is trivial with the weighted effect")
     cond = inst_conditioned(j, i)
     for (y, by), beta_y in zip(b.items(), betas):
         summed = sum(prob(alpha_x, by) * ax.op for ax, alpha_x in zip(a.effects, alphas))
-        want = op_mod.trivial(Effect(summed), beta_y)
-        tally.expect(op_mod.action_distance(cond.operation(y), want),
+        tally.expect(max_abs(cond.operation(y).superop - trivial_superop(summed, beta_y.op)),
                      "conditioned member is trivial with the summed effect")
     # fully trivial special case: the conditioned observable collapses to
     # multiples of the identity
@@ -222,8 +222,8 @@ def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally, a: Obse
     tj = trivial_instrument(b, beta)
     cond = inst_conditioned(tj, ti)
     for y, by in b.items():
-        want = op_mod.trivial(Effect(prob(alpha, by) * matcore.identity(dim)), beta)
-        tally.expect(op_mod.action_distance(cond.operation(y), want),
+        want = trivial_superop(prob(alpha, by) * matcore.identity(dim), beta.op)
+        tally.expect(max_abs(cond.operation(y).superop - want),
                      "trivial conditioning weights the identity")
 
 

@@ -22,14 +22,8 @@ from ..effects import (
 )
 from ..matcore import max_abs
 from ..observables import random_observables
-from ._common import chunks, order_gap, resample, sharp_partition, trace_real
+from ._common import chunks, order_gap, resample, sharp_partition, trace_real, trivial_superop
 from .core import LawCheck, LawContext, Tally
-
-
-def _trivial_superop(a: Effect, alpha: State) -> np.ndarray:
-    """Superoperator of rho -> tr(rho a) alpha, straight from the formula:
-    vec(alpha) vec(a^T)^T in the row-major vec of ``Operation.superop``."""
-    return np.outer(alpha.op.reshape(-1), a.op.T.reshape(-1))
 
 
 def draw_semi_trivial_construction(ctx: LawContext, dim: int, n: int):
@@ -47,7 +41,7 @@ def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally,
     """The explicit Kraus family for rho -> sum tr(rho a_i) alpha_i has the
     superoperator of the direct formula, with hat = sum a_i."""
     op = op_mod.semi_trivial(pairs)
-    direct = sum(_trivial_superop(a, alpha) for a, alpha in pairs)
+    direct = sum(trivial_superop(a.op, alpha.op) for a, alpha in pairs)
     tally.expect(max_abs(op.superop - direct), "construction matches the direct formula")
     hat_direct = sum(a.op for a, _ in pairs)
     tally.expect(max_abs(op_mod.hat(op).op - hat_direct),
@@ -61,7 +55,7 @@ def check_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> None:
     a = random_effect(dim, rng)
     alpha = random_state(dim, rng)
     op = op_mod.trivial(a, alpha)
-    tally.expect(max_abs(op.superop - _trivial_superop(a, alpha)), "trivial action matches")
+    tally.expect(max_abs(op.superop - trivial_superop(a.op, alpha.op)), "trivial action matches")
     tally.expect(max_abs(op_mod.hat(op).op - a.op), "trivial operation measures a")
     tally.expect(max_abs(op_mod.hat(op_mod.luders(a)).op - a.op),
                  "Lueders operation measures a", tol=1e-10)

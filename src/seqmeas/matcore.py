@@ -5,8 +5,10 @@ on plain complex ``numpy`` arrays of shape (dim, dim) with 2 <= dim <= 8.
 This module owns the one reader of caller input (``_read``: every matrix,
 stack of matrices or vector a caller passes becomes a finite complex array
 there, or a ``DimensionError``), the Hermitian eigensolver (cyclic Jacobi
-rotations, no external eigenvalue routine), the positive square root, the
-Loewner order and the seeded random generators used by the law checks.
+rotations, no external eigenvalue routine), the positive square root, a
+pivoted Cholesky factor B†B = M of a PSD matrix (``_psd_factor``, eigen-free
+unless M has an eigenvalue below -FACTOR_PIVOT_TOL), the Loewner order and
+the seeded random generators used by the law checks.
 
 Two tolerance constants govern all approximate comparisons:
 
@@ -66,6 +68,10 @@ CERT_NORM_PER_TOL = 1e13
 # below this threshold, give up after this many full sweeps.
 JACOBI_OFF_THRESHOLD = 1e-13
 JACOBI_MAX_SWEEPS = 100
+
+# A residual pivot at or below this ends the pivoted Cholesky factor
+# (``_psd_factor``), far below PSD_TOL and every tolerance compared at.
+FACTOR_PIVOT_TOL = 1e-14
 
 # Stacks below this many members are solved by the scalar solver: a stacked
 # Jacobi pass costs more than that many scalar solves below it (measured
@@ -351,12 +357,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _spectra_stack(ms) -> list[Spectrum]:
-    """``eig_hermitian`` of every member of a stack, as read-only ``Spectrum``s."""
-    values, vectors = map(_read_only, _eig_hermitian_stack(ms))
-    return [Spectrum(w, u) for w, u in zip(values, vectors)]
-
-
 def _sqrt_psd_stack(ms, tol: float = PSD_TOL) -> np.ndarray:
     """``sqrt_psd`` of every member of an (n, d, d) stack, as one read-only stack."""
     values, v = _eig_hermitian_stack(ms)
@@ -383,16 +383,15 @@ def _inv_sqrt_pd_stack(ms) -> list[np.ndarray | None]:
     return [m if good else None for m, good in zip(inv_roots, ok)]
 
 
-_STACKED_KERNELS = {"spectrum": _spectra_stack, "root": _sqrt_psd_stack,
-                    "inv_root": _inv_sqrt_pd_stack}
+_STACKED_KERNELS = {"root": _sqrt_psd_stack, "inv_root": _inv_sqrt_pd_stack}
 
 
 def _solve_stack(kind: str, mats):
     """The one entry point of the stacked solver: the ``kind`` of every matrix of a
-    stack, one per member: "spectrum" (``eig_hermitian``), "root" (``sqrt_psd``)
-    or "inv_root" (``inv_sqrt_pd``), spectra and roots read-only. Returns None
-    below STACK_BREAK_EVEN members, where scalar solves are faster; the caller
-    then solves each member with the scalar kernel, when it needs it."""
+    stack, one per member: "root" (``sqrt_psd``, read-only) or "inv_root"
+    (``inv_sqrt_pd``). Returns None below STACK_BREAK_EVEN members, where scalar
+    solves are faster; the caller then solves each member with the scalar
+    kernel, when it needs it."""
     if len(mats) < STACK_BREAK_EVEN:
         return None
     return list(_STACKED_KERNELS[kind](np.asarray(mats)))
@@ -489,6 +488,37 @@ def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
     roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
     v = spec.eigenvectors
     return as_hermitian((v * roots) @ dagger(v), tol=1e-9)
+
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """Rows B, r x d, with B†B = m for an effect or state m, r its numerical rank:
+    Cholesky with complete pivoting (Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990; Golub & Van Loan, sec.
+    4.2.8), stopped when no residual pivot exceeds FACTOR_PIVOT_TOL; a PSD
+    residual has |r_ij|^2 <= r_ii r_jj, so what it leaves out is that small.
+    A larger residual entry means an eigenvalue below -FACTOR_PIVOT_TOL (PSD_TOL
+    accepts it); B†B would add the excess on coordinate axes, which can lift an
+    effect's top eigenvalue past 1 + PSD_TOL, so such an m gets its root
+    (``sqrt_psd``), which zeroes that eigenvalue in its own eigenbasis."""
+    a = m.tolist()
+    rest = list(range(len(a)))
+    rows = []
+    while rest:
+        p = max(rest, key=lambda i: a[i][i].real)
+        pivot = a[p][p].real
+        if not pivot > FACTOR_PIVOT_TOL:
+            break
+        scale = 1.0 / math.sqrt(pivot)
+        b = [x * scale if j in rest else 0j for j, x in enumerate(a[p])]
+        rows.append(b)
+        rest.remove(p)
+        for i in rest:
+            row_i, b_i = a[i], b[i].conjugate()
+            for j in rest:
+                row_i[j] -= b_i * b[j]
+    if any(abs(a[i][j]) > FACTOR_PIVOT_TOL for i in rest for j in rest):
+        return sqrt_psd(m)
+    return np.array(rows, dtype=complex).reshape(len(rows), len(a))
 
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:

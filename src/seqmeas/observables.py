@@ -272,4 +272,4 @@ def projective_observable(dim: int, rng: np.random.Generator) -> Observable:
     projection is its own root, so the roots are filled in with no solve."""
     u = matcore.random_unitary(dim, rng)
     effs = _effects([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
-    return _labeled(Observable, _seeded(effs, "root", [e.op for e in effs]), [dim])[0]
+    return _labeled(Observable, _seeded(effs, [e.op for e in effs]), [dim])[0]

@@ -27,6 +27,10 @@ map, is unchanged. Each operation also carries its superoperator
 (``Operation.superop``, the dim² x dim² natural representation), computed on
 first use. Equality of operations compares superoperators, never Kraus lists
 (the Kraus decomposition is far from unique).
+
+Trivial and semi-trivial operations are built from pivoted Cholesky factors
+(``matcore._psd_factor``), with no root or spectrum: a rank-r effect with a
+rank-s state gives r * s operators.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ from .errors import (
 )
 from .matcore import EQ_TOL, dagger, identity, max_abs
 
-# Kraus operators with all entries below this are dropped by the structured
-# constructors (they contribute nothing but bloat the family).
+# Kraus operators with all entries below this contribute nothing to a map. No
+# constructor makes one (semi-trivial ones have an entry above it).
 NEGLIGIBLE_KRAUS = 1e-14
 
 # Sample size for the state-sampling side of the operation order test.
@@ -80,10 +84,11 @@ class Operation:
     """Completely positive trace-nonincreasing map given by Kraus operators.
 
     ``recipe`` records how a structured constructor built the family: its
-    ``"kind"`` and the constructor's arguments, keyed by the JSON field names of
-    that kind (the kind table of ``serialize``, ``_OPERATION_KINDS``), so the
-    JSON form is written from it and read back through the same constructor. It
-    carries no semantics and never enters comparisons.
+    ``"kind"`` and the constructor's arguments, keyed by the field names of
+    that kind (``_RECIPE_KINDS``), so the JSON form is written from it and read
+    back through the same constructor. It never enters comparisons. A recipe
+    passed in here must rebuild the same map (``_checked_recipe``); the
+    structured constructors set theirs afterwards (``_built``), unchecked.
     """
 
     kraus: np.ndarray
@@ -95,6 +100,8 @@ class Operation:
         induced = _induced(Effect, _hat_matrix(arr))
         object.__setattr__(self, "kraus", _frozen(arr))
         object.__setattr__(self, "induced", induced)
+        if self.recipe is not None:
+            object.__setattr__(self, "recipe", _checked_recipe(self))
 
     @property
     def dim(self) -> int:
@@ -116,8 +123,45 @@ class Operation:
         return _frozen(s)
 
 
+# Each recipe kind: its constructor (looked up per call, so a rebound module
+# attribute is honoured) and its fields in argument order, as JSON writes them.
+_RECIPE_KINDS = {
+    "kraus": ("Operation", ("operators",)),
+    "luders": ("luders", ("effect",)),
+    "trivial": ("trivial", ("effect", "state")),
+    "semi_trivial": ("semi_trivial", ("pairs",)),
+    "sharp": ("sharp_operation", ("projections",)),
+}
+
+
+def _built(kraus, recipe: dict) -> Operation:
+    """``Operation(kraus)`` carrying a structured constructor's own ``recipe``."""
+    op = Operation(kraus)
+    object.__setattr__(op, "recipe", recipe)
+    return op
+
+
+def _checked_recipe(op: Operation) -> dict | None:
+    """The recipe a caller passed with ``op``'s family: a kind of _RECIPE_KINDS
+    with its fields, whose constructor rebuilds the same map (superoperators
+    within EQ_TOL), else ``NotOperation``. The rebuilt operation's own recipe is
+    kept (none for "kraus", the family's own form), so later changes to the
+    caller's dict cannot reach the JSON."""
+    recipe = op.recipe
+    try:
+        constructor, names = _RECIPE_KINDS[recipe["kind"]]
+        args = [recipe[name] for name in names]
+    except (KeyError, TypeError):
+        raise NotOperation(f"recipe is not one of the kinds {list(_RECIPE_KINDS)} "
+                           "with its fields") from None
+    built = globals()[constructor](*args)
+    if action_distance(built, op) > EQ_TOL:
+        raise NotOperation(f"{recipe['kind']!r} recipe builds another map than the family")
+    return built.recipe
+
+
 def _operations(families, recipes=None) -> tuple[Operation, ...]:
-    """``Operation(f, r)`` for every family f and recipe r, validated as one stack.
+    """``_built(f, r)`` for every family f and recipe r, validated as one stack.
 
     Each family is normalized and bounded as ``Operation`` does it, and the
     induced effects of all of them are checked at once by ``effects._effects``,
@@ -275,7 +319,7 @@ def identity_channel(dim: int) -> Operation:
 
 def luders(a: Effect) -> Operation:
     """Lueders operation rho -> a^{1/2} rho a^{1/2}; measures a."""
-    return Operation(*_luders_parts(a))
+    return _built(*_luders_parts(a))
 
 
 def _luders_parts(a: Effect) -> tuple[np.ndarray, dict]:
@@ -301,39 +345,31 @@ def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
     for a, alpha in pairs:
         if a.dim != dim or alpha.dim != dim:
             raise DimensionError("all pairs must share one dimension")
-        lam, vecs = alpha.spectrum.eigenvalues, alpha.spectrum.eigenvectors
-        live = lam >= NEGLIGIBLE_KRAUS
-        kets = np.sqrt(lam[live]) * vecs[:, live]
-        # Row k of bras is conj(a^{1/2} v_k); operator (j, k) is ket j times
-        # bra k. Stacked matrix-vector and broadcast products round like the
-        # one-vector forms (a.root @ vecs and einsum do not), so the family
-        # is bit for bit the one built operator by operator.
-        bras = (a.root @ vecs.T[:, :, None])[:, :, 0].conj()
-        outer = kets.T[:, None, :, None] * bras[None, :, None, :]
-        blocks.append(outer.reshape(-1, dim, dim))
+        # alpha = sum_j c_j c_j† and a = sum_k b_k† b_k; operator (j, k) is the
+        # column c_j times the row b_k.
+        kets = matcore._psd_factor(alpha.op).conj()
+        bras = matcore._psd_factor(a.op)
+        blocks.append((kets[:, None, :, None] * bras[None, :, None, :]).reshape(-1, dim, dim))
     ops = np.concatenate(blocks)
-    kept = ops[np.abs(ops).max(axis=(1, 2)) > NEGLIGIBLE_KRAUS]
-    if len(kept) == 0:
-        return np.zeros((1, dim, dim), dtype=complex)
-    return kept
+    return ops if len(ops) else np.zeros((1, dim, dim), dtype=complex)
 
 
 def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
     """Operation rho -> sum_i tr(rho a_i) alpha_i, as an explicit Kraus family.
 
-    The family is built from the spectral representation of each alpha_i:
-    with alpha_i = sum_j l_ij |phi_ij><phi_ij| the operators are
-    l_ij^{1/2} |phi_ij><a_i^{1/2} phi_ik| over all i, j, k. Spectral terms with
-    l_ij below NEGLIGIBLE_KRAUS are dropped, and a family longer than dim² is
-    compressed by ``Operation``. The induced effect is sum_i a_i.
+    With pivoted Cholesky factors (``matcore._psd_factor``) a_i = sum_k
+    b_ik† b_ik (rows b_ik) and alpha_i = sum_j c_ij c_ij† (columns c_ij) the
+    operators are c_ij b_ik over all i, j, k, rank(alpha_i) * rank(a_i) per
+    pair; with none at all (zero effects) the family is the zero operator, and
+    a family longer than dim² is compressed by ``Operation``. The induced
+    effect is sum_i a_i.
     """
-    return Operation(_semi_trivial_kraus(pairs),
-                     recipe={"kind": "semi_trivial", "pairs": list(pairs)})
+    return _built(_semi_trivial_kraus(pairs), {"kind": "semi_trivial", "pairs": list(pairs)})
 
 
 def trivial(a: Effect, alpha: State) -> Operation:
     """Operation rho -> tr(rho a) alpha."""
-    return Operation(*_trivial_parts(a, alpha))
+    return _built(*_trivial_parts(a, alpha))
 
 
 def _trivial_parts(a: Effect, alpha: State) -> tuple[np.ndarray, dict]:
@@ -359,7 +395,7 @@ def sharp_operation(projections: list[np.ndarray]) -> Operation:
         for j in range(i + 1, len(mats)):
             if max_abs(mats[i] @ mats[j]) > 1e-9:
                 raise NotOrthogonal("projections are not mutually orthogonal")
-    return Operation(mats, recipe={"kind": "sharp", "projections": mats})
+    return _built(mats, {"kind": "sharp", "projections": mats})
 
 
 def atomic_operation(vectors: list[np.ndarray]) -> Operation:

@@ -4,13 +4,14 @@ Each JSON form is stated once and both directions read it:
 
 * A matrix is {"dim": n, "re": [[..]], "im": [[..]]} with row-major exact
   doubles; an effect or a state is its matrix.
-* An operation is {"kind": k, <field>: ..., ...}. ``_OPERATION_KINDS`` maps
-  each kind to the ``operations`` constructor that builds it and its fields in
-  argument order, and ``_FIELDS`` maps each field to the encoder and decoder of
-  its value. A structured constructor's ``recipe`` stores its arguments under
-  these field names, so an operation with a known recipe is written as that
-  kind and read back through the same constructor. Any other operation is
-  written as "kraus", its raw operator list.
+* An operation is {"kind": k, <field>: ..., ...}. ``operations._RECIPE_KINDS``
+  maps each kind to the ``operations`` constructor that builds it and its
+  fields in argument order, and ``_FIELDS`` maps each field to the encoder and
+  decoder of its value. A structured constructor's ``recipe`` stores its
+  arguments under these field names, so an operation with a known recipe is
+  written as that kind and read back through the same constructor; a recipe a
+  caller passes to ``Operation`` is checked against the family there. Any other
+  operation is written as "kraus", its raw operator list.
 * A measure is {"outcomes": [...], <member field>: [...]}: "effects" for an
   observable, "ops" for an instrument (``_Measure._field``), each member in
   its own type's form.
@@ -18,10 +19,11 @@ Each JSON form is stated once and both directions read it:
   its codec, and ``TYPED_PARSERS`` and ``TYPED_ENCODERS`` are read off it.
 
 A scenario file's objects are decoded inside ``_decoding_once``: objects that
-repeat a matrix (an effect and the Lueders operation or observable built over
-it, say) share one decoded effect or state, validated once, whose root or
-spectrum is solved once. Nothing is kept from one scenario file to the next,
-and outside that block every decode builds a new object.
+repeat a matrix (an effect and the Lueders operation, trivial operation or
+observable built over it, say) share one decoded effect or state, validated
+once; an effect's root, which Lueders operations and sequential products read,
+is then solved at most once. Nothing is kept from one scenario file to the
+next, and outside that block every decode builds a new object.
 
 ``to_json`` writes query results and law witnesses; ``_from_json`` reads them
 back: a dict with a "type" key is typed JSON, any other dict matrix JSON.
@@ -74,8 +76,8 @@ _decoded: ContextVar[dict | None] = ContextVar("_decoded", default=None)
 @contextlib.contextmanager
 def _decoding_once():
     """Within the block, every effect or state decoded from the same matrix is one
-    instance, validated once, whose root or spectrum is solved at most once;
-    the memo is dropped when the block ends."""
+    instance, validated once, and an effect's root is solved at most once; the
+    memo is dropped when the block ends."""
     token = _decoded.set({})
     try:
         yield
@@ -123,41 +125,28 @@ _MATRIX_LIST = (lambda mats: [matrix_to_json(m) for m in mats], _matrix_list_fro
 
 # Each operation field: (encoder, decoder) of its JSON value. A semi-trivial
 # pair is written as the fields of the trivial operation it stands for.
+_PAIR_FIELDS = op_mod._RECIPE_KINDS["trivial"][1]
 _FIELDS = {
     "operators": _MATRIX_LIST,
     "projections": _MATRIX_LIST,
     "effect": (effect_to_json, effect_from_json),
     "state": (state_to_json, state_from_json),
-    "pairs": (lambda pairs: [_fields_to_json(_OPERATION_KINDS["trivial"][1], p) for p in pairs],
-              lambda data: [tuple(_fields_from_json(_OPERATION_KINDS["trivial"][1], p))
-                            for p in data]),
-}
-
-# Each operation kind: the ``operations`` constructor that builds it (looked up
-# per call, so a rebound module attribute is honoured) and its fields in
-# argument order.
-_OPERATION_KINDS = {
-    "kraus": ("Operation", ("operators",)),
-    "luders": ("luders", ("effect",)),
-    "trivial": ("trivial", ("effect", "state")),
-    "semi_trivial": ("semi_trivial", ("pairs",)),
-    "sharp": ("sharp_operation", ("projections",)),
+    "pairs": (lambda pairs: [_fields_to_json(_PAIR_FIELDS, p) for p in pairs],
+              lambda data: [tuple(_fields_from_json(_PAIR_FIELDS, p)) for p in data]),
 }
 
 
 def operation_to_json(op: Operation) -> dict:
-    recipe = op.recipe
-    if recipe is None or recipe["kind"] not in _OPERATION_KINDS:
-        recipe = {"kind": "kraus", "operators": op.kraus}
+    recipe = op.recipe or {"kind": "kraus", "operators": op.kraus}
     kind = recipe["kind"]
-    names = _OPERATION_KINDS[kind][1]
+    names = op_mod._RECIPE_KINDS[kind][1]
     return {"kind": kind, **_fields_to_json(names, [recipe[name] for name in names])}
 
 
 def operation_from_json(data: dict) -> Operation:
     try:
         kind = data["kind"]
-        entry = _OPERATION_KINDS.get(kind) if isinstance(kind, str) else None
+        entry = op_mod._RECIPE_KINDS.get(kind) if isinstance(kind, str) else None
         if entry is None:
             raise SeqmeasError(f"unknown operation kind {kind!r}")
         constructor, names = entry

@@ -419,11 +419,11 @@ def test_eval_decodes_each_repeated_matrix_once(monkeypatch):
     # one matrix declared as an effect and as a state: one object of each type
     assert type(o["rho_effect"]) is Effect and type(rho) is State
     assert np.array_equal(o["rho_effect"].op, rho.op)
-    # the Lueders and trivial operations need a's root and rho's spectrum: one
-    # solve each, and none left for the objects that share them
-    assert len(solves) == 2
-    assert o["A"].effects[0].root is a.root and rho.spectrum is not None
-    assert len(solves) == 2
+    # the Lueders operation needs a's root: one solve, and none left for the
+    # objects that share it; the trivial operation solves nothing
+    assert len(solves) == 1
+    assert o["A"].effects[0].root is a.root
+    assert len(solves) == 1
     # outside a scenario every decode builds a new object
     data = shared_matrix_scenario()["objects"]["a"]
     assert serialize.typed_from_json(data) is not serialize.typed_from_json(data)
@@ -438,8 +438,8 @@ def test_eval_solves_again_in_each_scenario_file(tmp_path, capsys, monkeypatch):
     second = run_cli(["eval", path], capsys)
     assert first == second
     assert first[0] == 0, first[2]
-    # a's root (Lueders, trivial, the seq_product query) and rho's spectrum (trivial)
-    assert after_first == 2
+    # a's root (Lueders, the seq_product query); the trivial operation solves nothing
+    assert after_first == 1
     assert len(solves) == 2 * after_first
 
 
@@ -461,4 +461,4 @@ def test_eval_shared_invalid_matrix_names_its_first_holder(tmp_path, capsys, mon
     solves = _counting_solves(monkeypatch)
     code, _, err = run_cli(["eval", scenario_file(tmp_path, shared_matrix_scenario())], capsys)
     assert code == 0, err
-    assert len(solves) == 2
+    assert len(solves) == 1

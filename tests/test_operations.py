@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqmeas import effects, instruments, matcore, operations as ops
+from seqmeas import effects, instruments, matcore, observables, operations as ops
 from seqmeas.effects import Effect, State, atomic_projection, complement, prob, unit_effect
 from seqmeas.errors import (
     DimensionError,
@@ -455,39 +455,62 @@ def test_action_distance_matches_matrix_unit_reference():
         ops.action_distance(ops.identity_channel(2), ops.identity_channel(3))
 
 
-def _semi_trivial_loop(pairs):
-    """Reference: the operator-by-operator form of the semi-trivial family."""
-    dim = pairs[0][0].dim
-    mats = []
-    for a, alpha in pairs:
-        spec = alpha.spectrum
-        for j in range(dim):
-            lam = spec.eigenvalues[j]
-            if lam < ops.NEGLIGIBLE_KRAUS:
-                continue
-            ket = np.sqrt(lam) * spec.eigenvectors[:, j]
-            for k in range(dim):
-                mats.append(np.outer(ket, (a.root @ spec.eigenvectors[:, k]).conj()))
-    kept = [m for m in mats if matcore.max_abs(m) > ops.NEGLIGIBLE_KRAUS]
-    return np.stack(kept or [np.zeros((dim, dim), dtype=complex)])
+def _closed_form_superop(pairs):
+    """sum_i vec(alpha_i) vec(a_i^T)^T: the superoperator of rho -> sum_i tr(rho a_i) alpha_i."""
+    return sum(np.outer(alpha.op.reshape(-1), a.op.T.reshape(-1)) for a, alpha in pairs)
 
 
-def test_semi_trivial_kraus_matches_loop_reference():
-    rng = np.random.default_rng(27)
-    for dim in (2, 3, 5):
-        u = matcore.random_unitary(dim, rng)
-        rank_one = State(np.outer(u[:, 0], u[:, 0].conj()))
-        cases = [
-            [(effects.random_effect(dim, rng), effects.random_state(dim, rng))],
-            [(Effect(0.5 * effects.random_effect(dim, rng).op), rank_one),
-             (atomic_projection(u[:, 1]), effects.random_state(dim, rng))],
-            [(effects.zero_effect(dim), rank_one)],
-        ]
-        for pairs in cases:
-            got = ops._semi_trivial_kraus(pairs)
-            want = _semi_trivial_loop(pairs)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+def _projection(u, cols):
+    return Effect(u[:, cols] @ u[:, cols].conj().T)
+
+
+def _mixed_on(u, cols):
+    """The maximally mixed state on the span of the given columns of u."""
+    return State(u[:, cols] @ u[:, cols].conj().T / len(cols))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_semi_trivial_superop_matches_the_closed_form(dim):
+    rng = np.random.default_rng(270 + dim)
+    u = matcore.random_unitary(dim, rng)
+    povm = observables.random_observable(dim, rng, 3).effects
+    states = effects.random_states(dim, rng, 3)
+    rest = complement(_projection(u, [0])).op
+    cases = [
+        [(effects.random_effect(dim, rng), effects.random_state(dim, rng))],
+        list(zip(povm, states)),
+        [(_projection(u, [0]), _mixed_on(u, [1])),
+         (Effect(rest @ (0.5 * effects.random_effect(dim, rng).op) @ rest),
+          _mixed_on(u, [0, 1]))],
+        [(effects.zero_effect(dim), states[0]), (_projection(u, [1]), states[1])],
+    ]
+    for pairs in cases:
+        ops_ = [ops.semi_trivial(pairs)] + ([ops.trivial(*pairs[0])] if len(pairs) == 1 else [])
+        for op in ops_:
+            assert matcore.max_abs(op.superop - _closed_form_superop(pairs)) <= 1e-12
+            assert matcore.max_abs(op.induced.op - sum(a.op for a, _ in pairs)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_semi_trivial_family_size_is_the_product_of_ranks(dim):
+    # a rank-r projection with a rank-s state gives r * s operators
+    u = matcore.random_unitary(dim, np.random.default_rng(280 + dim))
+    for r in range(1, dim + 1):
+        for s in (1, dim - r + 1):
+            a, alpha = _projection(u, list(range(r))), _mixed_on(u, list(range(dim - s, dim)))
+            assert ops.trivial(a, alpha).n_kraus == r * s
+            if r < dim:
+                rest = _projection(u, list(range(r, dim)))
+                pairs = [(a, alpha), (rest, _mixed_on(u, [0]))]
+                assert ops.semi_trivial(pairs).n_kraus == r * s + dim - r
+
+
+def test_zero_effect_gives_the_one_zero_operator():
+    for dim in (2, 5, 8):
+        alpha = effects.random_state(dim, np.random.default_rng(dim))
+        for op in (ops.trivial(effects.zero_effect(dim), alpha),
+                   ops.semi_trivial([(effects.zero_effect(dim), alpha)] * 2)):
+            assert op.kraus.shape == (1, dim, dim) and not op.kraus.any()
 
 
 def test_bayes_failure_constant_channel():

@@ -171,7 +171,7 @@ def test_operation_kind_table_matches_the_recipes():
              _sharp(2, rng), ops.atomic_operation(list(np.eye(2))),
              *inst.luders_instrument(observable).ops,
              *inst.semi_trivial_instrument(observable, [alpha, alpha]).ops]
-    table = serialize._OPERATION_KINDS
+    table = ops._RECIPE_KINDS
     for op in built:
         assert set(op.recipe) - {"kind"} == set(table[op.recipe["kind"]][1])
     for kind, (constructor, fields) in table.items():
@@ -182,3 +182,53 @@ def test_operation_kind_table_matches_the_recipes():
                for kind in re.findall(r'"kind": "(\w+)"', path.read_text(encoding="utf-8"))}
     assert written == {op.recipe["kind"] for op in built}
     assert set(table) == {"kraus"} | written
+
+
+def test_forged_recipe_is_refused():
+    # a recipe that builds another map than the family it comes with would be
+    # written as that map: the identity channel claimed as the Lueders map of I/2
+    # read back at action distance 0.5
+    rng = np.random.default_rng(9)
+    half = Effect(np.eye(2) / 2)
+    forged = [{"kind": "luders", "effect": half},
+              {"kind": "kraus", "operators": ops.luders(half).kraus},
+              {"kind": "trivial", "effect": half, "state": effects.random_state(2, rng)},
+              {"kind": "sharp", "projections": [np.diag([1.0, 0.0])]},
+              {"kind": "luders"}, {"kind": "custom"}, "luders"]
+    for recipe in forged:
+        with pytest.raises(SeqmeasError):
+            ops.Operation(np.eye(2)[None], recipe=recipe)
+
+
+def test_caller_recipe_is_checked_and_copied():
+    rng = np.random.default_rng(10)
+    a = effects.random_effect(3, rng)
+    pairs = _halves(3, rng)
+    recipes = [{"kind": "luders", "effect": a}, {"kind": "semi_trivial", "pairs": pairs},
+               {"kind": "kraus", "operators": ops.luders(a).kraus}]
+    built = [ops.Operation(family, recipe=recipe) for family, recipe in zip(
+        [ops.luders(a).kraus, ops.semi_trivial(pairs).kraus, ops.luders(a).kraus], recipes)]
+    written = [serialize.typed_to_json(op) for op in built]
+    # later changes to the caller's dicts and lists do not reach the JSON form
+    recipes[0]["effect"] = effects.unit_effect(3)
+    pairs.append(pairs[0])
+    recipes[2]["kind"] = "luders"
+    assert [serialize.typed_to_json(op) for op in built] == written
+    assert [w["kind"] for w in written] == ["luders", "semi_trivial", "kraus"]
+    for op, data in zip(built, written):
+        assert ops.action_distance(serialize.typed_from_json(through_json(data)), op) <= 1e-12
+
+
+def test_library_recipes_are_not_rebuilt(monkeypatch):
+    checked = []
+    monkeypatch.setattr(ops, "_checked_recipe", checked.append)
+    rng = np.random.default_rng(11)
+    a, alpha = effects.random_effect(2, rng), effects.random_state(2, rng)
+    observable = obs.random_observable(2, rng, 2)
+    built = [ops.luders(a), ops.trivial(a, alpha), ops.semi_trivial(_halves(2, rng)),
+             _sharp(2, rng), ops.atomic_operation(list(np.eye(2))),
+             *inst.luders_instrument(observable).ops,
+             *inst.semi_trivial_instrument(observable, [alpha, alpha]).ops]
+    for op in built:
+        serialize.typed_from_json(through_json(serialize.typed_to_json(op)))
+    assert checked == []

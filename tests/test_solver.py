@@ -1,6 +1,7 @@
 """The Jacobi eigensolver against an independent oracle, the Cholesky
 certificate against Jacobi, the stacked solver and the caches it fills against
-the scalar solver, and the rule that the package calls no LAPACK eigen-routine.
+the scalar solver, the pivoted Cholesky factor against the matrix it factors,
+and the rule that the package calls no LAPACK eigen-routine.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -202,9 +203,6 @@ def test_stacked_jacobi_matches_the_scalar_solver(ms):
         assert np.max(np.abs(w - scalar.eigenvalues)) <= bound
         assert matcore.max_abs((v * w) @ matcore.dagger(v) - m) <= bound
         assert matcore.max_abs(matcore.dagger(v) @ v - np.eye(len(m))) <= 1e-12
-    # the one entry point solves a stack only from break-even on
-    solved = matcore._solve_stack("spectrum", ms)
-    assert (solved is None) == (len(ms) < BREAK_EVEN)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -222,6 +220,9 @@ def test_stacked_roots_and_inverse_roots_match_the_scalar_kernels(dim, n, seed):
     with pytest.raises(NotPositive):
         matcore._sqrt_psd_stack(np.stack([*psd, -np.eye(dim)]))
     assert matcore._inv_sqrt_pd_stack(np.stack([*grams, np.zeros((dim, dim))]))[-1] is None
+    # the one entry point solves a stack only from break-even on
+    for kind, mats in (("root", psd), ("inv_root", grams)):
+        assert (matcore._solve_stack(kind, mats) is None) == (n < BREAK_EVEN)
 
 
 def _seeded(obj, name):
@@ -240,7 +241,8 @@ def test_seeded_caches_match_the_lazy_path(dim, n, seed):
     members = [e for povm in povms for e in povm.effects]
     # below break-even the caches are left to the lazy scalar solve
     assert all(_seeded(e, "root") is not None for e in drawn) == (n >= BREAK_EVEN)
-    assert all(_seeded(s, "spectrum") is not None for s in states) == (n >= BREAK_EVEN)
+    # no state spectrum is seeded: nothing in the library reads one
+    assert not any(_seeded(s, "spectrum") is not None for s in states)
     assert all(_seeded(e, "root") is not None for e in members) == (len(members) >= BREAK_EVEN)
     assert all(_seeded(e, "root") is not None for e in sharp.effects)
     for e in [*drawn, *members, *sharp.effects]:
@@ -248,17 +250,67 @@ def test_seeded_caches_match_the_lazy_path(dim, n, seed):
         if root is not None:
             assert not root.flags.writeable
             assert matcore.max_abs(root - matcore.sqrt_psd(e.op)) <= 1e-12
-    for s in states:
-        spec = _seeded(s, "spectrum")
-        if spec is not None:
-            assert not spec.eigenvalues.flags.writeable
-            assert not spec.eigenvectors.flags.writeable
-            lazy = matcore.eig_hermitian(s.op)
-            assert np.max(np.abs(spec.eigenvalues - lazy.eigenvalues)) <= 1e-12
-            assert matcore.max_abs(spec.reconstruct() - s.op) <= 1e-12
+    for s in states[:2]:
+        spec = s.spectrum
+        assert s.spectrum is spec and not spec.eigenvectors.flags.writeable
+        assert matcore.max_abs(spec.reconstruct() - s.op) <= 1e-12
     # the normalizers: the inverse roots the generators draw with
     grams, inv_roots = matcore._normalizing_draws(
         lambda k: matcore._ginibres(dim, rng, k), operations._hat_matrix, [2] * n)
     for fam, inv_root in zip(grams, inv_roots):
         lazy = matcore.inv_sqrt_pd(operations._hat_matrix(fam))
         assert matcore.max_abs(inv_root - lazy) <= 1e-12
+
+
+# The pivoted Cholesky factor (``matcore._psd_factor``) of accepted effects.
+
+@st.composite
+def factor_inputs(draw):
+    """An accepted effect u diag(values) u† with a known rank: `rank` eigenvalues
+    log-uniform in [1e-9, 1], the others 0 ("psd") or, for "accepted", in
+    [-PSD_TOL, PSD_TOL] with at least one below 0."""
+    dim = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["psd", "accepted"]))
+    rank = draw(st.integers(0, dim if kind == "psd" else dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(dim)
+    values[:rank] = 10.0 ** rng.uniform(-9.0, 0.0, size=rank)
+    if kind == "accepted":
+        values[rank:] = rng.uniform(-0.99 * PSD_TOL, 0.99 * PSD_TOL, size=dim - rank)
+        values[-1] = -rng.uniform(0.0, 0.99 * PSD_TOL)
+    u = matcore.random_unitary(dim, rng)
+    return Effect((u * values) @ u.conj().T).op, rank, kind
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(factor_inputs())
+def test_psd_factor_reconstructs_accepted_effects(case):
+    m, rank, kind = case
+    dim = len(m)
+    b = matcore._psd_factor(m)
+    gap = matcore.max_abs(matcore.dagger(b) @ b - m) if len(b) else matcore.max_abs(m)
+    if kind == "psd":
+        assert gap <= 1e-12
+        assert len(b) == rank
+    else:
+        assert gap <= dim * PSD_TOL
+        assert rank <= len(b) <= dim
+
+
+def test_psd_factor_takes_the_root_of_an_indefinite_residual():
+    # eigenvalues about +-0.99e-10: accepted, but a step on the pivot 1e-13 would
+    # subtract 0.99e-10**2 / 1e-13, about 1e-7, from the other diagonal entry
+    m = Effect(np.array([[1e-13, 0.99e-10], [0.99e-10, 0.0]])).op
+    assert np.array_equal(matcore._psd_factor(m), matcore.sqrt_psd(m))
+    # effects at both edges of [0, I]: a factor that left the negative part out
+    # on coordinate axes would lift the top eigenvalue of the induced effect of
+    # a trivial operation past 1 + PSD_TOL
+    rng = np.random.default_rng(31)
+    for dim in range(2, 9):
+        for _ in range(5):
+            values = rng.uniform(1e-3, 1.0, size=dim)
+            values[[0, -1]] = 1.0 + 0.99 * PSD_TOL, -0.99 * PSD_TOL
+            u = matcore.random_unitary(dim, rng)
+            a = Effect((u * values) @ u.conj().T)
+            op = operations.trivial(a, effects.random_state(dim, rng))
+            assert matcore.max_abs(op.induced.op - a.op) <= 2 * PSD_TOL
