@@ -18,8 +18,9 @@ drawn effect u diag(values) u†, from the drawn eigendecomposition itself. A
 seeded root is read-only, like a computed one, and agrees with what the first
 use would compute to rounding. Below ``matcore.STACK_BREAK_EVEN`` effects the
 roots are left to fill on first use, as a scalar solve is faster there; only
-the effects of a projective observable are always seeded, since a projection
-is its own root and costs nothing.
+the effects of a projective observable and ``atomic_projection`` are always
+seeded, since a projection's root is the projection itself (|v><v| / |v| for a
+rank-one one) and costs nothing.
 """
 
 from __future__ import annotations
@@ -238,12 +239,14 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
 
 
 def atomic_projection(vector: np.ndarray) -> Effect:
-    """Rank-one projection |v><v| for a unit vector v."""
+    """Rank-one projection |v><v| for a unit vector v. Its root |v><v| / |v| is
+    filled in with no solve."""
     v = matcore._read(vector, "vector", (1,))
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {norm!r} != 1")
-    return Effect(_ket_bra(v))
+    a = Effect(_ket_bra(v))
+    return _seeded((a,), [_frozen(a.op / norm)])[0]
 
 
 def _ket_bra(vector) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from .. import serialize
 from ..effects import Effect, State, prob, seq_product
 from ..errors import SamplingError
-from ..observables import obs_part, projective_observable, random_observable
+from ..observables import obs_part, projective_observable
 
 MAX_RESAMPLES = 500
 
@@ -32,12 +32,6 @@ def sharp_partition(dim: int, rng: np.random.Generator, coarse: bool = False) ->
     return cells.effects
 
 
-def split_identity(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
-    """n generic, mutually non-commuting effects summing exactly to I (any first
-    n - 1 of them sum strictly below I)."""
-    return random_observable(dim, rng, n_outcomes=n).effects
-
-
 def random_surjection(outcomes: tuple[str, ...], rng: np.random.Generator,
                       n_groups: int | None = None) -> dict[str, str]:
     """Random total surjection from the outcome set onto {y0..y(k-1)}."""
@@ -48,6 +42,24 @@ def random_surjection(outcomes: tuple[str, ...], rng: np.random.Generator,
     for g in range(k):
         labels[order[g]] = g
     return {x: f"y{g}" for x, g in zip(outcomes, labels)}
+
+
+def drawn(*generators):
+    """A ``LawCheck.draw`` made of stacked generator calls, stated in a registry row.
+
+    Each entry is a generator ``g(dim, rng, n)`` or a pair ``(g, k)``. The entries
+    draw in the given order, each once, g for k * n inputs; trial j takes one
+    input per entry (k consecutive inputs, j * k to j * k + k - 1, for a pair),
+    as its arguments in entry order.
+    """
+    def draw(ctx, dim: int, n: int):
+        columns = []
+        for entry in generators:
+            g, k = entry if isinstance(entry, tuple) else (entry, 1)
+            inputs = g(dim, ctx.rng, k * n)
+            columns += [inputs[i::k] for i in range(k)]
+        return zip(*columns)
+    return draw
 
 
 def chunks(items, sizes) -> list[tuple]:

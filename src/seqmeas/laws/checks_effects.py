@@ -4,7 +4,7 @@ Bayes-rule failures for effects."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from ..effects import (
 )
 from ..matcore import max_abs
 from ..operations import Operation
-from ..observables import Observable, projective_observable
-from ._common import order_gap, resample, sharp_partition, split_identity, trace_real
+from ..observables import Observable, projective_observable, random_observables
+from ._common import drawn, order_gap, resample, sharp_partition, trace_real
 from .core import LawCheck, LawContext, Tally
 
 # Rejection floor for "generic" (fail-direction) samples: instances that nearly
@@ -33,14 +33,14 @@ from .core import LawCheck, LawContext, Tally
 GENERIC_COMMUTATOR_FLOOR = 0.1
 
 
-def check_axiom_1(ctx: LawContext, dim: int, tally: Tally) -> None:
-    x, y, _, _ = split_identity(dim, ctx.rng, 4)
+def check_axiom_1(ctx: LawContext, dim: int, tally: Tally, split: Observable) -> None:
+    x, y, _, _ = split.effects
     tally.expect_true(perp(x, y) and perp(y, x), "x perp y iff y perp x", x=x, y=y)
     tally.expect(max_abs((x.op + y.op) - (y.op + x.op)), "x+y = y+x", x=x, y=y)
 
 
-def check_axiom_2(ctx: LawContext, dim: int, tally: Tally) -> None:
-    x, y, z, _ = split_identity(dim, ctx.rng, 4)
+def check_axiom_2(ctx: LawContext, dim: int, tally: Tally, split: Observable) -> None:
+    x, y, z, _ = split.effects
     yz = Effect(y.op + z.op)
     xy = Effect(x.op + y.op)
     tally.expect_true(perp(y, z) and perp(x, yz), "hypothesis holds by construction",
@@ -51,8 +51,7 @@ def check_axiom_2(ctx: LawContext, dim: int, tally: Tally) -> None:
                  "associativity", x=x, y=y, z=z)
 
 
-def check_axiom_3(ctx: LawContext, dim: int, tally: Tally) -> None:
-    x = random_effect(dim, ctx.rng)
+def check_axiom_3(ctx: LawContext, dim: int, tally: Tally, x: Effect) -> None:
     xc = complement(x)
     tally.expect_true(perp(x, xc), "x perp x'", x=x)
     tally.expect(max_abs(x.op + xc.op - matcore.identity(dim)), "x + x' = I", x=x)
@@ -69,10 +68,9 @@ def _identity_fixture(dim: int) -> tuple[Effect, bool]:
     return ident, perp(Effect(np.zeros((dim, dim), dtype=complex)), ident)
 
 
-def check_axiom_4(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_axiom_4(ctx: LawContext, dim: int, tally: Tally, x: Effect) -> None:
     ident, zero_perp_ident = _identity_fixture(dim)
     tally.expect_true(zero_perp_ident, "0 perp I")
-    x = random_effect(dim, ctx.rng)
     if max_abs(x.op) <= 1e-10:
         return
     tally.expect_true(not perp(x, ident), "x perp I only for x = 0", x=x)
@@ -119,12 +117,11 @@ def check_hat_isomorphism(ctx: LawContext, dim: int, tally: Tally, a: Effect, la
                       "hat preserves order")
 
 
-def check_kraus_trace_identity(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_kraus_trace_identity(ctx: LawContext, dim: int, tally: Tally, op: Operation,
+                               rho: State) -> None:
     """tr(rho sum A†A) = tr[I(rho)] <= tr(rho), and the sum is representation
     independent under unitary remixing of the Kraus family."""
     rng = ctx.rng
-    op = op_mod.random_operation(dim, rng)
-    rho = random_state(dim, rng)
     out_trace = trace_real(op_mod.apply(op, rho))
     tally.expect(abs(prob(rho, op_mod.hat(op)) - out_trace),
                  "hat reproduces the output trace", rho=rho)
@@ -252,12 +249,6 @@ def check_bayes_first_rule_effects(ctx: LawContext, dim: int, tally: Tally,
     tally.offer(partition=partition, b=b, rho=rho)
 
 
-def draw_bayes_second_rule_effects(ctx: LawContext, dim: int, n: int):
-    rng = ctx.rng
-    effs = random_effects(dim, rng, 2 * n)
-    return zip(effs[0::2], effs[1::2], random_states(dim, rng, n))
-
-
 def check_bayes_second_rule_effects(ctx: LawContext, dim: int, tally: Tally, a: Effect,
                                     b: Effect, rho: State) -> None:
     """Bayes' second rule P(b)P(a|b) = P(a)P(b|a) fails for effects."""
@@ -269,19 +260,21 @@ LAWS = (
     LawCheck(
         id="axioms-1", kind="identity", dims=(2, 3), trials=50,
         description="Orthosum commutes: x perp y implies y perp x and x+y = y+x",
-        fn=check_axiom_1, tol=1e-12),
+        fn=check_axiom_1, tol=1e-12,
+        draw=drawn(partial(random_observables, n_outcomes=4))),
     LawCheck(
         id="axioms-2", kind="identity", dims=(2, 3), trials=50,
         description="Orthosum associates across nested perp sums",
-        fn=check_axiom_2, tol=1e-12),
+        fn=check_axiom_2, tol=1e-12,
+        draw=drawn(partial(random_observables, n_outcomes=4))),
     LawCheck(
         id="axioms-3", kind="identity", dims=(2, 3), trials=50,
         description="Every effect has the unique complement I - x",
-        fn=check_axiom_3, tol=1e-12),
+        fn=check_axiom_3, tol=1e-12, draw=drawn(random_effects)),
     LawCheck(
         id="axioms-4", kind="identity", dims=(2, 3), trials=50,
         description="Only the zero effect is summable with the identity",
-        fn=check_axiom_4, tol=1e-10),
+        fn=check_axiom_4, tol=1e-10, draw=drawn(random_effects)),
     LawCheck(
         id="thm-1.1", kind="identity", dims=(2, 3), trials=100,
         description="The induced-effect map is a convex effect-algebra isomorphism "
@@ -300,7 +293,8 @@ LAWS = (
         id="eq-1.1", kind="identity", dims=(2, 3), trials=50,
         description="Kraus trace identity and representation independence of the "
                     "induced effect",
-        fn=check_kraus_trace_identity, tol=1e-10),
+        fn=check_kraus_trace_identity, tol=1e-10,
+        draw=drawn(op_mod.random_operations, random_states)),
     LawCheck(
         id="eq-2.1", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' first rule fails for effect conditioning",
@@ -310,5 +304,5 @@ LAWS = (
         id="eq-2.2", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' second rule fails for effect conditioning",
         fn=check_bayes_second_rule_effects, replay=order_gap,
-        draw=draw_bayes_second_rule_effects),
+        draw=drawn((random_effects, 2), random_states)),
 )

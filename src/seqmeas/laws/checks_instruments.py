@@ -6,6 +6,8 @@ commute with sequential composition."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .. import instruments as inst_mod, matcore, operations as op_mod
@@ -17,7 +19,6 @@ from ..effects import (
     perp,
     prob,
     _with_roots,
-    random_effect,
     random_effects,
     random_states,
     seq_product,
@@ -27,7 +28,6 @@ from ..instruments import (
     bar,
     inst_conditioned,
     inst_conditioned_on_obs,
-    inst_equal,
     inst_part,
     inst_seq_product,
     inst_then_obs,
@@ -35,7 +35,6 @@ from ..instruments import (
     measured_observable,
     obs_conditioned_on_inst,
     obs_then_inst,
-    random_instrument,
     random_instruments,
     random_kraus_instruments,
     semi_trivial_instrument,
@@ -51,11 +50,10 @@ from ..observables import (
     obs_conditioned,
     obs_part,
     obs_seq_product,
-    random_observable,
     random_observables,
     verify_coexistence_witness,
 )
-from ._common import chunks, random_surjection, resample, trace_real, trivial_superop
+from ._common import chunks, drawn, random_surjection, resample, trace_real, trivial_superop
 from .core import LawCheck, LawContext, Tally
 
 # Probabilities smaller than this are skipped when a law divides by them; the
@@ -63,11 +61,10 @@ from .core import LawCheck, LawContext, Tally
 PROB_FLOOR = 1e-4
 
 
-def check_bar_of_products(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_bar_of_products(ctx: LawContext, dim: int, tally: Tally, i: Instrument,
+                          j: Instrument) -> None:
     """Both the product and the conditioned instrument total to the composed
     bar channels."""
-    i = random_instrument(dim, ctx.rng)
-    j = random_instrument(dim, ctx.rng)
     composed = op_mod.compose(bar(i), bar(j))
     tally.expect(op_mod.action_distance(bar(inst_seq_product(i, j)), composed),
                  "bar of the product")
@@ -75,18 +72,16 @@ def check_bar_of_products(ctx: LawContext, dim: int, tally: Tally) -> None:
                  "bar of the conditioned instrument")
 
 
-def check_luders_product_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_luders_product_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                             i: Instrument) -> None:
     """Measuring through a Lueders front end multiplies the observables."""
-    a = random_observable(dim, ctx.rng)
-    i = random_instrument(dim, ctx.rng)
     got = measured_observable(inst_seq_product(luders_instrument(a), i))
     want = obs_seq_product(a, measured_observable(i))
     tally.expect(_member_distance(got, want), "hat of Lueders-then-instrument")
 
 
-def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
-    a = random_observable(dim, ctx.rng)
-    b = random_observable(dim, ctx.rng)
+def check_luders_luders_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                            b: Observable) -> None:
     got = measured_observable(
         inst_seq_product(luders_instrument(a), luders_instrument(b)))
     tally.expect(_member_distance(got, obs_seq_product(a, b)),
@@ -101,11 +96,6 @@ def _trivial_front_violation(a_obs: Observable, b_obs: Observable, alpha: State,
                for ax in a_obs.effects for by in b_obs.effects)
 
 
-def draw_observable_pair_and_state(ctx: LawContext, dim: int, n: int):
-    observables = random_observables(dim, ctx.rng, 2 * n)
-    return zip(observables[0::2], observables[1::2], random_states(dim, ctx.rng, n))
-
-
 def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally, b: Observable,
                               a: Observable, alpha: State) -> None:
     """A trivial front end makes the product hat tr(alpha a_y) b_x, which is
@@ -116,12 +106,6 @@ def check_trivial_then_luders(ctx: LawContext, dim: int, tally: Tally, b: Observ
         tally.expect(max_abs(got.effect(xy).op - prob(alpha, ay) * bx.op),
                      "closed form of the product hat")
     tally.offer(b_obs=b, a_obs=a, alpha=alpha)
-
-
-def draw_trivial_trivial_product(ctx: LawContext, dim: int, n: int):
-    observables = random_observables(dim, ctx.rng, 2 * n)
-    states = random_states(dim, ctx.rng, 2 * n)
-    return zip(observables[0::2], observables[1::2], states[0::2], states[1::2])
 
 
 def check_trivial_trivial_product_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
@@ -227,9 +211,8 @@ def check_semi_trivial_products(ctx: LawContext, dim: int, tally: Tally, a: Obse
                      "trivial conditioning weights the identity")
 
 
-def check_luders_conditioning_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
-    a = random_observable(dim, ctx.rng)
-    b = random_observable(dim, ctx.rng)
+def check_luders_conditioning_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                  b: Observable) -> None:
     got = measured_observable(
         inst_conditioned(luders_instrument(b), luders_instrument(a)))
     tally.expect(_member_distance(got, obs_conditioned(b, a)),
@@ -262,28 +245,25 @@ def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally, b:
     tally.offer(b_obs=b, alpha=alpha)
 
 
-def check_effect_operation_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_effect_operation_hat(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                               i: op_mod.Operation) -> None:
     """hat(a o I) = a o hat(I) for effects against operations."""
-    a = random_effect(dim, ctx.rng)
-    i = op_mod.random_operation(dim, ctx.rng)
     got = op_mod.hat(op_mod.effect_then_op(a, i))
     want = seq_product(a, op_mod.hat(i))
     tally.expect(max_abs(got.op - want.op), "hat of the mixed product")
 
 
-def check_obs_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_obs_instrument_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                             i: Instrument) -> None:
     """hat(A o I) = A o hat(I) for observables against instruments."""
-    a = random_observable(dim, ctx.rng)
-    i = random_instrument(dim, ctx.rng)
     got = measured_observable(obs_then_inst(a, i))
     want = obs_seq_product(a, measured_observable(i))
     tally.expect(_member_distance(got, want), "hat of observable-then-instrument")
 
 
-def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_conditioned_instrument_hat(ctx: LawContext, dim: int, tally: Tally, a: Observable,
+                                     i: Instrument) -> None:
     """hat(I | A) = (hat(I) | A) for instruments conditioned on observables."""
-    a = random_observable(dim, ctx.rng)
-    i = random_instrument(dim, ctx.rng)
     got = measured_observable(inst_conditioned_on_obs(i, a))
     want = obs_conditioned(measured_observable(i), a)
     tally.expect(_member_distance(got, want), "hat of instrument-given-observable")
@@ -312,15 +292,17 @@ def draw_mixed_product_forms(ctx: LawContext, dim: int, n: int):
 def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally, a: Effect, b: Effect,
                               alpha: State, a_obs: Observable, b_obs: Observable,
                               states: tuple[State, ...]) -> None:
-    """Closed forms for mixed products with trivial and semi-trivial pieces."""
+    """Closed forms for mixed products with trivial and semi-trivial pieces. The
+    expected operations are superoperators of the trivial maps, from the formula
+    (``trivial_superop``)."""
     # (i) trivial operation against a plain effect
     i = op_mod.trivial(b, alpha)
     got = op_mod.op_then_effect(i, a)
     tally.expect(max_abs(got.op - prob(alpha, a) * b.op),
                  "operation-then-effect closed form")
     got_op = op_mod.effect_then_op(a, i)
-    want_op = op_mod.trivial(seq_product(a, b), alpha)
-    tally.expect(op_mod.action_distance(got_op, want_op),
+    want_op = trivial_superop(a.root @ b.op @ a.root, alpha.op)
+    tally.expect(max_abs(got_op.superop - want_op),
                  "effect-then-operation is trivial with the product effect")
     # (ii) semi-trivial instrument against an observable
     sti = semi_trivial_instrument(b_obs, states)
@@ -330,10 +312,10 @@ def check_mixed_product_forms(ctx: LawContext, dim: int, tally: Tally, a: Effect
         tally.expect(max_abs(lifted.effect(xy).op - prob(alpha_x, ay) * bx.op),
                      "instrument-then-observable closed form")
     mixed = obs_then_inst(a_obs, sti)
-    prod = obs_seq_product(a_obs, b_obs)
-    for xy, _, alpha_y in _product_items(a_obs.items(), zip(b_obs.outcomes, states)):
-        want_member = op_mod.trivial(prod.effect(xy), alpha_y)
-        tally.expect(op_mod.action_distance(mixed.operation(xy), want_member),
+    for xy, ax, (by, alpha_y) in _product_items(a_obs.items(),
+                                                zip(b_obs.outcomes, zip(b_obs.effects, states))):
+        want_member = trivial_superop(ax.root @ by.op @ ax.root, alpha_y.op)
+        tally.expect(max_abs(mixed.operation(xy).superop - want_member),
                      "observable-then-instrument is semi-trivial with the product")
     # (iii) fully trivial instrument: conditioned observable collapses
     ti = trivial_instrument(b_obs, states[0])
@@ -356,11 +338,11 @@ def check_post_channel_not_mono(ctx: LawContext, dim: int, tally: Tally) -> None
     tally.expect(max_abs(image_sum - np.eye(2)), "images sum exactly to the identity")
 
 
-def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally,
+                                 i: Instrument) -> None:
     """Coarse-graining commutes with the measured observable, and coexistence
     witnesses push forward to the hats."""
     rng = ctx.rng
-    i = random_instrument(dim, rng, n_outcomes=3)
     f = random_surjection(i.outcomes, rng)
     part = inst_part(i, f)
     tally.expect(
@@ -378,22 +360,23 @@ def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally) -> Non
         "coexistence pushes forward to the hats")
 
 
-def draw_trivial_parts(ctx: LawContext, dim: int, n: int):
-    return zip(random_observables(dim, ctx.rng, n, n_outcomes=3),
-               random_states(dim, ctx.rng, n))
-
-
 def check_trivial_parts(ctx: LawContext, dim: int, tally: Tally, a: Observable,
                         alpha: State) -> None:
     """Parts of trivial instruments are trivial over the coarse-grained
-    observable; trivial instruments with one state coexist when their hats do."""
+    observable; trivial instruments with one state coexist when their hats do.
+    The expected part members are superoperators of the trivial maps, from the
+    formula (``trivial_superop``)."""
     rng = ctx.rng
     i = trivial_instrument(a, alpha)
     f = random_surjection(a.outcomes, rng)
     part = inst_part(i, f)
-    want = trivial_instrument(obs_part(a, f), alpha)
-    tally.expect_true(inst_equal(part, want, tol=ctx.eq_tol),
-                      "trivial part is trivial over the part observable")
+    merged: dict[str, np.ndarray] = {}
+    for x, ax in a.items():
+        merged[f[x]] = merged.get(f[x], 0) + ax.op
+    tally.expect_true(set(part.outcomes) == set(merged), "part has the image outcomes")
+    for y, summed in merged.items():
+        tally.expect(max_abs(part.operation(y).superop - trivial_superop(summed, alpha.op)),
+                     "trivial part is trivial over the part observable")
     # coexistence construction: hats coexist by construction, and the
     # lifted trivial instruments share the witness
     g = random_surjection(a.outcomes, rng)
@@ -413,13 +396,6 @@ def check_observable_bayes_failure(ctx: LawContext, dim: int, tally: Tally, a: O
                                    b: Observable, rho: State) -> None:
     """P(b_y) != sum_x P(a_x) P(b_y | a_x) for generic observables."""
     tally.offer(a_obs=a, b_obs=b, rho=rho)
-
-
-def draw_conditional_prob_measure(ctx: LawContext, dim: int, n: int):
-    observables = random_observables(dim, ctx.rng, 2 * n)
-    states = random_states(dim, ctx.rng, n)
-    insts = random_instruments(dim, ctx.rng, 2 * n)
-    return zip(observables[0::2], observables[1::2], states, insts[0::2], insts[1::2])
 
 
 def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally, a: Observable,
@@ -458,25 +434,25 @@ LAWS = (
     LawCheck(
         id="thm-3.1i", kind="identity", dims=(2, 3), trials=50,
         description="Bar channels of products and conditionings compose",
-        fn=check_bar_of_products),
+        fn=check_bar_of_products, draw=drawn((random_instruments, 2))),
     LawCheck(
         id="thm-3.1ii", kind="identity", dims=(2, 3), trials=50,
         description="Lueders-then-instrument measures the product observable",
-        fn=check_luders_product_hat),
+        fn=check_luders_product_hat, draw=drawn(random_observables, random_instruments)),
     LawCheck(
         id="thm-3.1iii", kind="identity", dims=(2, 3), trials=50,
         description="Two Lueders instruments measure the product of their observables",
-        fn=check_luders_luders_hat),
+        fn=check_luders_luders_hat, draw=drawn((random_observables, 2))),
     LawCheck(
         id="ex-6", kind="counterexample", dims=(2,), trials=100,
         description="Trivial-then-Lueders hat differs from the naive product",
-        fn=check_trivial_then_luders, draw=draw_observable_pair_and_state,
+        fn=check_trivial_then_luders, draw=drawn((random_observables, 2), random_states),
         replay=lambda b_obs, a_obs, alpha: _trivial_front_violation(b_obs, a_obs, alpha)),
     LawCheck(
         id="ex-7", kind="counterexample", dims=(2,), trials=100,
         description="Trivial-pair product hat differs from the observable product",
         fn=check_trivial_trivial_product_hat, replay=_trivial_front_violation,
-        draw=draw_trivial_trivial_product),
+        draw=drawn((random_observables, 2), (random_states, 2))),
     LawCheck(
         id="ex-8", kind="counterexample", dims=(2,), trials=100,
         description="Kraus-pair product hat differs from the observable product",
@@ -489,7 +465,7 @@ LAWS = (
     LawCheck(
         id="lemma-3.3", kind="identity", dims=(2, 3), trials=50,
         description="Conditioned Lueders instruments measure the conditioned observable",
-        fn=check_luders_conditioning_hat),
+        fn=check_luders_conditioning_hat, draw=drawn((random_observables, 2))),
     LawCheck(
         id="ex-9", kind="counterexample", dims=(2,), trials=100,
         description="Instrument conditioning forgets the input state for trivial front ends",
@@ -498,15 +474,16 @@ LAWS = (
     LawCheck(
         id="thm-4.1i", kind="identity", dims=(2, 3), trials=50,
         description="hat of effect-then-operation is the sequential product of effects",
-        fn=check_effect_operation_hat),
+        fn=check_effect_operation_hat, draw=drawn(random_effects, op_mod.random_operations)),
     LawCheck(
         id="thm-4.1ii", kind="identity", dims=(2, 3), trials=50,
         description="hat of observable-then-instrument is the product observable",
-        fn=check_obs_instrument_hat),
+        fn=check_obs_instrument_hat, draw=drawn(random_observables, random_instruments)),
     LawCheck(
         id="thm-4.1iii", kind="identity", dims=(2, 3), trials=50,
         description="hat of instrument-given-observable is the conditioned observable",
-        fn=check_conditioned_instrument_hat),
+        fn=check_conditioned_instrument_hat,
+        draw=drawn(random_observables, random_instruments)),
     LawCheck(
         id="thm-4.2", kind="identity", dims=(2, 3), trials=50,
         description="Closed forms of mixed products with trivial and semi-trivial parts",
@@ -518,19 +495,21 @@ LAWS = (
     LawCheck(
         id="lemma-4.3", kind="identity", dims=(2, 3), trials=50,
         description="Parts commute with hats; coexistence pushes to measured observables",
-        fn=check_parts_commute_with_hat),
+        fn=check_parts_commute_with_hat,
+        draw=drawn(partial(random_instruments, n_outcomes=3))),
     LawCheck(
         id="lemma-4.4", kind="identity", dims=(2, 3), trials=50,
         description="Trivial parts stay trivial; shared-state trivial instruments coexist",
-        fn=check_trivial_parts, draw=draw_trivial_parts),
+        fn=check_trivial_parts,
+        draw=drawn(partial(random_observables, n_outcomes=3), random_states)),
     LawCheck(
         id="bayes-obs", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' first rule fails at the observable level",
         fn=check_observable_bayes_failure, replay=_observable_bayes_violation,
-        draw=draw_observable_pair_and_state),
+        draw=drawn((random_observables, 2), random_states)),
     LawCheck(
         id="cond-prob-measure", kind="identity", dims=(2, 3), trials=50,
         description="Conditional outcome probabilities are probability measures",
         fn=check_conditional_prob_measure, tol=1e-10,
-        draw=draw_conditional_prob_measure),
+        draw=drawn((random_observables, 2), random_states, (random_instruments, 2))),
 )

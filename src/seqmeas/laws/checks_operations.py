@@ -14,15 +14,21 @@ from ..effects import (
     atomic_projection,
     complement,
     prob,
-    random_effect,
     random_effects,
-    random_state,
     random_states,
     seq_product,
 )
 from ..matcore import max_abs
 from ..observables import random_observables
-from ._common import chunks, order_gap, resample, sharp_partition, trace_real, trivial_superop
+from ._common import (
+    chunks,
+    drawn,
+    order_gap,
+    resample,
+    sharp_partition,
+    trace_real,
+    trivial_superop,
+)
 from .core import LawCheck, LawContext, Tally
 
 
@@ -48,12 +54,10 @@ def check_semi_trivial_construction(ctx: LawContext, dim: int, tally: Tally,
                  "induced effect is the sum of the effects")
 
 
-def check_trivial_construction(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_trivial_construction(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                               alpha: State) -> None:
     """Single-pair case: rho -> tr(rho a) alpha measures a, like the Lueders
     operation of a does."""
-    rng = ctx.rng
-    a = random_effect(dim, rng)
-    alpha = random_state(dim, rng)
     op = op_mod.trivial(a, alpha)
     tally.expect(max_abs(op.superop - trivial_superop(a.op, alpha.op)), "trivial action matches")
     tally.expect(max_abs(op_mod.hat(op).op - a.op), "trivial operation measures a")
@@ -75,45 +79,40 @@ def check_atomic_is_semi_trivial(ctx: LawContext, dim: int, tally: Tally) -> Non
                  "atomic equals projector-paired semi-trivial")
 
 
-def check_luders_complement(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_luders_complement(ctx: LawContext, dim: int, tally: Tally, op: op_mod.Operation,
+                            chan: op_mod.Operation) -> None:
     """Every operation is completed to a channel by the Lueders operation of
     the complement of its induced effect."""
-    op = op_mod.random_operation(dim, ctx.rng)
     comp = op_mod.complement_luders(op)
     total = op_mod.add(op, comp)
     tally.expect(max_abs(op_mod.hat(total).op - matcore.identity(dim)),
                  "sum is a channel")
     tally.expect_true(op_mod.is_complement(comp, op), "complement is recognized")
-    chan = op_mod.random_channel(dim, ctx.rng)
     zero = op_mod.complement_luders(chan)
     tally.expect(max_abs(op_mod.hat(zero).op), "channels have the zero complement")
 
 
-def check_luders_and_trivial_complements(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_luders_and_trivial_complements(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                                         alpha: State, rho: State) -> None:
     """Lueders of a' complements Lueders of a; trivial of (a', alpha)
     complements trivial of (a, alpha), summing to the constant channel."""
-    rng = ctx.rng
-    a = random_effect(dim, rng)
     lu = op_mod.add(op_mod.luders(a), op_mod.luders(complement(a)))
     tally.expect(max_abs(op_mod.hat(lu).op - matcore.identity(dim)),
                  "Lueders pair sums to a channel")
     tally.expect_true(op_mod.is_complement(op_mod.luders(complement(a)), op_mod.luders(a)),
                       "Lueders complement recognized")
-    alpha = random_state(dim, rng)
     i = op_mod.trivial(a, alpha)
     j = op_mod.trivial(complement(a), alpha)
     tally.expect_true(op_mod.is_complement(j, i), "trivial complement recognized")
-    rho = random_state(dim, rng)
     total = op_mod.apply(op_mod.add(i, j), rho)
     tally.expect(max_abs(total - alpha.op), "sum is the constant channel")
 
 
-def check_complement_iff(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_complement_iff(ctx: LawContext, dim: int, tally: Tally, i: op_mod.Operation,
+                         alpha: State) -> None:
     """j complements i exactly when hat(j) is the complement of hat(i)."""
     rng = ctx.rng
-    i = op_mod.random_operation(dim, rng)
     target = complement(op_mod.hat(i))
-    alpha = random_state(dim, rng)
     for j in (op_mod.complement_luders(i), op_mod.trivial(target, alpha)):
         tally.expect_true(op_mod.is_complement(j, i), "matching hat completes i")
         tally.expect(max_abs(op_mod.hat(op_mod.add(i, j)).op - matcore.identity(dim)),
@@ -186,11 +185,6 @@ def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally, a: Eff
     tally.offer(a=a, alpha=alpha, rho=rho)
 
 
-def draw_projection_mixing_bayes(ctx: LawContext, dim: int, n: int):
-    rng = ctx.rng
-    return zip(random_effects(dim, rng, n), random_states(dim, rng, n))
-
-
 def check_projection_mixing_bayes(ctx: LawContext, dim: int, tally: Tally, b: Effect,
                                   rho: State) -> None:
     """Conditioning through the sharp two-projection channel displaces any
@@ -213,19 +207,15 @@ _operation_bayes_violation = _by_construction({
 })
 
 
-def check_operation_bayes_first_rule(ctx: LawContext, dim: int, tally: Tally) -> None:
+def check_operation_bayes_first_rule(ctx: LawContext, dim: int, tally: Tally, a: Effect,
+                                     alpha: State, rho: State, b: Effect) -> None:
     """Bayes' first rule for operations, tr[J(rho)] = tr[J(C(rho))], fails for
     both the constant-channel and the projection-mixing constructions."""
-    rng = ctx.rng
     # Example-1-style: constant channel
-    a = random_effect(dim, rng)
-    alpha = random_state(dim, rng)
-    rho = random_state(dim, rng)
     tally.offer(a=a, alpha=alpha, rho=rho, construction="constant-channel")
     # Example-2-style: projection mixing
-    u = matcore.random_unitary(dim, rng)
+    u = matcore.random_unitary(dim, ctx.rng)
     p = np.outer(u[:, 0], u[:, 0].conj())
-    b = random_effect(dim, rng)
     tally.offer(a=p, b=b, rho=rho, construction="projection-mixing")
 
 
@@ -233,13 +223,6 @@ _sequencing_order_violation = _by_construction({
     "trivial": lambda a, alpha, beta, rho: prob(rho, a) * abs(prob(alpha, a) - prob(beta, a)),
     "luders": order_gap,
 })
-
-
-def draw_sequencing_order(ctx: LawContext, dim: int, n: int):
-    rng = ctx.rng
-    a = random_effects(dim, rng, n)
-    states = random_states(dim, rng, 3 * n)
-    return zip(a, states[0::3], states[1::3], states[2::3], random_effects(dim, rng, n))
 
 
 def check_sequencing_order_matters(ctx: LawContext, dim: int, tally: Tally, a: Effect,
@@ -270,7 +253,8 @@ LAWS = (
     LawCheck(
         id="eq-2.3/2.4", kind="counterexample", dims=(2,), trials=100,
         description="Bayes' first rule for operations fails through nontrivial channels",
-        fn=check_operation_bayes_first_rule, replay=_operation_bayes_violation),
+        fn=check_operation_bayes_first_rule, replay=_operation_bayes_violation,
+        draw=drawn(random_effects, (random_states, 2), random_effects)),
     LawCheck(
         id="lemma-2.1", kind="identity", dims=(2, 3), trials=50,
         description="Atomic operations are the projector-paired semi-trivial ones",
@@ -283,7 +267,7 @@ LAWS = (
         id="cor-2.3", kind="identity", dims=(2, 3), trials=50,
         description="Explicit Kraus family for trivial operations; both trivial "
                     "and Lueders operations measure the same effect",
-        fn=check_trivial_construction),
+        fn=check_trivial_construction, draw=drawn(random_effects, random_states)),
     LawCheck(
         id="ex-1", kind="counterexample", dims=(2,), trials=100, gap=0.1,
         description="Constant-channel conditioning forgets the input state",
@@ -293,24 +277,25 @@ LAWS = (
         id="ex-2", kind="counterexample", dims=(2,), trials=100,
         description="Projection mixing displaces non-commuting effects",
         fn=check_projection_mixing_bayes, replay=_projection_mixing_violation, tol=1e-10,
-        draw=draw_projection_mixing_bayes),
+        draw=drawn(random_effects, random_states)),
     LawCheck(
         id="ex-3", kind="counterexample", dims=(2,), trials=100,
         description="Sequential composition of operations is order sensitive",
         fn=check_sequencing_order_matters, replay=_sequencing_order_violation, tol=1e-10,
-        draw=draw_sequencing_order),
+        draw=drawn(random_effects, (random_states, 3), random_effects)),
     LawCheck(
         id="ex-4", kind="identity", dims=(2, 3), trials=50,
         description="Every operation has a Lueders complement to a channel",
-        fn=check_luders_complement),
+        fn=check_luders_complement,
+        draw=drawn(op_mod.random_operations, op_mod.random_channels)),
     LawCheck(
         id="ex-5", kind="identity", dims=(2, 3), trials=50,
         description="Lueders and trivial complements built from the complement effect",
-        fn=check_luders_and_trivial_complements),
+        fn=check_luders_and_trivial_complements, draw=drawn(random_effects, (random_states, 2))),
     LawCheck(
         id="thm-2.4i", kind="identity", dims=(2, 3), trials=50,
         description="Complement of an operation is exactly a complement of its hat",
-        fn=check_complement_iff),
+        fn=check_complement_iff, draw=drawn(op_mod.random_operations, random_states)),
     LawCheck(
         id="thm-2.4ii", kind="identity", dims=(2, 3), trials=50,
         description="Sharp operations meet their complements at zero (effect-level witness)",

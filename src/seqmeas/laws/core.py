@@ -19,10 +19,14 @@ A check is a per-trial function ``fn(ctx, dim, tally, *inputs) -> None``.
 ``run_law`` owns the loop: it calls ``fn`` ``ctx.trials`` times for each
 dimension in ``ctx.dims``, counts the trials and turns the one ``Tally`` they
 share into the report. A law may register ``draw(ctx, dim, n)``, which returns
-the inputs of n trials (one tuple each), drawn at once so that their roots,
-spectra and normalizers come from stacked solves; ``run_law`` calls it once per
+the inputs of n trials (one tuple each), drawn at once so that their roots and
+normalizers come from stacked solves; ``run_law`` calls it once per
 dimension with n = ``ctx.trials``, before that dimension's trials, and passes
-trial k its k-th tuple. A law without ``draw`` gets no inputs. So a law's RNG
+trial k its k-th tuple. Most draws are ``_common.drawn`` of a list of stacked
+generators. A law without ``draw`` gets no inputs: 35 of the 39 laws draw, and
+the other four (``lemma-2.1``, ``thm-1.2i``, ``thm-2.4ii``, ``ex-10``) need no
+root or normalizer a stack would save. A trial still draws its rejection
+samples, and the few unitaries some checks use, itself. So a law's RNG
 stream is consumed as: the draw of the first dimension, then its trials (in
 order, with whatever they draw themselves, such as rejection samples), then the
 draw of the next dimension, and so on. A run that starts no trial (no trials,

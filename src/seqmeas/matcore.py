@@ -90,7 +90,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Max norm: largest entrywise modulus."""
-    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+    a = np.abs(m)
+    return float(a.max()) if a.size else 0.0
 
 
 def identity(dim: int) -> np.ndarray:
@@ -156,7 +157,7 @@ def _symmetrized(arr: np.ndarray, tol: float) -> np.ndarray:
     gap = max_abs(arr - adj)
     if gap > tol:
         raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
-    return (arr + adj) / 2
+    return (arr + adj) * 0.5
 
 
 @dataclass(frozen=True)

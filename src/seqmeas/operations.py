@@ -346,8 +346,11 @@ def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
         if a.dim != dim or alpha.dim != dim:
             raise DimensionError("all pairs must share one dimension")
         # alpha = sum_j c_j c_j† and a = sum_k b_k† b_k; operator (j, k) is the
-        # column c_j times the row b_k.
+        # column c_j times the row b_k. The columns are scaled to sum_j |c_j|^2 = 1,
+        # the trace of alpha, so the induced effect is a even when the factor leaves
+        # out a negative eigenvalue that PSD_TOL accepts.
         kets = matcore._psd_factor(alpha.op).conj()
+        kets = kets / np.linalg.norm(kets)
         bras = matcore._psd_factor(a.op)
         blocks.append((kets[:, None, :, None] * bras[None, :, None, :]).reshape(-1, dim, dim))
     ops = np.concatenate(blocks)
@@ -358,11 +361,11 @@ def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
     """Operation rho -> sum_i tr(rho a_i) alpha_i, as an explicit Kraus family.
 
     With pivoted Cholesky factors (``matcore._psd_factor``) a_i = sum_k
-    b_ik† b_ik (rows b_ik) and alpha_i = sum_j c_ij c_ij† (columns c_ij) the
-    operators are c_ij b_ik over all i, j, k, rank(alpha_i) * rank(a_i) per
-    pair; with none at all (zero effects) the family is the zero operator, and
-    a family longer than dim² is compressed by ``Operation``. The induced
-    effect is sum_i a_i.
+    b_ik† b_ik (rows b_ik) and alpha_i = sum_j c_ij c_ij† (columns c_ij,
+    scaled to unit trace) the operators are c_ij b_ik over all i, j, k,
+    rank(alpha_i) * rank(a_i) per pair; with none at all (zero effects) the
+    family is the zero operator, and a family longer than dim² is compressed by
+    ``Operation``. The induced effect is sum_i a_i.
     """
     return _built(_semi_trivial_kraus(pairs), {"kind": "semi_trivial", "pairs": list(pairs)})
 

@@ -290,6 +290,21 @@ def test_atomic_dominated_effects_are_multiples():
         assert matcore.max_abs(b.op - lam * a.op) <= 1e-9
 
 
+def test_atomic_projection_root_needs_no_solve(monkeypatch):
+    # |v><v| / |v| is the root of |v><v|: seeded at construction, no Jacobi solve
+    solves = []
+    real = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
+    rng = np.random.default_rng(17)
+    for dim in range(2, 9):
+        for _ in range(5):
+            a = atomic_projection(matcore.random_unit_vector(dim, rng))
+            root = a.root
+            assert solves == [] and not root.flags.writeable
+            assert matcore.max_abs(root - matcore.sqrt_psd(a.op)) <= 1e-12
+            solves.clear()
+
+
 def test_effect_algebra_axioms():
     rng = np.random.default_rng(14)
     for _ in range(20):

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqmeas
-from seqmeas import cli, laws
+from seqmeas import cli, effects, instruments, laws, matcore, observables, operations
 from seqmeas.errors import UnknownLaw
 from seqmeas.laws import _common, core
 
@@ -242,3 +243,126 @@ def test_counterexample_reports_the_replayed_violation():
     report = laws.run_law("ex-7", seed=1)
     assert report.status == "counterexample-found"
     assert report.max_deviation == report.witness["violation"] == laws.replay_witness(report)
+
+
+def test_drawn_gives_each_trial_one_input_or_a_run_of_k_per_generator():
+    calls = []
+
+    def generator(tag):
+        def draw(dim, rng, n):
+            calls.append((tag, dim, n))
+            return tuple(f"{tag}{j}" for j in range(n))
+        return draw
+
+    draw = _common.drawn(generator("a"), (generator("b"), 3))
+    ctx = core.LawContext(dims=(2,), trials=2, rng=np.random.default_rng(0))
+    assert list(draw(ctx, 2, 2)) == [("a0", "b0", "b1", "b2"), ("a1", "b3", "b4", "b5")]
+    assert calls == [("a", 2, 2), ("b", 2, 6)]
+
+
+# The library's random generators (``random_*`` of the object modules).
+LIBRARY_GENERATORS = {name for module in (matcore, effects, observables, operations, instruments)
+                      for name in vars(module) if name.startswith("random_")}
+
+# Generator calls a trial still makes itself, outside rejection sampling, by
+# design: a Haar unitary needs no root and no normalizer, so drawing it per trial
+# costs no solve.
+TRIAL_DRAW_EXEMPTIONS = {
+    ("check_kraus_trace_identity", "random_unitary"),  # eq-1.1: the Kraus remix
+    ("check_operation_bayes_first_rule", "random_unitary"),  # eq-2.3/2.4: the projection
+    ("check_atomic_is_semi_trivial", "random_unitary"),  # lemma-2.1: the orthonormal vectors
+    ("check_projection_mixing_bayes", "random_unitary"),  # ex-2: the projection
+}
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _trial_generator_calls(check: ast.FunctionDef) -> set[tuple[str, str]]:
+    """(check, generator) for each library generator call in a trial function that
+    is not inside a closure it hands to ``resample``."""
+    closures = {node.name: node for node in ast.walk(check)
+                if isinstance(node, ast.FunctionDef) and node is not check}
+    sampled = set()
+    for call in ast.walk(check):
+        if isinstance(call, ast.Call) and _called_name(call) == "resample":
+            for arg in call.args:
+                closure = (closures.get(arg.id) if isinstance(arg, ast.Name)
+                           else arg if isinstance(arg, ast.Lambda) else None)
+                sampled.update(map(id, ast.walk(closure)) if closure is not None else ())
+    return {(check.name, _called_name(node)) for node in ast.walk(check)
+            if isinstance(node, ast.Call) and id(node) not in sampled
+            and _called_name(node) in LIBRARY_GENERATORS}
+
+
+def test_trials_take_their_random_inputs_from_the_draw():
+    # A trial that calls a generator itself pays a scalar solve per trial for each
+    # root and normalizer; only rejection sampling and the exemptions draw there.
+    paths = sorted(Path(core.__file__).parent.glob("checks_*.py"))
+    checks = [node for path in paths
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
+    assert len(checks) == len(EXPECTED_IDS)
+    found = set().union(*map(_trial_generator_calls, checks))
+    assert found == TRIAL_DRAW_EXEMPTIONS
+
+
+def _effects_in(value) -> list:
+    """Every effect an input carries: itself, an observable's members, the induced
+    effects of an operation or of an instrument's members."""
+    if isinstance(value, (tuple, list)):
+        return [e for item in value for e in _effects_in(item)]
+    if isinstance(value, effects.Effect):
+        return [value]
+    if isinstance(value, operations.Operation):
+        return [value.induced]
+    if isinstance(value, observables._Measure):
+        return _effects_in(list(value._members))
+    return []
+
+
+# The laws whose per-trial draws made the most scalar solves before they drew
+# their inputs for all trials of a dimension at once.
+STACKED_DRAW_LAWS = ("ex-4", "thm-2.4i", "thm-3.1i", "thm-3.1ii", "thm-3.1iii", "lemma-3.3",
+                     "thm-4.1ii", "thm-4.1iii")
+
+
+@pytest.mark.parametrize("law_id", STACKED_DRAW_LAWS)
+def test_stacked_draws_leave_no_scalar_normalizer_or_drawn_root(monkeypatch, law_id):
+    # at 12 trials per dim (the benchmark's count) every normalizer and every root
+    # of a drawn effect comes from a stacked solve; rejection sampling still draws
+    # alone, per trial, so its solves are not counted
+    law = laws.registry()[law_id]
+    drawn, inv_roots, roots, sampling = [], [], [], []
+
+    def recording_draw(ctx, dim, n):
+        inputs = list(law.draw(ctx, dim, n))
+        drawn.extend(e.op for e in _effects_in(inputs))
+        return inputs
+
+    def counted_resample(draw, accept):
+        sampling.append(True)
+        try:
+            return _common.resample(draw, accept)
+        finally:
+            sampling.pop()
+
+    def recorder(calls, real):
+        def solve(m, *args):
+            if not sampling:
+                calls.append(m)
+            return real(m, *args)
+        return solve
+
+    monkeypatch.setitem(core._REGISTRY, law_id, dataclasses.replace(law, draw=recording_draw))
+    monkeypatch.setattr(sys.modules[law.fn.__module__], "resample", counted_resample)
+    monkeypatch.setattr(matcore, "inv_sqrt_pd", recorder(inv_roots, matcore.inv_sqrt_pd))
+    monkeypatch.setattr(matcore, "sqrt_psd", recorder(roots, matcore.sqrt_psd))
+    report = laws.run_law(law_id, trials=12, seed=42)
+    assert (report.status, report.trials) == ("pass", 12 * len(law.dims))
+    assert drawn
+    assert inv_roots == []
+    drawn_ids = set(map(id, drawn))
+    assert [m for m in roots if id(m) in drawn_ids] == []

@@ -505,6 +505,30 @@ def test_semi_trivial_family_size_is_the_product_of_ranks(dim):
                 assert ops.semi_trivial(pairs).n_kraus == r * s + dim - r
 
 
+def test_trivial_accepts_pairs_at_the_psd_tol_edge():
+    # an effect with top eigenvalue 1 + 0.99 PSD_TOL and a state with an
+    # eigenvalue -0.99 PSD_TOL, both accepted: the state's factor leaves the
+    # negative part out, and unless it is scaled back to unit trace the induced
+    # effect rises past 1 + PSD_TOL
+    rng = np.random.default_rng(41)
+    for dim in range(2, 9):
+        for _ in range(5):
+            values = rng.uniform(0.0, 1.0, size=dim)
+            values[-1] = 1.0 + 0.99 * matcore.PSD_TOL
+            u = matcore.random_unitary(dim, rng)
+            a = Effect((u * values) @ u.conj().T)
+            weights = rng.uniform(0.1, 1.0, size=dim)
+            weights /= weights.sum()
+            weights[:2] += np.array([-1.0, 1.0]) * (weights[0] + 0.99 * matcore.PSD_TOL)
+            w = matcore.random_unitary(dim, rng)
+            alpha = State((w * weights) @ w.conj().T)
+            for op in (ops.trivial(a, alpha), ops.semi_trivial([(a, alpha)])):
+                assert matcore.max_abs(op.induced.op - a.op) <= 1e-12
+                # the output state is alpha without its negative part, renormalized
+                gap = matcore.max_abs(op.superop - _closed_form_superop([(a, alpha)]))
+                assert gap <= 2 * matcore.PSD_TOL
+
+
 def test_zero_effect_gives_the_one_zero_operator():
     for dim in (2, 5, 8):
         alpha = effects.random_state(dim, np.random.default_rng(dim))
