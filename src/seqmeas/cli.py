@@ -8,6 +8,7 @@ file. Exit codes: 0 all good, 1 law failures, 2 usage/parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,9 @@ def _default_seed() -> int:
     return laws.DEFAULT_SEED if raw is None else int(raw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="seqmeas",
         description="Sequential products of quantum measurements: law checker and evaluator",

@@ -26,7 +26,7 @@ rank-one one) and costs nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class Effect:
     The stored matrix is the Hermitian symmetrization of the input. Violations
     of the unit interval beyond PSD_TOL are rejected, not clamped; silent
     clamping would mask law-check failures downstream. Membership is certified
-    by Cholesky factorizations of a and I - a (``matcore.psd_certified``);
-    only an input they do not certify is diagonalized, and Jacobi's bounds
+    by one Cholesky call on both sides, a and I - a (``_certified_in_unit``);
+    only an input it does not certify is diagonalized, and Jacobi's bounds
     decide it, so the verdict is always Jacobi's.
     """
 
@@ -58,9 +58,8 @@ class Effect:
 
     def __post_init__(self):
         m = matcore.as_hermitian(self.op)
-        dim = matcore.check_dim(m.shape[0])
-        if not (matcore.psd_certified(m)
-                and matcore.psd_certified(matcore.identity(dim) - m)):
+        matcore.check_dim(m.shape[0])
+        if not _certified_in_unit(m):
             _check_unit_interval(m)
         object.__setattr__(self, "op", _frozen(m))
 
@@ -81,24 +80,37 @@ def _check_unit_interval(m: np.ndarray) -> None:
         raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
 
 
+_SIDES = _frozen(np.array([1.0, -1.0])[:, None, None])
+
+
+@cache
+def _unit_offsets(dim: int) -> np.ndarray:
+    """[s I, (1 + s) I], s = PSD_TOL / 2 (read-only): m * _SIDES + these = both shifted sides."""
+    shift = matcore._half_tol_identity(dim, PSD_TOL)
+    return _frozen(np.stack([shift, matcore.identity(dim) + shift]))
+
+
+def _certified_in_unit(m: np.ndarray) -> np.ndarray:
+    """The certificate of 0 <= m <= I for a Hermitian m, or one per matrix of a
+    stack: both shifted sides in one ``matcore._cholesky_completes`` call, sound as
+    ``matcore._psd_certified_stack`` is. Its norm guard is implied: both sides
+    complete only when every diagonal entry of each is in (0, 1 + PSD_TOL)."""
+    sides = m[..., None, :, :] * _SIDES + _unit_offsets(m.shape[-1])
+    return matcore._cholesky_completes(sides).all(axis=-1)
+
+
 def _effects(mats) -> tuple[Effect, ...]:
     """``Effect(m)`` for every matrix of a stack, validated as one stack.
 
     The checks are those of ``Effect``: finite square Hermitian matrices of a
-    supported dim, certified in [0, I] by the stacked Cholesky certificate
-    (``matcore._psd_certified_stack``), with Jacobi deciding every member it
+    supported dim, certified in [0, I] by one Cholesky call on both sides of
+    every member (``_certified_in_unit``), with Jacobi deciding every member it
     declines. Each stored matrix is bit for bit the one ``Effect`` stores; the
     members share one read-only array.
     """
     m = _frozen(matcore._as_hermitian_stack(mats))
-    dim = matcore.check_dim(m.shape[1])
-    if len(m) == 1:  # one member: the scalar certificate is the faster
-        certified = np.array([matcore.psd_certified(m[0])
-                              and matcore.psd_certified(matcore.identity(dim) - m[0])])
-    else:
-        certified = matcore._psd_certified_stack(
-            np.concatenate([m, matcore.identity(dim) - m])).reshape(2, -1).all(axis=0)
-    for k in np.flatnonzero(~certified):
+    matcore.check_dim(m.shape[1])
+    for k in np.flatnonzero(~_certified_in_unit(m)):
         _check_unit_interval(m[k])
     return tuple(_validated(Effect, op=x) for x in m)
 

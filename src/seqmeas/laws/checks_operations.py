@@ -96,13 +96,13 @@ def check_luders_and_trivial_complements(ctx: LawContext, dim: int, tally: Tally
                                          alpha: State, rho: State) -> None:
     """Lueders of a' complements Lueders of a; trivial of (a', alpha)
     complements trivial of (a, alpha), summing to the constant channel."""
-    lu = op_mod.add(op_mod.luders(a), op_mod.luders(complement(a)))
-    tally.expect(max_abs(op_mod.hat(lu).op - matcore.identity(dim)),
+    a_c = complement(a)
+    lu_a, lu_c = op_mod.luders(a), op_mod.luders(a_c)
+    tally.expect(max_abs(op_mod.hat(op_mod.add(lu_a, lu_c)).op - matcore.identity(dim)),
                  "Lueders pair sums to a channel")
-    tally.expect_true(op_mod.is_complement(op_mod.luders(complement(a)), op_mod.luders(a)),
-                      "Lueders complement recognized")
+    tally.expect_true(op_mod.is_complement(lu_c, lu_a), "Lueders complement recognized")
     i = op_mod.trivial(a, alpha)
-    j = op_mod.trivial(complement(a), alpha)
+    j = op_mod.trivial(a_c, alpha)
     tally.expect_true(op_mod.is_complement(j, i), "trivial complement recognized")
     total = op_mod.apply(op_mod.add(i, j), rho)
     tally.expect(max_abs(total - alpha.op), "sum is the constant channel")

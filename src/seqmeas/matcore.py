@@ -16,16 +16,14 @@ Two tolerance constants govern all approximate comparisons:
 * ``EQ_TOL``   -- operator equality in the max (entrywise) norm.
 
 Cone membership ("smallest eigenvalue >= -tol") is decided in two steps. A
-scalar Cholesky factorization of M + (tol/2) I (``psd_certified``) accepts
-almost every member without computing an eigenvalue; whatever it does not
-accept goes to Jacobi, which decides. The certificate accepts only matrices
-Jacobi accepts too: the tol/2 shift leaves a margin of half the tolerance,
-and below the norm guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at
-PSD_TOL; a positive matrix has its largest entries there) the rounding error
-of the factorization stays well inside that margin. So every verdict is
-Jacobi's. A stack of matrices (the members of a product measure) is certified
-at once by ``_psd_certified_stack``, a right-looking Cholesky vectorized over
-the stack under the same shift, norm guard and rounding bound.
+Cholesky factorization of M + (tol/2) I (``_psd_certified_stack``: LAPACK's
+``zpotrf`` through numpy's gufunc, one call for any stack) accepts almost every
+member without computing an eigenvalue; whatever it does not accept goes to
+Jacobi, which decides. The certificate accepts only matrices Jacobi accepts
+too: the tol/2 shift leaves a margin of half the tolerance, and below the norm
+guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8;
+a positive matrix has its largest entries there) the rounding error of the
+factorization stays well inside that margin. So every verdict is Jacobi's.
 
 A stack of matrices drawn at once (the random inputs of many law trials) is
 diagonalized by the stacked Jacobi kernel, ``_eig_hermitian_stack``: the same
@@ -49,6 +47,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, EigenConvergenceError, NotPositive, SamplingError
 
@@ -60,8 +59,8 @@ MIN_DIM = 2
 MAX_DIM = 8
 
 # Cholesky certificate norm guard: when a diagonal entry exceeds this multiple
-# of tol, the factorization's rounding error could approach the tol/2 margin,
-# so the certificate declines and Jacobi decides.
+# of tol (times 72 / (n (n + 1)) past n = 8), the factorization's rounding
+# error could approach the tol/2 margin, so the certificate declines.
 CERT_NORM_PER_TOL = 1e13
 
 # Jacobi iteration controls: stop once the off-diagonal Frobenius mass is
@@ -399,65 +398,50 @@ def _solve_stack(kind: str, mats):
 
 
 def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Sufficient test for "smallest eigenvalue >= -tol" by scalar Cholesky.
-
-    ``m`` must already be Hermitian (as returned by ``as_hermitian``): only its
-    lower triangle is read. Returns True when the Cholesky factorization of
-    M + (tol/2) I finds every pivot positive. False means "not certified",
-    not "not PSD": the caller asks Jacobi.
-
-    Soundness: a completed factorization L L† = M + (tol/2) I + E has
-    |E|_2 <= g * tr(M + (tol/2) I) with g about (d + 1) * 1.1e-16 (Higham,
-    Accuracy and Stability of Numerical Algorithms, thm 10.3), so the smallest
-    eigenvalue of M is >= -tol/2 - g * d * max_i M_ii. The norm guard
-    (M_ii <= CERT_NORM_PER_TOL * tol) keeps that last term below
-    1.1e-3 * d * (d + 1) * tol, under a tenth of tol at d <= 8, and Jacobi's
-    own rounding at such norms is smaller still, so a True here is a True from
-    Jacobi too. The bound holds for any order of the Cholesky sums, so it
-    covers the right-looking stacked form (``_psd_certified_stack``) as well.
-    """
-    a = m.tolist()
-    shift = tol / 2.0
-    limit = tol * CERT_NORM_PER_TOL
-    for j, row_j in enumerate(a):
-        diag = row_j[j].real
-        if not diag <= limit:
-            return False
-        pivot = diag + shift - sum(x.real * x.real + x.imag * x.imag for x in row_j[:j])
-        if not pivot > 0.0:
-            return False
-        ljj = math.sqrt(pivot)
-        conj_j = [x.conjugate() for x in row_j[:j]]
-        for row_i in a[j + 1:]:
-            row_i[j] = (row_i[j] - sum(x * y for x, y in zip(row_i, conj_j))) / ljj
-    return True
+    """``_psd_certified_stack`` of one matrix (False: not certified, so ask Jacobi)."""
+    return bool(_psd_certified_stack(m, tol))
 
 
 def _psd_certified_stack(ms: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """``psd_certified`` of every member of an (n, d, d) Hermitian stack.
+    """Sufficient test for "smallest eigenvalue >= -tol" of each Hermitian M (as
+    ``as_hermitian`` returns it) of a stack of any leading shape: True where the
+    Cholesky factorization of M + (tol/2) I completes (``_cholesky_completes``)
+    and no diagonal entry of M exceeds the norm guard.
 
-    A right-looking Cholesky of M + (tol/2) I vectorized over the stack: step j
-    takes the pivot of column j for all members, scales the column and
-    subtracts its outer product from the trailing block. The shift, the pivot
-    test and the norm guard are those of ``psd_certified``, and so is the
-    soundness argument: Higham's thm 10.3 bounds the backward error of any
-    ordering of the Cholesky sums, so a True here is a True from Jacobi too.
-    The two orderings round differently and may disagree only where rounding
-    decides, a smallest eigenvalue within a few ulps of -tol/2. Returns a bool
-    per member. Members never mix, so a member whose pivot fails just carries
-    on with the nan or inf its square root gives, and stays declined;
-    floating-point warnings are silenced for that reason only.
+    Soundness: a completed factorization L L† = M + (tol/2) I + E has
+    |E|_2 <= g * tr(M + (tol/2) I) with g about (n + 1) * 1.1e-16 for n x n
+    matrices (Higham, Accuracy and Stability of Numerical Algorithms, thm 10.3),
+    so the smallest eigenvalue of M is >= -tol/2 - g * n * max_i M_ii. The bound
+    holds for any order of the Cholesky sums, LAPACK's blocked form included
+    (ibid. sec. 10.1). The norm guard M_ii <= CERT_NORM_PER_TOL * tol *
+    min(1, 72 / (n (n + 1))) keeps that last term below 1.1e-3 * 72 * tol, under
+    a tenth of tol at every n (the scale factor is 1 up to n = 8; the d^2 x d^2
+    Choi gaps of ``operations.operation_leq`` reach n = 64), and Jacobi's own
+    rounding at such norms is smaller still, so a True here is a True from
+    Jacobi too.
     """
-    d = ms.shape[1]
-    a = ms + (tol / 2.0) * identity(d)
-    ok = (ms.diagonal(axis1=1, axis2=2).real <= tol * CERT_NORM_PER_TOL).all(axis=1)
-    with np.errstate(all="ignore"):
-        for j in range(d):
-            pivot = a[:, j, j].real
-            ok &= pivot > 0.0
-            col = a[:, j + 1:, j] / np.sqrt(pivot)[:, None]
-            a[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
-    return ok
+    n = ms.shape[-1]
+    limit = CERT_NORM_PER_TOL * tol * min(1.0, 72.0 / (n * (n + 1)))
+    guarded = ms.diagonal(axis1=-2, axis2=-1).real.max(axis=-1) <= limit
+    return guarded & _cholesky_completes(ms + _half_tol_identity(n, tol))
+
+
+@functools.cache
+def _half_tol_identity(dim: int, tol: float) -> np.ndarray:
+    """(tol/2) I, read-only (cached, so shared by every caller)."""
+    return _read_only((tol / 2.0) * identity(dim))
+
+
+def _cholesky_completes(a: np.ndarray) -> np.ndarray:
+    """True for each matrix of a stack (any leading shape) whose Cholesky
+    factorization finds every pivot positive: one call of LAPACK's ``zpotrf``
+    through numpy's gufunc, which reads lower triangles only. A member whose
+    factorization fails gets a NaN factor and the others are left alone, so the
+    last diagonal entry of each factor is its verdict; the invalid-value flag
+    of a failure is silenced for that reason only."""
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(a)
+    return ~np.isnan(low[..., -1, -1])
 
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:

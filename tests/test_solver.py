@@ -7,11 +7,13 @@ and the rule that the package calls no LAPACK eigen-routine.
 """
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 from seqmeas import effects, matcore, observables, operations
 from seqmeas.effects import Effect, _effects
@@ -105,6 +107,7 @@ def test_stacked_certificate_implies_jacobi_accepts(norm, tol):
         flags = matcore._psd_certified_stack(stack, tol)
         assert flags.shape == (len(stack),) and flags.dtype == bool
         for m, flag in zip(stack, flags):
+            assert flag == matcore.psd_certified(m, tol)  # one call or one per member
             if flag:
                 certified += 1
                 assert matcore.spectral_bounds(m)[0] >= -tol
@@ -129,21 +132,52 @@ def test_effect_accepts_exactly_when_jacobi_does(dim):
                 assert accepted == jacobi_accepts
 
 
+def test_cholesky_gufunc_marks_each_failed_member_alone():
+    """The contract ``matcore._cholesky_completes`` rests on: in a stack that mixes
+    positive definite and other members, LAPACK's Cholesky gufunc returns NaN
+    factors for the failed members only, and no RuntimeWarning escapes."""
+    rng = np.random.default_rng(5)
+    pd = [_with_spectrum(rng.uniform(0.1, 1.0, size=4), rng) for _ in range(3)]
+    bad = [-np.eye(4), _with_spectrum([1.0, 0.5, 0.2, -1e-3], rng), np.zeros((4, 4))]
+    stack = np.stack([pd[0], bad[0], pd[1], bad[1], bad[2], pd[2]]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            low = _umath_linalg.cholesky_lo(stack)
+        flags = matcore._cholesky_completes(stack)
+    failed = [False, True, False, True, True, False]
+    assert [bool(np.isnan(f).all()) for f in low] == failed
+    assert [bool(np.isfinite(f).all()) for f in low] == [not x for x in failed]
+    assert flags.tolist() == [not x for x in failed]
+    for m, f in zip(pd, low[[0, 2, 5]]):
+        assert matcore.max_abs(f @ matcore.dagger(f) - m) <= 1e-14
+
+
 def test_certificate_margin_norm_guard_and_hermitian_check():
     assert matcore.psd_certified(np.zeros((3, 3), dtype=complex))
     assert not matcore.psd_certified(np.diag([1.0, -PSD_TOL]).astype(complex))
     assert matcore.psd_certified(np.diag([1.0, -0.4 * PSD_TOL]).astype(complex))
     assert not matcore.psd_certified(1e4 * np.eye(2, dtype=complex))  # norm guard
+    # the guard scales down past 8 x 8 (a 64 x 64 Choi gap at d = 8): about 17.3 here
+    limit = 1e13 * PSD_TOL * 72 / (64 * 65)
+    assert matcore.psd_certified(0.9 * limit * np.eye(64, dtype=complex))
+    assert not matcore.psd_certified(100.0 * np.eye(64, dtype=complex))
     with pytest.raises(DimensionError):
         matcore.is_psd(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
-LAPACK_EIGEN = re.compile(r"linalg\.eig|\beig(?:h|vals|valsh)?\b")
+# numpy's gufunc module (``numpy.linalg._umath_linalg``, which the certificate
+# imports for its Cholesky) holds the eigen-routines too, as eig, eigh_lo,
+# eigh_up, eigvals, eigvalsh_lo and eigvalsh_up: caught under any alias.
+LAPACK_EIGEN = re.compile(r"linalg\.eig|\beig(?:h|vals|valsh)?(?:_lo|_up)?\b")
 
 
 def test_package_calls_no_lapack_eigen_routine():
     assert LAPACK_EIGEN.search("w = np.linalg.eigh(m)")
     assert LAPACK_EIGEN.search("from scipy.linalg import eigvalsh")
+    for name in ("eig", "eigh_lo", "eigh_up", "eigvals", "eigvalsh_lo", "eigvalsh_up"):
+        assert LAPACK_EIGEN.search(f"w = u.{name}(m)")
+    assert not LAPACK_EIGEN.search("low = _umath_linalg.cholesky_lo(a)")
     assert not LAPACK_EIGEN.search("q, r = np.linalg.qr(g); matcore.eig_hermitian(m)")
     assert _package_lines(LAPACK_EIGEN) == []
 
