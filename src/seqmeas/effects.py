@@ -18,9 +18,10 @@ drawn effect u diag(values) u†, from the drawn eigendecomposition itself. A
 seeded root is read-only, like a computed one, and agrees with what the first
 use would compute to rounding. Below ``matcore.STACK_BREAK_EVEN`` effects the
 roots are left to fill on first use, as a scalar solve is faster there; only
-the effects of a projective observable and ``atomic_projection`` are always
-seeded, since a projection's root is the projection itself (|v><v| / |v| for a
-rank-one one) and costs nothing.
+the effects of a projective observable, of the sure observable
+(``identity_observable``) and ``atomic_projection`` are always seeded, since a
+projection's root is the projection itself (|v><v| / |v| for a rank-one one)
+and costs nothing. Random states are validated as one stack (``_states``).
 """
 
 from __future__ import annotations
@@ -133,11 +134,7 @@ class State:
     def __post_init__(self):
         m = matcore.as_hermitian(self.op)
         matcore.check_dim(m.shape[0])
-        if not matcore.psd_hermitian(m):
-            raise NotState("state is not positive semidefinite")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-10:
-            raise NotState(f"tr(rho) = {tr!r} != 1")
+        _check_state(m, matcore.psd_certified(m), np.trace(m).real)
         object.__setattr__(self, "op", _frozen(m))
 
     @property
@@ -149,6 +146,36 @@ class State:
         """Eigendecomposition of rho, with read-only arrays."""
         spec = matcore.eig_hermitian(self.op)
         return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
+
+
+def _check_state(m: np.ndarray, certified: bool, trace: float) -> None:
+    """The checks of ``State`` on a Hermitian m with its certificate verdict and
+    trace: positive semidefinite (Jacobi decides when not certified), then unit
+    trace."""
+    if not (certified or matcore.spectral_bounds(m)[0] >= -PSD_TOL):
+        raise NotState("state is not positive semidefinite")
+    if abs(trace - 1.0) > 1e-10:
+        raise NotState(f"tr(rho) = {trace!r} != 1")
+
+
+def _states(mats) -> tuple[State, ...]:
+    """``State(m)`` for every matrix of a stack, validated as one stack.
+
+    The checks are those of ``State``: finite square Hermitian matrices of a
+    supported dim, certified positive by one Cholesky call for the stack
+    (``matcore._psd_certified_stack``), with unit traces checked at once. Only
+    a member the certificate declines, or whose trace is off, is checked alone,
+    Jacobi deciding; the first failing member raises ``State``'s ``NotState``.
+    Each stored matrix is bit for bit the one ``State`` stores; the members
+    share one read-only array.
+    """
+    m = _frozen(matcore._as_hermitian_stack(mats))
+    matcore.check_dim(m.shape[1])
+    certified = matcore._psd_certified_stack(m)
+    traces = np.trace(m, axis1=1, axis2=2).real
+    for k in np.flatnonzero(~certified | (np.abs(traces - 1.0) > 1e-10)):
+        _check_state(m[k], certified[k], traces[k])
+    return tuple(_validated(State, op=x) for x in m)
 
 
 def _check_type(obj, cls, error, what: str | None = None) -> None:
@@ -295,8 +322,9 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
 
 
 def random_states(dim: int, rng: np.random.Generator, n: int) -> tuple[State, ...]:
-    """n random states, drawn as n ``random_state`` calls would draw them."""
-    return tuple(map(State, matcore._random_states(dim, rng, n)))
+    """n random states, drawn as n ``random_state`` calls would draw them and
+    validated as one stack (``_states``)."""
+    return _states(matcore._random_states(dim, rng, n))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> State:

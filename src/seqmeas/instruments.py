@@ -42,8 +42,8 @@ class Instrument(_Measure):
     _distance = staticmethod(lambda i, j: op_mod.action_distance(i, j))
     _merges = staticmethod(lambda groups: op_mod._operations(map(op_mod._summed_kraus, groups)))
     _after = staticmethod(lambda channel, o: op_mod.compose(channel, o))
-    _afters = staticmethod(lambda pairs: op_mod._operations(
-        [op_mod._compose_kraus(u.kraus, o.kraus) for u, o in pairs]))
+    _afters = staticmethod(lambda pairs: op_mod._composed([(u.kraus, o.kraus)
+                                                           for u, o in pairs]))
     _front = property(lambda self: self.ops)
 
     operation = _Measure._member

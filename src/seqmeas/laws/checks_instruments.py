@@ -233,10 +233,13 @@ def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally, b:
                                      alpha: State, beta: State) -> None:
     """(J | I) hat differs from the conditioned observables: a single-outcome
     trivial front end replaces rho by alpha."""
-    i = trivial_instrument(identity_observable(dim), alpha)
+    sure = identity_observable(dim)
+    i = trivial_instrument(sure, alpha)
     j = trivial_instrument(b, beta)
     got = measured_observable(inst_conditioned(j, i))
-    naive = obs_conditioned(measured_observable(j), measured_observable(i))
+    tally.expect(_member_distance(measured_observable(i), sure),
+                 "the trivial front end measures the sure observable")
+    naive = obs_conditioned(measured_observable(j), sure)
     for y, by in b.items():
         tally.expect(max_abs(got.effect(y).op - prob(alpha, by) * matcore.identity(dim)),
                      "conditioned hat weights the identity")

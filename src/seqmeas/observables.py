@@ -6,8 +6,9 @@ operation. Both are ``_Measure``s, so validation, lookup, parts, equality, the
 distribution, the witness check, products and conditionings are written once.
 Every member of a measure the library builds (products, parts, the random and
 structured constructors) comes from the stacked builder of its member type,
-``effects._effects`` or ``operations._operations``, through the stacked hooks
-``_afters`` and ``_merges``. Conditionings are the exception: they still build
+``effects._effects`` or ``operations._operations`` (``operations._composed``
+for instrument products), through the stacked hooks ``_afters`` and
+``_merges``. Conditionings are the exception: they still build
 each member alone, through the scalar hook ``_after`` (``compose`` or
 ``op_then_effect``). Otherwise the scalar ``Effect`` and ``Operation``
 constructors serve single objects. A measure taken first runs its
@@ -235,8 +236,10 @@ def verify_coexistence_witness(b: _Measure, c: _Measure, a: _Measure, f, g,
 
 
 def identity_observable(dim: int, outcome: str = "x") -> Observable:
-    """The sure observable with a single outcome carrying the identity."""
-    return Observable((outcome,), (Effect(matcore.identity(dim)),))
+    """The sure observable with a single outcome carrying the identity. I is its
+    own root, so the root is filled in with no solve."""
+    sure = Effect(matcore.identity(dim))
+    return Observable((outcome,), _seeded((sure,), [sure.op]))
 
 
 def random_observables(dim: int, rng: np.random.Generator, n: int,

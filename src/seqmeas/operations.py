@@ -5,12 +5,14 @@ channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
 Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, which
-builds single operations, and ``_operations``, which builds many operations of
-one dim and validates their induced effects as one stack, with the same checks,
-verdicts and bits. ``_operations`` builds the operation members of the
-measures the library makes: the members of products and parts (the measures'
-``_afters`` and ``_merges`` hooks), the Lueders front of an observable, and
-the semi-trivial, Kraus, sharp and random instruments. The members of a
+builds single operations, and ``_stacked_operations``, which builds many
+operations of one dim and validates their induced effects as one stack, with
+the same checks, verdicts and bits. It is reached through ``_operations``, for
+any families, and ``_composed``, for the products of pairs of families, and
+builds the operation members of the measures the library makes: the members
+of products (the measures' ``_afters`` hook, through ``_composed``) and parts
+(``_merges``), the Lueders front of an observable, the semi-trivial, Kraus,
+sharp and random instruments, and random operations. The members of a
 conditioning are still built one at a time, by ``compose``. Both
 build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
@@ -31,6 +33,19 @@ first use. Equality of operations compares superoperators, never Kraus lists
 Trivial and semi-trivial operations are built from pivoted Cholesky factors
 (``matcore._psd_factor``), with no root or spectrum: a rank-r effect with a
 rank-s state gives r * s operators.
+
+The three contractions of a family are BLAS matrix products over its stacked
+rows (the (n d, d) matrix of A_1, ..., A_n on top of each other) or its
+operators side by side (the (d, n d) matrix [A_1 | ... | A_n]), never an
+einsum of three operands, which numpy runs as one nested loop: the induced
+effect sum A† A (``_hat_matrix``) is one GEMM, the action sum A rho A†
+(``apply``) and the post-operation effect sum B† a B (``_sandwich``) two each.
+``_operations`` groups its families by shape (n, d), and ``_composed`` groups
+its pairs by their two family sizes and builds each group's products with one
+batched matmul; each group, stacked, then gets one batched QR (only when n >
+d²) and one batched hat. Batched matmul and QR compute each member as the
+scalar call does, so every member is bit for bit what ``Operation`` builds from
+its family alone.
 """
 
 from __future__ import annotations
@@ -163,19 +178,44 @@ def _checked_recipe(op: Operation) -> dict | None:
 def _operations(families, recipes=None) -> tuple[Operation, ...]:
     """``_built(f, r)`` for every family f and recipe r, validated as one stack.
 
-    Each family is normalized and bounded as ``Operation`` does it, and the
-    induced effects of all of them are checked at once by ``effects._effects``,
-    so each operation's ``kraus`` and ``induced.op`` are bit for bit those of
-    ``Operation(f)``. Families of different dims raise the ``DimensionError`` a
-    measure of them would.
+    The families are read as ``Operation`` reads them, grouped by shape (n, d)
+    and stacked per group (``_stacked_operations``). Families of different dims
+    raise the ``DimensionError`` a measure of them would.
     """
-    arrs = [_bounded(_as_kraus_array(f)) for f in families]
+    arrs = [_as_kraus_array(f) for f in families]
     if len({arr.shape[1] for arr in arrs}) > 1:
         raise DimensionError("all members must share one dimension")
-    induced = _induced(_effects, [_hat_matrix(arr) for arr in arrs])
-    recipes = recipes or [None] * len(arrs)
-    return tuple(_validated(Operation, kraus=_frozen(arr), recipe=recipe, induced=effect)
-                 for arr, recipe, effect in zip(arrs, recipes, induced))
+    return _stacked_operations([(members, np.array([arrs[k] for k in members]))
+                                for members in _grouped(arr.shape for arr in arrs)], recipes)
+
+
+def _stacked_operations(groups, recipes=None) -> tuple[Operation, ...]:
+    """The operations of groups (positions of m members, their families as one
+    stack (m, n, d, d)), in position order. Each group gets one batched
+    ``_bounded`` and one batched ``_hat_matrix``, the kernels ``Operation`` runs,
+    so every ``kraus`` and ``induced.op`` is bit for bit that of ``Operation(f)``;
+    the induced effects of all groups are checked at once by ``effects._effects``.
+    The stacks must be the caller's own: they are frozen and shared by their
+    members."""
+    count = sum(len(members) for members, _ in groups)
+    kraus, hats = [None] * count, [None] * count
+    for members, stack in groups:
+        stack = _frozen(_bounded(stack))
+        for k, arr, hat in zip(members, stack, _hat_matrix(stack)):
+            kraus[k], hats[k] = arr, hat
+    induced = _induced(_effects, hats)
+    recipes = recipes or [None] * count
+    return tuple(_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
+                 for arr, recipe, effect in zip(kraus, recipes, induced))
+
+
+def _grouped(keys) -> list[list[int]]:
+    """The positions of equal keys, one list per distinct key in first-appearance
+    order, each list ascending."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
 
 
 def _induced(validate, hats):
@@ -187,11 +227,13 @@ def _induced(validate, hats):
 
 
 def _bounded(kraus: np.ndarray) -> np.ndarray:
-    """The same map with at most dim² operators (R of the stacked vec rows)."""
-    n, d, _ = kraus.shape
+    """The same map with at most dim² operators (R of the stacked vec rows), for a
+    family (n, d, d) or each family of a stack (m, n, d, d) by one batched QR."""
+    *lead, n, d, _ = kraus.shape
     if n <= d * d:
         return kraus
-    return np.linalg.qr(kraus.reshape(n, d * d), mode="r").reshape(d * d, d, d)
+    r = np.linalg.qr(kraus.reshape(*lead, n, d * d), mode="r")
+    return r.reshape(*lead, d * d, d, d)
 
 
 def _gram(kraus: np.ndarray) -> np.ndarray:
@@ -202,10 +244,24 @@ def _gram(kraus: np.ndarray) -> np.ndarray:
 
 
 def _hat_matrix(kraus: np.ndarray) -> np.ndarray:
-    """sum_n A_n† A_n. The einsum sums the terms of entries (j, k) and (k, j)
-    in one order, so the result is Hermitian as computed and is symmetrized
-    once, by the ``Effect`` or eigensolver that receives it."""
-    return np.einsum("nij,nik->jk", kraus.conj(), kraus)
+    """sum_n A_n† A_n of a family (n, d, d), or of each family of a stack (m, n, d,
+    d): one GEMM, X† X over the stacked rows X, symmetrized once, in place. BLAS
+    does not sum the terms of entries (j, k) and (k, j) in one order, so the
+    product alone is Hermitian only to rounding, which the ``HERM_TOL`` check
+    of a huge family would reject; symmetrized, it is exactly Hermitian, and the
+    ``Effect`` that receives it stores it unchanged."""
+    *lead, n, d, _ = kraus.shape
+    rows = kraus.reshape(*lead, n * d, d)
+    hat = matcore._adjoint(rows) @ rows
+    hat += matcore._adjoint(hat)
+    hat *= 0.5
+    return hat
+
+
+def _side_by_side(kraus: np.ndarray) -> np.ndarray:
+    """[A_1 | ... | A_n]: the operators of a family (n, d, d), or of each family of a
+    stack (m, n, d, d), side by side as one (d, n d) matrix."""
+    return kraus.swapaxes(-3, -2).reshape(*kraus.shape[:-3], kraus.shape[-1], -1)
 
 
 def _check_operations(*ops) -> None:
@@ -220,12 +276,18 @@ def apply(op: Operation, rho: State | np.ndarray) -> np.ndarray:
     Accepts a State or a bare matrix; the Kraus sum is linear, so applying to
     arbitrary matrices (e.g. matrix units) is well defined and used by the
     action-equality tests. Returns the (generally subnormalized) output matrix.
+    Two GEMMs (``ndarray.dot``, which calls BLAS with less overhead than ``@``
+    on one pair of matrices): the stacked rows times rho give the A_i rho, and
+    those side by side times the adjoint of the operators side by side give the
+    sum.
     """
     _check_operations(op)
     mat = rho.op if isinstance(rho, State) else matcore.as_square(rho)
     if mat.shape != (op.dim, op.dim):
         raise DimensionError(f"state shape {mat.shape} vs operation dim {op.dim}")
-    return np.einsum("nij,jk,nlk->il", op.kraus, mat, op.kraus.conj())
+    n, d, _ = op.kraus.shape
+    fronts = op.kraus.reshape(n * d, d).dot(mat).reshape(n, d, d)
+    return _side_by_side(fronts).dot(dagger(_side_by_side(op.kraus)))
 
 
 def hat(op: Operation) -> Effect:
@@ -243,18 +305,33 @@ def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
-    return Operation(_compose_kraus(i.kraus, j.kraus))
+    return Operation(_compose_kraus(i.kraus[None], j.kraus[None])[0])
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The products B_m A_n over the Kraus families A of i and B of j, m outer.
+    """The products B_m A_n over the Kraus families A of i and B of j, m outer: i (ni,
+    d, d) and j (nj, d, d) give (nj ni, d, d), and stacks (s, ni, d, d) and (s,
+    nj, d, d) give the s products, (s, nj ni, d, d).
 
-    One GEMM: the rows (m, a) of the stacked B times the columns (n, c) of the
-    side-by-side A, then regrouped into (m, n) blocks.
+    One GEMM, batched over the stack: the rows (m, a) of the stacked B times the
+    columns (n, c) of the side-by-side A, then regrouped into (m, n) blocks.
     """
-    (ni, d, _), nj = i.shape, j.shape[0]
-    prods = j.reshape(nj * d, d) @ i.transpose(1, 0, 2).reshape(d, ni * d)
-    return prods.reshape(nj, d, ni, d).transpose(0, 2, 1, 3).reshape(nj * ni, d, d)
+    *lead, nj, d, _ = j.shape
+    prods = j.reshape(*lead, nj * d, d) @ _side_by_side(i)
+    return prods.reshape(*lead, nj, d, -1, d).swapaxes(-3, -2).reshape(*lead, -1, d, d)
+
+
+def _composed(pairs) -> tuple[Operation, ...]:
+    """``compose`` of every pair (i, j) of Kraus families of validated operations of
+    one dim, i first, validated as one stack: the pairs are grouped by their two
+    family sizes, and each group is composed by one batched GEMM
+    (``_compose_kraus``) into the stack ``_stacked_operations`` builds from.
+    Products of validated families are finite, so they are not read again."""
+    groups = []
+    for members in _grouped((i.shape, j.shape) for i, j in pairs):
+        firsts, thens = (np.array([pairs[k][side] for k in members]) for side in (0, 1))
+        groups.append((members, _compose_kraus(firsts, thens)))
+    return _stacked_operations(groups)
 
 
 def add(i: Operation, j: Operation) -> Operation:
@@ -438,8 +515,12 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
 
 
 def _sandwich(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k B_k† a B_k over a Kraus family B."""
-    return np.einsum("nji,jk,nkl->il", kraus.conj(), a, kraus)
+    """sum_k B_k† a B_k over a Kraus family B: two GEMMs, as in ``apply``. The adjoint
+    of the operators side by side times a gives the B_k† a stacked, and those
+    side by side times the stacked rows give the sum."""
+    n, d, _ = kraus.shape
+    backs = dagger(_side_by_side(kraus)).dot(a).reshape(n, d, d)
+    return _side_by_side(backs).dot(kraus.reshape(n * d, d))
 
 
 def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
@@ -523,7 +604,7 @@ def random_operations(dim: int, rng: np.random.Generator, n: int) -> tuple[Opera
     calls, which alternate effect and channel."""
     effs = random_effects(dim, rng, n)
     chans = random_channels(dim, rng, n)
-    return _operations([_compose_kraus(e.root[None], c.kraus) for e, c in zip(effs, chans)])
+    return _composed([(e.root[None], c.kraus) for e, c in zip(effs, chans)])
 
 
 def random_operation(dim: int, rng: np.random.Generator) -> Operation:

@@ -504,3 +504,56 @@ def test_random_generators_reject_a_non_generator_rng(rng):
         draws = (3,) if "n" in inspect.signature(generator).parameters else ()
         with pytest.raises(SamplingError, match="numpy random Generator"):
             generator(2, rng, *draws)
+
+
+def test_stacked_states_store_what_the_constructor_stores():
+    rng = np.random.default_rng(18)
+    for dim in range(2, 9):
+        mats = matcore._random_states(dim, rng, 9)
+        mats[3] = mats[3] + 1e-13j * np.triu(np.ones((dim, dim)), 1)  # Hermitian to HERM_TOL
+        stacked = effects._states(mats)
+        for got, m in zip(stacked, mats):
+            want = State(m)
+            assert np.array_equal(got.op, want.op) and not got.op.flags.writeable
+            assert np.trace(got.op, axis1=0, axis2=1).real == np.trace(want.op).real
+        drawn = effects.random_states(dim, np.random.default_rng(dim), 4)
+        alone = [State(m) for m in matcore._random_states(dim, np.random.default_rng(dim), 4)]
+        assert all(np.array_equal(s.op, t.op) for s, t in zip(drawn, alone))
+
+
+def test_stacked_states_reject_the_first_failing_member_as_the_constructor(monkeypatch):
+    rng = np.random.default_rng(19)
+    good = matcore._random_states(3, rng, 4)
+    not_psd = np.diag([1.2, -0.2, 0.0]).astype(complex)
+    heavy = 2 * good[0]
+    for mats, message in (([good[0], not_psd, heavy], "not positive semidefinite"),
+                          ([good[0], heavy, not_psd], "tr(rho) = ")):
+        with pytest.raises(NotState, match=re.escape(message)):
+            effects._states(mats)
+        with pytest.raises(NotState) as alone:
+            [State(m) for m in mats]
+        with pytest.raises(NotState, match=re.escape(str(alone.value))):
+            effects._states(mats)
+    for mats in ([np.eye(3), np.eye(2)], [np.triu(np.ones((3, 3))) / 3], [np.eye(9) / 9]):
+        with pytest.raises(DimensionError):
+            effects._states(mats)
+    # Jacobi decides only the members the certificate declines: an eigenvalue of
+    # -0.7 PSD_TOL is past the certificate's margin of PSD_TOL / 2, within PSD_TOL
+    solves = []
+    real = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
+    edge = np.diag([1.0, 0.0, 0.0]).astype(complex) - 0.7 * matcore.PSD_TOL * np.eye(3)
+    edge = edge / np.trace(edge).real
+    states = effects._states(list(good) + [edge])
+    assert len(states) == 5 and len(solves) == 1 and np.array_equal(solves[0], states[4].op)
+
+
+def test_identity_observable_root_needs_no_solve(monkeypatch):
+    solves = []
+    real = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
+    for dim in range(2, 9):
+        (sure,) = observables.identity_observable(dim).effects
+        assert np.array_equal(sure.root, np.eye(dim)) and not sure.root.flags.writeable
+        assert observables.identity_observable(dim)._front[0].n_kraus == 1
+    assert solves == []

@@ -366,3 +366,14 @@ def test_stacked_draws_leave_no_scalar_normalizer_or_drawn_root(monkeypatch, law
     assert inv_roots == []
     drawn_ids = set(map(id, drawn))
     assert [m for m in roots if id(m) in drawn_ids] == []
+
+
+def test_conditioning_on_the_sure_observable_solves_no_root(monkeypatch):
+    # ex-9 conditions on the sure observable, which is its own root, and asserts
+    # that the trivial front end measures it; the drawn observables' roots come
+    # from the stacked draw, so no trial makes a scalar Jacobi solve
+    solves = []
+    real = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
+    report = laws.run_law("ex-9", trials=12, seed=42)
+    assert report.status == "counterexample-found" and solves == []

@@ -602,9 +602,14 @@ def _subunital_families(dim, lengths, rng):
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_stacked_operations_equal_the_scalar_constructor(dim):
+    # repeated and mixed shapes, shuffled, some longer than dim²: the members come
+    # back in input order, grouped by shape and bounded per group
     rng = np.random.default_rng(900 + dim)
-    fams = _subunital_families(dim, (1, 2, dim * dim, dim * dim + 3), rng)
-    stacked = ops._operations([f.copy() for f in fams], [None, {"kind": "x"}, None, None])
+    lengths = [1, 2, 2, dim * dim, dim * dim + 3, dim * dim + 3, 3 * dim * dim, 1, 2]
+    rng.shuffle(lengths)
+    fams = _subunital_families(dim, lengths, rng)
+    recipes = [{"kind": "x", "member": k} if k % 3 else None for k in range(len(fams))]
+    stacked = ops._operations([f.copy() for f in fams], recipes)
     for got, fam in zip(stacked, fams):
         want = ops.Operation(fam.copy())
         assert np.array_equal(got.kraus, want.kraus)
@@ -612,7 +617,7 @@ def test_stacked_operations_equal_the_scalar_constructor(dim):
         assert ops.hat(got) is got.induced and got.n_kraus <= dim * dim
         with pytest.raises(ValueError):
             got.kraus[0, 0, 0] = 0.0
-    assert [o.recipe for o in stacked] == [None, {"kind": "x"}, None, None]
+    assert [o.recipe for o in stacked] == recipes
 
 
 def _einsum_compose_kraus(i, j):
@@ -649,3 +654,73 @@ def test_stacked_validation_rejects_as_the_scalar_one():
                  lambda: effects._effects([])):
         with pytest.raises(DimensionError):
             call()
+
+
+# The Kraus contractions as BLAS matrix products, against their einsum forms.
+
+def _family(rng, n, dim):
+    return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+
+
+def _close(got, want):
+    return matcore.max_abs(got - want) <= 1e-14 * max(1.0, matcore.max_abs(want))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_kraus_kernels_match_their_einsum_forms(dim):
+    rng = np.random.default_rng(1200 + dim)
+    for n in (1, 3, dim * dim, dim * dim + 3):
+        fam = _family(rng, n, dim)
+        hat = ops._hat_matrix(fam)
+        assert _close(hat, np.einsum("nij,nik->jk", fam.conj(), fam))
+        assert np.array_equal(hat, hat.conj().T)  # exactly Hermitian
+        a = matcore.random_hermitian(dim, rng)
+        assert _close(ops._sandwich(fam, a), np.einsum("nji,jk,nkl->il", fam.conj(), a, fam))
+        op = ops.Operation(_subunital_families(dim, (n,), rng)[0])
+        m = _family(rng, 1, dim)[0]  # apply is linear: any matrix, not only states
+        want = np.einsum("nij,jk,nlk->il", op.kraus, m, op.kraus.conj())
+        assert _close(ops.apply(op, m), want)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_huge_families_are_not_subunital_rather_than_not_hermitian(dim):
+    # a hat with entries of 1e4-1e10 is Hermitian to rounding only as one GEMM
+    # computes it, far beyond HERM_TOL; symmetrized, it is rejected as what it is
+    rng = np.random.default_rng(1300 + dim)
+    for scale in (1e2, 1e3, 1e4, 1e5):
+        fam = scale * _family(rng, 3, dim)
+        with pytest.raises(NotSubunital):
+            ops.Operation(fam)
+        with pytest.raises(NotSubunital):
+            ops._operations([fam])
+
+
+def _instrument(dim, lengths, rng):
+    """An instrument with one member per family length, the families normalized to sum
+    to a channel."""
+    fams = [_family(rng, n, dim) for n in lengths]
+    inv_root = matcore.inv_sqrt_pd(sum(ops._hat_matrix(f) for f in fams))
+    return instruments.Instrument(tuple(f"x{k}" for k in range(len(fams))),
+                                  tuple(ops.Operation(f @ inv_root) for f in fams))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_product_members_are_the_composed_operations(dim):
+    rng = np.random.default_rng(1500 + dim)
+    # the pairs fall into several size groups, some longer than dim² once composed
+    i = _instrument(dim, (1, dim, 2, dim * dim), rng)
+    j = _instrument(dim, (3, 1, dim * dim), rng)
+    product = instruments.inst_seq_product(i, j)
+    for got, (u, v) in zip(product.ops, [(u, v) for u in i.ops for v in j.ops]):
+        want = ops.compose(u, v)
+        assert np.array_equal(got.kraus, want.kraus)
+        assert np.array_equal(got.induced.op, want.induced.op)
+    # random operations are Lueders filters composed with channels the same way
+    n = matcore.STACK_BREAK_EVEN
+    drawn = ops.random_operations(dim, np.random.default_rng(dim), n)
+    rng = np.random.default_rng(dim)
+    filters, channels = effects.random_effects(dim, rng, n), ops.random_channels(dim, rng, n)
+    for got, e, c in zip(drawn, filters, channels):
+        want = ops.compose(ops.luders(e), c)
+        assert np.array_equal(got.kraus, want.kraus)
+        assert np.array_equal(got.induced.op, want.induced.op)

@@ -1,11 +1,13 @@
 """The Jacobi eigensolver against an independent oracle, the Cholesky
 certificate against Jacobi, the stacked solver and the caches it fills against
 the scalar solver, the pivoted Cholesky factor against the matrix it factors,
-and the rule that the package calls no LAPACK eigen-routine.
+the rule that the package calls no LAPACK eigen-routine, and the rule that it
+contracts no more than two operands in one einsum.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
 
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -191,6 +193,34 @@ def _package_lines(pattern: re.Pattern) -> list[str]:
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if pattern.search(line)
     ]
+
+
+def _einsum_operands(source: str) -> list[int | None]:
+    """The operand count of every ``einsum`` call in a source text, its subscripts
+    not counted; None for a call whose operands are unpacked (not countable)."""
+    counts = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "einsum":
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            counts.append(None if starred else len(node.args) - 1)
+    return counts
+
+
+def test_package_contracts_at_most_two_operands_per_einsum():
+    # numpy runs an einsum of three operands without ``optimize`` as one nested
+    # loop; the Kraus contractions are BLAS matrix products instead
+    assert _einsum_operands('out = np.einsum("nij,jk,nlk->il", k, m, k.conj())') == [3]
+    assert _einsum_operands("from numpy import einsum\neinsum('ij,jk', a, b)") == [2]
+    assert _einsum_operands("np.einsum('ij,jk', *pair) @ np.einsum('ii', a)") == [None, 1]
+    package = Path(matcore.__file__).parent
+    calls = {str(path.relative_to(package)): _einsum_operands(path.read_text())
+             for path in sorted(package.rglob("*.py"))}
+    assert [(path, n) for path, counts in calls.items() for n in counts
+            if n is None or n > 2] == []
 
 
 COMPLEX_CONVERSION = re.compile(r"np\.asarray\(.*dtype=complex")
