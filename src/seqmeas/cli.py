@@ -16,7 +16,7 @@ import sys
 from . import effects, instruments as inst_mod, laws, observables as obs_mod, operations as op_mod
 from . import serialize
 from .effects import Effect, State
-from .errors import SeqmeasError, UnknownLaw
+from .errors import SeqmeasError
 from .instruments import Instrument
 from .matcore import EQ_TOL, PSD_TOL
 from .observables import Observable
@@ -83,7 +83,7 @@ def cmd_check(args) -> int:
             reports = laws.run_all(**kwargs)
         else:
             reports = [laws.run_law(args.law, **kwargs)]
-    except UnknownLaw as exc:
+    except SeqmeasError as exc:  # an unknown law, or a bad tolerance or gap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

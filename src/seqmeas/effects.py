@@ -12,16 +12,16 @@ nothing in the library reads it.
 
 The stacked generators (``random_effects`` and those of observables,
 operations and instruments) draw many effects at once and seed their roots:
-they write each root into the effect's ``__dict__``, where the cached property
-finds it, from one stacked Jacobi pass (``matcore._solve_stack``) or, for a
-drawn effect u diag(values) u†, from the drawn eigendecomposition itself. A
+they write each root, frozen, into the effect's ``__dict__``, where the cached
+property finds it. A drawn effect u diag(values) u† has its root read off the
+drawn eigendecomposition itself, at any number of effects, with no solve; the
+effects of a random observable have theirs from ``matcore._solve_stack``, which
+alone decides between scalar and stacked solves (``STACK_BREAK_EVEN``). A
 seeded root is read-only, like a computed one, and agrees with what the first
-use would compute to rounding. Below ``matcore.STACK_BREAK_EVEN`` effects the
-roots are left to fill on first use, as a scalar solve is faster there; only
-the effects of a projective observable, of the sure observable
-(``identity_observable``) and ``atomic_projection`` are always seeded, since a
-projection's root is the projection itself (|v><v| / |v| for a rank-one one)
-and costs nothing. Random states are validated as one stack (``_states``).
+use would compute to rounding. The effects of a projective observable, of the
+sure observable (``identity_observable``) and ``atomic_projection`` are seeded
+with no solve, since a projection's root is the projection itself (|v><v| / |v|
+for a rank-one one). Random states are validated as one stack (``_states``).
 """
 
 from __future__ import annotations
@@ -33,14 +33,9 @@ import numpy as np
 
 from . import matcore
 from .errors import ConditioningOnNull, DimensionError, NotEffect, NotPerp, NotState, WeightError
-from .matcore import EQ_TOL, PSD_TOL, max_abs
+from .matcore import EQ_TOL, PSD_TOL, _frozen, max_abs
 
 COND_FLOOR = 1e-12
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +280,7 @@ def atomic_projection(vector: np.ndarray) -> Effect:
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {norm!r} != 1")
     a = Effect(_ket_bra(v))
-    return _seeded((a,), [_frozen(a.op / norm)])[0]
+    return _seeded((a,), [a.op / norm])[0]
 
 
 def _ket_bra(vector) -> np.ndarray:
@@ -295,24 +290,21 @@ def _ket_bra(vector) -> np.ndarray:
 
 
 def _seeded(effs: tuple[Effect, ...], roots) -> tuple[Effect, ...]:
-    """``effs``, each with its cached ``root`` filled in with its (read-only) root;
-    ``roots`` None leaves the roots to fill on first use."""
-    if roots is not None:
-        for e, root in zip(effs, roots):
-            e.__dict__["root"] = root
+    """``effs``, each with its cached ``root`` filled in with its root, frozen."""
+    for e, root in zip(effs, roots):
+        e.__dict__["root"] = _frozen(root)
     return effs
 
 
 def _with_roots(effs: tuple[Effect, ...]) -> tuple[Effect, ...]:
-    """``effs``, their roots filled from one stacked solve (below break-even each
-    root is solved alone, on first use)."""
+    """``effs``, their roots filled from ``matcore._solve_stack``: scalar solves
+    below its break-even, one stacked solve from there on."""
     return _seeded(effs, matcore._solve_stack("root", [e.op for e in effs]))
 
 
 def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, ...]:
     """n random effects, drawn as n ``random_effect`` calls would draw them, each
-    with the root read off its drawn eigendecomposition, with no solve (below
-    break-even each root is solved on first use)."""
+    with the root read off its drawn eigendecomposition, with no solve at any n."""
     ops, roots = matcore._random_effects(dim, rng, n)
     return _seeded(_effects(ops), roots)
 

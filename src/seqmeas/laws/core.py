@@ -66,6 +66,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -73,7 +75,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .. import serialize
-from ..errors import UnknownLaw
+from ..errors import SeqmeasError, UnknownLaw
 from ..matcore import EQ_TOL, PSD_TOL
 from ._common import wit
 
@@ -269,7 +271,14 @@ def _law_rng(seed: int, law_id: str) -> np.random.Generator:
 def run_law(law_id: str, dims=None, trials: int | None = None, seed: int = DEFAULT_SEED,
             eq_tol: float = EQ_TOL, psd_tol: float = PSD_TOL,
             gap: float = DEFAULT_GAP) -> LawReport:
-    """Run one registered law and return its report."""
+    """Run one registered law and return its report. A tolerance or gap that is not
+    a finite number >= 0 raises ``SeqmeasError`` before any trial runs: every
+    comparison with a NaN is false, so with one a law would pass (or miss its
+    counterexample) whatever it measured."""
+    for name, value in (("eq_tol", eq_tol), ("psd_tol", psd_tol), ("gap", gap)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value >= 0)):
+            raise SeqmeasError(f"{name} must be a finite number >= 0, got {value!r}")
     law = _law(law_id)
     start = time.perf_counter()
     ctx = LawContext(dims=law.dims if dims is None else tuple(int(d) for d in dims),

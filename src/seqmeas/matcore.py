@@ -31,12 +31,17 @@ cyclic sweeps, thresholds and sweep cap as ``eig_hermitian``, each rotation
 applied with numpy to every member that still needs it. A member rotates only
 while its own off-diagonal mass is above JACOBI_OFF_THRESHOLD, and only where
 its own entry is above the skip threshold, so members never affect one another.
-``_sqrt_psd_stack`` and ``_inv_sqrt_pd_stack`` follow ``sqrt_psd`` and
-``inv_sqrt_pd``. At d <= 3 a scalar solve is mostly per-call overhead, which the
-stack pays once; below STACK_BREAK_EVEN members the scalar solver is the faster,
-so ``_solve_stack``, the one entry point, returns None there and the caller
-solves member by member. The stacked and scalar kernels agree to rounding, not
-bit for bit (numpy and Python round complex products differently).
+
+Each solver rule is one formula over a stack of eigendecompositions: the root
+rule (``_psd_roots``) and the inverse-root rule (``_pd_inv_roots``).
+``sqrt_psd`` and ``inv_sqrt_pd`` apply them to their scalar Jacobi spectrum, as
+a stack of one. ``_solve_stack`` is the one entry point for a stack, and the
+one reader of STACK_BREAK_EVEN: at d <= 3 a scalar solve is mostly per-call
+overhead, which the stack pays once, so below STACK_BREAK_EVEN members it
+returns the scalar kernels' results and from there on it runs the stacked
+Jacobi through the same formulas. The stacked and scalar spectra agree to
+rounding, not bit for bit (numpy and Python round complex products
+differently).
 """
 
 from __future__ import annotations
@@ -269,10 +274,7 @@ def inv_sqrt_pd(m) -> np.ndarray | None:
     can redraw instead of normalizing by a near-singular matrix.
     """
     spec = eig_hermitian(m)
-    if spec.eigenvalues[0] <= 1e-6:
-        return None
-    v = spec.eigenvectors
-    return (v / np.sqrt(spec.eigenvalues)) @ dagger(v)
+    return _pd_inv_roots(spec.eigenvalues[None], spec.eigenvectors[None])[0]
 
 
 def _jacobi_rotation_stack(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -345,56 +347,56 @@ def _eig_hermitian_stack(ms) -> tuple[np.ndarray, np.ndarray]:
 def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The (p, q) with p < q in the scalar solver's sweep order, as read-only index
     arrays (cached, so shared by every caller)."""
-    return tuple(map(_read_only, np.triu_indices(dim, 1)))
+    return tuple(map(_frozen, np.triu_indices(dim, 1)))
 
 
 def _adjoint(v: np.ndarray) -> np.ndarray:
     return v.conj().swapaxes(-1, -2)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
     arr.setflags(write=False)
     return arr
 
 
-def _sqrt_psd_stack(ms, tol: float = PSD_TOL) -> np.ndarray:
-    """``sqrt_psd`` of every member of an (n, d, d) stack, as one read-only stack."""
-    values, v = _eig_hermitian_stack(ms)
-    low = values[:, 0]
-    if (low < -tol).any():
-        raise NotPositive(f"matrix has eigenvalue {low.min():.3e} < -{tol:.1e}")
-    return _psd_roots(v, values, tol)
-
-
-def _psd_roots(v: np.ndarray, values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """The roots v diag(values^1/2) v† of a stack of eigendecompositions, values
-    below tol counted as 0 (the rule of ``sqrt_psd``), as one read-only stack."""
+def _psd_roots(values: np.ndarray, vectors: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """The root rule, over a stack of eigendecompositions (values (n, d), in any
+    order, and vectors (n, d, d)): the roots v diag(values^1/2) v†, symmetrized at
+    1e-9. An eigenvalue below -tol raises ``NotPositive``; one below tol counts
+    as 0."""
+    low = values.min()
+    if low < -tol:
+        raise NotPositive(f"matrix has eigenvalue {low:.3e} < -{tol:.1e}")
     roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
-    return _read_only(_as_hermitian_stack((v * roots[:, None, :]) @ _adjoint(v), tol=1e-9))
+    return _symmetrized((vectors * roots[:, None, :]) @ _adjoint(vectors), 1e-9)
 
 
-def _inv_sqrt_pd_stack(ms) -> list[np.ndarray | None]:
-    """``inv_sqrt_pd`` of every member of an (n, d, d) stack: None for a member
-    whose smallest eigenvalue is <= 1e-6."""
-    values, v = _eig_hermitian_stack(ms)
+def _pd_inv_roots(values: np.ndarray, vectors: np.ndarray) -> list[np.ndarray | None]:
+    """The inverse-root rule, over a stack of eigendecompositions with ascending
+    values: the inverse roots v diag(values^-1/2) v†, None for a member whose
+    smallest eigenvalue is <= 1e-6."""
     ok = values[:, 0] > 1e-6
     safe = np.where(ok[:, None], values, 1.0)
-    inv_roots = (v / np.sqrt(safe)[:, None, :]) @ _adjoint(v)
-    return [m if good else None for m, good in zip(inv_roots, ok)]
+    inv_roots = (vectors / np.sqrt(safe)[:, None, :]) @ _adjoint(vectors)
+    return [m if good else None for m, good in zip(inv_roots, ok.tolist())]
 
 
-_STACKED_KERNELS = {"root": _sqrt_psd_stack, "inv_root": _inv_sqrt_pd_stack}
+# Each kind of ``_solve_stack``: its scalar kernel, by name, and its rule.
+_SOLVER_KINDS = {"root": ("sqrt_psd", _psd_roots), "inv_root": ("inv_sqrt_pd", _pd_inv_roots)}
 
 
-def _solve_stack(kind: str, mats):
+def _solve_stack(kind: str, mats) -> list:
     """The one entry point of the stacked solver: the ``kind`` of every matrix of a
-    stack, one per member: "root" (``sqrt_psd``, read-only) or "inv_root"
-    (``inv_sqrt_pd``). Returns None below STACK_BREAK_EVEN members, where scalar
-    solves are faster; the caller then solves each member with the scalar
-    kernel, when it needs it."""
+    stack, one per member: "root" (``sqrt_psd``) or "inv_root" (``inv_sqrt_pd``,
+    None for a near-singular member). Below STACK_BREAK_EVEN members, where
+    scalar solves are faster, these are the scalar kernel's results, the kernel
+    looked up by name on each call (so a wrapped kernel sees every solve); from
+    there on, the stacked Jacobi's spectra go through the same rule."""
+    scalar, rule = _SOLVER_KINDS[kind]
     if len(mats) < STACK_BREAK_EVEN:
-        return None
-    return list(_STACKED_KERNELS[kind](np.asarray(mats)))
+        return [globals()[scalar](m) for m in mats]
+    return list(rule(*_eig_hermitian_stack(np.asarray(mats))))
 
 
 def psd_certified(m: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -429,7 +431,7 @@ def _psd_certified_stack(ms: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 @functools.cache
 def _half_tol_identity(dim: int, tol: float) -> np.ndarray:
     """(tol/2) I, read-only (cached, so shared by every caller)."""
-    return _read_only((tol / 2.0) * identity(dim))
+    return _frozen((tol / 2.0) * identity(dim))
 
 
 def _cholesky_completes(a: np.ndarray) -> np.ndarray:
@@ -467,12 +469,7 @@ def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:
     sqrt(eps) error in the root, which poisons downstream cone checks.
     """
     spec = eig_hermitian(m)
-    values = spec.eigenvalues
-    if values[0] < -tol:
-        raise NotPositive(f"matrix has eigenvalue {values[0]:.3e} < -{tol:.1e}")
-    roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
-    v = spec.eigenvectors
-    return as_hermitian((v * roots) @ dagger(v), tol=1e-9)
+    return _psd_roots(spec.eigenvalues[None], spec.eigenvectors[None], tol)[0]
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
@@ -567,8 +564,7 @@ def _normalizing_draws(draw, gram, sizes):
     todo = list(range(len(samples)))
     for attempt in range(1, _MAX_NORMALIZING_DRAWS + 1):
         grams = [gram(samples[k]) for k in todo]
-        for k, inv_root in zip(todo, _solve_stack("inv_root", grams)
-                               or map(inv_sqrt_pd, grams)):
+        for k, inv_root in zip(todo, _solve_stack("inv_root", grams)):
             inv_roots[k] = inv_root
         todo = [k for k in todo if inv_roots[k] is None]
         if not todo:
@@ -593,19 +589,17 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _random_states(dim, rng, 1)[0]
 
 
-def _random_effects(dim: int, rng: np.random.Generator,
-                    n: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n random effects u diag(values) u† (Haar u, uniform[0,1] values), drawn as
     n ``random_effect`` calls would draw them, as one stack, and their positive
-    roots read off the same eigendecomposition (``_psd_roots``). Like
-    ``_solve_stack``, it gives no roots (None) below STACK_BREAK_EVEN members:
-    there each root is left to a scalar solve on first use."""
+    roots read off the same eigendecomposition by the root rule (``_psd_roots``),
+    with no solve at any n."""
     check_dim(dim)
     draws = [(_ginibre(dim, rng), rng.uniform(0.0, 1.0, size=dim)) for _ in range(_draws(n))]
     u = _haar(np.stack([g for g, _ in draws]))
     values = np.stack([v for _, v in draws])
     e = (u * values[:, None, :]) @ _adjoint(u)
-    return (e + _adjoint(e)) / 2, None if n < STACK_BREAK_EVEN else _psd_roots(u, values)
+    return (e + _adjoint(e)) / 2, _psd_roots(values, u)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -175,12 +175,14 @@ def distribution(a: _Measure, rho: State) -> dict[str, float]:
 
 
 def event_prob(a: Observable, rho: State, event) -> float:
-    """Probability of a set of outcomes (the effect-valued measure is additive); the
-    state is checked against the measure even when the event is empty."""
+    """Probability of a set of outcomes (the effect-valued measure is additive): the
+    event is read as its distinct normalized labels, so a repeated outcome counts
+    once. The state is checked against the measure even when the event is empty."""
     _check_measures(a)
     _check_type(rho, State, NotState)
     matcore._check_same_operand_dim(a, rho)
-    return float(sum(a._prob(rho, a._member(x)) for x in _sequence(event, "event labels")))
+    labels = dict.fromkeys(map(_label, _sequence(event, "event labels")))
+    return float(sum(a._prob(rho, a._member(x)) for x in labels))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:

@@ -62,7 +62,6 @@ from .effects import (
     State,
     _check_type,
     _effects,
-    _frozen,
     _ket_bra,
     _validated,
     random_effects,
@@ -78,11 +77,7 @@ from .errors import (
     NotSubunital,
     WeightError,
 )
-from .matcore import EQ_TOL, dagger, identity, max_abs
-
-# Kraus operators with all entries below this contribute nothing to a map. No
-# constructor makes one (semi-trivial ones have an entry above it).
-NEGLIGIBLE_KRAUS = 1e-14
+from .matcore import EQ_TOL, _frozen, dagger, identity, max_abs
 
 # Sample size for the state-sampling side of the operation order test.
 SAMPLE_N = 32

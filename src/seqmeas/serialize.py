@@ -32,6 +32,7 @@ back: a dict with a "type" key is typed JSON, any other dict matrix JSON.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from contextvars import ContextVar
 
 import numpy as np
@@ -44,6 +45,10 @@ from .observables import Observable
 from .operations import Operation
 
 
+# The types ``json`` reads a number as (a bool is neither).
+_JSON_NUMBERS = frozenset({int, float})
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     arr = matcore.as_square(m)
     return {
@@ -54,10 +59,17 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
+    """The matrix of matrix JSON. ``dim`` must be an integer and every ``re`` and
+    ``im`` entry a number, as JSON writes them: a bool or a string is not read as
+    a number."""
     try:
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        dim, rows = data["dim"], (data["re"], data["im"])
+        if type(dim) is not int:
+            raise TypeError(f"dim must be an integer, got {dim!r}")
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+        if not _JSON_NUMBERS.issuperset(map(type, entries)):
+            raise TypeError("re and im must be lists of rows of numbers")
+        re, im = (np.asarray(part, dtype=float) for part in rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise SeqmeasError(f"bad matrix JSON: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -462,3 +462,33 @@ def test_eval_shared_invalid_matrix_names_its_first_holder(tmp_path, capsys, mon
     code, _, err = run_cli(["eval", scenario_file(tmp_path, shared_matrix_scenario())], capsys)
     assert code == 0, err
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("flag", ["--eq-tol", "--psd-tol", "--gap"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_check_bad_tolerance_exits_2(capsys, flag, value):
+    # every comparison with a NaN is false: with one, every law would pass
+    code, out, err = run_cli(["check", "--law", "all", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag[2:].replace('-', '_')} must be a finite number >= 0" in err
+
+
+def test_check_zero_eq_tol_still_runs(capsys):
+    code, out, _ = run_cli(["check", "--law", "ex-10", "--eq-tol", "0", "--format", "json"],
+                           capsys)
+    assert code in (0, 1)
+    assert json.loads(out.splitlines()[0])["id"] == "ex-10"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.7), ("dim", "2"), ("re", [["0.5", 0], [0, 0.5]]), ("re", [[0.5, 0], [0, True]]),
+])
+def test_eval_matrix_json_of_non_numbers_exits_2(tmp_path, capsys, field, value):
+    effect = serialize.typed_to_json(Effect(np.eye(2) / 2))
+    effect[field] = value
+    payload = {"objects": {"bad": effect}, "queries": [{"query": "hat", "of": "bad"}]}
+    code, out, err = run_cli(["eval", scenario_file(tmp_path, payload)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'bad'" in err and "bad matrix JSON" in err

@@ -11,7 +11,7 @@ import pytest
 
 import seqmeas
 from seqmeas import cli, effects, instruments, laws, matcore, observables, operations
-from seqmeas.errors import UnknownLaw
+from seqmeas.errors import SeqmeasError, UnknownLaw
 from seqmeas.laws import _common, core
 
 # the registry is a closed list in the paper's order: every result in scope
@@ -377,3 +377,17 @@ def test_conditioning_on_the_sure_observable_solves_no_root(monkeypatch):
     monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
     report = laws.run_law("ex-9", trials=12, seed=42)
     assert report.status == "counterexample-found" and solves == []
+
+
+@pytest.mark.parametrize("name", ["eq_tol", "psd_tol", "gap"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, "0.1", True])
+def test_bad_tolerances_raise_before_any_trial(monkeypatch, name, value):
+    law = laws.registry()["ex-10"]
+    trials = []
+    monkeypatch.setitem(core._REGISTRY, "ex-10",
+                        dataclasses.replace(law, fn=lambda *args: trials.append(args)))
+    with pytest.raises(SeqmeasError, match=f"{name} must be a finite number >= 0"):
+        laws.run_law("ex-10", trials=2, **{name: value})
+    assert trials == []
+    laws.run_law("ex-10", trials=2, **{name: 0.0})  # zero is a tolerance
+    assert trials

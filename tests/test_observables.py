@@ -158,3 +158,17 @@ def test_coexistence_witnesses():
     assert verify_coexistence_witness(a, prod, prod, f1, g)
     wrong = obs.first_marginal_map(a, b)
     assert not verify_coexistence_witness(cond, prod, prod, wrong, g)
+
+
+def test_event_prob_counts_a_repeated_outcome_once():
+    # an event is a set of outcomes: repeats, raw or after normalization, add nothing
+    rng = np.random.default_rng(3)
+    a = random_observable(2, rng, 2)
+    rho = effects.random_state(2, rng)
+    once = event_prob(a, rho, ["x0"])
+    assert event_prob(a, rho, ["x0", "x0", "x0"]) == once
+    assert event_prob(a, rho, ["x1", "x0", "x1", "x0"]) == event_prob(a, rho, ["x1", "x0"])
+    # the whole outcome set: a sum of two rounded terms, so 1 up to rounding
+    assert event_prob(a, rho, ["x1", "x0", "x1", "x0"]) <= 1.0 + 1e-12
+    numbered = Observable((0, 1), a.effects)
+    assert event_prob(numbered, rho, [0, "0", 0]) == once

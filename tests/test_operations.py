@@ -33,7 +33,8 @@ def test_operation_rejects_excess():
 
 def test_derived_quantities_are_computed_once(monkeypatch):
     rng = np.random.default_rng(30)
-    a, b, c = (effects.random_effect(3, rng) for _ in range(3))
+    # built from matrices, so no root is seeded and the first use solves it
+    a, b, c = (Effect(matcore.random_effect(3, rng)) for _ in range(3))
     calls = []
     real_sqrt = matcore.sqrt_psd
 

@@ -232,3 +232,19 @@ def test_library_recipes_are_not_rebuilt(monkeypatch):
     for op in built:
         serialize.typed_from_json(through_json(serialize.typed_to_json(op)))
     assert checked == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.7), ("dim", "2"), ("dim", True), ("dim", 2.0),
+    ("re", [["0.5", 0], [0, 0.5]]), ("re", [[0.5, 0], [0, True]]), ("im", [[0, None], [0, 0]]),
+    ("im", ["00", "00"]), ("re", [0.5, 0.5]),
+])
+def test_matrix_json_reads_only_json_numbers(field, value):
+    data = serialize.matrix_to_json(np.eye(2) / 2)
+    data[field] = value
+    with pytest.raises(SeqmeasError, match="bad matrix JSON"):
+        serialize.matrix_from_json(through_json(data))
+    # integers are numbers, and the encoder's own output reads back
+    data = serialize.matrix_to_json(np.eye(2) / 2)
+    data["re"] = [[1, 0], [0, 0]]
+    assert np.array_equal(serialize.matrix_from_json(through_json(data)), np.diag([1.0, 0.0]))

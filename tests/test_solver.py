@@ -1,8 +1,10 @@
 """The Jacobi eigensolver against an independent oracle, the Cholesky
 certificate against Jacobi, the stacked solver and the caches it fills against
-the scalar solver, the pivoted Cholesky factor against the matrix it factors,
-the rule that the package calls no LAPACK eigen-routine, and the rule that it
-contracts no more than two operands in one einsum.
+the scalar solver, the root and inverse-root rules against their
+two-dimensional formulas, the pivoted Cholesky factor against the matrix it
+factors, the rules that the package calls no LAPACK eigen-routine and contracts
+no more than two operands in one einsum, and the rule that only
+``matcore._solve_stack`` reads the stack break-even.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -273,20 +275,99 @@ def test_stacked_jacobi_matches_the_scalar_solver(ms):
 @given(st.integers(2, 8), st.sampled_from([1, BREAK_EVEN - 1, BREAK_EVEN, 3 * BREAK_EVEN]),
        st.integers(0, 2**32 - 1))
 def test_stacked_roots_and_inverse_roots_match_the_scalar_kernels(dim, n, seed):
+    # the one entry point: the scalar kernels' results below break-even, bit for
+    # bit; from there on the stacked Jacobi, which agrees with them to rounding
     rng = np.random.default_rng(seed)
     grams = [sum(g @ matcore.dagger(g) for g in matcore._ginibres(dim, rng, 2))
              for _ in range(n)]
     psd = [matcore.random_effect(dim, rng) for _ in range(n)]
-    for m, root in zip(psd, matcore._sqrt_psd_stack(np.stack(psd))):
-        assert matcore.max_abs(root - matcore.sqrt_psd(m)) <= 1e-12
-    for m, inv_root in zip(grams, matcore._inv_sqrt_pd_stack(np.stack(grams))):
-        assert matcore.max_abs(inv_root - matcore.inv_sqrt_pd(m)) <= 1e-12
+    for kind, mats, scalar in (("root", psd, matcore.sqrt_psd),
+                               ("inv_root", grams, matcore.inv_sqrt_pd)):
+        solved = matcore._solve_stack(kind, mats)
+        assert len(solved) == n
+        for m, got in zip(mats, solved):
+            if n < BREAK_EVEN:
+                assert np.array_equal(got, scalar(m))
+            else:
+                assert matcore.max_abs(got - scalar(m)) <= 1e-12
     with pytest.raises(NotPositive):
-        matcore._sqrt_psd_stack(np.stack([*psd, -np.eye(dim)]))
-    assert matcore._inv_sqrt_pd_stack(np.stack([*grams, np.zeros((dim, dim))]))[-1] is None
-    # the one entry point solves a stack only from break-even on
-    for kind, mats in (("root", psd), ("inv_root", grams)):
-        assert (matcore._solve_stack(kind, mats) is None) == (n < BREAK_EVEN)
+        matcore._solve_stack("root", [*psd, -np.eye(dim)])
+    assert matcore._solve_stack("inv_root", [*grams, np.zeros((dim, dim))])[-1] is None
+
+
+def _root_of_spectrum(spec, tol=PSD_TOL):
+    """The root rule as a two-dimensional formula on one Jacobi spectrum."""
+    values = spec.eigenvalues
+    if values[0] < -tol:
+        raise NotPositive(f"matrix has eigenvalue {values[0]:.3e} < -{tol:.1e}")
+    roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
+    v = spec.eigenvectors
+    return matcore.as_hermitian((v * roots) @ matcore.dagger(v), tol=1e-9)
+
+
+def _inv_root_of_spectrum(spec):
+    """The inverse-root rule as a two-dimensional formula on one Jacobi spectrum."""
+    if spec.eigenvalues[0] <= 1e-6:
+        return None
+    v = spec.eigenvectors
+    return (v / np.sqrt(spec.eigenvalues)) @ matcore.dagger(v)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scalar_kernels_apply_the_stacked_rules_bit_for_bit(dim):
+    # sqrt_psd and inv_sqrt_pd run their spectrum through the stack formulas as a
+    # stack of one: the same bits as the two-dimensional formulas, the same
+    # NotPositive and None verdicts, and a writable root
+    rng = np.random.default_rng(300 + dim)
+    spectra = [rng.uniform(0.0, 1.0, dim), rng.uniform(1e-7, 2.0, dim),
+               *(_degenerate_spectrum(kind, dim, rng) for kind in ("projection", "repeated")),
+               [-0.99 * PSD_TOL, 0.5 * PSD_TOL, *rng.uniform(0.0, 1.0, dim - 2)],
+               [-2.0 * PSD_TOL, *rng.uniform(0.0, 1.0, dim - 1)], [0.3] * dim]
+    for values in spectra * 3:
+        m = matcore.as_hermitian(_with_spectrum(values, rng), tol=1e-6)
+        spec = matcore.eig_hermitian(m)
+        if spec.eigenvalues[0] < -PSD_TOL:
+            with pytest.raises(NotPositive) as caught:
+                _root_of_spectrum(spec)
+            with pytest.raises(NotPositive, match=re.escape(str(caught.value))):
+                matcore.sqrt_psd(m)
+        else:
+            root = matcore.sqrt_psd(m)
+            assert np.array_equal(root, _root_of_spectrum(spec)) and root.flags.writeable
+        want = _inv_root_of_spectrum(spec)
+        got = matcore.inv_sqrt_pd(m)
+        assert got is None if want is None else np.array_equal(got, want)
+
+
+def _readers(source: str, name: str) -> list[str]:
+    """The function around each read of ``name`` in a source text, as a bare name,
+    an attribute or an import; "<module>" for a read outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == name)
+                    or (isinstance(child, ast.alias) and child.name == name)):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_solve_stack_reads_the_break_even():
+    # the choice between scalar and stacked solves is made in one place
+    snippet = ("N = 8\n\"\"\"N in a docstring\"\"\"\ndef f(n):\n    return n < N\n"
+               "x = m.N\nfrom m import N\ng = lambda n: n < N\n")
+    assert _readers(snippet, "N") == ["f", "<module>", "<module>", "<lambda>"]
+    package = Path(matcore.__file__).parent
+    readers = {(str(path.relative_to(package)), where)
+               for path in sorted(package.rglob("*.py"))
+               for where in _readers(path.read_text(), "STACK_BREAK_EVEN")}
+    assert readers == {("matcore.py", "_solve_stack")}
 
 
 def _seeded(obj, name):
@@ -303,17 +384,14 @@ def test_seeded_caches_match_the_lazy_path(dim, n, seed):
     povms = observables.random_observables(dim, rng, n)
     sharp = observables.projective_observable(dim, rng)
     members = [e for povm in povms for e in povm.effects]
-    # below break-even the caches are left to the lazy scalar solve
-    assert all(_seeded(e, "root") is not None for e in drawn) == (n >= BREAK_EVEN)
+    # every drawn effect has its root seeded, at any n
+    assert all(_seeded(e, "root") is not None for e in [*drawn, *members, *sharp.effects])
     # no state spectrum is seeded: nothing in the library reads one
     assert not any(_seeded(s, "spectrum") is not None for s in states)
-    assert all(_seeded(e, "root") is not None for e in members) == (len(members) >= BREAK_EVEN)
-    assert all(_seeded(e, "root") is not None for e in sharp.effects)
     for e in [*drawn, *members, *sharp.effects]:
         root = _seeded(e, "root")
-        if root is not None:
-            assert not root.flags.writeable
-            assert matcore.max_abs(root - matcore.sqrt_psd(e.op)) <= 1e-12
+        assert not root.flags.writeable
+        assert matcore.max_abs(root - matcore.sqrt_psd(e.op)) <= 1e-12
     for s in states[:2]:
         spec = s.spectrum
         assert s.spectrum is spec and not spec.eigenvectors.flags.writeable
