@@ -48,6 +48,11 @@ class Effect:
     by one Cholesky call on both sides, a and I - a (``_certified_in_unit``);
     only an input it does not certify is diagonalized, and Jacobi's bounds
     decide it, so the verdict is always Jacobi's.
+
+    The constructor serves a caller's matrix. The induced effect of an
+    operation is exactly Hermitian as ``operations._hat_matrix`` makes it, so
+    it is certified by ``_hermitian_effects`` with the same checks and
+    verdicts, without a second symmetrization.
     """
 
     op: np.ndarray
@@ -92,23 +97,37 @@ def _certified_in_unit(m: np.ndarray) -> np.ndarray:
     ``matcore._psd_certified_stack`` is. Its norm guard is implied: both sides
     complete only when every diagonal entry of each is in (0, 1 + PSD_TOL)."""
     sides = m[..., None, :, :] * _SIDES + _unit_offsets(m.shape[-1])
-    return matcore._cholesky_completes(sides).all(axis=-1)
+    completes = matcore._cholesky_completes(sides)
+    return completes[..., 0] & completes[..., 1]
 
 
 def _effects(mats) -> tuple[Effect, ...]:
-    """``Effect(m)`` for every matrix of a stack, validated as one stack.
-
-    The checks are those of ``Effect``: finite square Hermitian matrices of a
-    supported dim, certified in [0, I] by one Cholesky call on both sides of
-    every member (``_certified_in_unit``), with Jacobi deciding every member it
-    declines. Each stored matrix is bit for bit the one ``Effect`` stores; the
-    members share one read-only array.
+    """``Effect(m)`` for every matrix of a stack, validated as one stack: the stack
+    is read and symmetrized as ``Effect`` reads one matrix
+    (``matcore._as_hermitian_stack``: finite square matrices, Hermitian within
+    HERM_TOL), then certified by ``_hermitian_effects``. Each stored matrix is
+    bit for bit the one ``Effect`` stores; the members share one read-only
+    array.
     """
-    m = _frozen(matcore._as_hermitian_stack(mats))
-    matcore.check_dim(m.shape[1])
-    for k in np.flatnonzero(~_certified_in_unit(m)):
-        _check_unit_interval(m[k])
-    return tuple(_validated(Effect, op=x) for x in m)
+    return _hermitian_effects(matcore._as_hermitian_stack(mats))
+
+
+def _hermitian_effects(m: np.ndarray) -> tuple[Effect, ...]:
+    """The effects of a stack (n, d, d) of matrices the library has already made
+    exactly Hermitian, certified with nothing read or symmetrized again: the
+    checks of ``Effect`` after its symmetrization, a supported dim and 0 <= m <=
+    I by one Cholesky call on both sides of every member
+    (``_certified_in_unit``), Jacobi deciding every member it declines. The
+    stack is frozen and shared by its members.
+
+    ``_effects`` reaches it after reading a caller's stack; elsewhere only
+    ``operations`` calls it, on the induced effects its ``_hat_matrix`` makes.
+    """
+    matcore.check_dim(m.shape[-1])
+    for k, certified in enumerate(_certified_in_unit(m).tolist()):
+        if not certified:
+            _check_unit_interval(m[k])
+    return tuple(_validated(Effect, op=x) for x in _frozen(m))
 
 
 def _validated(cls, **fields):

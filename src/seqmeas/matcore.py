@@ -4,7 +4,8 @@ Everything downstream (effects, operations, observables, instruments) is built
 on plain complex ``numpy`` arrays of shape (dim, dim) with 2 <= dim <= 8.
 This module owns the one reader of caller input (``_read``: every matrix,
 stack of matrices or vector a caller passes becomes a finite complex array
-there, or a ``DimensionError``), the Hermitian eigensolver (cyclic Jacobi
+there, or a ``DimensionError``; ``as_hermitian`` adds the Hermitian check and
+the symmetrization), the Hermitian eigensolver (cyclic Jacobi
 rotations, no external eigenvalue routine), the positive square root, a
 pivoted Cholesky factor B†B = M of a PSD matrix (``_psd_factor``, eigen-free
 unless M has an eigenvalue below -FACTOR_PIVOT_TOL), the Loewner order and
@@ -24,6 +25,15 @@ too: the tol/2 shift leaves a margin of half the tolerance, and below the norm
 guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8;
 a positive matrix has its largest entries there) the rounding error of the
 factorization stays well inside that margin. So every verdict is Jacobi's.
+
+A matrix is read and symmetrized once. Caller matrices go through ``_read``
+and ``as_hermitian``; a matrix the library makes exactly Hermitian, the
+induced effect of an operation (``operations._hat_matrix``), is certified
+without either (``effects._hermitian_effects``). From numpy's gufunc module
+(``numpy.linalg._umath_linalg``) the package calls two LAPACK routines
+directly, the Cholesky of the certificate (``cholesky_lo``) and the
+Householder QR of the Kraus compression (``qr_r_raw``, in ``operations``), and
+no eigen-routine.
 
 A stack of matrices drawn at once (the random inputs of many law trials) is
 diagonalized by the stacked Jacobi kernel, ``_eig_hermitian_stack``: the same
@@ -102,6 +112,12 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """I, read-only (cached, so shared by every caller that only reads it)."""
+    return _frozen(identity(dim))
+
+
 def check_dim(dim: int) -> int:
     if not MIN_DIM <= dim <= MAX_DIM:
         raise DimensionError(f"dimension {dim} outside supported range [{MIN_DIM}, {MAX_DIM}]")
@@ -134,7 +150,7 @@ def _read(m, what: str = "matrix", ranks: tuple[int, ...] = (2,)) -> np.ndarray:
         rank = " or ".join(map(str, ranks))
         raise DimensionError(f"{what} must be a nonempty array of rank {rank} (matrices "
                              f"square); got shape {shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise DimensionError(f"{what} has non-finite (inf or nan) entries")
     return arr
 
@@ -231,9 +247,8 @@ def _jacobi_rotation(a: list[list[complex]], v: list[list[complex]],
 
 def eig_hermitian(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations."""
-    a_mat = as_hermitian(m)
-    dim = a_mat.shape[0]
-    a = [[complex(a_mat[i, j]) for j in range(dim)] for i in range(dim)]
+    a = as_hermitian(m).tolist()
+    dim = len(a)
     v = [[1.0 + 0.0j if i == j else 0.0j for j in range(dim)] for i in range(dim)]
     skip = JACOBI_OFF_THRESHOLD / (dim * dim)
     for _ in range(JACOBI_MAX_SWEEPS):

@@ -77,7 +77,7 @@ class _Measure:
         if len({u.dim for u in members}) > 1:
             raise DimensionError("all members must share one dimension")
         total = sum(self._effect(u).op for u in members)
-        if max_abs(total - matcore.identity(members[0].dim)) > OBS_SUM_TOL:
+        if max_abs(total - matcore._identity(members[0].dim)) > OBS_SUM_TOL:
             raise self._sum_error("member effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, self._field, members)
@@ -177,12 +177,14 @@ def distribution(a: _Measure, rho: State) -> dict[str, float]:
 def event_prob(a: Observable, rho: State, event) -> float:
     """Probability of a set of outcomes (the effect-valued measure is additive): the
     event is read as its distinct normalized labels, so a repeated outcome counts
-    once. The state is checked against the measure even when the event is empty."""
+    once, and the sum of their clamped probabilities is clamped to 1, which
+    rounding can pass by an ulp. The state is checked against the measure even
+    when the event is empty."""
     _check_measures(a)
     _check_type(rho, State, NotState)
     matcore._check_same_operand_dim(a, rho)
     labels = dict.fromkeys(map(_label, _sequence(event, "event labels")))
-    return float(sum(a._prob(rho, a._member(x)) for x in labels))
+    return min(1.0, float(sum(a._prob(rho, a._member(x)) for x in labels)))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:

@@ -16,19 +16,25 @@ sharp and random instruments, and random operations. The members of a
 conditioning are still built one at a time, by ``compose``. Both
 build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
-sum read it instead of recomputing it. Structured constructors
-(``kraus_single``, ``semi_trivial``, ``add``) leave that check to them.
+sum read it instead of recomputing it. Both hand their hats, exactly Hermitian
+as ``_hat_matrix`` makes them, straight to the certificate-only entry
+``effects._hermitian_effects`` (through ``_induced``): the checks and verdicts
+of ``Effect``, without the caller-input reader or a second symmetrization.
+Structured constructors (``kraus_single``, ``semi_trivial``, ``add``) leave
+that check to them.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
 dimensions, so a longer family (from ``compose``, ``add``, a semi-trivial
 construction with many pairs, an instrument's ``bar`` or ``part``) is replaced
-at construction by the R factor of its QR decomposition: R†R = X†X for the
-stacked rows X, so the Gram matrix sum_n vec(A_n) vec(A_n)†, and with it the
-map, is unchanged. Each operation also carries its superoperator
-(``Operation.superop``, the dim² x dim² natural representation), computed on
-first use. Equality of operations compares superoperators, never Kraus lists
-(the Kraus decomposition is far from unique).
+at construction by the R factor of its QR decomposition (one LAPACK call,
+``_bounded``): R†R = X†X for the stacked rows X, so the Gram matrix sum_n
+vec(A_n) vec(A_n)†, and with it the map, is unchanged (Choi, "Completely
+positive linear maps on complex matrices", Linear Algebra Appl. 10, 1975).
+Each operation also carries its superoperator (``Operation.superop``, the
+dim² x dim² natural representation), computed on first use. Equality of
+operations compares superoperators, never Kraus lists (the Kraus decomposition
+is far from unique).
 
 Trivial and semi-trivial operations are built from pivoted Cholesky factors
 (``matcore._psd_factor``), with no root or spectrum: a rank-r effect with a
@@ -55,13 +61,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import matcore
 from .effects import (
     Effect,
     State,
     _check_type,
-    _effects,
+    _hermitian_effects,
     _ket_bra,
     _validated,
     random_effects,
@@ -99,6 +106,12 @@ class Operation:
     back through the same constructor. It never enters comparisons. A recipe
     passed in here must rebuild the same map (``_checked_recipe``); the
     structured constructors set theirs afterwards (``_built``), unchecked.
+
+    The family is read as caller input, compressed to at most dim² operators
+    (``_bounded``), and its induced effect sum A†A, exactly Hermitian as
+    ``_hat_matrix`` makes it, is certified in [0, I] as a stack of one by
+    ``effects._hermitian_effects``, with no second symmetrization; an effect
+    outside [0, I] raises ``NotSubunital``.
     """
 
     kraus: np.ndarray
@@ -107,7 +120,7 @@ class Operation:
 
     def __post_init__(self):
         arr = _bounded(_as_kraus_array(self.kraus))
-        induced = _induced(Effect, _hat_matrix(arr))
+        (induced,) = _induced([arr])
         object.__setattr__(self, "kraus", _frozen(arr))
         object.__setattr__(self, "induced", induced)
         if self.recipe is not None:
@@ -189,17 +202,18 @@ def _stacked_operations(groups, recipes=None) -> tuple[Operation, ...]:
     stack (m, n, d, d)), in position order. Each group gets one batched
     ``_bounded`` and one batched ``_hat_matrix``, the kernels ``Operation`` runs,
     so every ``kraus`` and ``induced.op`` is bit for bit that of ``Operation(f)``;
-    the induced effects of all groups are checked at once by ``effects._effects``.
+    the induced effects of all groups are certified at once (``_induced``).
     The stacks must be the caller's own: they are frozen and shared by their
-    members."""
-    count = sum(len(members) for members, _ in groups)
-    kraus, hats = [None] * count, [None] * count
-    for members, stack in groups:
-        stack = _frozen(_bounded(stack))
-        for k, arr, hat in zip(members, stack, _hat_matrix(stack)):
-            kraus[k], hats[k] = arr, hat
-    induced = _induced(_effects, hats)
-    recipes = recipes or [None] * count
+    members. No group at all is a ``DimensionError``, as an empty measure is."""
+    if not groups:
+        raise DimensionError("need at least one Kraus family")
+    stacks = [_frozen(_bounded(stack)) for _, stack in groups]
+    positions = [k for members, _ in groups for k in members]
+    kraus = [None] * len(positions)
+    for k, arr in zip(positions, (arr for stack in stacks for arr in stack)):
+        kraus[k] = arr
+    induced = _induced(stacks, None if len(stacks) == 1 else np.argsort(positions))
+    recipes = recipes or [None] * len(positions)
     return tuple(_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
                  for arr, recipe, effect in zip(kraus, recipes, induced))
 
@@ -213,22 +227,41 @@ def _grouped(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _induced(validate, hats):
-    """``validate(hats)``, reporting an effect outside [0, I] as sum A†A above I."""
-    try:
-        return validate(hats)
-    except NotEffect as exc:
-        raise NotSubunital(f"sum A†A is not below I: {exc}") from None
+def _induced(families, order=None) -> tuple[Effect, ...]:
+    """The induced effects of a list of families (n, d, d) and stacks of families
+    (m, n, d, d): their hats (``_hat_matrix``, exactly Hermitian), one after
+    another and then taken in ``order`` when one is given, go as one stack
+    straight to ``effects._hermitian_effects``, which certifies them with
+    nothing read or symmetrized again. An effect outside [0, I] is reported as
+    sum A†A above I. A family so large that its hat overflows has a non-finite
+    hat, which the certificate declines and Jacobi's reader rejects as
+    ``DimensionError``, as it rejects any non-finite matrix; the overflow and
+    the invalid values it spreads are silenced for that reason only."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hats = [_hat_matrix(f).reshape(-1, *f.shape[-2:]) for f in families]
+        hats = hats[0] if order is None else np.concatenate(hats)[order]
+        try:
+            return _hermitian_effects(hats)
+        except NotEffect as exc:
+            raise NotSubunital(f"sum A†A is not below I: {exc}") from None
 
 
 def _bounded(kraus: np.ndarray) -> np.ndarray:
-    """The same map with at most dim² operators (R of the stacked vec rows), for a
-    family (n, d, d) or each family of a stack (m, n, d, d) by one batched QR."""
+    """The same map with at most dim² operators, for a family (n, d, d) or each
+    family of a stack (m, n, d, d): R of the stacked vec rows X (n, d²), a
+    Householder QR (Golub & Van Loan, Matrix Computations, sec. 5.2), so R†R =
+    X†X. One call of LAPACK's ``zgeqrf`` through numpy's gufunc
+    (``_umath_linalg.qr_r_raw``), batched over a stack, on a copy of the rows,
+    which it overwrites with R above the diagonal; R is the upper triangle of
+    its leading d² rows, bit for bit what ``np.linalg.qr(X, mode="r")``
+    returns, without that wrapper's type resolution and error-state setup. A
+    QR of finite rows raises no floating-point error."""
     *lead, n, d, _ = kraus.shape
     if n <= d * d:
         return kraus
-    r = np.linalg.qr(kraus.reshape(*lead, n, d * d), mode="r")
-    return r.reshape(*lead, d * d, d, d)
+    rows = kraus.reshape(*lead, n, d * d).copy()
+    _umath_linalg.qr_r_raw(rows, signature="D->D")
+    return np.triu(rows[..., : d * d, :]).reshape(*lead, d * d, d, d)
 
 
 def _gram(kraus: np.ndarray) -> np.ndarray:

@@ -208,3 +208,14 @@ def test_stacked_generators_take_one_size_per_draw():
     for n in (0, -1, 2.0, None):
         with pytest.raises(DimensionError, match="number of draws"):
             effects.random_states(2, np.random.default_rng(0), n)
+
+
+def test_identity_is_fresh_and_the_cached_one_read_only():
+    # measures compare their member sum against one shared identity per dim
+    fresh = matcore.identity(3)
+    assert fresh.flags.writeable and fresh is not matcore.identity(3)
+    fresh[0, 0] = 2.0
+    assert np.array_equal(matcore.identity(3), np.eye(3))
+    shared = matcore._identity(3)
+    assert shared is matcore._identity(3) and not shared.flags.writeable
+    assert np.array_equal(shared, np.eye(3)) and shared.dtype == complex

@@ -168,7 +168,22 @@ def test_event_prob_counts_a_repeated_outcome_once():
     once = event_prob(a, rho, ["x0"])
     assert event_prob(a, rho, ["x0", "x0", "x0"]) == once
     assert event_prob(a, rho, ["x1", "x0", "x1", "x0"]) == event_prob(a, rho, ["x1", "x0"])
-    # the whole outcome set: a sum of two rounded terms, so 1 up to rounding
-    assert event_prob(a, rho, ["x1", "x0", "x1", "x0"]) <= 1.0 + 1e-12
+    # the whole outcome set: a sum of two rounded terms, clamped to 1
+    assert event_prob(a, rho, ["x1", "x0", "x1", "x0"]) <= 1.0
     numbered = Observable((0, 1), a.effects)
     assert event_prob(numbered, rho, [0, "0", 0]) == once
+
+
+def test_event_prob_of_the_whole_outcome_set_is_at_most_one():
+    # each term is clamped into [0, 1]; their sum, 1 up to rounding, is clamped too
+    rng = np.random.default_rng(3)
+    a = random_observable(2, rng, 2)
+    rho = effects.random_state(2, rng)
+    assert event_prob(a, rho, ["x0", "x1"]) == 1.0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a = random_observable(3, rng, 4)
+        rho = effects.random_state(3, rng)
+        whole = event_prob(a, rho, a.outcomes)
+        assert 1.0 - 1e-12 <= whole <= 1.0
+        assert 0.0 <= event_prob(a, rho, a.outcomes[:2]) <= 1.0

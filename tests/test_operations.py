@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -725,3 +727,74 @@ def test_product_members_are_the_composed_operations(dim):
         want = ops.compose(ops.luders(e), c)
         assert np.array_equal(got.kraus, want.kraus)
         assert np.array_equal(got.induced.op, want.induced.op)
+
+
+# The induced effect goes from ``_hat_matrix`` straight to the certificate-only
+# entry ``effects._hermitian_effects``; that is sound only if the hat is already
+# what the caller-input reader would make of it.
+
+def _families(dim, n, scale, rng, lead=()):
+    """Ginibre Kraus families (lead..., n, dim, dim) with entries of size ``scale``."""
+    x = rng.standard_normal((*lead, n, 2, dim, dim))
+    return scale * (x[..., 0, :, :] + 1j * x[..., 1, :, :])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_hat_matrix_is_exactly_hermitian(dim):
+    rng = np.random.default_rng(2100 + dim)
+    for n in (1, 3, dim * dim, dim * dim + 3):
+        for scale in (1e-3, 1.0, 1e5):
+            for lead in ((), (4,)):
+                hat = ops._hat_matrix(_families(dim, n, scale, rng, lead))
+                assert np.array_equal(hat, matcore._adjoint(hat))
+                # so the reader's symmetrization, which the entry skips, is a no-op
+                again = matcore._as_hermitian_stack(hat.reshape(-1, dim, dim))
+                assert again.tobytes() == hat.tobytes()
+
+
+def test_stacked_induced_effects_equal_the_scalar_ones_bit_for_bit():
+    rng = np.random.default_rng(2110)
+    families = [np.array(ops.random_channel(3, rng, k).kraus) / 2 for k in (1, 3, 1, 2, 3)]
+    stacked = ops._operations(families)
+    for family, member in zip(families, stacked):
+        alone = ops.Operation(family)
+        assert member.induced.op.tobytes() == alone.induced.op.tobytes()
+        assert member.induced.op.tobytes() == Effect(ops._hat_matrix(family)).op.tobytes()
+        assert not member.induced.op.flags.writeable and not alone.induced.op.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: ops.Operation(f),
+    lambda f: ops._operations([f, f[:1] * 1e-170]),
+    lambda f: ops._operations([f[:1] * 1e-170, f[:2]]),
+    lambda f: instruments.kraus_instrument([f[0]]),
+    lambda f: ops.Operation(np.concatenate([f] * 3)),
+], ids=["operation", "stacked", "stacked-second-group", "kraus-instrument", "compressed"])
+def test_overflowing_hat_is_a_dimension_error_without_warnings(build):
+    # entries near 1e160 square past the largest float: the hat is not finite,
+    # and the reader of the Jacobi fallback rejects it, as it did the hat itself
+    family = np.full((2, 2, 2), 1e160 + 1e160j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="non-finite"):
+            build(family)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_bounded_is_numpys_qr_r_bit_for_bit(dim):
+    rng = np.random.default_rng(2120 + dim)
+    for lead in ((), (3,)):
+        for n in (dim * dim + 1, 2 * dim * dim + 3):
+            for scale in (1e-3, 1.0, 1e150, 1e300):
+                family = _families(dim, n, scale, rng, lead)
+                family.setflags(write=False)
+                before = family.copy()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = ops._bounded(family)
+                want = np.linalg.qr(family.reshape(*lead, n, dim * dim), mode="r")
+                assert got.shape == (*lead, dim * dim, dim, dim)
+                assert got.tobytes() == want.tobytes()
+                assert family.tobytes() == before.tobytes()
+    short = _families(dim, dim * dim, 1.0, rng)
+    assert ops._bounded(short) is short

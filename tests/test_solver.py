@@ -2,9 +2,11 @@
 certificate against Jacobi, the stacked solver and the caches it fills against
 the scalar solver, the root and inverse-root rules against their
 two-dimensional formulas, the pivoted Cholesky factor against the matrix it
-factors, the rules that the package calls no LAPACK eigen-routine and contracts
-no more than two operands in one einsum, and the rule that only
-``matcore._solve_stack`` reads the stack break-even.
+factors, the rules that the package calls no LAPACK eigen-routine, takes from
+numpy's gufunc module only the Cholesky and QR routines it allows, and
+contracts no more than two operands in one einsum, and the rules that only
+``matcore._solve_stack`` reads the stack break-even and only ``operations``
+calls the certificate-only effect entry.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -368,6 +370,53 @@ def test_only_solve_stack_reads_the_break_even():
                for path in sorted(package.rglob("*.py"))
                for where in _readers(path.read_text(), "STACK_BREAK_EVEN")}
     assert readers == {("matcore.py", "_solve_stack")}
+
+
+def test_only_operations_calls_the_certificate_only_entry():
+    # ``effects._hermitian_effects`` skips the reader and the symmetrization, so
+    # it may take only matrices the library made exactly Hermitian: the hats of
+    # ``operations._induced``, and the stack ``effects._effects`` has just read
+    package = Path(matcore.__file__).parent
+    readers = {(str(path.relative_to(package)), where)
+               for path in sorted(package.rglob("*.py"))
+               for where in _readers(path.read_text(), "_hermitian_effects")}
+    assert readers == {("effects.py", "_effects"), ("operations.py", "<module>"),
+                       ("operations.py", "_induced")}
+
+
+# The LAPACK routines the package may call through numpy's gufunc module: the
+# Cholesky of the certificate and the Householder QR of the Kraus compression.
+UMATH_LINALG_ALLOWED = {"cholesky_lo", "qr_r_raw"}
+
+
+def _umath_linalg_names(source: str) -> list[str]:
+    """Every name taken from ``_umath_linalg`` in a source text, as an attribute
+    (``_umath_linalg.x``, ``np.linalg._umath_linalg.x``) or an import from it."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (base.attr if isinstance(base, ast.Attribute)
+                    else getattr(base, "id", None)) == "_umath_linalg":
+                names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_umath_linalg"):
+            names.extend(alias.name for alias in node.names)
+    return names
+
+
+def test_package_calls_only_allowed_umath_linalg_routines():
+    snippet = ("from numpy.linalg import _umath_linalg\n"
+               "w, v = _umath_linalg.eigh_lo(m)\n"
+               "r = np.linalg._umath_linalg.qr_r_raw(x)\n"
+               "from numpy.linalg._umath_linalg import eigvalsh_lo\n")
+    assert sorted(_umath_linalg_names(snippet)) == ["eigh_lo", "eigvalsh_lo", "qr_r_raw"]
+    assert set(_umath_linalg_names(snippet)) - UMATH_LINALG_ALLOWED == {"eigh_lo", "eigvalsh_lo"}
+    package = Path(matcore.__file__).parent
+    used = {(str(path.relative_to(package)), name)
+            for path in sorted(package.rglob("*.py"))
+            for name in _umath_linalg_names(path.read_text())}
+    assert {name for _, name in used} <= UMATH_LINALG_ALLOWED
+    assert used == {("matcore.py", "cholesky_lo"), ("operations.py", "qr_r_raw")}
 
 
 def _seeded(obj, name):
