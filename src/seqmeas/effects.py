@@ -10,6 +10,14 @@ effect its root a^{1/2} (``Effect.root``), computed on first use and kept. A
 state's eigendecomposition (``State.spectrum``) is computed on first use too;
 nothing in the library reads it.
 
+Each type has one check, ``_check_effects`` (a supported dim, 0 <= a <= I) and
+``_check_states`` (a supported dim, rho >= 0, unit trace), run on a Hermitian
+stack: the constructor runs it on the caller's matrix, read and symmetrized,
+as a stack of one, and the stacked builders (``_effects``, ``_states`` and
+``_hermitian_members``, which they share) on a whole stack. Membership is
+decided by ``matcore._first_outside``; the first failing member raises what
+the constructor raises on it.
+
 The stacked generators (``random_effects`` and those of observables,
 operations and instruments) draw many effects at once and seed their roots:
 they write each root, frozen, into the effect's ``__dict__``, where the cached
@@ -27,46 +35,73 @@ for a rank-one one). Random states are validated as one stack (``_states``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from . import matcore
 from .errors import ConditioningOnNull, DimensionError, NotEffect, NotPerp, NotState, WeightError
-from .matcore import EQ_TOL, PSD_TOL, _frozen, max_abs
+from .matcore import EQ_TOL, _frozen, max_abs
 
 COND_FLOOR = 1e-12
 
 
+def _check_effects(m: np.ndarray) -> None:
+    """The checks of an effect on each member of a Hermitian stack (n, d, d), or of
+    one matrix as a stack of one: a supported dim, then 0 <= m <= I
+    (``matcore._first_outside``); the first member outside raises ``NotEffect``
+    with its spectrum."""
+    matcore.check_dim(m.shape[-1])
+    outside = matcore._first_outside(m, True)
+    if outside is not None:
+        _, lo, hi = outside
+        raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+
+
+def _check_states(m: np.ndarray) -> None:
+    """The checks of a state on each member of a Hermitian stack (n, d, d), or of
+    one matrix as a stack of one: a supported dim, then, member by member,
+    positive semidefinite (``matcore._first_outside``) and unit trace. The first
+    failing member raises ``NotState``, as not positive when it fails both; so
+    the cone is decided only up to the first member whose trace is off."""
+    dim = matcore.check_dim(m.shape[-1])
+    traces = [float(m.trace().real)] if m.ndim == 2 else m.trace(axis1=1, axis2=2).real.tolist()
+    off = [k for k, trace in enumerate(traces) if abs(trace - 1.0) > 1e-10]
+    if matcore._first_outside(m.reshape(-1, dim, dim)[:off[0] + 1] if off else m) is not None:
+        raise NotState("state is not positive semidefinite")
+    if off:
+        raise NotState(f"tr(rho) = {traces[off[0]]!r} != 1")
+
+
 @dataclass(frozen=True, eq=False)
-class Effect:
-    """Operator a with spectrum in [0, 1] (within PSD_TOL).
-
-    The stored matrix is the Hermitian symmetrization of the input. Violations
-    of the unit interval beyond PSD_TOL are rejected, not clamped; silent
-    clamping would mask law-check failures downstream. Membership is certified
-    by one Cholesky call on both sides, a and I - a (``_certified_in_unit``);
-    only an input it does not certify is diagonalized, and Jacobi's bounds
-    decide it, so the verdict is always Jacobi's.
-
-    The constructor serves a caller's matrix. The induced effect of an
-    operation is exactly Hermitian as ``operations._hat_matrix`` makes it, so
-    it is certified by ``_hermitian_effects`` with the same checks and
-    verdicts, without a second symmetrization.
-    """
+class _Checked:
+    """An operator checked once, at construction: the caller's matrix is read and
+    symmetrized (``matcore.as_hermitian``), then checked as a stack of one by
+    the class's ``_check``, the body its stacked builder runs on a whole stack.
+    The stored matrix is the symmetrization, read-only."""
 
     op: np.ndarray
 
     def __post_init__(self):
-        m = matcore.as_hermitian(self.op)
-        matcore.check_dim(m.shape[0])
-        if not _certified_in_unit(m):
-            _check_unit_interval(m)
-        object.__setattr__(self, "op", _frozen(m))
+        m = _frozen(matcore.as_hermitian(self.op))
+        self._check(m)
+        object.__setattr__(self, "op", m)
 
     @property
     def dim(self) -> int:
         return self.op.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Effect(_Checked):
+    """Operator a with spectrum in [0, 1] (within PSD_TOL).
+
+    The stored matrix is the Hermitian symmetrization of the input. Violations
+    of the unit interval beyond PSD_TOL are rejected, not clamped; silent
+    clamping would mask law-check failures downstream.
+    """
+
+    _check = staticmethod(_check_effects)
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -74,60 +109,48 @@ class Effect:
         return _frozen(matcore.sqrt_psd(self.op))
 
 
-def _check_unit_interval(m: np.ndarray) -> None:
-    """Jacobi's verdict on 0 <= m <= I, for a Hermitian m the certificate declined."""
-    lo, hi = matcore.spectral_bounds(m)
-    if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
-        raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+@dataclass(frozen=True, eq=False)
+class State(_Checked):
+    """Positive operator rho with tr(rho) = 1."""
+
+    _check = staticmethod(_check_states)
+
+    @cached_property
+    def spectrum(self) -> matcore.Spectrum:
+        """Eigendecomposition of rho, with read-only arrays."""
+        spec = matcore.eig_hermitian(self.op)
+        return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
-_SIDES = _frozen(np.array([1.0, -1.0])[:, None, None])
+def _hermitian_members(cls, m: np.ndarray) -> tuple:
+    """The ``cls`` (``Effect`` or ``State``) of each member of a stack (n, d, d) of
+    matrices already exactly Hermitian, checked by the class's ``_check`` with
+    nothing read or symmetrized again. The stack is frozen and shared by its
+    members.
 
-
-@cache
-def _unit_offsets(dim: int) -> np.ndarray:
-    """[s I, (1 + s) I], s = PSD_TOL / 2 (read-only): m * _SIDES + these = both shifted sides."""
-    shift = matcore._half_tol_identity(dim, PSD_TOL)
-    return _frozen(np.stack([shift, matcore.identity(dim) + shift]))
-
-
-def _certified_in_unit(m: np.ndarray) -> np.ndarray:
-    """The certificate of 0 <= m <= I for a Hermitian m, or one per matrix of a
-    stack: both shifted sides in one ``matcore._cholesky_completes`` call, sound as
-    ``matcore._psd_certified_stack`` is. Its norm guard is implied: both sides
-    complete only when every diagonal entry of each is in (0, 1 + PSD_TOL)."""
-    sides = m[..., None, :, :] * _SIDES + _unit_offsets(m.shape[-1])
-    completes = matcore._cholesky_completes(sides)
-    return completes[..., 0] & completes[..., 1]
+    ``_effects`` and ``_states`` reach it after reading a caller's stack;
+    elsewhere only ``operations`` calls it, on the induced effects its
+    ``_hat_matrix`` makes.
+    """
+    cls._check(m)
+    return tuple(_validated(cls, op=x) for x in _frozen(m))
 
 
 def _effects(mats) -> tuple[Effect, ...]:
     """``Effect(m)`` for every matrix of a stack, validated as one stack: the stack
     is read and symmetrized as ``Effect`` reads one matrix
     (``matcore._as_hermitian_stack``: finite square matrices, Hermitian within
-    HERM_TOL), then certified by ``_hermitian_effects``. Each stored matrix is
+    HERM_TOL), then checked by ``_hermitian_members``. Each stored matrix is
     bit for bit the one ``Effect`` stores; the members share one read-only
     array.
     """
-    return _hermitian_effects(matcore._as_hermitian_stack(mats))
+    return _hermitian_members(Effect, matcore._as_hermitian_stack(mats))
 
 
-def _hermitian_effects(m: np.ndarray) -> tuple[Effect, ...]:
-    """The effects of a stack (n, d, d) of matrices the library has already made
-    exactly Hermitian, certified with nothing read or symmetrized again: the
-    checks of ``Effect`` after its symmetrization, a supported dim and 0 <= m <=
-    I by one Cholesky call on both sides of every member
-    (``_certified_in_unit``), Jacobi deciding every member it declines. The
-    stack is frozen and shared by its members.
-
-    ``_effects`` reaches it after reading a caller's stack; elsewhere only
-    ``operations`` calls it, on the induced effects its ``_hat_matrix`` makes.
-    """
-    matcore.check_dim(m.shape[-1])
-    for k, certified in enumerate(_certified_in_unit(m).tolist()):
-        if not certified:
-            _check_unit_interval(m[k])
-    return tuple(_validated(Effect, op=x) for x in _frozen(m))
+def _states(mats) -> tuple[State, ...]:
+    """``State(m)`` for every matrix of a stack, validated as ``_effects`` validates
+    effects."""
+    return _hermitian_members(State, matcore._as_hermitian_stack(mats))
 
 
 def _validated(cls, **fields):
@@ -137,59 +160,6 @@ def _validated(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
-
-
-@dataclass(frozen=True, eq=False)
-class State:
-    """Positive operator rho with tr(rho) = 1."""
-
-    op: np.ndarray
-
-    def __post_init__(self):
-        m = matcore.as_hermitian(self.op)
-        matcore.check_dim(m.shape[0])
-        _check_state(m, matcore.psd_certified(m), np.trace(m).real)
-        object.__setattr__(self, "op", _frozen(m))
-
-    @property
-    def dim(self) -> int:
-        return self.op.shape[0]
-
-    @cached_property
-    def spectrum(self) -> matcore.Spectrum:
-        """Eigendecomposition of rho, with read-only arrays."""
-        spec = matcore.eig_hermitian(self.op)
-        return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
-
-
-def _check_state(m: np.ndarray, certified: bool, trace: float) -> None:
-    """The checks of ``State`` on a Hermitian m with its certificate verdict and
-    trace: positive semidefinite (Jacobi decides when not certified), then unit
-    trace."""
-    if not (certified or matcore.spectral_bounds(m)[0] >= -PSD_TOL):
-        raise NotState("state is not positive semidefinite")
-    if abs(trace - 1.0) > 1e-10:
-        raise NotState(f"tr(rho) = {trace!r} != 1")
-
-
-def _states(mats) -> tuple[State, ...]:
-    """``State(m)`` for every matrix of a stack, validated as one stack.
-
-    The checks are those of ``State``: finite square Hermitian matrices of a
-    supported dim, certified positive by one Cholesky call for the stack
-    (``matcore._psd_certified_stack``), with unit traces checked at once. Only
-    a member the certificate declines, or whose trace is off, is checked alone,
-    Jacobi deciding; the first failing member raises ``State``'s ``NotState``.
-    Each stored matrix is bit for bit the one ``State`` stores; the members
-    share one read-only array.
-    """
-    m = _frozen(matcore._as_hermitian_stack(mats))
-    matcore.check_dim(m.shape[1])
-    certified = matcore._psd_certified_stack(m)
-    traces = np.trace(m, axis1=1, axis2=2).real
-    for k in np.flatnonzero(~certified | (np.abs(traces - 1.0) > 1e-10)):
-        _check_state(m[k], certified[k], traces[k])
-    return tuple(_validated(State, op=x) for x in m)
 
 
 def _check_type(obj, cls, error, what: str | None = None) -> None:
@@ -249,7 +219,7 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
     if np.any(weights < 0):
         raise WeightError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
-        raise WeightError(f"weights sum to {weights.sum()!r}, not 1")
+        raise WeightError(f"weights sum to {float(weights.sum())!r}, not 1")
     for e in effects:
         _check_type(e, Effect, NotEffect)
     if len({e.dim for e in effects}) > 1:
@@ -287,7 +257,7 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
     a = given
     denom = prob(rho, a)
     if denom <= COND_FLOOR:
-        raise ConditioningOnNull(f"P_rho(a) = {denom!r} below {COND_FLOOR:.0e}")
+        raise ConditioningOnNull(f"P_rho(a) = {float(denom)!r} below {COND_FLOOR:.0e}")
     return prob(rho, seq_product(a, b)) / denom
 
 
@@ -297,7 +267,7 @@ def atomic_projection(vector: np.ndarray) -> Effect:
     v = matcore._read(vector, "vector", (1,))
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
-        raise NotEffect(f"vector norm {norm!r} != 1")
+        raise NotEffect(f"vector norm {float(norm)!r} != 1")
     a = Effect(_ket_bra(v))
     return _seeded((a,), [a.op / norm])[0]
 

@@ -152,7 +152,7 @@ def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
     front = op_mod.apply(given, rho)
     denom = np.trace(front).real
     if denom <= COND_FLOOR:
-        raise ConditioningOnNull(f"tr[I(rho)] = {denom!r}")
+        raise ConditioningOnNull(f"tr[I(rho)] = {float(denom)!r}")
     return np.trace(op_mod.apply(j_member, front)).real / denom
 
 

@@ -16,20 +16,27 @@ Two tolerance constants govern all approximate comparisons:
 * ``PSD_TOL``  -- cone membership: an eigenvalue >= -PSD_TOL counts as >= 0.
 * ``EQ_TOL``   -- operator equality in the max (entrywise) norm.
 
-Cone membership ("smallest eigenvalue >= -tol") is decided in two steps. A
-Cholesky factorization of M + (tol/2) I (``_psd_certified_stack``: LAPACK's
-``zpotrf`` through numpy's gufunc, one call for any stack) accepts almost every
-member without computing an eigenvalue; whatever it does not accept goes to
-Jacobi, which decides. The certificate accepts only matrices Jacobi accepts
-too: the tol/2 shift leaves a margin of half the tolerance, and below the norm
-guard (no diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8;
-a positive matrix has its largest entries there) the rounding error of the
+Cone membership ("smallest eigenvalue >= -tol", or a spectrum in [-tol, 1 +
+tol] for an effect) is decided in one place, ``_first_outside``, for a stack
+of Hermitian matrices; a single matrix is a stack of one. Every verdict of the
+package goes through it: the effect and state checks, ``psd_hermitian`` (and
+so ``is_psd``, ``loewner_leq`` and ``effects.perp``) and the probes of
+``operations.operation_leq``. It decides in two steps. One Cholesky
+factorization of M + (tol/2) I for the whole stack (``_psd_certified_stack``:
+LAPACK's ``zpotrf`` through numpy's gufunc; ``_certified_in_unit`` factors both
+sides of an effect in the same call) accepts almost every member without
+computing an eigenvalue; Jacobi decides each member it declines, in stack
+order, up to the first member outside, whose index and bounds the caller
+reports. The certificate accepts only matrices Jacobi accepts too: the tol/2
+shift leaves a margin of half the tolerance, and below the norm guard (no
+diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8; a
+positive matrix has its largest entries there) the rounding error of the
 factorization stays well inside that margin. So every verdict is Jacobi's.
 
 A matrix is read and symmetrized once. Caller matrices go through ``_read``
 and ``as_hermitian``; a matrix the library makes exactly Hermitian, the
 induced effect of an operation (``operations._hat_matrix``), is certified
-without either (``effects._hermitian_effects``). From numpy's gufunc module
+without either (``effects._hermitian_members``). From numpy's gufunc module
 (``numpy.linalg._umath_linalg``) the package calls two LAPACK routines
 directly, the Cholesky of the certificate (``cholesky_lo``) and the
 Householder QR of the Kraus compression (``qr_r_raw``, in ``operations``), and
@@ -41,6 +48,10 @@ cyclic sweeps, thresholds and sweep cap as ``eig_hermitian``, each rotation
 applied with numpy to every member that still needs it. A member rotates only
 while its own off-diagonal mass is above JACOBI_OFF_THRESHOLD, and only where
 its own entry is above the skip threshold, so members never affect one another.
+Jacobi squares the off-diagonal entries, so a finite matrix with an entry above
+about 1.3e154 cannot be diagonalized: both solvers reject it with the same
+``DimensionError``, and give bit for bit their results on every matrix whose
+squares stay finite.
 
 Each solver rule is one formula over a stack of eigendecompositions: the root
 rule (``_psd_roots``) and the inverse-root rule (``_pd_inv_roots``).
@@ -82,6 +93,10 @@ CERT_NORM_PER_TOL = 1e13
 # below this threshold, give up after this many full sweeps.
 JACOBI_OFF_THRESHOLD = 1e-13
 JACOBI_MAX_SWEEPS = 100
+
+# The off-diagonal mass squares each entry, which overflows past about 1.3e154;
+# both Jacobi solvers then reject the matrix with this message.
+_SQUARE_OVERFLOW = "matrix is too large for Jacobi: the square of an entry overflows"
 
 # A residual pivot at or below this ends the pivoted Cholesky factor
 # (``_psd_factor``), far below PSD_TOL and every tolerance compared at.
@@ -246,25 +261,26 @@ def _jacobi_rotation(a: list[list[complex]], v: list[list[complex]],
 
 
 def eig_hermitian(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations."""
+    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations. An
+    entry whose square overflows a float is a ``DimensionError``."""
     a = as_hermitian(m).tolist()
     dim = len(a)
     v = [[1.0 + 0.0j if i == j else 0.0j for j in range(dim)] for i in range(dim)]
     skip = JACOBI_OFF_THRESHOLD / (dim * dim)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(
-            2.0 * sum(abs(a[p][q]) ** 2 for p in range(dim - 1) for q in range(p + 1, dim))
-        )
-        if off <= JACOBI_OFF_THRESHOLD:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                if abs(a[p][q]) > skip:
-                    _jacobi_rotation(a, v, p, q, dim)
-    else:
-        raise EigenConvergenceError(
-            f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
+    try:
+        for _ in range(JACOBI_MAX_SWEEPS):
+            off = math.sqrt(2.0 * sum(abs(a[p][q]) ** 2
+                                      for p in range(dim - 1) for q in range(p + 1, dim)))
+            if off <= JACOBI_OFF_THRESHOLD:
+                break
+            for p in range(dim - 1):
+                for q in range(p + 1, dim):
+                    if abs(a[p][q]) > skip:
+                        _jacobi_rotation(a, v, p, q, dim)
+        else:
+            raise EigenConvergenceError(f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
+    except OverflowError:
+        raise DimensionError(_SQUARE_OVERFLOW) from None
     values = np.array([a[k][k].real for k in range(dim)])
     order = np.argsort(values, kind="stable")
     return Spectrum(eigenvalues=values[order],
@@ -327,31 +343,34 @@ def _eig_hermitian_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     Cyclic Jacobi with the scalar solver's sweep order, thresholds and sweep cap.
     A sweep rotates only the members whose off-diagonal mass is still above
     JACOBI_OFF_THRESHOLD, and each (p, q) rotation only those of them whose
-    |a_pq| is above the skip threshold.
+    |a_pq| is above the skip threshold. Overflows are silenced, as Python's
+    float arithmetic does not flag them, and a square that overflows is the
+    scalar solver's ``DimensionError``.
     """
     a = _as_hermitian_stack(ms)
     n, dim, _ = a.shape
     v = np.repeat(identity(dim)[None], n, axis=0)
     skip = JACOBI_OFF_THRESHOLD / (dim * dim)
     rows, cols = _upper_pairs(dim)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * (np.abs(a[:, rows, cols]) ** 2).sum(axis=1))
-        live = off > JACOBI_OFF_THRESHOLD
-        if not live.any():
-            break
-        for p, q in zip(rows.tolist(), cols.tolist()):
-            turn = live & (np.abs(a[:, p, q]) > skip)
-            if turn.all():
-                _jacobi_rotation_stack(a, v, p, q)
-            elif turn.any():
-                members = np.flatnonzero(turn)
-                turn_a, turn_v = a[members], v[members]
-                _jacobi_rotation_stack(turn_a, turn_v, p, q)
-                a[members], v[members] = turn_a, turn_v
-    else:
-        raise EigenConvergenceError(
-            f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
+    with np.errstate(over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            squares = np.abs(a[:, rows, cols]) ** 2
+            if np.isinf(squares).any():
+                raise DimensionError(_SQUARE_OVERFLOW)
+            live = np.sqrt(2.0 * squares.sum(axis=1)) > JACOBI_OFF_THRESHOLD
+            if not live.any():
+                break
+            for p, q in zip(rows.tolist(), cols.tolist()):
+                turn = live & (np.abs(a[:, p, q]) > skip)
+                if turn.all():
+                    _jacobi_rotation_stack(a, v, p, q)
+                elif turn.any():
+                    members = np.flatnonzero(turn)
+                    turn_a, turn_v = a[members], v[members]
+                    _jacobi_rotation_stack(turn_a, turn_v, p, q)
+                    a[members], v[members] = turn_a, turn_v
+        else:
+            raise EigenConvergenceError(f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
     values = a.diagonal(axis1=1, axis2=2).real
     order = np.argsort(values, axis=1, kind="stable")
     member = np.arange(n)[:, None]
@@ -461,18 +480,57 @@ def _cholesky_completes(a: np.ndarray) -> np.ndarray:
     return ~np.isnan(low[..., -1, -1])
 
 
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian m is >= -tol.
+_SIDES = _frozen(np.array([1.0, -1.0])[:, None, None])
 
-    The Cholesky certificate (``psd_certified``) accepts most members; Jacobi
-    decides the rest, so the verdict is always Jacobi's.
+
+@functools.cache
+def _unit_offsets(dim: int, tol: float) -> np.ndarray:
+    """[s I, (1 + s) I], s = tol / 2 (read-only): m * _SIDES + these = both shifted sides."""
+    shift = _half_tol_identity(dim, tol)
+    return _frozen(np.stack([shift, identity(dim) + shift]))
+
+
+def _certified_in_unit(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """The certificate of 0 <= m <= I for each Hermitian m of a stack: both shifted
+    sides, m and I - m, in one ``_cholesky_completes`` call, sound as
+    ``_psd_certified_stack`` is. Its norm guard is implied: both sides complete
+    only when every diagonal entry of each is in (0, 1 + tol), below that
+    certificate's guard for tol >= 1e-13 (effects use PSD_TOL)."""
+    completes = _cholesky_completes(m[..., None, :, :] * _SIDES + _unit_offsets(m.shape[-1], tol))
+    return completes[..., 0] & completes[..., 1]
+
+
+def _first_outside(h: np.ndarray, unit: bool = False, tol: float = PSD_TOL):
+    """The one decision of cone membership: whether each Hermitian member of h
+    has its spectrum in [-tol, inf), or in [-tol, 1 + tol] when ``unit``. h is
+    a stack (n, d, d) or, as a stack of one, a single matrix (d, d), which
+    spares numpy's per-call cost of a leading axis. None when every member is
+    inside; else (k, lo, hi), the first member k outside and its Jacobi bounds,
+    for the caller to report.
+
+    One certificate call for the whole stack (``_psd_certified_stack``, or
+    ``_certified_in_unit`` for both sides); Jacobi (``spectral_bounds``) on each
+    member it declines, in stack order, up to the first member outside. The
+    certificate accepts only what Jacobi accepts, so every verdict is Jacobi's.
     """
+    certified = _certified_in_unit(h, tol) if unit else _psd_certified_stack(h, tol)
+    for k, ok in enumerate([bool(certified)] if h.ndim == 2 else certified.tolist()):
+        if not ok:
+            lo, hi = spectral_bounds(h.reshape(-1, *h.shape[-2:])[k])
+            if lo < -tol or (unit and hi > 1.0 + tol):
+                return k, lo, hi
+    return None
+
+
+def is_psd(m, tol: float = PSD_TOL) -> bool:
+    """True iff the smallest eigenvalue of the Hermitian m is >= -tol."""
     return psd_hermitian(as_hermitian(m), tol)
 
 
 def psd_hermitian(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """``is_psd`` for a matrix already symmetrized by ``as_hermitian``."""
-    return psd_certified(h, tol) or spectral_bounds(h)[0] >= -tol
+    """``is_psd`` for a matrix already symmetrized by ``as_hermitian``: ``_first_outside``
+    of a stack of one."""
+    return _first_outside(h, False, tol) is None
 
 
 def sqrt_psd(m, tol: float = PSD_TOL) -> np.ndarray:

@@ -18,7 +18,7 @@ build the induced effect as the validation and carry it as
 ``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
 sum read it instead of recomputing it. Both hand their hats, exactly Hermitian
 as ``_hat_matrix`` makes them, straight to the certificate-only entry
-``effects._hermitian_effects`` (through ``_induced``): the checks and verdicts
+``effects._hermitian_members`` (through ``_induced``): the checks and verdicts
 of ``Effect``, without the caller-input reader or a second symmetrization.
 Structured constructors (``kraus_single``, ``semi_trivial``, ``add``) leave
 that check to them.
@@ -68,7 +68,7 @@ from .effects import (
     Effect,
     State,
     _check_type,
-    _hermitian_effects,
+    _hermitian_members,
     _ket_bra,
     _validated,
     random_effects,
@@ -110,7 +110,7 @@ class Operation:
     The family is read as caller input, compressed to at most dim² operators
     (``_bounded``), and its induced effect sum A†A, exactly Hermitian as
     ``_hat_matrix`` makes it, is certified in [0, I] as a stack of one by
-    ``effects._hermitian_effects``, with no second symmetrization; an effect
+    ``effects._hermitian_members``, with no second symmetrization; an effect
     outside [0, I] raises ``NotSubunital``.
     """
 
@@ -231,17 +231,18 @@ def _induced(families, order=None) -> tuple[Effect, ...]:
     """The induced effects of a list of families (n, d, d) and stacks of families
     (m, n, d, d): their hats (``_hat_matrix``, exactly Hermitian), one after
     another and then taken in ``order`` when one is given, go as one stack
-    straight to ``effects._hermitian_effects``, which certifies them with
+    straight to ``effects._hermitian_members``, which certifies them with
     nothing read or symmetrized again. An effect outside [0, I] is reported as
     sum A†A above I. A family so large that its hat overflows has a non-finite
     hat, which the certificate declines and Jacobi's reader rejects as
     ``DimensionError``, as it rejects any non-finite matrix; the overflow and
-    the invalid values it spreads are silenced for that reason only."""
+    the invalid values it spreads are silenced for that reason only. A finite hat
+    with an entry past about 1.3e154 is a ``DimensionError`` too, from Jacobi."""
     with np.errstate(over="ignore", invalid="ignore"):
         hats = [_hat_matrix(f).reshape(-1, *f.shape[-2:]) for f in families]
         hats = hats[0] if order is None else np.concatenate(hats)[order]
         try:
-            return _hermitian_effects(hats)
+            return _hermitian_members(Effect, hats)
         except NotEffect as exc:
             raise NotSubunital(f"sum A†A is not below I: {exc}") from None
 
@@ -580,10 +581,12 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
 
     Otherwise probes decide: SAMPLE_N seeded random states plus the d^2 pure
     states derived from the matrix-unit basis (e_k, (e_k+e_l)/sqrt2,
-    (e_k+ie_l)/sqrt2), which span L(H). A False result refutes i <= j. When
-    the certificate declines and every probe passes, neither decides and the
-    result is True uncertified: j - i may be positive without being completely
-    positive, or fail on a state that was not probed.
+    (e_k+ie_l)/sqrt2), which span L(H). Their gaps j(rho) - i(rho) are checked
+    as one stack (``matcore._first_outside``), in probe order, so Jacobi runs
+    only up to the first gap outside the cone. A False result refutes i <= j.
+    When the certificate declines and every probe passes, neither decides and
+    the result is True uncertified: j - i may be positive without being
+    completely positive, or fail on a state that was not probed.
     """
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
@@ -591,19 +594,16 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     if matcore.psd_certified((gap + dagger(gap)) / 2):
         return True
     dim = i.dim
-    rng = rng or np.random.default_rng(0)
-    probes = [matcore.random_state(dim, rng) for _ in range(SAMPLE_N)]
-    for k in range(dim):
-        e_k = np.zeros(dim, dtype=complex)
-        e_k[k] = 1.0
+    probes = list(matcore._random_states(dim, rng or np.random.default_rng(0), SAMPLE_N))
+    basis = identity(dim)
+    for k, e_k in enumerate(basis):
         probes.append(np.outer(e_k, e_k.conj()))
-        for l in range(k + 1, dim):
-            e_l = np.zeros(dim, dtype=complex)
-            e_l[l] = 1.0
+        for e_l in basis[k + 1:]:
             for v in (e_k + e_l, e_k + 1j * e_l):
                 v = v / np.linalg.norm(v)
                 probes.append(np.outer(v, v.conj()))
-    return all(matcore.loewner_leq(apply(i, rho), apply(j, rho)) for rho in probes)
+    gaps = np.array([apply(j, rho) - apply(i, rho) for rho in probes])
+    return matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is None
 
 
 def random_channels(dim: int, rng: np.random.Generator, n: int,

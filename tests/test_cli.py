@@ -331,6 +331,26 @@ def test_eval_non_finite_matrix_exits_2(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("kind", ["effect", "operation"])
+def test_eval_huge_matrix_exits_2(tmp_path, capsys, kind):
+    # finite entries whose squares overflow a float: Jacobi rejects them as a
+    # package error, so eval reports the object instead of a traceback
+    if kind == "effect":
+        obj = serialize.typed_to_json(Effect(np.eye(2) / 2))
+        obj.update(serialize.matrix_to_json(np.full((2, 2), 1e200)))
+    else:
+        obj = {"type": "operation", "kind": "kraus",
+               "operators": [serialize.matrix_to_json(np.full((2, 2), 1e100))]}
+    payload = {"objects": {"x": obj}, "queries": [{"query": "hat", "of": "x"}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", scenario_file(tmp_path, payload)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: object 'x': matrix is too large for Jacobi: "
+                   "the square of an entry overflows\n")
+
+
 def _pair_json(dim):
     return {"effect": serialize.matrix_to_json(np.eye(dim) / 2),
             "state": serialize.matrix_to_json(np.eye(dim) / dim)}

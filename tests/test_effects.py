@@ -222,6 +222,29 @@ def test_cond_prob_null_denominator():
     assert COND_FLOOR == 1e-12
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: State(np.diag([1.5, 0.5])), NotState, "tr(rho) = 2.0 != 1"),
+    (lambda: effects._states([np.eye(2) / 2, np.diag([1.5, 0.5])]), NotState,
+     "tr(rho) = 2.0 != 1"),
+    (lambda: cond_prob(State(np.diag([1.0, 0.0])), unit_effect(2),
+                       given=Effect(np.diag([1e-13, 0.5]))),
+     ConditioningOnNull, "P_rho(a) = 1e-13 below 1e-12"),
+    (lambda: instruments.cond_prob(State(np.eye(2) / 2), operations.identity_channel(2),
+                                   operations.zero_operation(2)),
+     ConditioningOnNull, "tr[I(rho)] = 0.0"),
+    (lambda: convex_combine([Effect(np.eye(2) / 2)] * 2, [0.5, 0.6]), WeightError,
+     "weights sum to 1.1, not 1"),
+    (lambda: atomic_projection(np.array([1.0, 1.0])), NotEffect,
+     "vector norm 1.4142135623730951 != 1"),
+], ids=["state", "stacked-states", "cond-prob", "instrument-cond-prob", "weights", "norm"])
+def test_error_messages_print_python_floats(call, error, message):
+    # a numpy scalar's repr (np.float64(2.0) under numpy 2) would make the
+    # message depend on the numpy version
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def random_sharp_partition(dim, rng):
     u = matcore.random_unitary(dim, rng)
     return [atomic_projection(u[:, k]) for k in range(dim)]

@@ -377,19 +377,19 @@ def test_operation_order_certifies_cp_differences(dim, monkeypatch):
     i = ops.scale(ops.random_operation(dim, rng), 0.5)
     j = ops.add(i, ops.scale(ops.random_operation(dim, rng), 0.5))
     state = rng.bit_generator.state
-    real_leq = matcore.loewner_leq
-    probes = []
+    real_first_outside = matcore._first_outside
+    stacks = []
 
-    def counting_leq(a, b, tol=matcore.PSD_TOL):
-        probes.append(a)
-        return real_leq(a, b, tol)
+    def recording_first_outside(h, unit=False, tol=matcore.PSD_TOL):
+        stacks.append(h)
+        return real_first_outside(h, unit, tol)
 
-    monkeypatch.setattr(matcore, "loewner_leq", counting_leq)
+    monkeypatch.setattr(matcore, "_first_outside", recording_first_outside)
     assert ops.operation_leq(i, j, rng)
-    assert probes == [] and rng.bit_generator.state == state
-    # The reversed pair is not certified; the probes refute it.
+    assert stacks == [] and rng.bit_generator.state == state
+    # The reversed pair is not certified; its probe gaps, one stack, refute it.
     assert not ops.operation_leq(j, i, rng)
-    assert probes
+    assert [len(h) for h in stacks] == [ops.SAMPLE_N + dim * dim]
 
 
 def _gram_superop(kraus):
@@ -730,7 +730,7 @@ def test_product_members_are_the_composed_operations(dim):
 
 
 # The induced effect goes from ``_hat_matrix`` straight to the certificate-only
-# entry ``effects._hermitian_effects``; that is sound only if the hat is already
+# entry ``effects._hermitian_members``; that is sound only if the hat is already
 # what the caller-input reader would make of it.
 
 def _families(dim, n, scale, rng, lead=()):

@@ -5,8 +5,11 @@ two-dimensional formulas, the pivoted Cholesky factor against the matrix it
 factors, the rules that the package calls no LAPACK eigen-routine, takes from
 numpy's gufunc module only the Cholesky and QR routines it allows, and
 contracts no more than two operands in one einsum, and the rules that only
-``matcore._solve_stack`` reads the stack break-even and only ``operations``
-calls the certificate-only effect entry.
+``matcore._solve_stack`` reads the stack break-even, only ``operations``
+calls the certificate-only effect entry and only ``matcore._first_outside``
+decides cone membership; the stacked effect and state builders against the
+constructors, member by member, and both Jacobi solvers on matrices whose
+squares overflow.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -22,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 from seqmeas import effects, matcore, observables, operations
-from seqmeas.effects import Effect, _effects
-from seqmeas.errors import DimensionError, NotEffect, NotPositive
+from seqmeas.effects import Effect, State, _effects
+from seqmeas.errors import DimensionError, NotEffect, NotPositive, SeqmeasError
 from seqmeas.matcore import PSD_TOL
 
 
@@ -136,6 +139,109 @@ def test_effect_accepts_exactly_when_jacobi_does(dim):
                 except NotEffect:
                     accepted = False
                 assert accepted == jacobi_accepts
+
+
+# The defects a member of a stacked builder can carry, per constructor: an
+# eigenvalue below -PSD_TOL, one above 1 + PSD_TOL, a trace off by more than
+# 1e-10, or two of them at once.
+DEFECTS = {Effect: ("below", "above", "both"), State: ("below", "trace", "both")}
+
+
+def _member(cls, defect, dim, rng) -> np.ndarray:
+    """A Hermitian matrix that ``cls`` accepts (defect None) or one with ``defect``,
+    each past its tolerance by a factor from 2 to 1e6."""
+    excess = 10.0 ** rng.uniform(0.3, 6.0)
+    if cls is Effect:
+        values = rng.uniform(0.0, 1.0, size=dim)
+        if defect in ("below", "both"):
+            values[0] = -PSD_TOL * excess
+        if defect in ("above", "both"):
+            values[-1] = 1.0 + PSD_TOL * excess
+    else:
+        values = rng.dirichlet(np.ones(dim))
+        if defect in ("below", "both"):
+            values[0] = -PSD_TOL * excess
+            values[1:] *= (1.0 - values[0]) / values[1:].sum()
+        if defect in ("trace", "both"):
+            values *= 1.0 + rng.choice([-1.0, 1.0]) * 1e-10 * excess
+    return _with_spectrum(values, rng)
+
+
+@st.composite
+def defective_stacks(draw):
+    """A constructor and a stack of 1 to 6 matrices at d = 2..8 for it, none, one or
+    two of them (possibly the same one) given a defect."""
+    cls = draw(st.sampled_from([Effect, State]))
+    dim, n = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    defects = [None] * n
+    for k, defect in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.sampled_from(DEFECTS[cls])), max_size=2)):
+        defects[k] = defect
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cls, defects, np.array([_member(cls, defect, dim, rng) for defect in defects])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(defective_stacks())
+def test_stacked_builders_fail_as_the_scalar_constructors(case):
+    cls, defects, mats = case
+    build = effects._effects if cls is Effect else effects._states
+    try:
+        alone = [cls(m) for m in mats]
+    except SeqmeasError as exc:
+        assert any(defects)
+        with pytest.raises(SeqmeasError) as stacked:
+            build(mats)
+        assert type(stacked.value) is type(exc) and str(stacked.value) == str(exc)
+    else:
+        assert not any(defects)
+        members = build(mats)
+        assert [m.op.tobytes() for m in members] == [a.op.tobytes() for a in alone]
+
+
+# Jacobi's off-diagonal mass squares every entry, which overflows past ~1.34e154.
+OVERFLOW = "too large for Jacobi"
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_both_jacobi_solvers_reject_an_overflowing_square_and_agree_below(dim):
+    h = matcore.random_hermitian(dim, np.random.default_rng(dim))
+    h = h / matcore.max_abs(h)
+    values = matcore.eigenvalues_hermitian(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e150, 1e153, 1.3e154):
+            m = scale * h
+            scalar = matcore.eigenvalues_hermitian(m)
+            stacked, _ = matcore._eig_hermitian_stack(np.stack([m] * 8))
+            assert np.abs(scalar / scale - values).max() <= 1e-14 * dim
+            assert np.abs(stacked[0] / scale - values).max() <= 1e-14 * dim
+        # entries whose squares are finite but sum past the largest float
+        full = np.full((dim, dim), 0.9e154)
+        stacked, _ = matcore._eig_hermitian_stack(np.stack([full] * 8))
+        assert np.allclose(matcore.eigenvalues_hermitian(full)[-1] / 0.9e154, dim)
+        assert np.allclose(stacked[:, -1] / 0.9e154, dim)
+        for huge in (1.4e154 * np.ones((dim, dim)), 1e200 * h, 1e300 * h):
+            with pytest.raises(DimensionError, match=OVERFLOW):
+                matcore.eig_hermitian(huge)
+            with pytest.raises(DimensionError, match=OVERFLOW):
+                matcore._eig_hermitian_stack(np.stack([h, huge] * 4))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Effect(np.full((2, 2), 1e200)),
+    lambda: State(np.full((2, 2), 1e200)),
+    lambda: operations.Operation(np.full((1, 2, 2), 1e100)),
+    lambda: matcore.loewner_leq(np.zeros((2, 2)), np.full((2, 2), 1e200)),
+    lambda: matcore.sqrt_psd(np.full((2, 2), 1e200)),
+    lambda: effects._effects(np.full((3, 5, 5), 1e200)),
+    lambda: effects._states(np.full((3, 5, 5), 1e200)),
+], ids=["effect", "state", "operation", "loewner", "sqrt", "stacked-effects", "stacked-states"])
+def test_huge_finite_matrix_is_a_package_error_without_warnings(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match=OVERFLOW):
+            build()
 
 
 def test_cholesky_gufunc_marks_each_failed_member_alone():
@@ -360,28 +466,75 @@ def _readers(source: str, name: str) -> list[str]:
     return found
 
 
+def _package_readers(names) -> set[tuple[str, str, str]]:
+    """(file, function, name) for every read of each of ``names`` in the package."""
+    package = Path(matcore.__file__).parent
+    return {(str(path.relative_to(package)), where, name)
+            for path in sorted(package.rglob("*.py"))
+            for name in names
+            for where in _readers(path.read_text(), name)}
+
+
 def test_only_solve_stack_reads_the_break_even():
     # the choice between scalar and stacked solves is made in one place
     snippet = ("N = 8\n\"\"\"N in a docstring\"\"\"\ndef f(n):\n    return n < N\n"
                "x = m.N\nfrom m import N\ng = lambda n: n < N\n")
     assert _readers(snippet, "N") == ["f", "<module>", "<module>", "<lambda>"]
-    package = Path(matcore.__file__).parent
-    readers = {(str(path.relative_to(package)), where)
-               for path in sorted(package.rglob("*.py"))
-               for where in _readers(path.read_text(), "STACK_BREAK_EVEN")}
-    assert readers == {("matcore.py", "_solve_stack")}
+    assert _package_readers(["STACK_BREAK_EVEN"]) == {
+        ("matcore.py", "_solve_stack", "STACK_BREAK_EVEN")}
 
 
 def test_only_operations_calls_the_certificate_only_entry():
-    # ``effects._hermitian_effects`` skips the reader and the symmetrization, so
+    # ``effects._hermitian_members`` skips the reader and the symmetrization, so
     # it may take only matrices the library made exactly Hermitian: the hats of
-    # ``operations._induced``, and the stack ``effects._effects`` has just read
-    package = Path(matcore.__file__).parent
-    readers = {(str(path.relative_to(package)), where)
-               for path in sorted(package.rglob("*.py"))
-               for where in _readers(path.read_text(), "_hermitian_effects")}
-    assert readers == {("effects.py", "_effects"), ("operations.py", "<module>"),
-                       ("operations.py", "_induced")}
+    # ``operations._induced``, and the stacks ``effects._effects`` and
+    # ``effects._states`` have just read. The checks it runs skip them too, so
+    # they run only there and in the constructors, after ``as_hermitian``.
+    assert _package_readers(["_hermitian_members", "_check", "_check_effects",
+                             "_check_states"]) == {
+        ("effects.py", "_effects", "_hermitian_members"),
+        ("effects.py", "_states", "_hermitian_members"),
+        ("operations.py", "<module>", "_hermitian_members"),
+        ("operations.py", "_induced", "_hermitian_members"),
+        ("effects.py", "_hermitian_members", "_check"),
+        ("effects.py", "__post_init__", "_check"),
+        # the ``_check`` of ``Effect`` and ``State``
+        ("effects.py", "<module>", "_check_effects"),
+        ("effects.py", "<module>", "_check_states"),
+    }
+
+
+# The calls that reach a cone verdict: the certificates, and Jacobi's bounds.
+CONE_VERDICTS = ("spectral_bounds", "psd_certified", "_psd_certified_stack",
+                 "_certified_in_unit", "_cholesky_completes")
+
+
+def test_cone_membership_is_decided_in_one_place():
+    # ``matcore._first_outside`` decides every membership: a function that reads
+    # a certificate or Jacobi's bounds for a verdict of its own fails this scan
+    snippet = ("def _check_unit_interval(m):\n"
+               "    lo, hi = matcore.spectral_bounds(m)\n"
+               "    return lo >= -PSD_TOL and hi <= 1 + PSD_TOL\n"
+               "def spectral_bounds(m):\n    return 0.0, 1.0\n")
+    assert _readers(snippet, "spectral_bounds") == ["_check_unit_interval"]
+    assert _package_readers(CONE_VERDICTS) == {
+        ("matcore.py", "_first_outside", "spectral_bounds"),
+        ("matcore.py", "_first_outside", "_psd_certified_stack"),
+        ("matcore.py", "_first_outside", "_certified_in_unit"),
+        # the certificates' own layers: one matrix, and the Cholesky call of each
+        ("matcore.py", "psd_certified", "_psd_certified_stack"),
+        ("matcore.py", "_psd_certified_stack", "_cholesky_completes"),
+        ("matcore.py", "_certified_in_unit", "_cholesky_completes"),
+        # the operation order's Choi step: certificate-only, its probes decide the rest
+        ("operations.py", "operation_leq", "psd_certified"),
+    }
+    # and every caller of the routine has read and symmetrized what it passes
+    assert _package_readers(["_first_outside"]) == {
+        ("effects.py", "_check_effects", "_first_outside"),
+        ("effects.py", "_check_states", "_first_outside"),
+        ("matcore.py", "psd_hermitian", "_first_outside"),
+        ("operations.py", "operation_leq", "_first_outside"),
+    }
 
 
 # The LAPACK routines the package may call through numpy's gufunc module: the
