@@ -18,6 +18,16 @@ as a stack of one, and the stacked builders (``_effects``, ``_states`` and
 decided by ``matcore._first_outside``; the first failing member raises what
 the constructor raises on it.
 
+``Effect``, ``State``, ``_effects`` and ``_states`` read caller input
+(``matcore._read`` and the HERM_TOL gap test of ``as_hermitian``), the stacked
+two as a whole stack. A matrix the library computes from validated effects
+and operations (``seq_product``, ``operations.op_then_effect``,
+``complement``, ``orthosum``, ``convex_combine``) is finite and Hermitian to
+rounding by construction, so it goes unread to ``_computed_effect``, which
+symmetrizes it once by the same formula and stores bit for bit what
+``Effect`` stores, or fails alike. An induced effect, exactly Hermitian as
+made, goes to ``_hermitian_members`` unsymmetrized.
+
 The stacked generators (``random_effects`` and those of observables,
 operations and instruments) draw many effects at once and seed their roots:
 they write each root, frozen, into the effect's ``__dict__``, where the cached
@@ -136,6 +146,17 @@ def _hermitian_members(cls, m: np.ndarray) -> tuple:
     return tuple(_validated(cls, op=x) for x in _frozen(m))
 
 
+def _computed_effect(m: np.ndarray) -> Effect:
+    """The ``Effect`` of a complex matrix (d, d) the library computed from validated
+    effects and operations, finite and Hermitian to rounding by construction,
+    so not read as caller input: symmetrized once by the ``as_hermitian``
+    formula and checked, it stores bit for bit what ``Effect(m)`` stores, or
+    fails alike."""
+    m = (m + matcore._adjoint(m)) * 0.5
+    _check_effects(m)
+    return _validated(Effect, op=_frozen(m))
+
+
 def _effects(mats) -> tuple[Effect, ...]:
     """``Effect(m)`` for every matrix of a stack, validated as one stack: the stack
     is read and symmetrized as ``Effect`` reads one matrix
@@ -183,7 +204,7 @@ def unit_effect(dim: int) -> Effect:
 def complement(a: Effect) -> Effect:
     """The effect a' = I - a."""
     _check_type(a, Effect, NotEffect)
-    return Effect(matcore.identity(a.dim) - a.op)
+    return _computed_effect(matcore.identity(a.dim) - a.op)
 
 
 def perp(a: Effect, b: Effect) -> bool:
@@ -198,7 +219,7 @@ def orthosum(a: Effect, b: Effect) -> Effect:
     """Parallel sum a + b; requires perp(a, b)."""
     if not perp(a, b):
         raise NotPerp("a + b exceeds the identity")
-    return Effect(a.op + b.op)
+    return _computed_effect(a.op + b.op)
 
 
 def seq_product(a: Effect, b: Effect) -> Effect:
@@ -206,16 +227,21 @@ def seq_product(a: Effect, b: Effect) -> Effect:
     _check_type(a, Effect, NotEffect)
     _check_type(b, Effect, NotEffect)
     matcore.check_same_dim(a.op, b.op)
-    return Effect(a.root @ b.op @ a.root)
+    return _computed_effect(a.root @ b.op @ a.root)
 
 
 def convex_combine(effects: list[Effect], weights) -> Effect:
+    """The mix sum_k w_k e_k of effects of one dim, for finite nonnegative weights
+    summing to 1; a weight that is not (NaN included) is a ``WeightError``,
+    raised before any arithmetic."""
     try:
         weights = np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:
         raise WeightError(f"weights are not real numbers: {exc}") from None
     if weights.ndim != 1 or len(effects) != weights.size:
         raise WeightError("one weight per effect required")
+    if np.count_nonzero(np.isfinite(weights)) < weights.size:
+        raise WeightError("weights must be finite")
     if np.any(weights < 0):
         raise WeightError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -224,8 +250,7 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
         _check_type(e, Effect, NotEffect)
     if len({e.dim for e in effects}) > 1:
         raise DimensionError("effects of different dimensions cannot be combined")
-    out = sum(w * e.op for w, e in zip(weights, effects))
-    return Effect(out)
+    return _computed_effect(sum(w * e.op for w, e in zip(weights, effects)))
 
 
 def is_sharp(a: Effect, tol: float = EQ_TOL) -> bool:
@@ -240,12 +265,11 @@ def is_atomic(a: Effect, tol: float = EQ_TOL) -> bool:
 
 
 def prob(rho: State, a: Effect) -> float:
-    """P_rho(a) = tr(rho a), clamped into [0, 1]."""
+    """P_rho(a) = tr(rho a), clamped into [0, 1], as a Python float."""
     _check_type(rho, State, NotState)
     _check_type(a, Effect, NotEffect)
     matcore.check_same_dim(rho.op, a.op)
-    value = np.trace(rho.op @ a.op).real
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, float(np.trace(rho.op @ a.op).real)))
 
 
 def cond_prob(rho: State, b: Effect, given: Effect) -> float:
@@ -257,7 +281,7 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
     a = given
     denom = prob(rho, a)
     if denom <= COND_FLOOR:
-        raise ConditioningOnNull(f"P_rho(a) = {float(denom)!r} below {COND_FLOOR:.0e}")
+        raise ConditioningOnNull(f"P_rho(a) = {denom!r} below {COND_FLOOR:.0e}")
     return prob(rho, seq_product(a, b)) / denom
 
 

@@ -8,6 +8,10 @@ validation, parts, equality, the distribution, the witness check and the one
 product and conditioning path. An observable taken first runs its Lueders
 instrument L(a): A o I = L(a) o I and (I | A) = (I | L(a)) are the Lueders case
 of the instrument product and conditioning (A o B and (B | A) likewise).
+
+``kraus_instrument`` and ``sharp_instrument`` read their caller's matrices;
+every other member, and ``bar``, is built unread from validated objects
+(``operations._operations``, ``_composed``, ``_built``).
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ class Instrument(_Measure):
     _field = "ops"
     _sum_error = NotChannel
     _effect = staticmethod(lambda o: o.induced)
-    _prob = staticmethod(lambda rho, o: min(1.0, max(0.0, np.trace(op_mod.apply(o, rho)).real)))
+    _prob = staticmethod(
+        lambda rho, o: min(1.0, max(0.0, float(np.trace(op_mod.apply(o, rho)).real))))
     _distance = staticmethod(lambda i, j: op_mod.action_distance(i, j))
     _merges = staticmethod(lambda groups: op_mod._operations(map(op_mod._summed_kraus, groups)))
     _after = staticmethod(lambda channel, o: op_mod.compose(channel, o))
-    _afters = staticmethod(lambda pairs: op_mod._composed([(u.kraus, o.kraus)
-                                                           for u, o in pairs]))
-    _front = property(lambda self: self.ops)
+    _afters = staticmethod(lambda pairs: op_mod._composed([(u, o.kraus) for u, o in pairs]))
+    _front = property(lambda self: tuple(o.kraus for o in self.ops))
 
     operation = _Measure._member
 
@@ -64,7 +68,7 @@ def measured_observable(i: Instrument) -> Observable:
 def luders_instrument(a: Observable) -> Instrument:
     """Lueders instrument of an observable: outcome x applies a_x^{1/2} . a_x^{1/2}."""
     _check_type(a, Observable, NotMeasure)
-    return Instrument(a.outcomes, a._front)
+    return Instrument(a.outcomes, op_mod._operations(*zip(*map(op_mod._luders_parts, a.effects))))
 
 
 def trivial_instrument(a: Observable, alpha: State) -> Instrument:
@@ -150,10 +154,10 @@ def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
     """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)]."""
     _check_type(rho, State, NotState)
     front = op_mod.apply(given, rho)
-    denom = np.trace(front).real
+    denom = float(np.trace(front).real)
     if denom <= COND_FLOOR:
-        raise ConditioningOnNull(f"tr[I(rho)] = {float(denom)!r}")
-    return np.trace(op_mod.apply(j_member, front)).real / denom
+        raise ConditioningOnNull(f"tr[I(rho)] = {denom!r}")
+    return float(np.trace(op_mod.apply(j_member, front)).real) / denom
 
 
 def _instruments(families: list[list[np.ndarray]]) -> tuple[Instrument, ...]:

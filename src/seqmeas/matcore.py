@@ -33,10 +33,15 @@ diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8; a
 positive matrix has its largest entries there) the rounding error of the
 factorization stays well inside that margin. So every verdict is Jacobi's.
 
-A matrix is read and symmetrized once. Caller matrices go through ``_read``
-and ``as_hermitian``; a matrix the library makes exactly Hermitian, the
-induced effect of an operation (``operations._hat_matrix``), is certified
-without either (``effects._hermitian_members``). From numpy's gufunc module
+A matrix is read and symmetrized at most once. Caller matrices go through
+``_read`` and ``as_hermitian``: the public ``Effect``, ``State`` and
+``Operation`` constructors, the structured ones that take matrices, and the
+stacked ``effects._effects`` and ``_states``. A matrix the library computes
+from validated operands is not read: an effect is symmetrized once and
+checked (``effects._computed_effect``), a Kraus family certified as it is
+(``operations._built``, ``_operations``, ``_composed``), and an induced
+effect, exactly Hermitian as ``operations._hat_matrix`` makes it, certified
+with neither (``effects._hermitian_members``). From numpy's gufunc module
 (``numpy.linalg._umath_linalg``) the package calls two LAPACK routines
 directly, the Cholesky of the certificate (``cholesky_lo``) and the
 Householder QR of the Kraus compression (``qr_r_raw``, in ``operations``), and

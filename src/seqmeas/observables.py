@@ -8,14 +8,16 @@ Every member of a measure the library builds (products, parts, the random and
 structured constructors) comes from the stacked builder of its member type,
 ``effects._effects`` or ``operations._operations`` (``operations._composed``
 for instrument products), through the stacked hooks ``_afters`` and
-``_merges``. Conditionings are the exception: they still build
-each member alone, through the scalar hook ``_after`` (``compose`` or
-``op_then_effect``). Otherwise the scalar ``Effect`` and ``Operation``
-constructors serve single objects. A measure taken first runs its
-front operations: an instrument its own, an observable its Lueders instrument
-L(a): a_x -> a_x^{1/2} . a_x^{1/2} (Gudder & Nagy, J. Math. Phys. 42 (2001)).
+``_merges``. Conditionings are the exception: they still build each member
+alone, through the scalar hook ``_after`` (``compose`` or
+``op_then_effect``). ``_effects`` reads its stack once; the operation
+builders take the library's families unread. A measure taken first runs its
+front, a tuple of Kraus families: an instrument its members' own, an
+observable those of its Lueders instrument L(a): a_x -> a_x^{1/2} .
+a_x^{1/2}, the roots themselves (Gudder & Nagy, J. Math. Phys. 42 (2001)).
 So observable products and conditionings are the Lueders case of the
-instrument ones: a o b = L(a) o b, (b | a) = (b | L(a)).
+instrument ones, a o b = L(a) o b and (b | a) = (b | L(a)), and build no
+operation of L(a).
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ class _Measure:
     """Ordered outcome labels with one member per label, member effects summing to I.
 
     Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member's
-    ``_effect``, ``_prob``, ``_distance``, ``_sum_error`` and ``_front`` (run when
-    taken first), two stacked builders, ``_afters`` (member v read after operation
-    u, for a list of pairs (u, v)) and ``_merges`` (the sum of each group of
-    members, for parts), and the scalar ``_after`` (one member read after a
-    channel, for conditionings). Hooks look module functions up per call, so a
+    ``_effect``, ``_prob``, ``_distance`` and ``_sum_error``, the ``_front`` (the
+    tuple of Kraus families (n, d, d) run when the measure is taken first), two
+    stacked builders, ``_afters`` (member v read after the front family u, for
+    a list of pairs (u, v)) and ``_merges`` (the sum of each group of members,
+    for parts), and the scalar ``_after`` (one member read after a channel, for
+    conditionings). Hooks look module functions up per call, so a
     rebound module attribute (a tracer) is honoured."""
 
     def __post_init__(self):
@@ -95,9 +98,9 @@ class _Measure:
 
     @cached_property
     def _channel(self) -> Operation:
-        """The total channel of the front operations (``bar`` of an instrument): one
-        operation, so the scalar constructor builds it."""
-        return Operation(op_mod._summed_kraus(self._front))
+        """The total channel of the front (``bar`` of an instrument): its Kraus
+        families concatenated, built as one operation (``operations._built``)."""
+        return op_mod._built(np.concatenate(self._front))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +116,13 @@ class Observable(_Measure):
     _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
     _merges = staticmethod(lambda groups: _effects([sum(e.op for e in effs) for effs in groups]))
     _after = staticmethod(lambda channel, e: op_mod.op_then_effect(channel, e))
-    _afters = staticmethod(lambda pairs: _effects([op_mod._sandwich(u.kraus, e.op)
-                                                   for u, e in pairs]))
+    _afters = staticmethod(lambda pairs: _effects([op_mod._sandwich(u, e.op) for u, e in pairs]))
     _prob = staticmethod(lambda rho, e: prob(rho, e))
 
-    effect = _Measure._member
+    # The Kraus families of the Lueders instrument, a_x^{1/2} . a_x^{1/2}: the roots.
+    _front = property(lambda self: tuple(e.root[None] for e in self.effects))
 
-    @cached_property
-    def _front(self) -> tuple[Operation, ...]:
-        """The Lueders instrument's operations a_x^{1/2} . a_x^{1/2}, as ``luders``
-        builds them but validated as one stack."""
-        return op_mod._operations(*zip(*map(op_mod._luders_parts, self.effects)))
+    effect = _Measure._member
 
 
 def _check_measures(*ms) -> None:
@@ -133,7 +132,7 @@ def _check_measures(*ms) -> None:
 
 
 def _product(m: _Measure, n: _Measure) -> _Measure:
-    """Run front operation x of m, then read n_y: product outcomes, n's member type.
+    """Run front family x of m, then read n_y: product outcomes, n's member type.
     All |X|·|Y| members are built and validated as one stack (``_afters``)."""
     _check_measures(m, n)
     matcore._check_same_operand_dim(m, n)

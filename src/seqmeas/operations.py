@@ -4,24 +4,24 @@ An operation maps rho to sum_i A_i rho A_i† with sum_i A_i† A_i <= I; it is 
 channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
-Two entries check sum_i A_i† A_i <= I: the ``Operation`` constructor, which
-builds single operations, and ``_stacked_operations``, which builds many
-operations of one dim and validates their induced effects as one stack, with
-the same checks, verdicts and bits. It is reached through ``_operations``, for
-any families, and ``_composed``, for the products of pairs of families, and
-builds the operation members of the measures the library makes: the members
-of products (the measures' ``_afters`` hook, through ``_composed``) and parts
-(``_merges``), the Lueders front of an observable, the semi-trivial, Kraus,
-sharp and random instruments, and random operations. The members of a
-conditioning are still built one at a time, by ``compose``. Both
-build the induced effect as the validation and carry it as
-``Operation.induced``, so ``hat``, ``is_channel``, ``equiv`` and the instrument
-sum read it instead of recomputing it. Both hand their hats, exactly Hermitian
-as ``_hat_matrix`` makes them, straight to the certificate-only entry
-``effects._hermitian_members`` (through ``_induced``): the checks and verdicts
-of ``Effect``, without the caller-input reader or a second symmetrization.
-Structured constructors (``kraus_single``, ``semi_trivial``, ``add``) leave
-that check to them.
+Every operation is certified, sum_i A_i† A_i <= I, by one body: a family is
+compressed (``_bounded``), its induced effect built as the validation and
+certified in [0, I] (``_induced``), and carried as ``Operation.induced``, so
+``hat``, ``is_channel``, ``equiv`` and the instrument sum read it instead of
+recomputing it. The hats, exactly Hermitian as ``_hat_matrix`` makes them, go
+straight to the certificate-only entry ``effects._hermitian_members``: the
+checks and verdicts of ``Effect``, without the caller-input reader or a
+second symmetrization; an effect outside [0, I] is ``NotSubunital``.
+
+The ``Operation`` constructor reads a caller's family (``matcore._read``)
+first. A family the library built from validated operands is not read:
+``_built`` runs the body on one (``compose``, ``add``, ``scale``,
+``remix_kraus``, the structured constructors, a measure's total channel),
+and ``_stacked_operations`` on many families of one dim at once, with the
+same verdicts and bits, through ``_operations`` (drawn, merged or structured
+families) and ``_composed`` (products of pairs of families): every operation
+member of a measure the library makes, except those of a conditioning, which
+``compose`` builds one at a time.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -68,9 +68,11 @@ from .effects import (
     Effect,
     State,
     _check_type,
+    _computed_effect,
     _hermitian_members,
     _ket_bra,
     _validated,
+    complement,
     random_effects,
 )
 from .errors import (
@@ -119,9 +121,8 @@ class Operation:
     induced: Effect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _bounded(_as_kraus_array(self.kraus))
-        (induced,) = _induced([arr])
-        object.__setattr__(self, "kraus", _frozen(arr))
+        kraus, induced = _certified(_as_kraus_array(self.kraus))
+        object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "induced", induced)
         if self.recipe is not None:
             object.__setattr__(self, "recipe", _checked_recipe(self))
@@ -157,11 +158,21 @@ _RECIPE_KINDS = {
 }
 
 
-def _built(kraus, recipe: dict) -> Operation:
-    """``Operation(kraus)`` carrying a structured constructor's own ``recipe``."""
-    op = Operation(kraus)
-    object.__setattr__(op, "recipe", recipe)
-    return op
+def _certified(kraus: np.ndarray) -> tuple[np.ndarray, Effect]:
+    """What an ``Operation`` stores of a family (n, d, d) once read: the family,
+    compressed (``_bounded``) and frozen, and its certified induced effect."""
+    arr = _bounded(kraus)
+    (induced,) = _induced([arr])
+    return _frozen(arr), induced
+
+
+def _built(kraus: np.ndarray, recipe: dict | None = None) -> Operation:
+    """The operation of a complex Kraus family (n, d, d) the library built from
+    validated operands, with the building constructor's ``recipe``, if any:
+    ``Operation``'s body after its reader, so bit for bit ``Operation(kraus)``,
+    or failing alike."""
+    kraus, induced = _certified(kraus)
+    return _validated(Operation, kraus=kraus, recipe=recipe, induced=induced)
 
 
 def _checked_recipe(op: Operation) -> dict | None:
@@ -184,14 +195,14 @@ def _checked_recipe(op: Operation) -> dict | None:
 
 
 def _operations(families, recipes=None) -> tuple[Operation, ...]:
-    """``_built(f, r)`` for every family f and recipe r, validated as one stack.
-
-    The families are read as ``Operation`` reads them, grouped by shape (n, d)
-    and stacked per group (``_stacked_operations``). Families of different dims
+    """``_built(f, r)`` for every complex family f (n, d, d) and recipe r, validated
+    as one stack. The families are the library's or already read
+    (``kraus_instrument``, ``sharp_instrument``), grouped by shape (n, d) and
+    stacked per group (``_stacked_operations``). Families of different dims
     raise the ``DimensionError`` a measure of them would.
     """
-    arrs = [_as_kraus_array(f) for f in families]
-    if len({arr.shape[1] for arr in arrs}) > 1:
+    arrs = list(families)
+    if len({arr.shape[-1] for arr in arrs}) > 1:
         raise DimensionError("all members must share one dimension")
     return _stacked_operations([(members, np.array([arrs[k] for k in members]))
                                 for members in _grouped(arr.shape for arr in arrs)], recipes)
@@ -334,7 +345,7 @@ def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
-    return Operation(_compose_kraus(i.kraus[None], j.kraus[None])[0])
+    return _built(_compose_kraus(i.kraus[None], j.kraus[None])[0])
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -368,7 +379,7 @@ def add(i: Operation, j: Operation) -> Operation:
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
     try:
-        return Operation(_summed_kraus((i, j)))
+        return _built(_summed_kraus((i, j)))
     except NotSubunital:
         raise NotPerp("hat(i) + hat(j) exceeds the identity") from None
 
@@ -385,7 +396,7 @@ def scale(i: Operation, lam: float) -> Operation:
         raise WeightError(f"scale factor {lam!r} is not a real number in [0, 1]")
     if lam == 0.0:
         return zero_operation(i.dim)
-    return Operation(np.sqrt(lam) * i.kraus)
+    return _built(np.sqrt(lam) * i.kraus)
 
 
 def equiv(i: Operation, j: Operation, tol: float = EQ_TOL) -> bool:
@@ -429,15 +440,15 @@ def luders(a: Effect) -> Operation:
 
 
 def _luders_parts(a: Effect) -> tuple[np.ndarray, dict]:
-    """The Kraus family and recipe of ``luders(a)``, shared with the stacked Lueders
-    front of an observable."""
+    """The Kraus family and recipe of ``luders(a)``, shared with the stacked
+    ``instruments.luders_instrument``."""
     _check_type(a, Effect, NotEffect)
     return a.root[None, :, :], {"kind": "luders", "effect": a}
 
 
 def kraus_single(a_mat: np.ndarray) -> Operation:
     """Single-operator Kraus operation rho -> A rho A†; requires A†A <= I."""
-    return Operation(matcore.as_square(a_mat)[None, :, :])
+    return _built(matcore.as_square(a_mat)[None, :, :])
 
 
 def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
@@ -515,7 +526,7 @@ def atomic_operation(vectors: list[np.ndarray]) -> Operation:
 def complement_luders(i: Operation) -> Operation:
     """The unique Lueders complement: Lueders of I - hat(i)."""
     _check_operations(i)
-    return luders(Effect(identity(i.dim) - i.induced.op))
+    return luders(complement(i.induced))
 
 
 def is_complement(j: Operation, i: Operation, tol: float = EQ_TOL) -> bool:
@@ -540,7 +551,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
     _check_operations(i)
     _check_type(a, Effect, NotEffect)
     matcore._check_same_operand_dim(i, a)
-    return Effect(_sandwich(i.kraus, a.op))
+    return _computed_effect(_sandwich(i.kraus, a.op))
 
 
 def _sandwich(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -567,7 +578,7 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
         raise NotOrthogonal("mixing matrix is not unitary")
     padded = np.zeros((m, op.dim, op.dim), dtype=complex)
     padded[: op.n_kraus] = op.kraus
-    return Operation(np.einsum("ji,idk->jdk", w, padded))
+    return _built(np.einsum("ji,idk->jdk", w, padded))
 
 
 def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = None) -> bool:
@@ -579,22 +590,34 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     Both sides use PSD_TOL: a Choi matrix C with C + tol I >= 0 gives
     j(rho) - i(rho) >= -tol I on every state, the margin the probes allow.
 
-    Otherwise probes decide: SAMPLE_N seeded random states plus the d^2 pure
-    states derived from the matrix-unit basis (e_k, (e_k+e_l)/sqrt2,
-    (e_k+ie_l)/sqrt2), which span L(H). Their gaps j(rho) - i(rho) are checked
-    as one stack (``matcore._first_outside``), in probe order, so Jacobi runs
-    only up to the first gap outside the cone. A False result refutes i <= j.
-    When the certificate declines and every probe passes, neither decides and
-    the result is True uncertified: j - i may be positive without being
-    completely positive, or fail on a state that was not probed.
+    Otherwise probes decide: first SAMPLE_N seeded random states, then, when
+    those all pass, the d^2 pure states derived from the matrix-unit basis
+    (e_k, (e_k+e_l)/sqrt2, (e_k+ie_l)/sqrt2), which span L(H). The gaps j(rho)
+    - i(rho) of each set are checked as one stack (``matcore._first_outside``),
+    in probe order, so Jacobi runs only up to the first gap outside the cone,
+    and the basis gaps are not computed when a random probe refutes the pair.
+    A False result refutes i <= j. When the certificate declines and every
+    probe passes, neither decides and the result is True uncertified: j - i
+    may be positive without being completely positive, or fail on a state that
+    was not probed.
     """
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
     gap = _gram(j.kraus) - _gram(i.kraus)
     if matcore.psd_certified((gap + dagger(gap)) / 2):
         return True
-    dim = i.dim
-    probes = list(matcore._random_states(dim, rng or np.random.default_rng(0), SAMPLE_N))
+    randoms = matcore._random_states(i.dim, rng or np.random.default_rng(0), SAMPLE_N)
+    for probes in (randoms, _basis_probes(i.dim)):
+        gaps = np.array([apply(j, rho) - apply(i, rho) for rho in probes])
+        if matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is not None:
+            return False
+    return True
+
+
+@cache
+def _basis_probes(dim: int) -> np.ndarray:
+    """The basis probes of ``operation_leq`` in order, one read-only stack per dim."""
+    probes = []
     basis = identity(dim)
     for k, e_k in enumerate(basis):
         probes.append(np.outer(e_k, e_k.conj()))
@@ -602,8 +625,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
             for v in (e_k + e_l, e_k + 1j * e_l):
                 v = v / np.linalg.norm(v)
                 probes.append(np.outer(v, v.conj()))
-    gaps = np.array([apply(j, rho) - apply(i, rho) for rho in probes])
-    return matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is None
+    return _frozen(np.array(probes))
 
 
 def random_channels(dim: int, rng: np.random.Generator, n: int,

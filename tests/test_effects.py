@@ -186,6 +186,34 @@ def test_convex_combine():
         convex_combine([a, a], [1.5, -0.5])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [1.0, np.nan], [np.nan, 1.0],
+                                     [np.inf, -np.inf], [1.0, np.inf]])
+def test_convex_combine_rejects_non_finite_weights_first(weights, monkeypatch):
+    # a comparison with NaN is false, so the sign and sum tests alone let
+    # [nan, nan] through; no matrix arithmetic may run before the weights pass
+    a = effects.random_effect(2, np.random.default_rng(9))
+    monkeypatch.setattr(effects, "_computed_effect", lambda m: pytest.fail("mixed"))
+    with pytest.raises(WeightError, match="weights must be finite"):
+        convex_combine([a, a], weights)
+
+
+def test_probabilities_are_python_floats():
+    rng = np.random.default_rng(10)
+    rho = effects.random_state(3, rng)
+    a, b = effects.random_effect(3, rng), effects.random_effect(3, rng)
+    obs = observables.random_observable(3, rng)
+    inst = instruments.random_instrument(3, rng)
+    values = [effects.prob(rho, a), effects.cond_prob(rho, b, a),
+              effects.prob(effects.State(np.eye(3) / 3), effects.zero_effect(3)),
+              instruments.cond_prob(rho, inst.ops[0], inst.ops[1]),
+              *observables.distribution(obs, rho).values(),
+              *instruments.distribution(inst, rho).values(),
+              observables.event_prob(obs, rho, obs.outcomes)]
+    assert [type(x) for x in values] == [float] * len(values)
+    assert repr(effects.prob(effects.State(np.eye(2) / 2), effects.Effect(np.eye(2) / 3))) == (
+        "0.3333333333333333")
+
+
 def test_sharp_and_atomic():
     assert is_sharp(unit_effect(2))
     assert not is_atomic(unit_effect(2))
@@ -578,5 +606,7 @@ def test_identity_observable_root_needs_no_solve(monkeypatch):
     for dim in range(2, 9):
         (sure,) = observables.identity_observable(dim).effects
         assert np.array_equal(sure.root, np.eye(dim)) and not sure.root.flags.writeable
-        assert observables.identity_observable(dim)._front[0].n_kraus == 1
+        # the front is the Lueders instrument's one Kraus family: the root itself
+        (family,) = observables.identity_observable(dim)._front
+        assert family.shape == (1, dim, dim) and np.array_equal(family[0], np.eye(dim))
     assert solves == []

@@ -387,9 +387,74 @@ def test_operation_order_certifies_cp_differences(dim, monkeypatch):
     monkeypatch.setattr(matcore, "_first_outside", recording_first_outside)
     assert ops.operation_leq(i, j, rng)
     assert stacks == [] and rng.bit_generator.state == state
-    # The reversed pair is not certified; its probe gaps, one stack, refute it.
+    # The reversed pair is not certified; its random probe gaps, one stack, refute
+    # it, and the basis probe gaps are not computed.
     assert not ops.operation_leq(j, i, rng)
-    assert [len(h) for h in stacks] == [ops.SAMPLE_N + dim * dim]
+    assert [len(h) for h in stacks] == [ops.SAMPLE_N]
+
+
+def _one_stack_leq(i, j, rng):
+    """The probe side of ``operation_leq`` as it was first stacked: every random and
+    basis gap computed, then checked in one ``_first_outside`` call."""
+    gap = ops._gram(j.kraus) - ops._gram(i.kraus)
+    if matcore.psd_certified((gap + matcore.dagger(gap)) / 2):
+        return True
+    probes = list(matcore._random_states(i.dim, rng, ops.SAMPLE_N))
+    basis = np.eye(i.dim, dtype=complex)
+    for k, e_k in enumerate(basis):
+        probes.append(np.outer(e_k, e_k.conj()))
+        for e_l in basis[k + 1:]:
+            for v in (e_k + e_l, e_k + 1j * e_l):
+                v = v / np.linalg.norm(v)
+                probes.append(np.outer(v, v.conj()))
+    gaps = np.array([ops.apply(j, rho) - ops.apply(i, rho) for rho in probes])
+    return matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is None
+
+
+def _order_pairs():
+    """200 seeded pairs at d = 2-5: unrelated operations, a scaled operation against
+    its sum with another (certified one way), and an operation against itself
+    scaled by 1 - 1e-10 or 1 - 1e-9 (either way, near the probes' tolerance)."""
+    for k in range(200):
+        dim = 2 + k % 4
+        rng = np.random.default_rng(k)
+        i = ops.random_operation(dim, rng)
+        if k % 4 == 0:
+            j = ops.random_operation(dim, rng)
+        elif k % 4 == 1:
+            i, j = ops.scale(i, 0.5), ops.add(ops.scale(i, 0.5),
+                                              ops.scale(ops.random_operation(dim, rng), 0.5))
+        else:
+            j = ops.scale(i, 1 - (1e-10 if k % 4 == 2 else 1e-9) * rng.uniform(0.5, 4))
+        yield k, i, j
+
+
+def test_operation_order_probes_random_states_first(monkeypatch):
+    # verdicts, and every Jacobi call in order, are those of the one-stack check
+    solves, applies, checks = [], [], []
+    real_bounds, real_apply, real_first = (matcore.spectral_bounds, ops.apply,
+                                           matcore._first_outside)
+    monkeypatch.setattr(matcore, "spectral_bounds",
+                        lambda m: solves.append(np.array(m)) or real_bounds(m))
+    monkeypatch.setattr(ops, "apply", lambda op, rho: applies.append(1) or real_apply(op, rho))
+    monkeypatch.setattr(matcore, "_first_outside",
+                        lambda h, *args: checks.append(len(h)) or real_first(h, *args))
+    outcomes = set()
+    for k, i, j in _order_pairs():
+        for a, b in ((i, j), (j, i)):
+            del solves[:], applies[:], checks[:]
+            want = _one_stack_leq(a, b, np.random.default_rng(k))
+            want_solves = [m.tobytes() for m in solves]
+            del solves[:], applies[:], checks[:]
+            got = ops.operation_leq(a, b, np.random.default_rng(k))
+            assert got == want and [m.tobytes() for m in solves] == want_solves
+            if not got and checks == [ops.SAMPLE_N]:
+                assert len(applies) <= 2 * ops.SAMPLE_N  # refuted by a random probe
+            outcomes.add((got, tuple(checks)))
+    # the sweep reaches every path: certified, refuted by a random or a basis
+    # probe, and uncertified pairs that hold
+    assert {(got, len(checks)) for got, checks in outcomes} == {
+        (True, 0), (False, 1), (False, 2), (True, 2)}
 
 
 def _gram_superop(kraus):

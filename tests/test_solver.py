@@ -489,7 +489,9 @@ def test_only_operations_calls_the_certificate_only_entry():
     # it may take only matrices the library made exactly Hermitian: the hats of
     # ``operations._induced``, and the stacks ``effects._effects`` and
     # ``effects._states`` have just read. The checks it runs skip them too, so
-    # they run only there and in the constructors, after ``as_hermitian``.
+    # they run only there, in the constructors, after ``as_hermitian``, and in
+    # ``effects._computed_effect``, after its own symmetrization of a matrix the
+    # library computed.
     assert _package_readers(["_hermitian_members", "_check", "_check_effects",
                              "_check_states"]) == {
         ("effects.py", "_effects", "_hermitian_members"),
@@ -498,9 +500,60 @@ def test_only_operations_calls_the_certificate_only_entry():
         ("operations.py", "_induced", "_hermitian_members"),
         ("effects.py", "_hermitian_members", "_check"),
         ("effects.py", "__post_init__", "_check"),
+        ("effects.py", "_computed_effect", "_check_effects"),
         # the ``_check`` of ``Effect`` and ``State``
         ("effects.py", "<module>", "_check_effects"),
         ("effects.py", "<module>", "_check_states"),
+    }
+
+
+def test_only_library_producers_call_the_unread_builders():
+    # ``effects._computed_effect`` and ``operations._built``, ``_operations`` and
+    # ``_composed`` skip the reader of caller input, so each caller must pass a
+    # matrix or family the library computed from validated operands, or has
+    # just read; ``effects._effects`` and ``effects._states`` still read theirs,
+    # and are pinned with them. ``serialize`` and ``cli`` hand caller input to
+    # the public constructors only.
+    assert _package_readers(["_computed_effect", "_built", "_operations", "_composed",
+                             "_effects", "_states"]) == {
+        # effects: products, complements, sums and mixes of validated effects
+        ("effects.py", "seq_product", "_computed_effect"),
+        ("effects.py", "complement", "_computed_effect"),
+        ("effects.py", "orthosum", "_computed_effect"),
+        ("effects.py", "convex_combine", "_computed_effect"),
+        ("operations.py", "<module>", "_computed_effect"),
+        ("operations.py", "op_then_effect", "_computed_effect"),
+        # the stacked effect and state readers, on drawn, merged, sandwiched and
+        # projected stacks
+        ("effects.py", "random_effects", "_effects"),
+        ("effects.py", "random_states", "_states"),
+        ("observables.py", "<module>", "_effects"),
+        ("observables.py", "<lambda>", "_effects"),  # Observable._merges and _afters
+        ("observables.py", "random_observables", "_effects"),
+        ("observables.py", "projective_observable", "_effects"),
+        # operations: products, sums, scalings and remixes of validated families,
+        # the structured constructors and a measure's total channel
+        ("operations.py", "compose", "_built"),
+        ("operations.py", "add", "_built"),
+        ("operations.py", "scale", "_built"),
+        ("operations.py", "remix_kraus", "_built"),
+        ("operations.py", "luders", "_built"),
+        ("operations.py", "kraus_single", "_built"),
+        ("operations.py", "semi_trivial", "_built"),
+        ("operations.py", "trivial", "_built"),
+        ("operations.py", "sharp_operation", "_built"),
+        ("observables.py", "_channel", "_built"),
+        # the stacked members: drawn families, parts, products, and the families
+        # of the structured instruments (``_instrument`` takes what
+        # ``kraus_instrument`` and ``sharp_instrument`` have read)
+        ("operations.py", "random_channels", "_operations"),
+        ("operations.py", "random_operations", "_composed"),
+        ("instruments.py", "<lambda>", "_operations"),  # Instrument._merges
+        ("instruments.py", "<lambda>", "_composed"),  # Instrument._afters
+        ("instruments.py", "luders_instrument", "_operations"),
+        ("instruments.py", "semi_trivial_instrument", "_operations"),
+        ("instruments.py", "_instrument", "_operations"),
+        ("instruments.py", "_instruments", "_operations"),
     }
 
 
