@@ -12,21 +12,19 @@ nothing in the library reads it.
 
 Each type has one check, ``_check_effects`` (a supported dim, 0 <= a <= I) and
 ``_check_states`` (a supported dim, rho >= 0, unit trace), run on a Hermitian
-stack: the constructor runs it on the caller's matrix, read and symmetrized,
-as a stack of one, and the stacked builders (``_effects``, ``_states`` and
-``_hermitian_members``, which they share) on a whole stack. Membership is
-decided by ``matcore._first_outside``; the first failing member raises what
+stack, a single matrix being a stack of one. Membership is decided by
+``matcore._first_outside``; the first failing member of a stack raises what
 the constructor raises on it.
 
-``Effect``, ``State``, ``_effects`` and ``_states`` read caller input
-(``matcore._read`` and the HERM_TOL gap test of ``as_hermitian``), the stacked
-two as a whole stack. A matrix the library computes from validated effects
-and operations (``seq_product``, ``operations.op_then_effect``,
-``complement``, ``orthosum``, ``convex_combine``) is finite and Hermitian to
-rounding by construction, so it goes unread to ``_computed_effect``, which
-symmetrizes it once by the same formula and stores bit for bit what
-``Effect`` stores, or fails alike. An induced effect, exactly Hermitian as
-made, goes to ``_hermitian_members`` unsymmetrized.
+A matrix enters by one of two doors. ``Effect`` and ``State`` read caller
+input (``matcore._read`` and the HERM_TOL gap test of ``as_hermitian``).
+Every effect and state the library computes from validated operands (products,
+complements, sums and mixes, ``operations.op_then_effect``, induced effects,
+the members of observable products and parts, drawn effects and states) is
+finite and Hermitian to rounding by construction, so it goes unread to
+``_computed``: a matrix or a stack, symmetrized once by
+``matcore._hermitian_part`` and checked, storing bit for bit what the
+constructor stores of that symmetrization, or failing alike.
 
 The stacked generators (``random_effects`` and those of observables,
 operations and instruments) draw many effects at once and seed their roots:
@@ -39,7 +37,7 @@ seeded root is read-only, like a computed one, and agrees with what the first
 use would compute to rounding. The effects of a projective observable, of the
 sure observable (``identity_observable``) and ``atomic_projection`` are seeded
 with no solve, since a projection's root is the projection itself (|v><v| / |v|
-for a rank-one one). Random states are validated as one stack (``_states``).
+for a rank-one one). Random states are validated as one stack.
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ def _check_states(m: np.ndarray) -> None:
 class _Checked:
     """An operator checked once, at construction: the caller's matrix is read and
     symmetrized (``matcore.as_hermitian``), then checked as a stack of one by
-    the class's ``_check``, the body its stacked builder runs on a whole stack.
-    The stored matrix is the symmetrization, read-only."""
+    the class's ``_check``, the check ``_computed`` runs on what the library
+    computes. The stored matrix is the symmetrization, read-only."""
 
     op: np.ndarray
 
@@ -132,46 +130,19 @@ class State(_Checked):
         return matcore.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
 
 
-def _hermitian_members(cls, m: np.ndarray) -> tuple:
-    """The ``cls`` (``Effect`` or ``State``) of each member of a stack (n, d, d) of
-    matrices already exactly Hermitian, checked by the class's ``_check`` with
-    nothing read or symmetrized again. The stack is frozen and shared by its
-    members.
-
-    ``_effects`` and ``_states`` reach it after reading a caller's stack;
-    elsewhere only ``operations`` calls it, on the induced effects its
-    ``_hat_matrix`` makes.
-    """
+def _computed(cls, m: np.ndarray):
+    """The one entry for what the library computes from validated operands: the
+    ``cls`` (``Effect`` or ``State``) of a complex matrix (d, d), or a tuple of
+    them for a stack (n, d, d), finite and Hermitian to rounding by
+    construction, so not read as caller input. Symmetrized once
+    (``matcore._hermitian_part``) and checked by the class's ``_check``, it stores
+    bit for bit what ``cls`` stores of the symmetrization, or fails alike; the
+    members of a stack share one read-only array."""
+    m = _frozen(matcore._hermitian_part(m))
     cls._check(m)
-    return tuple(_validated(cls, op=x) for x in _frozen(m))
-
-
-def _computed_effect(m: np.ndarray) -> Effect:
-    """The ``Effect`` of a complex matrix (d, d) the library computed from validated
-    effects and operations, finite and Hermitian to rounding by construction,
-    so not read as caller input: symmetrized once by the ``as_hermitian``
-    formula and checked, it stores bit for bit what ``Effect(m)`` stores, or
-    fails alike."""
-    m = (m + matcore._adjoint(m)) * 0.5
-    _check_effects(m)
-    return _validated(Effect, op=_frozen(m))
-
-
-def _effects(mats) -> tuple[Effect, ...]:
-    """``Effect(m)`` for every matrix of a stack, validated as one stack: the stack
-    is read and symmetrized as ``Effect`` reads one matrix
-    (``matcore._as_hermitian_stack``: finite square matrices, Hermitian within
-    HERM_TOL), then checked by ``_hermitian_members``. Each stored matrix is
-    bit for bit the one ``Effect`` stores; the members share one read-only
-    array.
-    """
-    return _hermitian_members(Effect, matcore._as_hermitian_stack(mats))
-
-
-def _states(mats) -> tuple[State, ...]:
-    """``State(m)`` for every matrix of a stack, validated as ``_effects`` validates
-    effects."""
-    return _hermitian_members(State, matcore._as_hermitian_stack(mats))
+    if m.ndim == 2:
+        return _validated(cls, op=m)
+    return tuple(_validated(cls, op=x) for x in m)
 
 
 def _validated(cls, **fields):
@@ -204,7 +175,7 @@ def unit_effect(dim: int) -> Effect:
 def complement(a: Effect) -> Effect:
     """The effect a' = I - a."""
     _check_type(a, Effect, NotEffect)
-    return _computed_effect(matcore.identity(a.dim) - a.op)
+    return _computed(Effect, matcore.identity(a.dim) - a.op)
 
 
 def perp(a: Effect, b: Effect) -> bool:
@@ -219,7 +190,7 @@ def orthosum(a: Effect, b: Effect) -> Effect:
     """Parallel sum a + b; requires perp(a, b)."""
     if not perp(a, b):
         raise NotPerp("a + b exceeds the identity")
-    return _computed_effect(a.op + b.op)
+    return _computed(Effect, a.op + b.op)
 
 
 def seq_product(a: Effect, b: Effect) -> Effect:
@@ -227,7 +198,7 @@ def seq_product(a: Effect, b: Effect) -> Effect:
     _check_type(a, Effect, NotEffect)
     _check_type(b, Effect, NotEffect)
     matcore.check_same_dim(a.op, b.op)
-    return _computed_effect(a.root @ b.op @ a.root)
+    return _computed(Effect, a.root @ b.op @ a.root)
 
 
 def convex_combine(effects: list[Effect], weights) -> Effect:
@@ -250,7 +221,7 @@ def convex_combine(effects: list[Effect], weights) -> Effect:
         _check_type(e, Effect, NotEffect)
     if len({e.dim for e in effects}) > 1:
         raise DimensionError("effects of different dimensions cannot be combined")
-    return _computed_effect(sum(w * e.op for w, e in zip(weights, effects)))
+    return _computed(Effect, sum(w * e.op for w, e in zip(weights, effects)))
 
 
 def is_sharp(a: Effect, tol: float = EQ_TOL) -> bool:
@@ -264,16 +235,23 @@ def is_atomic(a: Effect, tol: float = EQ_TOL) -> bool:
     return is_sharp(a, tol) and abs(np.trace(a.op).real - 1.0) <= 1e-9
 
 
+def _probability(x) -> float:
+    """x clamped into [0, 1], as a Python float: the one rule every probability the
+    library returns goes through, since rounding can carry one past either end
+    by an ulp or more."""
+    return min(1.0, max(0.0, float(x)))
+
+
 def prob(rho: State, a: Effect) -> float:
     """P_rho(a) = tr(rho a), clamped into [0, 1], as a Python float."""
     _check_type(rho, State, NotState)
     _check_type(a, Effect, NotEffect)
     matcore.check_same_dim(rho.op, a.op)
-    return min(1.0, max(0.0, float(np.trace(rho.op @ a.op).real)))
+    return _probability(np.trace(rho.op @ a.op).real)
 
 
 def cond_prob(rho: State, b: Effect, given: Effect) -> float:
-    """P_rho(b | a) = P_rho(a o b) / P_rho(a).
+    """P_rho(b | a) = P_rho(a o b) / P_rho(a), clamped into [0, 1].
 
     Raises ConditioningOnNull when P_rho(a) <= COND_FLOOR rather than
     propagating a 0/0 NaN.
@@ -282,7 +260,7 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
     denom = prob(rho, a)
     if denom <= COND_FLOOR:
         raise ConditioningOnNull(f"P_rho(a) = {denom!r} below {COND_FLOOR:.0e}")
-    return prob(rho, seq_product(a, b)) / denom
+    return _probability(prob(rho, seq_product(a, b)) / denom)
 
 
 def atomic_projection(vector: np.ndarray) -> Effect:
@@ -319,7 +297,7 @@ def random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[Effect, 
     """n random effects, drawn as n ``random_effect`` calls would draw them, each
     with the root read off its drawn eigendecomposition, with no solve at any n."""
     ops, roots = matcore._random_effects(dim, rng, n)
-    return _seeded(_effects(ops), roots)
+    return _seeded(_computed(Effect, ops), roots)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> Effect:
@@ -328,8 +306,8 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
 
 def random_states(dim: int, rng: np.random.Generator, n: int) -> tuple[State, ...]:
     """n random states, drawn as n ``random_state`` calls would draw them and
-    validated as one stack (``_states``)."""
-    return _states(matcore._random_states(dim, rng, n))
+    validated as one stack."""
+    return _computed(State, matcore._random_states(dim, rng, n))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> State:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import COND_FLOOR, State, _check_type, _ket_bra
+from .effects import COND_FLOOR, State, _check_type, _ket_bra, _probability
 from .errors import ConditioningOnNull, DimensionError, NotChannel, NotMeasure, NotState
 from .observables import OBS_SUM_TOL, Observable, _conditioned, _labeled, _Measure, _product
 from .observables import _sequence
@@ -42,8 +42,7 @@ class Instrument(_Measure):
     _field = "ops"
     _sum_error = NotChannel
     _effect = staticmethod(lambda o: o.induced)
-    _prob = staticmethod(
-        lambda rho, o: min(1.0, max(0.0, float(np.trace(op_mod.apply(o, rho)).real))))
+    _prob = staticmethod(lambda rho, o: _probability(np.trace(op_mod.apply(o, rho)).real))
     _distance = staticmethod(lambda i, j: op_mod.action_distance(i, j))
     _merges = staticmethod(lambda groups: op_mod._operations(map(op_mod._summed_kraus, groups)))
     _after = staticmethod(lambda channel, o: op_mod.compose(channel, o))
@@ -151,13 +150,13 @@ def obs_conditioned_on_inst(a: Observable, given: Instrument) -> Observable:
 
 
 def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
-    """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)]."""
+    """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)], clamped into [0, 1]."""
     _check_type(rho, State, NotState)
     front = op_mod.apply(given, rho)
     denom = float(np.trace(front).real)
     if denom <= COND_FLOOR:
         raise ConditioningOnNull(f"tr[I(rho)] = {denom!r}")
-    return float(np.trace(op_mod.apply(j_member, front)).real) / denom
+    return _probability(np.trace(op_mod.apply(j_member, front)).real / denom)
 
 
 def _instruments(families: list[list[np.ndarray]]) -> tuple[Instrument, ...]:
@@ -174,7 +173,7 @@ def random_instruments(dim: int, rng: np.random.Generator, n: int,
     ``n_outcomes`` is one count for all, a sequence of n counts, or None."""
     draws, inv_roots = matcore._normalizing_draws(
         lambda k: [matcore._ginibres(dim, rng, int(rng.integers(1, 3))) for _ in range(k)],
-        lambda families: sum(op_mod._hat_matrix(fam) for fam in families),
+        lambda fams: sum(matcore._hermitian_part(op_mod._hat_matrix(fam)) for fam in fams),
         matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
     return _instruments([[np.einsum("nij,jk->nik", fam, inv_root) for fam in families]
                          for families, inv_root in zip(draws, inv_roots)])

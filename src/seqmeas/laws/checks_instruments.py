@@ -347,19 +347,16 @@ def check_parts_commute_with_hat(ctx: LawContext, dim: int, tally: Tally,
     witnesses push forward to the hats."""
     rng = ctx.rng
     f = random_surjection(i.outcomes, rng)
-    part = inst_part(i, f)
-    tally.expect(
-        _member_distance(measured_observable(part), obs_part(measured_observable(i), f)),
-        "part then hat equals hat then part")
+    part, hats = inst_part(i, f), measured_observable(i)
+    part_hats = measured_observable(part)
+    tally.expect(_member_distance(part_hats, obs_part(hats, f)),
+                 "part then hat equals hat then part")
     g = random_surjection(i.outcomes, rng)
-    j = inst_part(i, f)
     k = inst_part(i, g)
-    tally.expect_true(verify_inst_coexistence_witness(j, k, i, f, g),
+    tally.expect_true(verify_inst_coexistence_witness(part, k, i, f, g),
                       "parts witness their own coexistence")
     tally.expect_true(
-        verify_coexistence_witness(
-            measured_observable(j), measured_observable(k),
-            measured_observable(i), f, g),
+        verify_coexistence_witness(part_hats, measured_observable(k), hats, f, g),
         "coexistence pushes forward to the hats")
 
 
@@ -417,18 +414,15 @@ def check_conditional_prob_measure(ctx: LawContext, dim: int, tally: Tally, a: O
         total = sum(cond_prob(rho, by, given=ax) for by in b.effects)
         tally.expect(abs(total - 1.0), "conditional effect probabilities sum to 1")
     cond_i = inst_conditioned(j, i)
-    for y in j.outcomes:
+    fronts = [(ix, op_mod.apply(ix, rho)) for ix in i.ops]
+    for y, jy in j.items():
         lhs = trace_real(op_mod.apply(cond_i.operation(y), rho))
-        rhs = sum(
-            trace_real(op_mod.apply(j.operation(y), op_mod.apply(i.operation(x), rho)))
-            for x in i.outcomes)
+        rhs = sum(trace_real(op_mod.apply(jy, front)) for _, front in fronts)
         tally.expect(abs(lhs - rhs), "total probability through the conditioned instrument")
-    for x in i.outcomes:
-        px = trace_real(op_mod.apply(i.operation(x), rho))
-        if px <= PROB_FLOOR:
+    for ix, front in fronts:
+        if trace_real(front) <= PROB_FLOOR:
             continue
-        total = sum(inst_mod.cond_prob(rho, j.operation(y), given=i.operation(x))
-                    for y in j.outcomes)
+        total = sum(inst_mod.cond_prob(rho, jy, given=ix) for jy in j.ops)
         tally.expect(abs(total - 1.0), "conditional operation probabilities sum to 1")
 
 

@@ -33,19 +33,20 @@ diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8; a
 positive matrix has its largest entries there) the rounding error of the
 factorization stays well inside that margin. So every verdict is Jacobi's.
 
-A matrix is read and symmetrized at most once. Caller matrices go through
-``_read`` and ``as_hermitian``: the public ``Effect``, ``State`` and
-``Operation`` constructors, the structured ones that take matrices, and the
-stacked ``effects._effects`` and ``_states``. A matrix the library computes
-from validated operands is not read: an effect is symmetrized once and
-checked (``effects._computed_effect``), a Kraus family certified as it is
-(``operations._built``, ``_operations``, ``_composed``), and an induced
-effect, exactly Hermitian as ``operations._hat_matrix`` makes it, certified
-with neither (``effects._hermitian_members``). From numpy's gufunc module
-(``numpy.linalg._umath_linalg``) the package calls two LAPACK routines
-directly, the Cholesky of the certificate (``cholesky_lo``) and the
-Householder QR of the Kraus compression (``qr_r_raw``, in ``operations``), and
-no eigen-routine.
+A matrix is read at most once, and every symmetrization is one formula, (M +
+M†)·½, which leaves a matrix already exactly Hermitian unchanged:
+``as_hermitian`` applies it to caller matrices after its gap test, with one
+adjoint for both, and ``_hermitian_part`` to what the library computes.
+Caller matrices go through ``_read`` and ``as_hermitian``: the public
+``Effect``, ``State`` and ``Operation`` constructors and the structured ones
+that take matrices. A matrix the library computes from validated operands is
+not read: every effect and state, induced and drawn ones included, is
+symmetrized once and checked by one entry (``effects._computed``), and a
+Kraus family is certified as it is (``operations._built``, ``_operations``,
+``_composed``). From numpy's gufunc module (``numpy.linalg._umath_linalg``)
+the package calls two LAPACK routines directly, the Cholesky of the
+certificate (``cholesky_lo``) and the Householder QR of the Kraus compression
+(``qr_r_raw``, in ``operations``), and no eigen-routine.
 
 A stack of matrices drawn at once (the random inputs of many law trials) is
 diagonalized by the stacked Jacobi kernel, ``_eig_hermitian_stack``: the same
@@ -393,6 +394,13 @@ def _adjoint(v: np.ndarray) -> np.ndarray:
     return v.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)·½ of a matrix or of each member of a stack: the one symmetrization
+    of a matrix the library computed, exactly Hermitian, and idempotent on one
+    that already is."""
+    return (m + _adjoint(m)) * 0.5
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only in place."""
     arr.setflags(write=False)
@@ -658,8 +666,7 @@ def _random_states(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     check_dim(dim)
     g = _ginibres(dim, rng, _draws(n))
     rho = g @ _adjoint(g)
-    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    return (rho + _adjoint(rho)) / 2
+    return _hermitian_part(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -677,7 +684,7 @@ def _random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[np.ndar
     u = _haar(np.stack([g for g, _ in draws]))
     values = np.stack([v for _, v in draws])
     e = (u * values[:, None, :]) @ _adjoint(u)
-    return (e + _adjoint(e)) / 2, _psd_roots(values, u)
+    return _hermitian_part(e), _psd_roots(values, u)
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -699,8 +706,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = _ginibre(dim, rng)
-    return (g + dagger(g)) / 2
+    return _hermitian_part(_ginibre(dim, rng))
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,12 +6,13 @@ operation. Both are ``_Measure``s, so validation, lookup, parts, equality, the
 distribution, the witness check, products and conditionings are written once.
 Every member of a measure the library builds (products, parts, the random and
 structured constructors) comes from the stacked builder of its member type,
-``effects._effects`` or ``operations._operations`` (``operations._composed``
-for instrument products), through the stacked hooks ``_afters`` and
-``_merges``. Conditionings are the exception: they still build each member
-alone, through the scalar hook ``_after`` (``compose`` or
-``op_then_effect``). ``_effects`` reads its stack once; the operation
-builders take the library's families unread. A measure taken first runs its
+``effects._computed`` (the one entry of every effect the library computes)
+or ``operations._operations`` (``operations._composed`` for instrument
+products), through the stacked hooks ``_afters`` and ``_merges``.
+Conditionings are the exception: they still build each member alone, through
+the scalar hook ``_after`` (``compose`` or ``op_then_effect``). No builder
+reads what the library hands it: an effect stack is symmetrized once and
+checked, a family certified as it is. A measure taken first runs its
 front, a tuple of Kraus families: an instrument its members' own, an
 observable those of its Lueders instrument L(a): a_x -> a_x^{1/2} .
 a_x^{1/2}, the roots themselves (Gudder & Nagy, J. Math. Phys. 42 (2001)).
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, operations as op_mod
-from .effects import Effect, State, _check_type, _effects, _seeded, _with_roots, prob
+from .effects import Effect, State, _check_type, _computed, _probability, _seeded, _with_roots, prob
 from .errors import DimensionError, NotMeasure, NotState, NotSurjective, SeqmeasError
 from .matcore import max_abs
 from .operations import Operation
@@ -114,9 +115,11 @@ class Observable(_Measure):
     _sum_error = DimensionError
     _effect = staticmethod(lambda e: e)
     _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
-    _merges = staticmethod(lambda groups: _effects([sum(e.op for e in effs) for effs in groups]))
+    _merges = staticmethod(
+        lambda groups: _computed(Effect, np.array([sum(e.op for e in effs) for effs in groups])))
     _after = staticmethod(lambda channel, e: op_mod.op_then_effect(channel, e))
-    _afters = staticmethod(lambda pairs: _effects([op_mod._sandwich(u, e.op) for u, e in pairs]))
+    _afters = staticmethod(
+        lambda pairs: _computed(Effect, np.array([op_mod._sandwich(u, e.op) for u, e in pairs])))
     _prob = staticmethod(lambda rho, e: prob(rho, e))
 
     # The Kraus families of the Lueders instrument, a_x^{1/2} . a_x^{1/2}: the roots.
@@ -183,7 +186,7 @@ def event_prob(a: Observable, rho: State, event) -> float:
     _check_type(rho, State, NotState)
     matcore._check_same_operand_dim(a, rho)
     labels = dict.fromkeys(map(_label, _sequence(event, "event labels")))
-    return min(1.0, float(sum(a._prob(rho, a._member(x)) for x in labels)))
+    return _probability(sum(a._prob(rho, a._member(x)) for x in labels))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
@@ -254,7 +257,7 @@ def random_observables(dim: int, rng: np.random.Generator, n: int,
     grams, inv_roots = matcore._normalizing_draws(
         lambda k: (lambda g: g @ matcore._adjoint(g))(matcore._ginibres(dim, rng, k)),
         sum, matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
-    effs = _with_roots(_effects(np.concatenate(
+    effs = _with_roots(_computed(Effect, np.concatenate(
         [inv_root @ g @ inv_root for g, inv_root in zip(grams, inv_roots)])))
     return _labeled(Observable, effs, [len(g) for g in grams])
 
@@ -277,5 +280,5 @@ def projective_observable(dim: int, rng: np.random.Generator) -> Observable:
     """Random sharp observable: rank-one eigenprojections of a random unitary. A
     projection is its own root, so the roots are filled in with no solve."""
     u = matcore.random_unitary(dim, rng)
-    effs = _effects([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
+    effs = _computed(Effect, np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]))
     return _labeled(Observable, _seeded(effs, [e.op for e in effs]), [dim])[0]

@@ -8,20 +8,20 @@ Every operation is certified, sum_i A_i† A_i <= I, by one body: a family is
 compressed (``_bounded``), its induced effect built as the validation and
 certified in [0, I] (``_induced``), and carried as ``Operation.induced``, so
 ``hat``, ``is_channel``, ``equiv`` and the instrument sum read it instead of
-recomputing it. The hats, exactly Hermitian as ``_hat_matrix`` makes them, go
-straight to the certificate-only entry ``effects._hermitian_members``: the
-checks and verdicts of ``Effect``, without the caller-input reader or a
-second symmetrization; an effect outside [0, I] is ``NotSubunital``.
+recomputing it. The hats, as ``_hat_matrix`` computes them, go straight to
+``effects._computed``, the one entry of every effect the library computes: one
+symmetrization, then the checks and verdicts of ``Effect``, without the
+caller-input reader; an effect outside [0, I] is ``NotSubunital``.
 
 The ``Operation`` constructor reads a caller's family (``matcore._read``)
-first. A family the library built from validated operands is not read:
-``_built`` runs the body on one (``compose``, ``add``, ``scale``,
-``remix_kraus``, the structured constructors, a measure's total channel),
-and ``_stacked_operations`` on many families of one dim at once, with the
-same verdicts and bits, through ``_operations`` (drawn, merged or structured
-families) and ``_composed`` (products of pairs of families): every operation
-member of a measure the library makes, except those of a conditioning, which
-``compose`` builds one at a time.
+first, and keeps a copy of it. A family the library built from validated
+operands is not read: ``_built`` runs the body on one (``compose``, ``add``,
+``scale``, ``remix_kraus``, the structured constructors, a measure's total
+channel), and ``_stacked_operations`` on many families of one dim at once,
+with the same verdicts and bits, through ``_operations`` (drawn, merged or
+structured families) and ``_composed`` (products of pairs of families): every
+operation member of a measure the library makes, except those of a
+conditioning, which ``compose`` builds one at a time.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
@@ -68,8 +68,7 @@ from .effects import (
     Effect,
     State,
     _check_type,
-    _computed_effect,
-    _hermitian_members,
+    _computed,
     _ket_bra,
     _validated,
     complement,
@@ -93,8 +92,10 @@ SAMPLE_N = 32
 
 
 def _as_kraus_array(kraus) -> np.ndarray:
-    """The family as one (n, d, d) array; a single d x d operator is promoted."""
-    arr = matcore._read(kraus, "Kraus family", (2, 3))
+    """The family as one (n, d, d) array of its own; a single d x d operator is
+    promoted. The operation keeps and freezes it, so it is a copy: the caller's
+    array stays writable, and later writes to it never reach the operation."""
+    arr = matcore._read(kraus, "Kraus family", (2, 3)).copy()
     return arr[None, :, :] if arr.ndim == 2 else arr
 
 
@@ -109,11 +110,11 @@ class Operation:
     passed in here must rebuild the same map (``_checked_recipe``); the
     structured constructors set theirs afterwards (``_built``), unchecked.
 
-    The family is read as caller input, compressed to at most dim² operators
-    (``_bounded``), and its induced effect sum A†A, exactly Hermitian as
-    ``_hat_matrix`` makes it, is certified in [0, I] as a stack of one by
-    ``effects._hermitian_members``, with no second symmetrization; an effect
-    outside [0, I] raises ``NotSubunital``.
+    The family is read as caller input and copied, so the caller's array is
+    never frozen or aliased; it is compressed to at most dim² operators
+    (``_bounded``), and its induced effect sum A†A (``_hat_matrix``) is
+    symmetrized once and certified in [0, I] as a stack of one by
+    ``effects._computed``; an effect outside [0, I] raises ``NotSubunital``.
     """
 
     kraus: np.ndarray
@@ -240,11 +241,11 @@ def _grouped(keys) -> list[list[int]]:
 
 def _induced(families, order=None) -> tuple[Effect, ...]:
     """The induced effects of a list of families (n, d, d) and stacks of families
-    (m, n, d, d): their hats (``_hat_matrix``, exactly Hermitian), one after
-    another and then taken in ``order`` when one is given, go as one stack
-    straight to ``effects._hermitian_members``, which certifies them with
-    nothing read or symmetrized again. An effect outside [0, I] is reported as
-    sum A†A above I. A family so large that its hat overflows has a non-finite
+    (m, n, d, d): their hats (``_hat_matrix``), one after another and then
+    taken in ``order`` when one is given, go as one stack straight to
+    ``effects._computed``, which symmetrizes them once and certifies them
+    with nothing read. An effect outside [0, I] is reported as sum A†A above
+    I. A family so large that its hat overflows has a non-finite
     hat, which the certificate declines and Jacobi's reader rejects as
     ``DimensionError``, as it rejects any non-finite matrix; the overflow and
     the invalid values it spreads are silenced for that reason only. A finite hat
@@ -253,7 +254,7 @@ def _induced(families, order=None) -> tuple[Effect, ...]:
         hats = [_hat_matrix(f).reshape(-1, *f.shape[-2:]) for f in families]
         hats = hats[0] if order is None else np.concatenate(hats)[order]
         try:
-            return _hermitian_members(Effect, hats)
+            return _computed(Effect, hats)
         except NotEffect as exc:
             raise NotSubunital(f"sum A†A is not below I: {exc}") from None
 
@@ -285,17 +286,14 @@ def _gram(kraus: np.ndarray) -> np.ndarray:
 
 def _hat_matrix(kraus: np.ndarray) -> np.ndarray:
     """sum_n A_n† A_n of a family (n, d, d), or of each family of a stack (m, n, d,
-    d): one GEMM, X† X over the stacked rows X, symmetrized once, in place. BLAS
-    does not sum the terms of entries (j, k) and (k, j) in one order, so the
-    product alone is Hermitian only to rounding, which the ``HERM_TOL`` check
-    of a huge family would reject; symmetrized, it is exactly Hermitian, and the
-    ``Effect`` that receives it stores it unchanged."""
+    d): one GEMM, X† X over the stacked rows X, as BLAS returns it. BLAS does
+    not sum the terms of entries (j, k) and (k, j) in one order, so the product
+    is Hermitian only to rounding, beyond ``HERM_TOL`` for a huge family; its
+    one symmetrization is that of ``effects._computed``, which certifies it
+    (``_induced``)."""
     *lead, n, d, _ = kraus.shape
     rows = kraus.reshape(*lead, n * d, d)
-    hat = matcore._adjoint(rows) @ rows
-    hat += matcore._adjoint(hat)
-    hat *= 0.5
-    return hat
+    return matcore._adjoint(rows) @ rows
 
 
 def _side_by_side(kraus: np.ndarray) -> np.ndarray:
@@ -447,8 +445,9 @@ def _luders_parts(a: Effect) -> tuple[np.ndarray, dict]:
 
 
 def kraus_single(a_mat: np.ndarray) -> Operation:
-    """Single-operator Kraus operation rho -> A rho A†; requires A†A <= I."""
-    return _built(matcore.as_square(a_mat)[None, :, :])
+    """Single-operator Kraus operation rho -> A rho A†; requires A†A <= I. The
+    operation keeps a copy of A, never the caller's array."""
+    return _built(matcore.as_square(a_mat)[None, :, :].copy())
 
 
 def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
@@ -551,7 +550,7 @@ def op_then_effect(i: Operation, a: Effect) -> Effect:
     _check_operations(i)
     _check_type(a, Effect, NotEffect)
     matcore._check_same_operand_dim(i, a)
-    return _computed_effect(_sandwich(i.kraus, a.op))
+    return _computed(Effect, _sandwich(i.kraus, a.op))
 
 
 def _sandwich(kraus: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -604,7 +603,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
     gap = _gram(j.kraus) - _gram(i.kraus)
-    if matcore.psd_certified((gap + dagger(gap)) / 2):
+    if matcore.psd_certified(matcore._hermitian_part(gap)):
         return True
     randoms = matcore._random_states(i.dim, rng or np.random.default_rng(0), SAMPLE_N)
     for probes in (randoms, _basis_probes(i.dim)):
@@ -636,7 +635,8 @@ def random_channels(dim: int, rng: np.random.Generator, n: int,
     drawn from {1, 2, 3})."""
     sizes = matcore._counts(n_kraus, rng, 1, 4, "n_kraus", n)
     fams, inv_roots = matcore._normalizing_draws(
-        lambda k: matcore._ginibres(dim, rng, k), _hat_matrix, sizes)
+        lambda k: matcore._ginibres(dim, rng, k),
+        lambda fam: matcore._hermitian_part(_hat_matrix(fam)), sizes)
     return _operations([np.einsum("nij,jk->nik", fam, inv_root)
                         for fam, inv_root in zip(fams, inv_roots)])
 

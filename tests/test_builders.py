@@ -1,14 +1,19 @@
 """The builders that take matrices the library computed from validated operands,
 against the caller-input constructors.
 
-``effects._computed_effect`` and ``operations._built`` (with the stacked
+``effects._computed``, the one entry of every effect and state the library
+computes, and ``operations._built`` (with the stacked
 ``operations._operations`` and ``_composed``) skip the reader of caller input
 (``matcore._read``) and the Hermitian gap test. That is sound only if what
 they receive would pass both, and it keeps the results only if they then
-store and raise exactly what ``Effect`` and ``Operation`` store and raise.
-Both are checked here at d = 2-8 on effects at the PSD_TOL edges of [0, I]
-and on channels with sum A†A = I, where products can leave [0, I] by a few
-1e-10.
+store and raise exactly what ``Effect``, ``State`` and ``Operation`` store
+and raise. ``_computed`` symmetrizes once (``matcore._hermitian_part``), so
+what it stores is exactly Hermitian, and it is the constructor's verdict on
+that symmetrization even where the gap test would refuse the raw matrix (the
+hats of huge families, which only the induced-effect path passes). All of
+this is checked here at d = 2-8 on raw hats, sandwiches, sums, drawn effects
+and states, and effects at the PSD_TOL edges of [0, I], and on channels with
+sum A†A = I, where products can leave [0, I] by a few 1e-10.
 """
 
 from contextlib import ExitStack
@@ -164,54 +169,137 @@ def test_unread_producers_equal_the_caller_input_constructors(case):
                  _same_operation)
 
 
-def _recorded_stacks(calls) -> ExitStack:
-    """Patches that record every call of ``_effects`` and ``_states`` in the package,
-    under each name it is imported as, as (class, raw stack, outcome)."""
+def _recorded_computed(calls) -> ExitStack:
+    """Patches that record every call of ``effects._computed`` in the package, under
+    each name it is imported as, as (class, raw matrix or stack, outcome)."""
+    real = effects._computed
+
+    def spy(cls, m):
+        raw = np.array(m)
+        outcome = _outcome(lambda: real(cls, m))
+        calls.append((cls, raw, outcome))
+        if outcome[0] == "error":
+            raise outcome[1](outcome[2])
+        return outcome[1]
+
     patches = ExitStack()
     for module in (effects, ops, observables):
-        for name, cls in (("_effects", Effect), ("_states", State)):
-            real = getattr(module, name, None)
-            if real is not None:
-                def spy(mats, real=real, cls=cls):
-                    raw = np.array(mats)
-                    outcome = _outcome(lambda: real(mats))
-                    calls.append((cls, raw, outcome))
-                    if outcome[0] == "error":
-                        raise outcome[1](outcome[2])
-                    return outcome[1]
-                patches.enter_context(mock.patch.object(module, name, spy))
+        patches.enter_context(mock.patch.object(module, "_computed", spy))
     return patches
+
+
+def _constructed(cls, m):
+    """``cls`` of a matrix, or of each member of a stack, as a caller builds them."""
+    return cls(m) if m.ndim == 2 else tuple(cls(x) for x in m)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(edge_inputs())
 def test_stacked_effect_builders_equal_the_constructors(case):
-    # every stack ``_effects`` and ``_states`` receive (drawn, merged, sandwiched
-    # and projected stacks) passes their reader, and its members are bit for
-    # bit Effect or State of its raw matrices, or fail as the first failing one
-    # does
+    # every matrix and stack ``_computed`` receives (drawn, merged, sandwiched,
+    # projected and induced stacks, products and complements) passes the
+    # caller-input reader, and its members are bit for bit Effect or State of
+    # its raw matrices, or fail as the first failing one does
     dim, rng, a, b = case
     calls = []
-    with _recorded_stacks(calls):
+    with _recorded_computed(calls):
         effects.random_states(dim, rng, 2)
         obs = observables.random_observable(dim, rng)
         sharp = observables.projective_observable(dim, rng)
         inst = instruments.random_instrument(dim, rng)
         pa = _outcome(lambda: observables.Observable(("0", "1"), (a, effects.complement(a))))
         builds = [lambda: effects.random_effects(dim, rng, 3),
+                  lambda: effects.seq_product(a, b),
                   lambda: observables.obs_seq_product(obs, sharp),
                   lambda: instruments.inst_then_obs(inst, obs),
-                  lambda: observables.obs_part(obs, {x: "0" for x in obs.outcomes})]
+                  lambda: observables.obs_part(obs, {x: "0" for x in obs.outcomes}),
+                  lambda: ops.luders(b)]
         if pa[0] == "ok":
             builds.append(lambda: observables.obs_seq_product(pa[1], obs))
         for build in builds:
             _outcome(build)
     assert {cls for cls, _, _ in calls} == {Effect, State}
+    assert {raw.ndim for _, raw, _ in calls} == {2, 3}
     for cls, raw, got in calls:
-        assert raw.ndim == 3
-        for m in raw:
+        for m in raw.reshape(-1, dim, dim):
             _effect_matrix(m)
-        _assert_same(got, _outcome(lambda: tuple(cls(m) for m in raw)), _same_effect)
+        _assert_same(got, _outcome(lambda: _constructed(cls, raw)), _same_effect)
+
+
+@st.composite
+def computed_inputs(draw):
+    """A class and what the library hands ``_computed`` of it at d = 2..8, as one
+    matrix or a stack of 1 to 4: raw hats of Ginibre families with entries of
+    1e-3 to 1e5 (a family normalized to a channel among them), sandwiches and
+    products of effects at the PSD_TOL edges, their sums, drawn effects and
+    drawn states, and states with spectra at the PSD_TOL edges."""
+    dim = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["hat", "channel-hat", "sandwich", "product", "sum",
+                                 "drawn-effect", "drawn-state", "edge-state"]))
+    n = draw(st.sampled_from([None, 1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = matcore.random_unitary(dim, rng)
+
+    def edge_effect():
+        return (u * _edge_values(dim, rng)) @ matcore.dagger(u)
+
+    def one():
+        if kind in ("hat", "channel-hat"):
+            scale = 10.0 ** rng.choice([-3.0, 0.0, 2.0, 5.0])
+            fam = scale * _channel_family(dim, int(rng.choice([1, 3, dim * dim + 1])), rng)
+            if kind == "hat":
+                fam = fam * rng.uniform(0.5, 2.0, size=(len(fam), 1, 1))
+            else:
+                fam = fam / scale
+            return ops._hat_matrix(fam)
+        if kind == "sandwich":
+            return ops._sandwich(_channel_family(dim, int(rng.integers(1, 4)), rng), edge_effect())
+        if kind == "product":
+            root = matcore.sqrt_psd(edge_effect())
+            return root @ edge_effect() @ root
+        if kind == "sum":
+            return edge_effect() / 2 + edge_effect() / 2
+        if kind == "drawn-effect":
+            return matcore._random_effects(dim, rng, 1)[0][0]
+        if kind == "drawn-state":
+            return matcore._random_states(dim, rng, 1)[0]
+        values = rng.dirichlet(np.ones(dim))
+        values[0] = rng.choice([-EDGE, 0.0, values[0]])
+        values *= (1.0 + rng.choice([-0.9e-10, 0.0, 0.9e-10, 2e-10])) / values.sum()
+        return (u * values) @ matcore.dagger(u)
+
+    cls = State if kind.endswith("state") else Effect
+    if draw(st.integers(0, 4)) == 0:
+        cls = Effect if cls is State else State
+    m = one() if n is None else np.array([one() for _ in range(n)])
+    return cls, m
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(computed_inputs())
+def test_computed_stores_what_the_constructors_store(case):
+    cls, m = case
+    before = m.tobytes()
+    got = _outcome(lambda: effects._computed(cls, m))
+    assert m.tobytes() == before and m.flags.writeable  # the input is left alone
+    if got[0] == "ok":
+        members = got[1] if m.ndim == 3 else (got[1],)
+        assert len(members) == (len(m) if m.ndim == 3 else 1)
+        for x in members:
+            assert type(x) is cls and x.op.dtype == complex
+            assert np.array_equal(x.op, matcore._adjoint(x.op))  # exactly Hermitian
+    # always the constructor's verdict on its one symmetrization ...
+    sym = matcore._hermitian_part(m)
+    _assert_same(got, _outcome(lambda: _constructed(cls, sym)), _same_effect)
+    # ... and, wherever the caller-input reader accepts the raw matrix, on that
+    want = _outcome(lambda: _constructed(cls, m))
+    if matcore.max_abs(m - matcore._adjoint(m)) <= HERM_TOL:
+        _assert_same(got, want, _same_effect)
+    else:
+        # the reader refuses a raw member (a huge hat), unless an earlier one fails
+        assert want[0] == "error"
+        if m.ndim == 2:
+            assert want[1] is DimensionError and "not Hermitian" in want[2]
 
 
 def _channel_family(dim, n, rng) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmeas import effects, instruments, matcore, observables, operations
 from seqmeas.effects import (
@@ -192,7 +193,7 @@ def test_convex_combine_rejects_non_finite_weights_first(weights, monkeypatch):
     # a comparison with NaN is false, so the sign and sum tests alone let
     # [nan, nan] through; no matrix arithmetic may run before the weights pass
     a = effects.random_effect(2, np.random.default_rng(9))
-    monkeypatch.setattr(effects, "_computed_effect", lambda m: pytest.fail("mixed"))
+    monkeypatch.setattr(effects, "_computed", lambda cls, m: pytest.fail("mixed"))
     with pytest.raises(WeightError, match="weights must be finite"):
         convex_combine([a, a], weights)
 
@@ -212,6 +213,62 @@ def test_probabilities_are_python_floats():
     assert [type(x) for x in values] == [float] * len(values)
     assert repr(effects.prob(effects.State(np.eye(2) / 2), effects.Effect(np.eye(2) / 3))) == (
         "0.3333333333333333")
+
+
+def test_self_conditioning_is_exactly_one_where_rounding_passes_it():
+    # P(a | a) for a projection a, and P(C | C) for a channel C, are 1 in exact
+    # arithmetic; their quotients of rounded traces land on either side of it
+    rng = np.random.default_rng(24)
+    over = {"effect": 0, "channel": 0}
+    for t in range(200):
+        dim = 2 + t % 4
+        rho = effects.random_state(dim, rng)
+        a = observables.projective_observable(dim, rng).effects[0]
+        c = operations.random_channel(dim, rng)
+        front = operations.apply(c, rho)
+        for kind, quotient, value in (
+                ("effect", prob(rho, seq_product(a, a)) / prob(rho, a),
+                 cond_prob(rho, a, given=a)),
+                ("channel", float(np.trace(operations.apply(c, front)).real)
+                 / float(np.trace(front).real), instruments.cond_prob(rho, c, given=c))):
+            assert 1.0 - 1e-12 <= value <= 1.0
+            if quotient > 1.0:
+                over[kind] += 1
+                assert value == 1.0
+    # the seeded draws do pass 1 unclamped, so the clamp is what holds them
+    assert over["effect"] > 0 and over["channel"] > 0
+
+
+@st.composite
+def probability_inputs(draw):
+    """A state, two effects (one of them a projection), an observable, a random
+    instrument and a channel at d = 2..5."""
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (effects.random_state(dim, rng), effects.random_effect(dim, rng),
+            observables.projective_observable(dim, rng),
+            observables.random_observable(dim, rng), instruments.random_instrument(dim, rng),
+            operations.random_channel(dim, rng))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(probability_inputs())
+def test_every_probability_is_in_the_unit_interval(case):
+    rho, b, sharp, obs, inst, chan = case
+    a = sharp.effects[0]
+    values = [prob(rho, a), prob(rho, b), prob(rho, complement(b)),
+              *observables.distribution(obs, rho).values(),
+              *observables.distribution(sharp, rho).values(),
+              *instruments.distribution(inst, rho).values(),
+              observables.event_prob(obs, rho, obs.outcomes),
+              observables.event_prob(sharp, rho, sharp.outcomes[:1])]
+    for given_, member in ((a, a), (a, b), (b, a), (b, complement(b))):
+        if prob(rho, given_) > COND_FLOOR:
+            values.append(cond_prob(rho, member, given=given_))
+    for given_ in (chan, *inst.ops):
+        if float(np.trace(operations.apply(given_, rho)).real) > COND_FLOOR:
+            values += [instruments.cond_prob(rho, j, given=given_) for j in (chan, *inst.ops)]
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in values), values
 
 
 def test_sharp_and_atomic():
@@ -252,7 +309,8 @@ def test_cond_prob_null_denominator():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: State(np.diag([1.5, 0.5])), NotState, "tr(rho) = 2.0 != 1"),
-    (lambda: effects._states([np.eye(2) / 2, np.diag([1.5, 0.5])]), NotState,
+    (lambda: effects._computed(State, np.array([np.eye(2) / 2, np.diag([1.5, 0.5])],
+                                               dtype=complex)), NotState,
      "tr(rho) = 2.0 != 1"),
     (lambda: cond_prob(State(np.diag([1.0, 0.0])), unit_effect(2),
                        given=Effect(np.diag([1e-13, 0.5]))),
@@ -562,7 +620,7 @@ def test_stacked_states_store_what_the_constructor_stores():
     for dim in range(2, 9):
         mats = matcore._random_states(dim, rng, 9)
         mats[3] = mats[3] + 1e-13j * np.triu(np.ones((dim, dim)), 1)  # Hermitian to HERM_TOL
-        stacked = effects._states(mats)
+        stacked = effects._computed(State, mats)
         for got, m in zip(stacked, mats):
             want = State(m)
             assert np.array_equal(got.op, want.op) and not got.op.flags.writeable
@@ -580,14 +638,18 @@ def test_stacked_states_reject_the_first_failing_member_as_the_constructor(monke
     for mats, message in (([good[0], not_psd, heavy], "not positive semidefinite"),
                           ([good[0], heavy, not_psd], "tr(rho) = ")):
         with pytest.raises(NotState, match=re.escape(message)):
-            effects._states(mats)
+            effects._computed(State, np.array(mats))
         with pytest.raises(NotState) as alone:
             [State(m) for m in mats]
         with pytest.raises(NotState, match=re.escape(str(alone.value))):
-            effects._states(mats)
-    for mats in ([np.eye(3), np.eye(2)], [np.triu(np.ones((3, 3))) / 3], [np.eye(9) / 9]):
+            effects._computed(State, np.array(mats))
+    with pytest.raises(DimensionError):
+        effects._computed(State, np.eye(9)[None] / 9)  # unsupported dim
+    # a ragged or non-Hermitian matrix is caller input, which only the
+    # constructor reads: the library computes neither
+    for m in ([[0.5, 0.0], [0.5]], np.triu(np.ones((3, 3))) / 3):
         with pytest.raises(DimensionError):
-            effects._states(mats)
+            State(m)
     # Jacobi decides only the members the certificate declines: an eigenvalue of
     # -0.7 PSD_TOL is past the certificate's margin of PSD_TOL / 2, within PSD_TOL
     solves = []
@@ -595,7 +657,7 @@ def test_stacked_states_reject_the_first_failing_member_as_the_constructor(monke
     monkeypatch.setattr(matcore, "eig_hermitian", lambda m: solves.append(m) or real(m))
     edge = np.diag([1.0, 0.0, 0.0]).astype(complex) - 0.7 * matcore.PSD_TOL * np.eye(3)
     edge = edge / np.trace(edge).real
-    states = effects._states(list(good) + [edge])
+    states = effects._computed(State, np.array([*good, edge]))
     assert len(states) == 5 and len(solves) == 1 and np.array_equal(solves[0], states[4].op)
 
 

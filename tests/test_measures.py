@@ -221,7 +221,8 @@ def _scalar_random_instrument(dim, rng):
     n = matcore._count(None, rng, 2, 4, "n_outcomes")
     families = [np.stack([matcore._ginibre(dim, rng) for _ in range(int(rng.integers(1, 3)))])
                 for _ in range(n)]
-    inv_root = matcore.inv_sqrt_pd(sum(ops._hat_matrix(fam) for fam in families))
+    inv_root = matcore.inv_sqrt_pd(
+        sum(matcore._hermitian_part(ops._hat_matrix(fam)) for fam in families))
     return [Operation(np.einsum("nij,jk->nik", fam, inv_root)) for fam in families]
 
 

@@ -28,6 +28,21 @@ def e1_state():
     return State(P0)
 
 
+@pytest.mark.parametrize("build, family", [
+    (ops.Operation, lambda m: m[None]),
+    (ops.Operation, lambda m: m),
+    (lambda m: ops.Operation(m, {"kind": "kraus", "operators": m.copy()}), lambda m: m[None]),
+    (ops.kraus_single, lambda m: m),
+], ids=["operation", "operation-single", "operation-recipe", "kraus-single"])
+def test_operations_keep_their_own_copy_of_the_callers_family(build, family):
+    caller = family(0.5 * np.eye(2, dtype=complex))
+    op = build(caller)
+    assert caller.flags.writeable and not np.shares_memory(op.kraus, caller)
+    caller[..., 0, 0] = 0.9
+    assert np.array_equal(op.kraus, 0.5 * np.eye(2)[None])
+    assert np.array_equal(op.induced.op, 0.25 * np.eye(2))
+
+
 def test_operation_rejects_excess():
     with pytest.raises(NotSubunital):
         ops.Operation(np.stack([np.eye(2, dtype=complex), np.eye(2, dtype=complex)]))
@@ -711,15 +726,17 @@ def test_stacked_validation_rejects_as_the_scalar_one():
     with pytest.raises(NotSubunital):
         ops._operations(good + [np.stack([np.eye(3), np.eye(3)])])
     with pytest.raises(NotEffect):
-        effects._effects([good[0][0] @ good[0][0].conj().T, 2 * np.eye(3)])
+        effects._computed(Effect, np.array([good[0][0] @ good[0][0].conj().T, 2 * np.eye(3)]))
     bad = good[1].copy()
     bad[0, 1, 1] = np.nan
     for call in (lambda: ops._operations(good + [bad]),  # non-finite member
                  lambda: ops._operations(good + _subunital_families(2, (1,), rng)),  # dims
-                 lambda: effects._effects([np.eye(3), [[0.0, 1.0], [0.0, 0.0]]]),
-                 lambda: effects._effects([np.triu(np.ones((3, 3)))]),  # not Hermitian
-                 lambda: effects._effects([np.eye(9)]),  # unsupported dim
-                 lambda: effects._effects([])):
+                 lambda: effects._computed(Effect, np.eye(9, dtype=complex)[None]),  # dim
+                 # ragged, non-Hermitian and empty input is the caller's, which only
+                 # the constructor reads: the library computes none of them
+                 lambda: Effect([[1.0, 0.0], [0.0]]),
+                 lambda: Effect(np.triu(np.ones((3, 3)))),
+                 lambda: Effect(np.zeros((0, 0)))):
         with pytest.raises(DimensionError):
             call()
 
@@ -741,7 +758,6 @@ def test_kraus_kernels_match_their_einsum_forms(dim):
         fam = _family(rng, n, dim)
         hat = ops._hat_matrix(fam)
         assert _close(hat, np.einsum("nij,nik->jk", fam.conj(), fam))
-        assert np.array_equal(hat, hat.conj().T)  # exactly Hermitian
         a = matcore.random_hermitian(dim, rng)
         assert _close(ops._sandwich(fam, a), np.einsum("nji,jk,nkl->il", fam.conj(), a, fam))
         op = ops.Operation(_subunital_families(dim, (n,), rng)[0])
@@ -794,9 +810,9 @@ def test_product_members_are_the_composed_operations(dim):
         assert np.array_equal(got.induced.op, want.induced.op)
 
 
-# The induced effect goes from ``_hat_matrix`` straight to the certificate-only
-# entry ``effects._hermitian_members``; that is sound only if the hat is already
-# what the caller-input reader would make of it.
+# The induced effect goes from ``_hat_matrix`` straight to ``effects._computed``,
+# which symmetrizes it once; that is sound only if what it stores is what the
+# caller-input reader would make of it, exactly Hermitian.
 
 def _families(dim, n, scale, rng, lead=()):
     """Ginibre Kraus families (lead..., n, dim, dim) with entries of size ``scale``."""
@@ -810,11 +826,15 @@ def test_hat_matrix_is_exactly_hermitian(dim):
     for n in (1, 3, dim * dim, dim * dim + 3):
         for scale in (1e-3, 1.0, 1e5):
             for lead in ((), (4,)):
-                hat = ops._hat_matrix(_families(dim, n, scale, rng, lead))
-                assert np.array_equal(hat, matcore._adjoint(hat))
+                hats = ops._hat_matrix(_families(dim, n, scale, rng, lead)).reshape(-1, dim, dim)
+                # scaled by their traces into [0, I], the hats are effects
+                raw = hats / np.trace(hats, axis1=1, axis2=2).real[:, None, None]
+                stored = np.array([e.op for e in effects._computed(Effect, raw)])
+                assert np.array_equal(stored, matcore._adjoint(stored))
+                assert stored.tobytes() == matcore._hermitian_part(raw).tobytes()
                 # so the reader's symmetrization, which the entry skips, is a no-op
-                again = matcore._as_hermitian_stack(hat.reshape(-1, dim, dim))
-                assert again.tobytes() == hat.tobytes()
+                again = matcore._as_hermitian_stack(stored)
+                assert again.tobytes() == stored.tobytes()
 
 
 def test_stacked_induced_effects_equal_the_scalar_ones_bit_for_bit():

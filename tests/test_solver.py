@@ -6,10 +6,10 @@ factors, the rules that the package calls no LAPACK eigen-routine, takes from
 numpy's gufunc module only the Cholesky and QR routines it allows, and
 contracts no more than two operands in one einsum, and the rules that only
 ``matcore._solve_stack`` reads the stack break-even, only ``operations``
-calls the certificate-only effect entry and only ``matcore._first_outside``
-decides cone membership; the stacked effect and state builders against the
-constructors, member by member, and both Jacobi solvers on matrices whose
-squares overflow.
+and only library producers call the one entry of computed effects and states,
+and only ``matcore._first_outside`` decides cone membership; that entry, on
+stacks, against the constructors, member by member, and both Jacobi solvers
+on matrices whose squares overflow.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 from seqmeas import effects, matcore, observables, operations
-from seqmeas.effects import Effect, State, _effects
+from seqmeas.effects import Effect, State, _computed
 from seqmeas.errors import DimensionError, NotEffect, NotPositive, SeqmeasError
 from seqmeas.matcore import PSD_TOL
 
@@ -132,7 +132,8 @@ def test_effect_accepts_exactly_when_jacobi_does(dim):
             m = _boundary_matrix(dim, -PSD_TOL * lo_factor, 1.0 + PSD_TOL * hi_factor, rng)
             lo, hi = matcore.spectral_bounds(m)
             jacobi_accepts = lo >= -PSD_TOL and hi <= 1.0 + PSD_TOL
-            for build in (Effect, lambda m: _effects([np.eye(dim) / 2, m])):
+            for build in (Effect,
+                          lambda m: _computed(Effect, np.array([np.eye(dim) / 2, m]))):
                 try:
                     build(m)
                     accepted = True
@@ -141,7 +142,7 @@ def test_effect_accepts_exactly_when_jacobi_does(dim):
                 assert accepted == jacobi_accepts
 
 
-# The defects a member of a stacked builder can carry, per constructor: an
+# The defects a member of a stack of ``effects._computed`` can carry, per class: an
 # eigenvalue below -PSD_TOL, one above 1 + PSD_TOL, a trace off by more than
 # 1e-10, or two of them at once.
 DEFECTS = {Effect: ("below", "above", "both"), State: ("below", "trace", "both")}
@@ -185,17 +186,16 @@ def defective_stacks(draw):
 @given(defective_stacks())
 def test_stacked_builders_fail_as_the_scalar_constructors(case):
     cls, defects, mats = case
-    build = effects._effects if cls is Effect else effects._states
     try:
         alone = [cls(m) for m in mats]
     except SeqmeasError as exc:
         assert any(defects)
         with pytest.raises(SeqmeasError) as stacked:
-            build(mats)
+            _computed(cls, mats)
         assert type(stacked.value) is type(exc) and str(stacked.value) == str(exc)
     else:
         assert not any(defects)
-        members = build(mats)
+        members = _computed(cls, mats)
         assert [m.op.tobytes() for m in members] == [a.op.tobytes() for a in alone]
 
 
@@ -234,8 +234,8 @@ def test_both_jacobi_solvers_reject_an_overflowing_square_and_agree_below(dim):
     lambda: operations.Operation(np.full((1, 2, 2), 1e100)),
     lambda: matcore.loewner_leq(np.zeros((2, 2)), np.full((2, 2), 1e200)),
     lambda: matcore.sqrt_psd(np.full((2, 2), 1e200)),
-    lambda: effects._effects(np.full((3, 5, 5), 1e200)),
-    lambda: effects._states(np.full((3, 5, 5), 1e200)),
+    lambda: _computed(Effect, np.full((3, 5, 5), 1e200, dtype=complex)),
+    lambda: _computed(State, np.full((3, 5, 5), 1e200, dtype=complex)),
 ], ids=["effect", "state", "operation", "loewner", "sqrt", "stacked-effects", "stacked-states"])
 def test_huge_finite_matrix_is_a_package_error_without_warnings(build):
     with warnings.catch_warnings():
@@ -484,23 +484,41 @@ def test_only_solve_stack_reads_the_break_even():
         ("matcore.py", "_solve_stack", "STACK_BREAK_EVEN")}
 
 
+# Every caller of ``effects._computed``, the one entry of the effects and states
+# the library computes: it skips the reader of caller input and the Hermitian gap
+# test, so each caller must pass a matrix or stack the library computed from
+# validated operands. ``serialize`` and ``cli`` hand caller input to the public
+# constructors only.
+COMPUTED_PRODUCERS = {
+    # effects: products, complements, sums and mixes of validated effects, and
+    # drawn effects and states
+    ("effects.py", "seq_product", "_computed"),
+    ("effects.py", "complement", "_computed"),
+    ("effects.py", "orthosum", "_computed"),
+    ("effects.py", "convex_combine", "_computed"),
+    ("effects.py", "random_effects", "_computed"),
+    ("effects.py", "random_states", "_computed"),
+    # operations: post-operation effects and the induced effects of every
+    # operation
+    ("operations.py", "<module>", "_computed"),
+    ("operations.py", "op_then_effect", "_computed"),
+    ("operations.py", "_induced", "_computed"),
+    # observables: the members of products and parts, drawn and projective ones
+    ("observables.py", "<module>", "_computed"),
+    ("observables.py", "<lambda>", "_computed"),  # Observable._merges and _afters
+    ("observables.py", "random_observables", "_computed"),
+    ("observables.py", "projective_observable", "_computed"),
+}
+
+
 def test_only_operations_calls_the_certificate_only_entry():
-    # ``effects._hermitian_members`` skips the reader and the symmetrization, so
-    # it may take only matrices the library made exactly Hermitian: the hats of
-    # ``operations._induced``, and the stacks ``effects._effects`` and
-    # ``effects._states`` have just read. The checks it runs skip them too, so
-    # they run only there, in the constructors, after ``as_hermitian``, and in
-    # ``effects._computed_effect``, after its own symmetrization of a matrix the
-    # library computed.
-    assert _package_readers(["_hermitian_members", "_check", "_check_effects",
-                             "_check_states"]) == {
-        ("effects.py", "_effects", "_hermitian_members"),
-        ("effects.py", "_states", "_hermitian_members"),
-        ("operations.py", "<module>", "_hermitian_members"),
-        ("operations.py", "_induced", "_hermitian_members"),
-        ("effects.py", "_hermitian_members", "_check"),
+    # the checks skip the reader and the gap test, so they run only in the
+    # constructors, after ``as_hermitian``, and in ``effects._computed``, after
+    # its one symmetrization, which only the library's producers call
+    assert _package_readers(["_computed", "_check", "_check_effects",
+                             "_check_states"]) == COMPUTED_PRODUCERS | {
+        ("effects.py", "_computed", "_check"),
         ("effects.py", "__post_init__", "_check"),
-        ("effects.py", "_computed_effect", "_check_effects"),
         # the ``_check`` of ``Effect`` and ``State``
         ("effects.py", "<module>", "_check_effects"),
         ("effects.py", "<module>", "_check_states"),
@@ -508,29 +526,12 @@ def test_only_operations_calls_the_certificate_only_entry():
 
 
 def test_only_library_producers_call_the_unread_builders():
-    # ``effects._computed_effect`` and ``operations._built``, ``_operations`` and
+    # ``effects._computed`` and ``operations._built``, ``_operations`` and
     # ``_composed`` skip the reader of caller input, so each caller must pass a
     # matrix or family the library computed from validated operands, or has
-    # just read; ``effects._effects`` and ``effects._states`` still read theirs,
-    # and are pinned with them. ``serialize`` and ``cli`` hand caller input to
-    # the public constructors only.
-    assert _package_readers(["_computed_effect", "_built", "_operations", "_composed",
-                             "_effects", "_states"]) == {
-        # effects: products, complements, sums and mixes of validated effects
-        ("effects.py", "seq_product", "_computed_effect"),
-        ("effects.py", "complement", "_computed_effect"),
-        ("effects.py", "orthosum", "_computed_effect"),
-        ("effects.py", "convex_combine", "_computed_effect"),
-        ("operations.py", "<module>", "_computed_effect"),
-        ("operations.py", "op_then_effect", "_computed_effect"),
-        # the stacked effect and state readers, on drawn, merged, sandwiched and
-        # projected stacks
-        ("effects.py", "random_effects", "_effects"),
-        ("effects.py", "random_states", "_states"),
-        ("observables.py", "<module>", "_effects"),
-        ("observables.py", "<lambda>", "_effects"),  # Observable._merges and _afters
-        ("observables.py", "random_observables", "_effects"),
-        ("observables.py", "projective_observable", "_effects"),
+    # just read
+    assert _package_readers(["_computed", "_built", "_operations",
+                             "_composed"]) == COMPUTED_PRODUCERS | {
         # operations: products, sums, scalings and remixes of validated families,
         # the structured constructors and a measure's total channel
         ("operations.py", "compose", "_built"),
