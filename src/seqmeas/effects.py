@@ -142,15 +142,14 @@ def _computed(cls, m: np.ndarray):
     cls._check(m)
     if m.ndim == 2:
         return _validated(cls, op=m)
-    return tuple(_validated(cls, op=x) for x in m)
+    return tuple([_validated(cls, op=x) for x in m])
 
 
 def _validated(cls, **fields):
     """An instance of a frozen dataclass from fields already validated, without
     running its constructor's checks again."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
@@ -165,7 +164,7 @@ def _check_type(obj, cls, error, what: str | None = None) -> None:
 
 
 def zero_effect(dim: int) -> Effect:
-    return Effect(np.zeros((dim, dim), dtype=complex))
+    return Effect(np.zeros((matcore.check_dim(dim), dim), dtype=complex))
 
 
 def unit_effect(dim: int) -> Effect:
@@ -204,7 +203,8 @@ def seq_product(a: Effect, b: Effect) -> Effect:
 def convex_combine(effects: list[Effect], weights) -> Effect:
     """The mix sum_k w_k e_k of effects of one dim, for finite nonnegative weights
     summing to 1; a weight that is not (NaN included) is a ``WeightError``,
-    raised before any arithmetic."""
+    raised before any arithmetic. The effects are read once, from any iterable."""
+    effects = matcore._sequence(effects, "effects")
     try:
         weights = np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import COND_FLOOR, State, _check_type, _ket_bra, _probability
-from .errors import ConditioningOnNull, DimensionError, NotChannel, NotMeasure, NotState
+from .errors import ConditioningOnNull, DimensionError, NotChannel, NotMeasure, NotOperation
+from .errors import NotState
 from .observables import OBS_SUM_TOL, Observable, _conditioned, _labeled, _Measure, _product
-from .observables import _sequence
-from .observables import distribution, obs_equal as inst_equal, obs_part as inst_part
+from .observables import _sequence, distribution, obs_equal as inst_equal, obs_part as inst_part
 from .observables import verify_coexistence_witness as verify_inst_coexistence_witness
 from .operations import Operation
 
@@ -40,6 +40,7 @@ class Instrument(_Measure):
     ops: tuple[Operation, ...]
 
     _field = "ops"
+    _type = (Operation, NotOperation)
     _sum_error = NotChannel
     _effect = staticmethod(lambda o: o.induced)
     _prob = staticmethod(lambda rho, o: _probability(np.trace(op_mod.apply(o, rho)).real))
@@ -174,7 +175,7 @@ def random_instruments(dim: int, rng: np.random.Generator, n: int,
     draws, inv_roots = matcore._normalizing_draws(
         lambda k: [matcore._ginibres(dim, rng, int(rng.integers(1, 3))) for _ in range(k)],
         lambda fams: sum(matcore._hermitian_part(op_mod._hat_matrix(fam)) for fam in fams),
-        matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+        matcore._counts(dim, n_outcomes, rng, 2, 4, "n_outcomes", n))
     return _instruments([[np.einsum("nij,jk->nik", fam, inv_root) for fam in families]
                          for families, inv_root in zip(draws, inv_roots)])
 
@@ -193,7 +194,7 @@ def random_kraus_instruments(dim: int, rng: np.random.Generator, n: int,
     draws, inv_roots = matcore._normalizing_draws(
         lambda k: matcore._ginibres(dim, rng, k),
         lambda mats: sum(matcore.dagger(m) @ m for m in mats),
-        matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+        matcore._counts(dim, n_outcomes, rng, 2, 4, "n_outcomes", n))
     return _instruments([[(m @ inv_root)[None] for m in mats]
                          for mats, inv_root in zip(draws, inv_roots)])
 

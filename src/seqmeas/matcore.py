@@ -76,6 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+    return np.eye(check_dim(dim), dtype=complex)
 
 
 @functools.cache
@@ -140,8 +141,11 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def check_dim(dim: int) -> int:
-    if not MIN_DIM <= dim <= MAX_DIM:
-        raise DimensionError(f"dimension {dim} outside supported range [{MIN_DIM}, {MAX_DIM}]")
+    """``dim``, an integer in [MIN_DIM, MAX_DIM], else ``DimensionError``: checked
+    before any numpy call of every public function that takes one. A Python int
+    is tested first, since the ``Integral`` check of other types is slower."""
+    if not (isinstance(dim, (int, numbers.Integral)) and MIN_DIM <= dim <= MAX_DIM):
+        raise DimensionError(f"dimension {dim!r} outside supported range [{MIN_DIM}, {MAX_DIM}]")
     return dim
 
 
@@ -174,6 +178,13 @@ def _read(m, what: str = "matrix", ranks: tuple[int, ...] = (2,)) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise DimensionError(f"{what} has non-finite (inf or nan) entries")
     return arr
+
+
+def _sequence(items, what: str) -> tuple:
+    """``items`` read once into a tuple; a string or a non-iterable is not a sequence."""
+    if isinstance(items, str) or not isinstance(items, Iterable):
+        raise DimensionError(f"{what} must be a sequence, got {items!r}")
+    return tuple(items)
 
 
 def as_square(m) -> np.ndarray:
@@ -355,7 +366,7 @@ def _eig_hermitian_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _as_hermitian_stack(ms)
     n, dim, _ = a.shape
-    v = np.repeat(identity(dim)[None], n, axis=0)
+    v = np.repeat(np.eye(dim, dtype=complex)[None], n, axis=0)
     skip = JACOBI_OFF_THRESHOLD / (dim * dim)
     rows, cols = _upper_pairs(dim)
     with np.errstate(over="ignore"):
@@ -478,7 +489,7 @@ def _psd_certified_stack(ms: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 @functools.cache
 def _half_tol_identity(dim: int, tol: float) -> np.ndarray:
     """(tol/2) I, read-only (cached, so shared by every caller)."""
-    return _frozen((tol / 2.0) * identity(dim))
+    return _frozen((tol / 2.0) * np.eye(dim, dtype=complex))
 
 
 def _cholesky_completes(a: np.ndarray) -> np.ndarray:
@@ -500,7 +511,7 @@ _SIDES = _frozen(np.array([1.0, -1.0])[:, None, None])
 def _unit_offsets(dim: int, tol: float) -> np.ndarray:
     """[s I, (1 + s) I], s = tol / 2 (read-only): m * _SIDES + these = both shifted sides."""
     shift = _half_tol_identity(dim, tol)
-    return _frozen(np.stack([shift, identity(dim) + shift]))
+    return _frozen(np.stack([shift, np.eye(dim, dtype=complex) + shift]))
 
 
 def _certified_in_unit(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -596,34 +607,32 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     return psd_hermitian(as_hermitian(b - a, tol=1e-9), tol)
 
 
-def _check_rng(rng) -> None:
-    """The one check of a random generator's ``rng`` argument: a numpy ``Generator``.
-    Every draw passes it first: a Ginibre stack (``_ginibres``), a family size
-    (``_counts``) or a unit vector (``random_unit_vector``)."""
+def _check_draw(dim: int, rng) -> None:
+    """The one check of a random draw's ``dim`` (``check_dim``) and ``rng`` (a numpy
+    ``Generator``). Every draw passes it first: a Ginibre stack (``_ginibres``),
+    a family size (``_counts``) or a unit vector (``random_unit_vector``)."""
+    check_dim(dim)
     if not isinstance(rng, np.random.Generator):
         raise SamplingError(f"rng must be a numpy random Generator, got {type(rng).__name__}")
 
 
 def _count(n: int | None, rng: np.random.Generator, lo: int, hi: int, what: str) -> int:
     """A family size for a random generator: ``n``, or a draw from [lo, hi) when None."""
-    if n is None:
-        return int(rng.integers(lo, hi))
+    return int(rng.integers(lo, hi)) if n is None else _draws(n, what)
+
+
+def _draws(n, what: str = "number of draws") -> int:
+    """A positive integer count, such as the number of draws of a stacked generator."""
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DimensionError(f"{what} must be a positive integer, got {n!r}")
     return int(n)
 
 
-def _draws(n) -> int:
-    """The number of draws of a stacked generator: a positive integer."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DimensionError(f"number of draws must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _counts(sizes, rng: np.random.Generator, lo: int, hi: int, what: str, n: int):
-    """``_count`` for each of n draws, as an iterator: ``sizes`` is None (each size
-    drawn when the iterator reaches it), one size for all, or a sequence of n."""
-    _check_rng(rng)
+def _counts(dim: int, sizes, rng: np.random.Generator, lo: int, hi: int, what: str, n: int):
+    """``_count`` for each of n draws of a dim, as an iterator: ``sizes`` is None
+    (each size drawn when the iterator reaches it), one size for all, or a
+    sequence of n."""
+    _check_draw(dim, rng)
     n = _draws(n)
     if not isinstance(sizes, (list, tuple, np.ndarray)):
         sizes = [sizes] * n
@@ -663,7 +672,6 @@ def _normalizing_draws(draw, gram, sizes):
 
 def _random_states(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n random density matrices (normalized Ginibre G G†), as one stack."""
-    check_dim(dim)
     g = _ginibres(dim, rng, _draws(n))
     rho = g @ _adjoint(g)
     return _hermitian_part(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
@@ -679,7 +687,6 @@ def _random_effects(dim: int, rng: np.random.Generator, n: int) -> tuple[np.ndar
     n ``random_effect`` calls would draw them, as one stack, and their positive
     roots read off the same eigendecomposition by the root rule (``_psd_roots``),
     with no solve at any n."""
-    check_dim(dim)
     draws = [(_ginibre(dim, rng), rng.uniform(0.0, 1.0, size=dim)) for _ in range(_draws(n))]
     u = _haar(np.stack([g for g, _ in draws]))
     values = np.stack([v for _, v in draws])
@@ -701,7 +708,6 @@ def _haar(g: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a Ginibre matrix with the phase fix."""
-    check_dim(dim)
     return _haar(_ginibres(dim, rng, 1))[0]
 
 
@@ -710,7 +716,7 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    _check_rng(rng)
+    _check_draw(dim, rng)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -722,6 +728,6 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _ginibres(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n Ginibre matrices, each drawn as the real then the imaginary part, so the
     stack draws exactly what n ``_ginibre`` calls would."""
-    _check_rng(rng)
+    _check_draw(dim, rng)
     x = rng.standard_normal((n, 2, dim, dim))
     return x[:, 0] + 1j * x[:, 1]

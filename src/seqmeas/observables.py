@@ -23,7 +23,6 @@ operation of L(a).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from . import matcore, operations as op_mod
 from .effects import Effect, State, _check_type, _computed, _probability, _seeded, _with_roots, prob
-from .errors import DimensionError, NotMeasure, NotState, NotSurjective, SeqmeasError
-from .matcore import max_abs
+from .errors import DimensionError, NotEffect, NotMeasure, NotState, NotSurjective, SeqmeasError
+from .matcore import _sequence, max_abs
 from .operations import Operation
 
 OBS_SUM_TOL = 1e-9
@@ -47,13 +46,6 @@ def _product_items(xs, ys) -> list:
     return [(f"{x}{PRODUCT_SEPARATOR}{y}", u, v) for x, u in xs for y, v in ys]
 
 
-def _sequence(items, what: str) -> tuple:
-    """``items`` read once into a tuple; a string or a non-iterable is not a sequence."""
-    if isinstance(items, str) or not isinstance(items, Iterable):
-        raise DimensionError(f"{what} must be a sequence, got {items!r}")
-    return tuple(items)
-
-
 # The one normalizer of outcome labels, applied at construction and at every
 # lookup: members, events, and the keys and images of a part map.
 _label = str
@@ -62,10 +54,11 @@ _label = str
 class _Measure:
     """Ordered outcome labels with one member per label, member effects summing to I.
 
-    Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member's
-    ``_effect``, ``_prob``, ``_distance`` and ``_sum_error``, the ``_front`` (the
-    tuple of Kraus families (n, d, d) run when the measure is taken first), two
-    stacked builders, ``_afters`` (member v read after the front family u, for
+    Subclasses are frozen dataclasses ``(outcomes, <_field>)`` supplying the member
+    ``_type`` (class, and the error of another), its ``_effect``, ``_prob``,
+    ``_distance`` and ``_sum_error``, the ``_front`` (the tuple of Kraus
+    families (n, d, d) run when the measure is taken first), two stacked
+    builders, ``_afters`` (member v read after the front family u, for
     a list of pairs (u, v)) and ``_merges`` (the sum of each group of members,
     for parts), and the scalar ``_after`` (one member read after a channel, for
     conditionings). Hooks look module functions up per call, so a
@@ -73,7 +66,9 @@ class _Measure:
 
     def __post_init__(self):
         outcomes = tuple(map(_label, _sequence(self.outcomes, "outcome labels")))
-        members = tuple(getattr(self, self._field))
+        members = _sequence(getattr(self, self._field), "members")
+        for u in members:
+            _check_type(u, *self._type)
         if len(outcomes) != len(members) or not outcomes:
             raise DimensionError("need one member per outcome")
         if len(set(outcomes)) != len(outcomes):
@@ -112,6 +107,7 @@ class Observable(_Measure):
     effects: tuple[Effect, ...]
 
     _field = "effects"
+    _type = (Effect, NotEffect)
     _sum_error = DimensionError
     _effect = staticmethod(lambda e: e)
     _distance = staticmethod(lambda u, v: max_abs(u.op - v.op))
@@ -256,7 +252,7 @@ def random_observables(dim: int, rng: np.random.Generator, n: int,
     counts, or None (each drawn from {2, 3})."""
     grams, inv_roots = matcore._normalizing_draws(
         lambda k: (lambda g: g @ matcore._adjoint(g))(matcore._ginibres(dim, rng, k)),
-        sum, matcore._counts(n_outcomes, rng, 2, 4, "n_outcomes", n))
+        sum, matcore._counts(dim, n_outcomes, rng, 2, 4, "n_outcomes", n))
     effs = _with_roots(_computed(Effect, np.concatenate(
         [inv_root @ g @ inv_root for g, inv_root in zip(grams, inv_roots)])))
     return _labeled(Observable, effs, [len(g) for g in grams])

@@ -4,24 +4,25 @@ An operation maps rho to sum_i A_i rho A_i† with sum_i A_i† A_i <= I; it is 
 channel when that sum is exactly I. The induced effect (``hat``) is the unique
 effect measured by the operation: tr(rho hat) = tr(op(rho)) for every state.
 
-Every operation is certified, sum_i A_i† A_i <= I, by one body: a family is
-compressed (``_bounded``), its induced effect built as the validation and
-certified in [0, I] (``_induced``), and carried as ``Operation.induced``, so
-``hat``, ``is_channel``, ``equiv`` and the instrument sum read it instead of
-recomputing it. The hats, as ``_hat_matrix`` computes them, go straight to
-``effects._computed``, the one entry of every effect the library computes: one
-symmetrization, then the checks and verdicts of ``Effect``, without the
-caller-input reader; an effect outside [0, I] is ``NotSubunital``.
+Every operation is built by one body, ``_stacked_operations``, on stacks of
+families, a single family being a stack of one: each stack is compressed
+(``_bounded``), and the induced effects sum A†A of all members, as
+``_hat_matrix`` computes them, are certified in [0, I] at once (``_induced``)
+by ``effects._computed``, the one entry of every effect the library computes;
+an effect outside is ``NotSubunital``. Each operation carries its induced
+effect (``Operation.induced``), which ``hat``, ``is_channel``, ``equiv`` and
+the instrument sum read instead of recomputing it.
 
-The ``Operation`` constructor reads a caller's family (``matcore._read``)
-first, and keeps a copy of it. A family the library built from validated
-operands is not read: ``_built`` runs the body on one (``compose``, ``add``,
-``scale``, ``remix_kraus``, the structured constructors, a measure's total
-channel), and ``_stacked_operations`` on many families of one dim at once,
-with the same verdicts and bits, through ``_operations`` (drawn, merged or
-structured families) and ``_composed`` (products of pairs of families): every
-operation member of a measure the library makes, except those of a
-conditioning, which ``compose`` builds one at a time.
+A family reaches the body through one of two doors. The reader: ``Operation``
+reads a caller's family (``matcore._read``) and builds a copy of it through
+``_built``. The library: a family built from validated operands is not read.
+``_built`` takes one (``add``, ``scale``, ``remix_kraus``, the structured
+constructors, a measure's total channel), ``_operations`` groups many by
+shape (drawn, merged and structured families), and ``_composed`` groups pairs
+of families by their two sizes and builds each group's products with one
+batched GEMM (``compose``, ``effect_then_op``, instrument products, drawn
+operations). A conditioning builds its members one at a time, through
+``compose``.
 
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
@@ -46,12 +47,8 @@ operators side by side (the (d, n d) matrix [A_1 | ... | A_n]), never an
 einsum of three operands, which numpy runs as one nested loop: the induced
 effect sum A† A (``_hat_matrix``) is one GEMM, the action sum A rho A†
 (``apply``) and the post-operation effect sum B† a B (``_sandwich``) two each.
-``_operations`` groups its families by shape (n, d), and ``_composed`` groups
-its pairs by their two family sizes and builds each group's products with one
-batched matmul; each group, stacked, then gets one batched QR (only when n >
-d²) and one batched hat. Batched matmul and QR compute each member as the
-scalar call does, so every member is bit for bit what ``Operation`` builds from
-its family alone.
+Batched matmul and QR compute each member of a stack as a call on it alone
+does, so a member's bits do not depend on the stack it is built in.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -110,11 +108,10 @@ class Operation:
     passed in here must rebuild the same map (``_checked_recipe``); the
     structured constructors set theirs afterwards (``_built``), unchecked.
 
-    The family is read as caller input and copied, so the caller's array is
-    never frozen or aliased; it is compressed to at most dim² operators
-    (``_bounded``), and its induced effect sum A†A (``_hat_matrix``) is
-    symmetrized once and certified in [0, I] as a stack of one by
-    ``effects._computed``; an effect outside [0, I] raises ``NotSubunital``.
+    The reader's door: the family is read as caller input and copied, so the
+    caller's array is never frozen or aliased, and the copy is built by the one
+    body of every operation (``_built``): compressed to at most dim² operators,
+    its induced effect sum A†A certified in [0, I], else ``NotSubunital``.
     """
 
     kraus: np.ndarray
@@ -122,11 +119,9 @@ class Operation:
     induced: Effect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kraus, induced = _certified(_as_kraus_array(self.kraus))
-        object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "induced", induced)
-        if self.recipe is not None:
-            object.__setattr__(self, "recipe", _checked_recipe(self))
+        built = _built(_as_kraus_array(self.kraus))
+        recipe = None if self.recipe is None else _checked_recipe(self.recipe, built)
+        vars(self).update(kraus=built.kraus, induced=built.induced, recipe=recipe)
 
     @property
     def dim(self) -> int:
@@ -159,30 +154,19 @@ _RECIPE_KINDS = {
 }
 
 
-def _certified(kraus: np.ndarray) -> tuple[np.ndarray, Effect]:
-    """What an ``Operation`` stores of a family (n, d, d) once read: the family,
-    compressed (``_bounded``) and frozen, and its certified induced effect."""
-    arr = _bounded(kraus)
-    (induced,) = _induced([arr])
-    return _frozen(arr), induced
-
-
 def _built(kraus: np.ndarray, recipe: dict | None = None) -> Operation:
-    """The operation of a complex Kraus family (n, d, d) the library built from
-    validated operands, with the building constructor's ``recipe``, if any:
-    ``Operation``'s body after its reader, so bit for bit ``Operation(kraus)``,
-    or failing alike."""
-    kraus, induced = _certified(kraus)
-    return _validated(Operation, kraus=kraus, recipe=recipe, induced=induced)
+    """The operation of one complex Kraus family (n, d, d) of its own, read or built
+    from validated operands, with its constructor's ``recipe``, if any: the
+    body on the family as a stack of one (a view, so nothing is copied)."""
+    return _stacked_operations([kraus[None]], None, [recipe])[0]
 
 
-def _checked_recipe(op: Operation) -> dict | None:
+def _checked_recipe(recipe, op: Operation) -> dict | None:
     """The recipe a caller passed with ``op``'s family: a kind of _RECIPE_KINDS
     with its fields, whose constructor rebuilds the same map (superoperators
     within EQ_TOL), else ``NotOperation``. The rebuilt operation's own recipe is
     kept (none for "kraus", the family's own form), so later changes to the
     caller's dict cannot reach the JSON."""
-    recipe = op.recipe
     try:
         constructor, names = _RECIPE_KINDS[recipe["kind"]]
         args = [recipe[name] for name in names]
@@ -196,62 +180,59 @@ def _checked_recipe(op: Operation) -> dict | None:
 
 
 def _operations(families, recipes=None) -> tuple[Operation, ...]:
-    """``_built(f, r)`` for every complex family f (n, d, d) and recipe r, validated
-    as one stack. The families are the library's or already read
-    (``kraus_instrument``, ``sharp_instrument``), grouped by shape (n, d) and
-    stacked per group (``_stacked_operations``). Families of different dims
-    raise the ``DimensionError`` a measure of them would.
-    """
-    arrs = list(families)
-    if len({arr.shape[-1] for arr in arrs}) > 1:
+    """The operations of complex families f (n, d, d), the library's own or already
+    read, with their recipes, if any: the body on one stack, a copy, per shape
+    (n, d). Families of different dims raise the ``DimensionError`` a measure
+    of them would."""
+    groups, order = _grouped(families, lambda arr: arr.shape)
+    if len({group[0].shape[-1] for group in groups}) > 1:
         raise DimensionError("all members must share one dimension")
-    return _stacked_operations([(members, np.array([arrs[k] for k in members]))
-                                for members in _grouped(arr.shape for arr in arrs)], recipes)
+    return _stacked_operations([np.array(group) for group in groups], order, recipes)
 
 
-def _stacked_operations(groups, recipes=None) -> tuple[Operation, ...]:
-    """The operations of groups (positions of m members, their families as one
-    stack (m, n, d, d)), in position order. Each group gets one batched
-    ``_bounded`` and one batched ``_hat_matrix``, the kernels ``Operation`` runs,
-    so every ``kraus`` and ``induced.op`` is bit for bit that of ``Operation(f)``;
-    the induced effects of all groups are certified at once (``_induced``).
-    The stacks must be the caller's own: they are frozen and shared by their
-    members. No group at all is a ``DimensionError``, as an empty measure is."""
-    if not groups:
+def _stacked_operations(stacks, order=None, recipes=None) -> tuple[Operation, ...]:
+    """The one body that builds operations: those of stacks of families (m, n, d,
+    d), one stack after another, then taken in ``order`` (``_grouped``'s, None
+    only for one stack), with their recipes, if any. Each stack gets one
+    batched ``_bounded`` and ``_hat_matrix``; the induced effects of all are
+    certified at once, in that order (``_induced``), so the first member that
+    is no operation fails as alone. The stacks, the caller's own, are frozen
+    and shared by their members. No stack at all is a ``DimensionError``."""
+    if not stacks:
         raise DimensionError("need at least one Kraus family")
-    stacks = [_frozen(_bounded(stack)) for _, stack in groups]
-    positions = [k for members, _ in groups for k in members]
-    kraus = [None] * len(positions)
-    for k, arr in zip(positions, (arr for stack in stacks for arr in stack)):
-        kraus[k] = arr
-    induced = _induced(stacks, None if len(stacks) == 1 else np.argsort(positions))
-    recipes = recipes or [None] * len(positions)
-    return tuple(_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
-                 for arr, recipe, effect in zip(kraus, recipes, induced))
+    stacks = [_frozen(_bounded(stack)) for stack in stacks]
+    kraus = [stack[k] for stack in stacks for k in range(len(stack))]
+    if order is not None:
+        kraus = [kraus[k] for k in order]
+    return tuple([_validated(Operation, kraus=arr, recipe=recipe, induced=effect)
+                  for arr, recipe, effect in zip(kraus, recipes or repeat(None),
+                                                 _induced(stacks, order))])
 
 
-def _grouped(keys) -> list[list[int]]:
-    """The positions of equal keys, one list per distinct key in first-appearance
-    order, each list ascending."""
+def _grouped(items, key) -> tuple[list[list], np.ndarray | None]:
+    """The items grouped by ``key``, a list per distinct key in first-appearance
+    order, and the order taking the lists, one after another, back to item
+    order (None for one list)."""
     groups: dict = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    return list(groups.values())
+    for k, item in enumerate(items):
+        groups.setdefault(key(item), {})[k] = item
+    order = None if len(groups) == 1 else np.argsort([k for g in groups.values() for k in g])
+    return [list(g.values()) for g in groups.values()], order
 
 
-def _induced(families, order=None) -> tuple[Effect, ...]:
-    """The induced effects of a list of families (n, d, d) and stacks of families
-    (m, n, d, d): their hats (``_hat_matrix``), one after another and then
-    taken in ``order`` when one is given, go as one stack straight to
-    ``effects._computed``, which symmetrizes them once and certifies them
-    with nothing read. An effect outside [0, I] is reported as sum A†A above
-    I. A family so large that its hat overflows has a non-finite
-    hat, which the certificate declines and Jacobi's reader rejects as
-    ``DimensionError``, as it rejects any non-finite matrix; the overflow and
-    the invalid values it spreads are silenced for that reason only. A finite hat
-    with an entry past about 1.3e154 is a ``DimensionError`` too, from Jacobi."""
+def _induced(stacks, order=None) -> tuple[Effect, ...]:
+    """The induced effects of a list of stacks of families (m, n, d, d): their hats
+    (``_hat_matrix``), of the one stack, or of all stacks one after another and
+    then taken in ``order``, go as one stack straight to ``effects._computed``, which
+    symmetrizes them once and certifies them with nothing read. An effect
+    outside [0, I] is reported as sum A†A above I. A family so large that its
+    hat overflows has a non-finite hat, which the certificate declines and
+    Jacobi's reader rejects as ``DimensionError``, as it rejects any non-finite
+    matrix; the overflow and the invalid values it spreads are silenced for
+    that reason only. A finite hat with an entry past about 1.3e154 is a
+    ``DimensionError`` too, from Jacobi."""
     with np.errstate(over="ignore", invalid="ignore"):
-        hats = [_hat_matrix(f).reshape(-1, *f.shape[-2:]) for f in families]
+        hats = [_hat_matrix(stack) for stack in stacks]
         hats = hats[0] if order is None else np.concatenate(hats)[order]
         try:
             return _computed(Effect, hats)
@@ -266,15 +247,22 @@ def _bounded(kraus: np.ndarray) -> np.ndarray:
     X†X. One call of LAPACK's ``zgeqrf`` through numpy's gufunc
     (``_umath_linalg.qr_r_raw``), batched over a stack, on a copy of the rows,
     which it overwrites with R above the diagonal; R is the upper triangle of
-    its leading d² rows, bit for bit what ``np.linalg.qr(X, mode="r")``
-    returns, without that wrapper's type resolution and error-state setup. A
-    QR of finite rows raises no floating-point error."""
+    its leading d² rows, taken as ``np.triu`` takes it with a mask cached per
+    dim, so bit for bit what ``np.linalg.qr(X, mode="r")`` returns, without
+    that wrapper's type resolution and error-state setup or ``np.triu``'s new
+    mask per call. A QR of finite rows raises no floating-point error."""
     *lead, n, d, _ = kraus.shape
     if n <= d * d:
         return kraus
     rows = kraus.reshape(*lead, n, d * d).copy()
     _umath_linalg.qr_r_raw(rows, signature="D->D")
-    return np.triu(rows[..., : d * d, :]).reshape(*lead, d * d, d, d)
+    return np.where(_below_diagonal(d * d), 0j, rows[..., : d * d, :]).reshape(*lead, d * d, d, d)
+
+
+@cache
+def _below_diagonal(n: int) -> np.ndarray:
+    """The (n, n) mask of the entries below the diagonal, read-only (cached)."""
+    return _frozen(np.tri(n, n, -1, dtype=bool))
 
 
 def _gram(kraus: np.ndarray) -> np.ndarray:
@@ -343,7 +331,7 @@ def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
-    return _built(_compose_kraus(i.kraus[None], j.kraus[None])[0])
+    return _composed([(i.kraus, j.kraus)])[0]
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -365,11 +353,8 @@ def _composed(pairs) -> tuple[Operation, ...]:
     family sizes, and each group is composed by one batched GEMM
     (``_compose_kraus``) into the stack ``_stacked_operations`` builds from.
     Products of validated families are finite, so they are not read again."""
-    groups = []
-    for members in _grouped((i.shape, j.shape) for i, j in pairs):
-        firsts, thens = (np.array([pairs[k][side] for k in members]) for side in (0, 1))
-        groups.append((members, _compose_kraus(firsts, thens)))
-    return _stacked_operations(groups)
+    groups, order = _grouped(pairs, lambda pair: (pair[0].shape, pair[1].shape))
+    return _stacked_operations([_compose_kraus(*map(np.array, zip(*g))) for g in groups], order)
 
 
 def add(i: Operation, j: Operation) -> Operation:
@@ -425,7 +410,7 @@ def action_distance(i: Operation, j: Operation) -> float:
 
 
 def zero_operation(dim: int) -> Operation:
-    return Operation(np.zeros((1, dim, dim), dtype=complex))
+    return Operation(np.zeros((1, matcore.check_dim(dim), dim), dtype=complex))
 
 
 def identity_channel(dim: int) -> Operation:
@@ -450,7 +435,9 @@ def kraus_single(a_mat: np.ndarray) -> Operation:
     return _built(matcore.as_square(a_mat)[None, :, :].copy())
 
 
-def _semi_trivial_kraus(pairs: list[tuple[Effect, State]]) -> np.ndarray:
+def _semi_trivial_kraus(pairs: tuple[tuple[Effect, State], ...]) -> np.ndarray:
+    """The Kraus family of ``semi_trivial`` of a tuple of pairs, each an ``Effect``
+    and a ``State`` of one dim."""
     if not pairs:
         raise WeightError("at least one (effect, state) pair required")
     for a, alpha in pairs:
@@ -480,10 +467,15 @@ def semi_trivial(pairs: list[tuple[Effect, State]]) -> Operation:
     b_ik† b_ik (rows b_ik) and alpha_i = sum_j c_ij c_ij† (columns c_ij,
     scaled to unit trace) the operators are c_ij b_ik over all i, j, k,
     rank(alpha_i) * rank(a_i) per pair; with none at all (zero effects) the
-    family is the zero operator, and a family longer than dim² is compressed by
-    ``Operation``. The induced effect is sum_i a_i.
+    family is the zero operator, and a family longer than dim² is compressed.
+    The induced effect is sum_i a_i. The pairs are read once, from any
+    iterable, into the tuple the recipe keeps.
     """
-    return _built(_semi_trivial_kraus(pairs), {"kind": "semi_trivial", "pairs": list(pairs)})
+    try:
+        pairs = tuple((a, alpha) for a, alpha in matcore._sequence(pairs, "(effect, state) pairs"))
+    except (TypeError, ValueError):
+        raise DimensionError("expected (effect, state) pairs of two items each") from None
+    return _built(_semi_trivial_kraus(pairs), {"kind": "semi_trivial", "pairs": pairs})
 
 
 def trivial(a: Effect, alpha: State) -> Operation:
@@ -494,7 +486,7 @@ def trivial(a: Effect, alpha: State) -> Operation:
 def _trivial_parts(a: Effect, alpha: State) -> tuple[np.ndarray, dict]:
     """The Kraus family and recipe of ``trivial(a, alpha)``, shared with the stacked
     semi-trivial instrument."""
-    return _semi_trivial_kraus([(a, alpha)]), {"kind": "trivial", "effect": a, "state": alpha}
+    return _semi_trivial_kraus(((a, alpha),)), {"kind": "trivial", "effect": a, "state": alpha}
 
 
 def _projection_list(projections) -> np.ndarray:
@@ -509,7 +501,8 @@ def _projection_list(projections) -> np.ndarray:
 
 def sharp_operation(projections: list[np.ndarray]) -> Operation:
     """Operation rho -> sum_i p_i rho p_i for mutually orthogonal projections."""
-    mats = _projection_list(projections)
+    # the recipe keeps the array the operation's family views, so both are read-only
+    mats = _frozen(_projection_list(projections))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if max_abs(mats[i] @ mats[j]) > 1e-9:
@@ -538,8 +531,12 @@ def is_complement(j: Operation, i: Operation, tol: float = EQ_TOL) -> bool:
 
 
 def effect_then_op(a: Effect, i: Operation) -> Operation:
-    """Mixed product: measure a (Lueders), then run i; rho -> i(a^{1/2} rho a^{1/2})."""
-    return compose(luders(a), i)
+    """Mixed product: measure a (Lueders), then run i; rho -> i(a^{1/2} rho a^{1/2}):
+    the product of the root of a and i's family."""
+    _check_type(a, Effect, NotEffect)
+    _check_operations(i)
+    matcore._check_same_operand_dim(a, i)
+    return _composed([(a.root[None], i.kraus)])[0]
 
 
 def op_then_effect(i: Operation, a: Effect) -> Effect:
@@ -633,10 +630,10 @@ def random_channels(dim: int, rng: np.random.Generator, n: int,
     normalizers from one stacked solve and their members built as one stack.
     ``n_kraus`` is one family size for all, a sequence of n sizes, or None (each
     drawn from {1, 2, 3})."""
-    sizes = matcore._counts(n_kraus, rng, 1, 4, "n_kraus", n)
     fams, inv_roots = matcore._normalizing_draws(
         lambda k: matcore._ginibres(dim, rng, k),
-        lambda fam: matcore._hermitian_part(_hat_matrix(fam)), sizes)
+        lambda fam: matcore._hermitian_part(_hat_matrix(fam)),
+        matcore._counts(dim, n_kraus, rng, 1, 4, "n_kraus", n))
     return _operations([np.einsum("nij,jk->nik", fam, inv_root)
                         for fam, inv_root in zip(fams, inv_roots)])
 

@@ -1,19 +1,26 @@
 """The builders that take matrices the library computed from validated operands,
 against the caller-input constructors.
 
-``effects._computed``, the one entry of every effect and state the library
-computes, and ``operations._built`` (with the stacked
-``operations._operations`` and ``_composed``) skip the reader of caller input
-(``matcore._read``) and the Hermitian gap test. That is sound only if what
-they receive would pass both, and it keeps the results only if they then
-store and raise exactly what ``Effect``, ``State`` and ``Operation`` store
-and raise. ``_computed`` symmetrizes once (``matcore._hermitian_part``), so
-what it stores is exactly Hermitian, and it is the constructor's verdict on
-that symmetrization even where the gap test would refuse the raw matrix (the
-hats of huge families, which only the induced-effect path passes). All of
-this is checked here at d = 2-8 on raw hats, sandwiches, sums, drawn effects
-and states, and effects at the PSD_TOL edges of [0, I], and on channels with
-sum A†A = I, where products can leave [0, I] by a few 1e-10.
+Each matrix enters through one of two doors. ``effects._computed`` is the
+library's one entry of every effect and state it computes. Every operation is
+built by one body, ``operations._stacked_operations``, which the ``Operation``
+constructor (the reader's door) runs on its copy of a caller's family, and the
+library's door on families it built: ``_built`` for one, ``_operations`` for
+many and ``_composed`` for products of pairs. The library's door skips the
+reader of caller input (``matcore._read``) and the Hermitian gap test. That is
+sound only if what it receives would pass both, and it keeps the results only
+if it then stores and raises exactly what ``Effect``, ``State`` and
+``Operation`` store and raise. ``_computed`` symmetrizes once
+(``matcore._hermitian_part``), so what it stores is exactly Hermitian, and it
+is the constructor's verdict on that symmetrization even where the gap test
+would refuse the raw matrix (the hats of huge families, which only the
+induced-effect path passes). All of this is checked here at d = 2-8 on raw
+hats, sandwiches, sums, drawn effects and states, and effects at the PSD_TOL
+edges of [0, I], and on channels with sum A†A = I, where products can leave
+[0, I] by a few 1e-10. Since the two doors of an operation share the body, the
+comparison of operations is a comparison of doors: what the library builds
+from a family equals what ``Operation`` builds from it, bit for bit, or fails
+alike.
 """
 
 from contextlib import ExitStack

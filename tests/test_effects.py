@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqmeas import effects, instruments, matcore, observables, operations
+from seqmeas import effects, instruments, matcore, observables, operations, serialize
 from seqmeas.effects import (
     COND_FLOOR,
     Effect,
@@ -563,6 +563,18 @@ def _half_observable():
      "ndarray"),
     (lambda: instruments.semi_trivial_instrument(np.eye(2), [State(np.eye(2) / 2)]),
      NotMeasure, "ndarray"),
+    (lambda: observables.Observable(("x",), (_channel(),)), NotEffect,
+     "expected an Effect, got Operation"),
+    (lambda: instruments.Instrument(("x",), (Effect(np.eye(2)),)), NotOperation,
+     "expected an Operation, got Effect"),
+    (lambda: observables.Observable(("x",), Effect(np.eye(2))), DimensionError,
+     "members must be a sequence"),
+    (lambda: operations.semi_trivial("ab"), DimensionError, "must be a sequence"),
+    (lambda: operations.semi_trivial([(Effect(np.eye(2) / 2),)]), DimensionError,
+     "pairs of two items"),
+    (lambda: operations.semi_trivial([Effect(np.eye(2) / 2)]), DimensionError,
+     "pairs of two items"),
+    (lambda: convex_combine("ab", [0.5, 0.5]), DimensionError, "effects must be a sequence"),
 ], ids=["observable-effect", "instrument-operation", "event-prob", "convex-combine-dims",
         "effect-string", "effect-ragged", "operation-string", "outcomes-string",
         "outcomes-not-iterable", "convex-combine-scalar-weight", "atomic-projection-string",
@@ -589,7 +601,9 @@ def _half_observable():
         "operation-leq-matrix", "complement-luders-matrix", "is-complement-matrix",
         "event-prob-measure-matrix", "obs-equal-matrix", "obs-part-matrix",
         "marginal-map-matrix", "luders-instrument-matrix", "trivial-instrument-measure-matrix",
-        "semi-trivial-instrument-measure-matrix"])
+        "semi-trivial-instrument-measure-matrix", "observable-operation-member",
+        "instrument-effect-member", "observable-members-not-iterable", "semi-trivial-string",
+        "semi-trivial-short-pair", "semi-trivial-bare-effect", "convex-combine-string"])
 def test_bad_calls_raise_package_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -613,6 +627,51 @@ def test_random_generators_reject_a_non_generator_rng(rng):
         draws = (3,) if "n" in inspect.signature(generator).parameters else ()
         with pytest.raises(SamplingError, match="numpy random Generator"):
             generator(2, rng, *draws)
+
+
+# Every public function of the library modules that takes a dim first, found by
+# a source scan so that a new one cannot skip the test below.
+DIM_TAKERS = [
+    (module, name)
+    for module in (matcore, effects, observables, operations, instruments)
+    for name in re.findall(r"^def ([a-z]\w*)\(dim\b", Path(module.__file__).read_text(), re.M)
+]
+
+
+@pytest.mark.parametrize("dim", ["2", 2.5, 2.0, None, True, 0, -1, 1, 9],
+                         ids=["string", "float", "integral-float", "none", "bool", "zero",
+                              "negative", "one", "nine"])
+def test_every_dim_taker_rejects_a_bad_dim_before_drawing(dim):
+    assert {module for module, _ in DIM_TAKERS} == {
+        matcore, effects, observables, operations, instruments}
+    assert len(DIM_TAKERS) > len(RANDOM_GENERATORS)
+    for module, name in DIM_TAKERS:
+        taker = getattr(module, name)
+        params = inspect.signature(taker).parameters
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        args = ([rng] if "rng" in params else []) + ([3] if "n" in params else [])
+        with pytest.raises(DimensionError, match="dimension"):
+            taker(dim, *args)
+        assert rng.bit_generator.state == before, name  # nothing drawn
+    # an integer of any integer type is a dim
+    assert matcore.check_dim(np.int64(3)) == 3
+
+
+def test_sequences_of_members_are_read_once_from_any_iterable():
+    rng = np.random.default_rng(20)
+    a, b = effects.random_effect(3, rng), effects.random_effect(3, rng)
+    alpha, beta = effects.random_state(3, rng), effects.random_state(3, rng)
+    pairs = [(a, alpha), [b, beta]]
+    listed = operations.semi_trivial(pairs)
+    drawn = operations.semi_trivial(iter(pairs))
+    assert drawn.kraus.tobytes() == listed.kraus.tobytes()
+    # the recipe keeps the pairs it read, so an iterator's JSON form reads back
+    assert drawn.recipe["pairs"] == ((a, alpha), (b, beta))
+    again = serialize.typed_from_json(serialize.typed_to_json(drawn))
+    assert operations.action_distance(again, listed) <= 1e-12
+    mix = convex_combine((e for e in (a, b)), [0.25, 0.75])
+    assert mix.op.tobytes() == convex_combine([a, b], [0.25, 0.75]).op.tobytes()
 
 
 def test_stacked_states_store_what_the_constructor_stores():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmeas import effects, instruments, matcore, observables, operations as ops
 from seqmeas.effects import Effect, State, atomic_projection, complement, prob, unit_effect
@@ -490,6 +491,47 @@ def test_long_families_are_compressed_to_the_same_map(dim):
         assert op.n_kraus == min(n, dim * dim)
         assert matcore.max_abs(op.superop - _gram_superop(fam)) <= 1e-12
         assert ops.is_channel(op)
+
+
+@st.composite
+def long_families(draw):
+    """A Ginibre family of d² + 1 to 3 d² operators at d = 2..8, its entries
+    scaled by 1e-3, 1 or 1e3."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.integers(dim * dim + 1, 3 * dim * dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return scale * (rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim)))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(long_families())
+def test_compression_keeps_the_superoperator(family):
+    n, dim, _ = family.shape
+    want = _gram_superop(family)
+    short = ops._bounded(family)
+    assert short.shape == (dim * dim, dim, dim)
+    assert matcore.max_abs(_gram_superop(short) - want) <= 1e-13 * matcore.max_abs(want)
+    # and the operation built from the family, normalized to a channel, keeps it too
+    inv_root = matcore.inv_sqrt_pd(matcore._hermitian_part(ops._hat_matrix(family)))
+    op = ops.Operation(family @ inv_root)
+    assert op.n_kraus == dim * dim
+    assert matcore.max_abs(op.superop - _gram_superop(family @ inv_root)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.integers(0, 4))
+def test_remix_keeps_the_induced_effect_and_the_superoperator(dim, seed, weight, extra):
+    # a family of 1 to d² operators, remixed by a Haar unitary of n to n + 4 rows,
+    # so past d² operators the remix is compressed again
+    rng = np.random.default_rng(seed)
+    op = ops.scale(ops.random_channel(dim, rng, int(rng.integers(1, dim * dim + 1))), weight)
+    m = op.n_kraus + extra
+    mixing = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    remixed = ops.remix_kraus(op, mixing)
+    assert remixed.n_kraus == min(op.n_kraus + extra, dim * dim)
+    assert matcore.max_abs(ops.hat(remixed).op - ops.hat(op).op) <= 1e-12
+    assert matcore.max_abs(remixed.superop - op.superop) <= 1e-12
 
 
 def test_kraus_families_stay_bounded_along_chains():

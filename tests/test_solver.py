@@ -532,9 +532,12 @@ def test_only_library_producers_call_the_unread_builders():
     # just read
     assert _package_readers(["_computed", "_built", "_operations",
                              "_composed"]) == COMPUTED_PRODUCERS | {
+        # the constructor's door, after its reader
+        ("operations.py", "__post_init__", "_built"),
         # operations: products, sums, scalings and remixes of validated families,
         # the structured constructors and a measure's total channel
-        ("operations.py", "compose", "_built"),
+        ("operations.py", "compose", "_composed"),
+        ("operations.py", "effect_then_op", "_composed"),
         ("operations.py", "add", "_built"),
         ("operations.py", "scale", "_built"),
         ("operations.py", "remix_kraus", "_built"),
@@ -555,6 +558,19 @@ def test_only_library_producers_call_the_unread_builders():
         ("instruments.py", "semi_trivial_instrument", "_operations"),
         ("instruments.py", "_instrument", "_operations"),
         ("instruments.py", "_instruments", "_operations"),
+    }
+
+
+def test_one_body_builds_every_operation():
+    # the compression and the certified induced effects are run by one body,
+    # which only the builders call: one family, families grouped by shape, and
+    # products of pairs of families
+    assert _package_readers(["_bounded", "_induced", "_stacked_operations"]) == {
+        ("operations.py", "_stacked_operations", "_bounded"),
+        ("operations.py", "_stacked_operations", "_induced"),
+        ("operations.py", "_built", "_stacked_operations"),
+        ("operations.py", "_operations", "_stacked_operations"),
+        ("operations.py", "_composed", "_stacked_operations"),
     }
 
 
