@@ -20,8 +20,10 @@ A matrix enters by one of two doors. ``Effect`` and ``State`` read caller
 input (``matcore._read`` and the HERM_TOL gap test of ``as_hermitian``).
 Every effect and state the library computes from validated operands (products,
 complements, sums and mixes, ``operations.op_then_effect``, induced effects,
-the members of observable products and parts, drawn effects and states) is
-finite and Hermitian to rounding by construction, so it goes unread to
+the members of observable products and parts, drawn effects and states, the
+constants ``zero_effect`` and ``unit_effect``, and the projection of the vector
+``atomic_projection`` has read) is finite and Hermitian to rounding by
+construction, so it goes unread, and through no public constructor, to
 ``_computed``: a matrix or a stack, symmetrized once by
 ``matcore._hermitian_part`` and checked, storing bit for bit what the
 constructor stores of that symmetrization, or failing alike.
@@ -63,7 +65,7 @@ def _check_effects(m: np.ndarray) -> None:
     outside = matcore._first_outside(m, True)
     if outside is not None:
         _, lo, hi = outside
-        raise NotEffect(f"spectrum [{lo:.6g}, {hi:.6g}] escapes [0, 1]")
+        raise NotEffect(f"spectrum [{lo!r}, {hi!r}] escapes [0, 1]")
 
 
 def _check_states(m: np.ndarray) -> None:
@@ -164,11 +166,11 @@ def _check_type(obj, cls, error, what: str | None = None) -> None:
 
 
 def zero_effect(dim: int) -> Effect:
-    return Effect(np.zeros((matcore.check_dim(dim), dim), dtype=complex))
+    return _computed(Effect, np.zeros((matcore.check_dim(dim), dim), dtype=complex))
 
 
 def unit_effect(dim: int) -> Effect:
-    return Effect(matcore.identity(dim))
+    return _computed(Effect, matcore.identity(dim))
 
 
 def complement(a: Effect) -> Effect:
@@ -178,11 +180,12 @@ def complement(a: Effect) -> Effect:
 
 
 def perp(a: Effect, b: Effect) -> bool:
-    """True iff a + b is still an effect, i.e. a + b <= I."""
+    """True iff a + b is still an effect, i.e. I - (a + b) >= 0, decided on the stored
+    matrices: a difference of exactly Hermitian ones is exactly Hermitian."""
     _check_type(a, Effect, NotEffect)
     _check_type(b, Effect, NotEffect)
     matcore.check_same_dim(a.op, b.op)
-    return matcore.loewner_leq(a.op + b.op, matcore.identity(a.dim))
+    return matcore.psd_hermitian(matcore._identity(a.dim) - (a.op + b.op))
 
 
 def orthosum(a: Effect, b: Effect) -> Effect:
@@ -264,18 +267,18 @@ def cond_prob(rho: State, b: Effect, given: Effect) -> float:
 
 
 def atomic_projection(vector: np.ndarray) -> Effect:
-    """Rank-one projection |v><v| for a unit vector v. Its root |v><v| / |v| is
-    filled in with no solve."""
+    """Rank-one projection |v><v| for a unit vector v, read once. Its root |v><v| /
+    |v| is filled in with no solve."""
     v = matcore._read(vector, "vector", (1,))
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise NotEffect(f"vector norm {float(norm)!r} != 1")
-    a = Effect(_ket_bra(v))
+    a = _computed(Effect, np.outer(v, v.conj()))
     return _seeded((a,), [a.op / norm])[0]
 
 
 def _ket_bra(vector) -> np.ndarray:
-    """|v><v| for a vector read by ``matcore._read``: the one rank-one builder."""
+    """|v><v| for a caller's vector, read by ``matcore._read``."""
     v = matcore._read(vector, "vector", (1,))
     return np.outer(v, v.conj())
 

@@ -33,17 +33,29 @@ diagonal entry above 1e13 * tol, i.e. 1e3 at PSD_TOL, less past 8 x 8; a
 positive matrix has its largest entries there) the rounding error of the
 factorization stays well inside that margin. So every verdict is Jacobi's.
 
-A matrix is read at most once, and every symmetrization is one formula, (M +
-M†)·½, which leaves a matrix already exactly Hermitian unchanged:
-``as_hermitian`` applies it to caller matrices after its gap test, with one
-adjoint for both, and ``_hermitian_part`` to what the library computes.
-Caller matrices go through ``_read`` and ``as_hermitian``: the public
-``Effect``, ``State`` and ``Operation`` constructors and the structured ones
-that take matrices. A matrix the library computes from validated operands is
-not read: every effect and state, induced and drawn ones included, is
-symmetrized once and checked by one entry (``effects._computed``), and a
-Kraus family is certified as it is (``operations._built``, ``_operations``,
-``_composed``). From numpy's gufunc module (``numpy.linalg._umath_linalg``)
+Every matrix enters by the door of its origin, and every symmetrization is one
+formula, (M + M†)·½, which leaves a matrix already exactly Hermitian unchanged.
+Caller input is read once, where it enters, by ``_read`` (``as_hermitian``
+adds the HERM_TOL gap test before it symmetrizes): the public ``Effect``,
+``State`` and ``Operation`` constructors, the structured ones that take
+matrices or vectors, ``apply``, ``is_psd``, ``loewner_leq`` (which tests the
+difference of the two matrices it reads at 1e-9) and the JSON reader. A matrix
+the library computes from validated operands passes no reader, gap test or
+public constructor: every effect and state, the constants, induced and drawn
+ones included, is symmetrized once (``_hermitian_part``) and checked by one
+entry (``effects._computed``), a Kraus family is certified as it is
+(``operations._built``, ``_operations``, ``_composed``), and the root rule
+(``_psd_roots``), ``effects.perp`` and the probe gaps of
+``operations.operation_leq`` decide on the matrices they hold. The public
+functions the library reuses read what it passes them as they read caller
+input: the Jacobi kernels (``eig_hermitian``, ``sqrt_psd`` and the others built
+on it, which the benchmark tracer wraps by name, and the stacked
+``_eig_hermitian_stack``), ``serialize.matrix_to_json``, ``operations.apply``
+on the probes of ``operation_leq`` and in ``instruments.cond_prob``, and the
+sharp constructors on the rank-one projections of the atomic ones. An AST scan
+in ``tests/test_solver.py`` pins every door.
+
+From numpy's gufunc module (``numpy.linalg._umath_linalg``)
 the package calls two LAPACK routines directly, the Cholesky of the
 certificate (``cholesky_lo``) and the Householder QR of the Kraus compression
 (``qr_r_raw``, in ``operations``), and no eigen-routine.
@@ -420,14 +432,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _psd_roots(values: np.ndarray, vectors: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """The root rule, over a stack of eigendecompositions (values (n, d), in any
-    order, and vectors (n, d, d)): the roots v diag(values^1/2) v†, symmetrized at
-    1e-9. An eigenvalue below -tol raises ``NotPositive``; one below tol counts
-    as 0."""
+    order, and vectors (n, d, d)): the roots v diag(values^1/2) v†, symmetrized
+    once (``_hermitian_part``), at any norm. An eigenvalue below -tol raises
+    ``NotPositive``; one below tol counts as 0."""
     low = values.min()
     if low < -tol:
         raise NotPositive(f"matrix has eigenvalue {low:.3e} < -{tol:.1e}")
     roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
-    return _symmetrized((vectors * roots[:, None, :]) @ _adjoint(vectors), 1e-9)
+    return _hermitian_part((vectors * roots[:, None, :]) @ _adjoint(vectors))
 
 
 def _pd_inv_roots(values: np.ndarray, vectors: np.ndarray) -> list[np.ndarray | None]:
@@ -552,8 +564,8 @@ def is_psd(m, tol: float = PSD_TOL) -> bool:
 
 
 def psd_hermitian(h: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """``is_psd`` for a matrix already symmetrized by ``as_hermitian``: ``_first_outside``
-    of a stack of one."""
+    """``is_psd`` for a matrix already exactly Hermitian (symmetrized, or a sum of
+    symmetrized ones): ``_first_outside`` of a stack of one."""
     return _first_outside(h, False, tol) is None
 
 
@@ -601,10 +613,11 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
 
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
-    """Loewner order: a <= b iff b - a is PSD (min eigenvalue >= -tol)."""
+    """Loewner order: a <= b iff b - a is PSD (min eigenvalue >= -tol). The caller's
+    a and b are read once; their difference must be Hermitian within 1e-9."""
     a, b = _read(a), _read(b)
     check_same_dim(a, b)
-    return psd_hermitian(as_hermitian(b - a, tol=1e-9), tol)
+    return psd_hermitian(_symmetrized(b - a, 1e-9), tol)
 
 
 def _check_draw(dim: int, rng) -> None:

@@ -240,7 +240,7 @@ def verify_coexistence_witness(b: _Measure, c: _Measure, a: _Measure, f, g,
 def identity_observable(dim: int, outcome: str = "x") -> Observable:
     """The sure observable with a single outcome carrying the identity. I is its
     own root, so the root is filled in with no solve."""
-    sure = Effect(matcore.identity(dim))
+    sure = _computed(Effect, matcore.identity(dim))
     return Observable((outcome,), _seeded((sure,), [sure.op]))
 
 

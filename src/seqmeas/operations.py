@@ -15,12 +15,14 @@ the instrument sum read instead of recomputing it.
 
 A family reaches the body through one of two doors. The reader: ``Operation``
 reads a caller's family (``matcore._read``) and builds a copy of it through
-``_built``. The library: a family built from validated operands is not read.
-``_built`` takes one (``add``, ``scale``, ``remix_kraus``, the structured
-constructors, a measure's total channel), ``_operations`` groups many by
-shape (drawn, merged and structured families), and ``_composed`` groups pairs
-of families by their two sizes and builds each group's products with one
-batched GEMM (``compose``, ``effect_then_op``, instrument products, drawn
+``_built``. The library: a family built from validated operands is not read,
+and passes no public constructor. ``_built`` takes one (``compose`` and
+``effect_then_op``, each one GEMM of ``_compose_kraus``, ``add``, ``scale``,
+``remix_kraus``, the structured constructors and the constants
+``zero_operation`` and ``identity_channel``, a measure's total channel),
+``_operations`` groups many by shape (drawn, merged and structured families),
+and ``_composed`` groups pairs of families by their two sizes and builds each
+group's products with one batched GEMM (instrument products, drawn
 operations). A conditioning builds its members one at a time, through
 ``compose``.
 
@@ -331,7 +333,7 @@ def compose(i: Operation, j: Operation) -> Operation:
     """Sequential product: first i, then j, i.e. rho -> j(i(rho))."""
     _check_operations(i, j)
     matcore._check_same_operand_dim(i, j)
-    return _composed([(i.kraus, j.kraus)])[0]
+    return _built(_compose_kraus(i.kraus, j.kraus))
 
 
 def _compose_kraus(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -410,11 +412,11 @@ def action_distance(i: Operation, j: Operation) -> float:
 
 
 def zero_operation(dim: int) -> Operation:
-    return Operation(np.zeros((1, matcore.check_dim(dim), dim), dtype=complex))
+    return _built(np.zeros((1, matcore.check_dim(dim), dim), dtype=complex))
 
 
 def identity_channel(dim: int) -> Operation:
-    return Operation(identity(dim)[None, :, :])
+    return _built(identity(dim)[None, :, :])
 
 
 def luders(a: Effect) -> Operation:
@@ -536,7 +538,7 @@ def effect_then_op(a: Effect, i: Operation) -> Operation:
     _check_type(a, Effect, NotEffect)
     _check_operations(i)
     matcore._check_same_operand_dim(a, i)
-    return _composed([(a.root[None], i.kraus)])[0]
+    return _built(_compose_kraus(a.root[None], i.kraus))
 
 
 def op_then_effect(i: Operation, a: Effect) -> Effect:
@@ -605,7 +607,7 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     randoms = matcore._random_states(i.dim, rng or np.random.default_rng(0), SAMPLE_N)
     for probes in (randoms, _basis_probes(i.dim)):
         gaps = np.array([apply(j, rho) - apply(i, rho) for rho in probes])
-        if matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is not None:
+        if matcore._first_outside(matcore._hermitian_part(gaps)) is not None:
             return False
     return True
 

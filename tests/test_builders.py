@@ -124,9 +124,22 @@ def test_unread_producers_equal_the_caller_input_constructors(case):
         (lambda: effects.orthosum(a, effects.complement(a)), a.op + (eye - a.op)),
         (lambda: effects.convex_combine([a, b], [w, 1 - w]), w * a.op + (1 - w) * b.op),
     ]
+    # the constants and the projection of a read vector, which no longer pass
+    # the public constructor
+    v = matcore.random_unit_vector(dim, rng)
+    effect_cases += [
+        (lambda: effects.zero_effect(dim), np.zeros((dim, dim), dtype=complex)),
+        (lambda: effects.unit_effect(dim), eye),
+        (lambda: observables.identity_observable(dim).effects[0], eye),
+        (lambda: effects.atomic_projection(v), np.outer(v, v.conj())),
+    ]
     for build, raw in effect_cases:
         _effect_matrix(raw)
         _assert_same(_outcome(build), _outcome(lambda: Effect(raw)), _same_effect)
+    # perp decides on the stored matrices what the Loewner order decides on their sum
+    for x, y in ((a, b), (b, a), (half_a, half_b), (a, effects.complement(a)),
+                 (half_a, effects.complement(a))):
+        assert effects.perp(x, y) == matcore.loewner_leq(x.op + y.op, eye)
 
     # the members of a product whose first observable is read through its Lueders
     # Kraus families, against Effect of each sandwich as first built
@@ -161,6 +174,9 @@ def test_unread_producers_equal_the_caller_input_constructors(case):
         (lambda: ops.complement_luders(lb), Effect(eye - lb.induced.op).root[None]),
         (lambda: pa._channel, fronts),
         (lambda: instruments.bar(instruments.luders_instrument(pa)), fronts),
+        (lambda: ops.effect_then_op(a, chan), ops._compose_kraus(a.root[None], chan.kraus)),
+        (lambda: ops.zero_operation(dim), np.zeros((1, dim, dim), dtype=complex)),
+        (lambda: ops.identity_channel(dim), eye[None]),
     ]
     for build, raw in filter(None, operation_cases):
         _kraus_family(raw)

@@ -151,6 +151,39 @@ def test_seq_product_additive_in_second_argument():
         assert matcore.max_abs(lhs - rhs) <= 1e-12
 
 
+@st.composite
+def unit_interval_effects(draw):
+    """Effects a, b at d = 2..8 with spectra in [0, 1], about half of the eigenvalues
+    at the edges -0.9 PSD_TOL, 0 and 1, in one eigenbasis or two."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def effect(u):
+        edges = rng.choice([-0.9 * matcore.PSD_TOL, 0.0, 1.0], size=dim)
+        values = np.where(rng.random(dim) < 0.5, edges, rng.uniform(0.0, 1.0, size=dim))
+        return Effect((u * values) @ matcore.dagger(u))
+
+    u = matcore.random_unitary(dim, rng)
+    return effect(u), effect(u if draw(st.booleans()) else matcore.random_unitary(dim, rng))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(unit_interval_effects())
+def test_seq_product_of_effects_is_an_effect(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        lo, hi = matcore.spectral_bounds(seq_product(x, y).op)
+        assert -matcore.PSD_TOL <= lo and hi <= 1.0 + matcore.PSD_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=NotEffect,
+                   reason="the tolerances compound: a ∘ a of an accepted top eigenvalue "
+                          "1 + 0.6 PSD_TOL is about 1 + 1.2 PSD_TOL")
+def test_seq_product_of_effects_at_the_upper_edge_is_an_effect():
+    a = Effect(np.diag([1.0 + 0.6 * matcore.PSD_TOL, 0.5]))
+    assert isinstance(seq_product(a, a), Effect)
+
+
 def test_commutation_criterion():
     rng = np.random.default_rng(6)
     commuting = noncommuting = 0
@@ -322,7 +355,14 @@ def test_cond_prob_null_denominator():
      "weights sum to 1.1, not 1"),
     (lambda: atomic_projection(np.array([1.0, 1.0])), NotEffect,
      "vector norm 1.4142135623730951 != 1"),
-], ids=["state", "stacked-states", "cond-prob", "instrument-cond-prob", "weights", "norm"])
+    # a bound just past 1 + PSD_TOL must read past 1, which 6 digits would round away
+    (lambda: Effect(np.diag([1 + 2e-10, 0.5])), NotEffect,
+     "spectrum [0.5, 1.0000000002] escapes [0, 1]"),
+    (lambda: effects._computed(Effect, np.array([np.eye(2) / 2, np.diag([1 + 2e-10, 0.5])],
+                                                dtype=complex)), NotEffect,
+     "spectrum [0.5, 1.0000000002] escapes [0, 1]"),
+], ids=["state", "stacked-states", "cond-prob", "instrument-cond-prob", "weights", "norm",
+        "effect", "stacked-effects"])
 def test_error_messages_print_python_floats(call, error, message):
     # a numpy scalar's repr (np.float64(2.0) under numpy 2) would make the
     # message depend on the numpy version

@@ -7,9 +7,10 @@ numpy's gufunc module only the Cholesky and QR routines it allows, and
 contracts no more than two operands in one einsum, and the rules that only
 ``matcore._solve_stack`` reads the stack break-even, only ``operations``
 and only library producers call the one entry of computed effects and states,
-and only ``matcore._first_outside`` decides cone membership; that entry, on
-stacks, against the constructors, member by member, and both Jacobi solvers
-on matrices whose squares overflow.
+only ``matcore._first_outside`` decides cone membership, and what the library
+computes passes no reader, gap test or public constructor; that entry, on
+stacks, against the constructors, member by member, both Jacobi solvers on
+matrices whose squares overflow, and the root rule at norms up to 1e22.
 
 ``np.linalg.eigvalsh`` appears here only as a test oracle.
 """
@@ -410,7 +411,8 @@ def _root_of_spectrum(spec, tol=PSD_TOL):
         raise NotPositive(f"matrix has eigenvalue {values[0]:.3e} < -{tol:.1e}")
     roots = np.where(values < tol, 0.0, np.sqrt(np.clip(values, 0.0, None)))
     v = spec.eigenvectors
-    return matcore.as_hermitian((v * roots) @ matcore.dagger(v), tol=1e-9)
+    r = (v * roots) @ matcore.dagger(v)
+    return (r + matcore.dagger(r)) * 0.5
 
 
 def _inv_root_of_spectrum(spec):
@@ -445,19 +447,33 @@ def test_scalar_kernels_apply_the_stacked_rules_bit_for_bit(dim):
         want = _inv_root_of_spectrum(spec)
         got = matcore.inv_sqrt_pd(m)
         assert got is None if want is None else np.array_equal(got, want)
+    # the root rule symmetrizes once, with no absolute gap test, since the rounding
+    # of v diag(roots) v† grows with the norm: PSD matrices of norm 1e14 to 1e22
+    # have roots, scalar and stacked
+    for scale in (1e14, 1e18, 1e22):
+        mats = [matcore._hermitian_part(scale * g @ matcore.dagger(g))
+                for g in matcore._ginibres(dim, rng, BREAK_EVEN)]
+        for m, stacked in zip(mats, matcore._solve_stack("root", mats)):
+            root = matcore.sqrt_psd(m)
+            assert np.array_equal(root, _root_of_spectrum(matcore.eig_hermitian(m)))
+            for r in (root, stacked):
+                assert np.linalg.norm(r @ r - m) <= 1e-12 * np.linalg.norm(m)
 
 
-def _readers(source: str, name: str) -> list[str]:
+def _readers(source: str, name: str, calls: bool = False) -> list[str]:
     """The function around each read of ``name`` in a source text, as a bare name,
-    an attribute or an import; "<module>" for a read outside any function."""
+    an attribute or an import, or with ``calls`` only each call of it by name;
+    "<module>" for a read outside any function."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Name) and child.id == name
-                 and isinstance(child.ctx, ast.Load))
-                    or (isinstance(child, ast.Attribute) and child.attr == name)
-                    or (isinstance(child, ast.alias) and child.name == name)):
+            read = child.func if calls and isinstance(child, ast.Call) else child
+            if (not calls or read is not child) and (
+                    (isinstance(read, ast.Name) and read.id == name
+                     and isinstance(read.ctx, ast.Load))
+                    or (isinstance(read, ast.Attribute) and read.attr == name)
+                    or (isinstance(read, ast.alias) and read.name == name)):
                 found.append(where)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             visit(child, getattr(child, "name", "<lambda>") if inner else where)
@@ -466,13 +482,14 @@ def _readers(source: str, name: str) -> list[str]:
     return found
 
 
-def _package_readers(names) -> set[tuple[str, str, str]]:
-    """(file, function, name) for every read of each of ``names`` in the package."""
+def _package_readers(names, calls: bool = False) -> set[tuple[str, str, str]]:
+    """(file, function, name) for every read (or, with ``calls``, every call by
+    name) of each of ``names`` in the package."""
     package = Path(matcore.__file__).parent
     return {(str(path.relative_to(package)), where, name)
             for path in sorted(package.rglob("*.py"))
             for name in names
-            for where in _readers(path.read_text(), name)}
+            for where in _readers(path.read_text(), name, calls)}
 
 
 def test_only_solve_stack_reads_the_break_even():
@@ -490,21 +507,26 @@ def test_only_solve_stack_reads_the_break_even():
 # validated operands. ``serialize`` and ``cli`` hand caller input to the public
 # constructors only.
 COMPUTED_PRODUCERS = {
-    # effects: products, complements, sums and mixes of validated effects, and
-    # drawn effects and states
+    # effects: products, complements, sums and mixes of validated effects, drawn
+    # effects and states, the constants and the projection of a read vector
     ("effects.py", "seq_product", "_computed"),
     ("effects.py", "complement", "_computed"),
     ("effects.py", "orthosum", "_computed"),
     ("effects.py", "convex_combine", "_computed"),
     ("effects.py", "random_effects", "_computed"),
     ("effects.py", "random_states", "_computed"),
+    ("effects.py", "zero_effect", "_computed"),
+    ("effects.py", "unit_effect", "_computed"),
+    ("effects.py", "atomic_projection", "_computed"),
     # operations: post-operation effects and the induced effects of every
     # operation
     ("operations.py", "<module>", "_computed"),
     ("operations.py", "op_then_effect", "_computed"),
     ("operations.py", "_induced", "_computed"),
-    # observables: the members of products and parts, drawn and projective ones
+    # observables: the members of products and parts, drawn and projective ones,
+    # and the sure observable's identity
     ("observables.py", "<module>", "_computed"),
+    ("observables.py", "identity_observable", "_computed"),
     ("observables.py", "<lambda>", "_computed"),  # Observable._merges and _afters
     ("observables.py", "random_observables", "_computed"),
     ("observables.py", "projective_observable", "_computed"),
@@ -535,9 +557,11 @@ def test_only_library_producers_call_the_unread_builders():
         # the constructor's door, after its reader
         ("operations.py", "__post_init__", "_built"),
         # operations: products, sums, scalings and remixes of validated families,
-        # the structured constructors and a measure's total channel
-        ("operations.py", "compose", "_composed"),
-        ("operations.py", "effect_then_op", "_composed"),
+        # the structured constructors, the constants and a measure's total channel
+        ("operations.py", "compose", "_built"),
+        ("operations.py", "effect_then_op", "_built"),
+        ("operations.py", "zero_operation", "_built"),
+        ("operations.py", "identity_channel", "_built"),
         ("operations.py", "add", "_built"),
         ("operations.py", "scale", "_built"),
         ("operations.py", "remix_kraus", "_built"),
@@ -571,6 +595,56 @@ def test_one_body_builds_every_operation():
         ("operations.py", "_built", "_stacked_operations"),
         ("operations.py", "_operations", "_stacked_operations"),
         ("operations.py", "_composed", "_stacked_operations"),
+    }
+
+
+# The caller-input readers: ``matcore._read`` and the layers over it, the gap test
+# of ``as_hermitian`` (``_symmetrized``), and ``loewner_leq``, the public Loewner
+# order of two caller matrices.
+READER_DOORS = ("_read", "as_square", "as_hermitian", "_as_hermitian_stack", "_symmetrized",
+                "loewner_leq")
+
+
+def test_library_output_passes_no_reader_or_public_constructor():
+    # caller input is read once where it enters; what the library computes goes
+    # straight to ``effects._computed`` or ``operations._built`` and is never read,
+    # gap-tested or built by a public constructor again. The law bodies build
+    # their own inputs from matrices, as a caller does, so they are not scanned.
+    snippet = ("def f(m):\n    return Effect(m), isinstance(m, Effect), g(Effect)\n"
+               "h = lambda x: effects.Effect(x)\n")
+    assert _readers(snippet, "Effect", calls=True) == ["f", "<lambda>"]
+
+    def library(found):
+        return {hit for hit in found if not hit[0].startswith("laws/")}
+
+    assert library(_package_readers(["Effect", "State", "Operation"], calls=True)) == set()
+    assert library(_package_readers(READER_DOORS)) == {
+        # the reader's own layers, and the gap test of caller matrices
+        ("matcore.py", "as_square", "_read"),
+        ("matcore.py", "as_hermitian", "_read"),
+        ("matcore.py", "_as_hermitian_stack", "_read"),
+        ("matcore.py", "as_hermitian", "_symmetrized"),
+        ("matcore.py", "_as_hermitian_stack", "_symmetrized"),
+        # the Jacobi kernels, which read what they are given, the library's own
+        # matrices included
+        ("matcore.py", "eig_hermitian", "as_hermitian"),
+        ("matcore.py", "_eig_hermitian_stack", "_as_hermitian_stack"),
+        # the caller doors: public functions and constructors that take matrices
+        # or vectors, and the JSON codecs
+        ("matcore.py", "is_psd", "as_hermitian"),
+        ("matcore.py", "loewner_leq", "_read"),
+        ("matcore.py", "loewner_leq", "_symmetrized"),
+        ("effects.py", "__post_init__", "as_hermitian"),
+        ("effects.py", "atomic_projection", "_read"),
+        ("effects.py", "_ket_bra", "_read"),
+        ("operations.py", "_as_kraus_array", "_read"),
+        ("operations.py", "apply", "as_square"),
+        ("operations.py", "kraus_single", "as_square"),
+        ("operations.py", "_projection_list", "_as_hermitian_stack"),
+        ("operations.py", "remix_kraus", "_read"),
+        ("instruments.py", "kraus_instrument", "as_square"),
+        ("serialize.py", "matrix_to_json", "as_square"),
+        ("serialize.py", "_matrix_list_from_json", "_read"),
     }
 
 
