@@ -11,7 +11,13 @@ of the instrument product and conditioning (A o B and (B | A) likewise).
 
 ``kraus_instrument`` and ``sharp_instrument`` read their caller's matrices;
 every other member, and ``bar``, is built unread from validated objects
-(``operations._operations``, ``_composed``, ``_built``).
+(``operations._operations``, ``_composed``, ``_built``). The library calls a
+public door that reads its input only where the input is a caller's or the
+reading is the point: ``operations.apply`` on a caller's state (a member's
+probability, the front of ``cond_prob``, whose numerator is read off the
+induced effect), and ``sharp_instrument`` on the rank-one projections of
+``atomic_instrument``, since its stack reader is what rejects a ragged, empty
+or mixed-dim list of vectors.
 """
 
 from __future__ import annotations
@@ -151,13 +157,18 @@ def obs_conditioned_on_inst(a: Observable, given: Instrument) -> Observable:
 
 
 def cond_prob(rho: State, j_member: Operation, given: Operation) -> float:
-    """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)], clamped into [0, 1]."""
+    """P_rho(J | I) = tr[J(I(rho))] / tr[I(rho)], clamped into [0, 1]. The numerator
+    is read off the effect J induces, tr[I(rho) Ĵ] (thm 1.1), so I(rho), which
+    the library computed, is not applied to again: ``apply`` runs once, on the
+    caller's state."""
     _check_type(rho, State, NotState)
     front = op_mod.apply(given, rho)
     denom = float(np.trace(front).real)
     if denom <= COND_FLOOR:
         raise ConditioningOnNull(f"tr[I(rho)] = {denom!r}")
-    return _probability(np.trace(op_mod.apply(j_member, front)).real / denom)
+    op_mod._check_operations(j_member)
+    matcore._check_same_operand_dim(j_member, given)
+    return _probability(np.trace(front @ j_member.induced.op).real / denom)
 
 
 def _instruments(families: list[list[np.ndarray]]) -> tuple[Instrument, ...]:

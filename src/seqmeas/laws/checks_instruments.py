@@ -224,13 +224,8 @@ def _forgotten_state_violation(b_obs: Observable, alpha: State) -> float:
                for by in b_obs.effects)
 
 
-def draw_conditioning_forgets_state(ctx: LawContext, dim: int, n: int):
-    states = random_states(dim, ctx.rng, 2 * n)
-    return zip(random_observables(dim, ctx.rng, n), states[0::2], states[1::2])
-
-
-def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally, b: Observable,
-                                     alpha: State, beta: State) -> None:
+def check_conditioning_forgets_state(ctx: LawContext, dim: int, tally: Tally, alpha: State,
+                                     beta: State, b: Observable) -> None:
     """(J | I) hat differs from the conditioned observables: a single-outcome
     trivial front end replaces rho by alpha."""
     sure = identity_observable(dim)
@@ -467,7 +462,7 @@ LAWS = (
         id="ex-9", kind="counterexample", dims=(2,), trials=100,
         description="Instrument conditioning forgets the input state for trivial front ends",
         fn=check_conditioning_forgets_state, replay=_forgotten_state_violation,
-        draw=draw_conditioning_forgets_state),
+        draw=drawn((random_states, 2), random_observables)),
     LawCheck(
         id="thm-4.1i", kind="identity", dims=(2, 3), trials=50,
         description="hat of effect-then-operation is the sequential product of effects",

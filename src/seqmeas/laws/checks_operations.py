@@ -169,14 +169,8 @@ def _projection_mixing_violation(a: np.ndarray, b: Effect, rho: State) -> float:
     return max_abs(b.op - _mixed(a, b))
 
 
-def draw_constant_channel_bayes(ctx: LawContext, dim: int, n: int):
-    rng = ctx.rng
-    states = random_states(dim, rng, 2 * n)
-    return zip(random_effects(dim, rng, n), states[0::2], states[1::2])
-
-
-def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally, a: Effect,
-                                 alpha: State, rho: State) -> None:
+def check_constant_channel_bayes(ctx: LawContext, dim: int, tally: Tally, alpha: State,
+                                 rho: State, a: Effect) -> None:
     """Conditioning through the constant channel of two trivial operations
     replaces rho by alpha; generic inputs witness the failure."""
     chan = op_mod.add(op_mod.trivial(a, alpha), op_mod.trivial(complement(a), alpha))
@@ -272,7 +266,7 @@ LAWS = (
         id="ex-1", kind="counterexample", dims=(2,), trials=100, gap=0.1,
         description="Constant-channel conditioning forgets the input state",
         fn=check_constant_channel_bayes, replay=_constant_channel_violation,
-        draw=draw_constant_channel_bayes),
+        draw=drawn((random_states, 2), random_effects)),
     LawCheck(
         id="ex-2", kind="counterexample", dims=(2,), trials=100,
         description="Projection mixing displaces non-commuting effects",

@@ -45,15 +45,24 @@ public constructor: every effect and state, the constants, induced and drawn
 ones included, is symmetrized once (``_hermitian_part``) and checked by one
 entry (``effects._computed``), a Kraus family is certified as it is
 (``operations._built``, ``_operations``, ``_composed``), and the root rule
-(``_psd_roots``), ``effects.perp`` and the probe gaps of
-``operations.operation_leq`` decide on the matrices they hold. The public
-functions the library reuses read what it passes them as they read caller
-input: the Jacobi kernels (``eig_hermitian``, ``sqrt_psd`` and the others built
-on it, which the benchmark tracer wraps by name, and the stacked
-``_eig_hermitian_stack``), ``serialize.matrix_to_json``, ``operations.apply``
-on the probes of ``operation_leq`` and in ``instruments.cond_prob``, and the
-sharp constructors on the rank-one projections of the atomic ones. An AST scan
-in ``tests/test_solver.py`` pins every door.
+(``_psd_roots``), ``effects.perp``, the probe gaps of
+``operations.operation_leq`` (read off its Choi gap) and the numerator of
+``instruments.cond_prob`` (read off an induced effect) decide on the matrices
+they hold; ``operations.apply`` runs only on a caller's state. The public
+functions the library still reuses read what it passes them as they read
+caller input, each for a reason: the Jacobi kernels (``eig_hermitian``,
+``sqrt_psd`` and the others built on it, and the stacked
+``_eig_hermitian_stack``), since the benchmark tracer counts them by name;
+``serialize.matrix_to_json``, the one writer of a matrix; and the sharp
+constructors on the rank-one projections of the atomic ones, since their stack
+reader is what rejects a ragged, empty or mixed-dim list of vectors. An AST
+scan in ``tests/test_solver.py`` pins every door and counts every library call
+of a public reading door.
+
+The reader's own arithmetic, the gap M - M† and the sum M + M† of
+``_symmetrized`` and the difference of ``loewner_leq``, runs with numpy's
+overflow raised: a finite matrix near the largest float whose arithmetic
+overflows is a ``DimensionError``, not a RuntimeWarning.
 
 From numpy's gufunc module (``numpy.linalg._umath_linalg``)
 the package calls two LAPACK routines directly, the Cholesky of the
@@ -216,12 +225,27 @@ def _as_hermitian_stack(mats, tol: float = HERM_TOL, what: str = "stack of matri
     return _symmetrized(_read(mats, what, (3,)), tol)
 
 
-def _symmetrized(arr: np.ndarray, tol: float) -> np.ndarray:
-    adj = arr.conj().swapaxes(-1, -2)
-    gap = max_abs(arr - adj)
-    if gap > tol:
-        raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gap:.3e} > {tol:.1e}")
-    return (arr + adj) * 0.5
+@np.errstate(over="raise")
+def _symmetrized(arr: np.ndarray, tol: float, minus: np.ndarray | None = None) -> np.ndarray:
+    """The gap test and the symmetrization of a finite matrix or stack, or of the
+    difference ``arr - minus`` of two: (M + M†)·½ when |M - M†| <= tol, else
+    ``DimensionError``. Its arithmetic runs with numpy's overflow raised, so a
+    difference, gap or sum past the largest float (entries near ±1.7e308) is a
+    ``DimensionError`` too, not a RuntimeWarning; a result that does not
+    overflow keeps its bits. This reader runs on every caller matrix, so it takes
+    the decorator form of ``np.errstate``, about half the cost of its ``with``
+    form, and counts the gaps above tol instead of reducing them to their
+    maximum, which only the error message reads."""
+    try:
+        if minus is not None:
+            arr = arr - minus
+        adj = arr.conj().swapaxes(-1, -2)
+        gaps, sym = np.abs(arr - adj), (arr + adj) * 0.5
+    except FloatingPointError:
+        raise DimensionError("matrix is too large: its arithmetic overflows a float") from None
+    if np.count_nonzero(gaps > tol):
+        raise DimensionError(f"matrix is not Hermitian: |M - M†| = {gaps.max():.3e} > {tol:.1e}")
+    return sym
 
 
 @dataclass(frozen=True)
@@ -617,7 +641,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     a and b are read once; their difference must be Hermitian within 1e-9."""
     a, b = _read(a), _read(b)
     check_same_dim(a, b)
-    return psd_hermitian(_symmetrized(b - a, 1e-9), tol)
+    return psd_hermitian(_symmetrized(b, 1e-9, a), tol)
 
 
 def _check_draw(dim: int, rng) -> None:

@@ -26,6 +26,13 @@ group's products with one batched GEMM (instrument products, drawn
 operations). A conditioning builds its members one at a time, through
 ``compose``.
 
+Two public functions here read what they are given as caller input, and the
+library calls each for a reason only: ``apply`` on a caller's state (an
+instrument's probabilities, the front of ``instruments.cond_prob``), and
+``sharp_operation`` on the rank-one projections of ``atomic_operation``, since
+its stack reader is what rejects a ragged, empty or mixed-dim list of vectors.
+``operation_leq`` applies no probe: it reads the gaps off its Choi gap.
+
 Operations are represented by their Kraus family, stored as one (n, dim, dim)
 complex array with n <= dim². The stacked rows vec(A_n) span at most dim²
 dimensions, so a longer family (from ``compose``, ``add``, a semi-trivial
@@ -35,7 +42,8 @@ at construction by the R factor of its QR decomposition (one LAPACK call,
 vec(A_n) vec(A_n)†, and with it the map, is unchanged (Choi, "Completely
 positive linear maps on complex matrices", Linear Algebra Appl. 10, 1975).
 Each operation also carries its superoperator (``Operation.superop``, the
-dim² x dim² natural representation), computed on first use. Equality of
+dim² x dim² natural representation), computed on first use; ``operation_leq``
+reads its probe gaps off the same form of a Choi gap (``_natural``). Equality of
 operations compares superoperators, never Kraus lists (the Kraus decomposition
 is far from unique).
 
@@ -135,14 +143,13 @@ class Operation:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """Natural representation S = sum_n A_n (x) conj(A_n) (read-only).
+        """Natural representation S = sum_n A_n (x) conj(A_n) (read-only): ``_natural``
+        of the family's Gram matrix.
 
         vec(op(rho)) = S vec(rho) for row-major vec, so column (k, l) of S is
         the image of the matrix unit E_kl.
         """
-        d = self.dim
-        s = _gram(self.kraus).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        return _frozen(s)
+        return _frozen(_natural(_gram(self.kraus), self.dim))
 
 
 # Each recipe kind: its constructor (looked up per call, so a rebound module
@@ -272,6 +279,14 @@ def _gram(kraus: np.ndarray) -> np.ndarray:
     n, d, _ = kraus.shape
     flat = kraus.reshape(n, d * d)
     return flat.T @ flat.conj()
+
+
+def _natural(gram: np.ndarray, d: int) -> np.ndarray:
+    """The natural representation S (d² x d², vec(op(rho)) = S vec(rho) for row-major
+    vec) of a Gram matrix ``_gram`` of dim d, or of a difference of two: entry ((i,
+    j), (k, l)) moves to ((i, k), (j, l)). A permutation of entries, so exact and
+    linear: the form of a Choi gap is the gap of the two forms, bit for bit."""
+    return gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _hat_matrix(kraus: np.ndarray) -> np.ndarray:
@@ -572,8 +587,9 @@ def remix_kraus(op: Operation, unitary: np.ndarray) -> Operation:
     m = w.shape[0]
     if m < op.n_kraus:
         raise DimensionError(f"mixing matrix is {m} x {m}, below n_kraus = {op.n_kraus}")
-    if max_abs(dagger(w) @ w - np.eye(m)) > 1e-10:
-        raise NotOrthogonal("mixing matrix is not unitary")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing W†W is inf or NaN
+        if not max_abs(dagger(w) @ w - np.eye(m)) <= 1e-10:
+            raise NotOrthogonal("mixing matrix is not unitary")
     padded = np.zeros((m, op.dim, op.dim), dtype=complex)
     padded[: op.n_kraus] = op.kraus
     return _built(np.einsum("ji,idk->jdk", w, padded))
@@ -591,9 +607,12 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     Otherwise probes decide: first SAMPLE_N seeded random states, then, when
     those all pass, the d^2 pure states derived from the matrix-unit basis
     (e_k, (e_k+e_l)/sqrt2, (e_k+ie_l)/sqrt2), which span L(H). The gaps j(rho)
-    - i(rho) of each set are checked as one stack (``matcore._first_outside``),
-    in probe order, so Jacobi runs only up to the first gap outside the cone,
-    and the basis gaps are not computed when a random probe refutes the pair.
+    - i(rho) of each set are read off the same Choi gap, in its natural form
+    (``_natural``, the map j - i as ``superop`` holds a map), by one GEMM over
+    the set, with no probe applied or read again. They are checked as one stack
+    (``matcore._first_outside``), in probe order, so Jacobi runs only up to the
+    first gap outside the cone, and the basis gaps are not computed when a
+    random probe refutes the pair.
     A False result refutes i <= j. When the certificate declines and every
     probe passes, neither decides and the result is True uncertified: j - i
     may be positive without being completely positive, or fail on a state that
@@ -604,26 +623,28 @@ def operation_leq(i: Operation, j: Operation, rng: np.random.Generator | None = 
     gap = _gram(j.kraus) - _gram(i.kraus)
     if matcore.psd_certified(matcore._hermitian_part(gap)):
         return True
+    action = _natural(gap, i.dim)
     randoms = matcore._random_states(i.dim, rng or np.random.default_rng(0), SAMPLE_N)
     for probes in (randoms, _basis_probes(i.dim)):
-        gaps = np.array([apply(j, rho) - apply(i, rho) for rho in probes])
-        if matcore._first_outside(matcore._hermitian_part(gaps)) is not None:
+        if matcore._first_outside(matcore._hermitian_part(_acted(action, probes))) is not None:
             return False
     return True
+
+
+def _acted(action: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The images of a stack of matrices (n, d, d) under the map of natural form
+    ``action``: one GEMM, the rows vec(rho) times S^T."""
+    return (rhos.reshape(len(rhos), -1) @ action.T).reshape(rhos.shape)
 
 
 @cache
 def _basis_probes(dim: int) -> np.ndarray:
     """The basis probes of ``operation_leq`` in order, one read-only stack per dim."""
-    probes = []
-    basis = identity(dim)
+    basis, vectors = identity(dim), []
     for k, e_k in enumerate(basis):
-        probes.append(np.outer(e_k, e_k.conj()))
-        for e_l in basis[k + 1:]:
-            for v in (e_k + e_l, e_k + 1j * e_l):
-                v = v / np.linalg.norm(v)
-                probes.append(np.outer(v, v.conj()))
-    return _frozen(np.array(probes))
+        pairs = [v for e_l in basis[k + 1:] for v in (e_k + e_l, e_k + 1j * e_l)]
+        vectors += [e_k] + [v / np.linalg.norm(v) for v in pairs]
+    return _frozen(np.array([np.outer(v, v.conj()) for v in vectors]))
 
 
 def random_channels(dim: int, rng: np.random.Generator, n: int,

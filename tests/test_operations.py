@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -409,30 +410,39 @@ def test_operation_order_certifies_cp_differences(dim, monkeypatch):
     assert [len(h) for h in stacks] == [ops.SAMPLE_N]
 
 
-def _one_stack_leq(i, j, rng):
-    """The probe side of ``operation_leq`` as it was first stacked: every random and
-    basis gap computed, then checked in one ``_first_outside`` call."""
-    gap = ops._gram(j.kraus) - ops._gram(i.kraus)
-    if matcore.psd_certified((gap + matcore.dagger(gap)) / 2):
-        return True
-    probes = list(matcore._random_states(i.dim, rng, ops.SAMPLE_N))
-    basis = np.eye(i.dim, dtype=complex)
+def _probe_sets(dim, rng):
+    """The two probe sets of ``operation_leq`` in order: SAMPLE_N random states, then
+    the d² basis probes."""
+    basis, probes = np.eye(dim, dtype=complex), []
     for k, e_k in enumerate(basis):
         probes.append(np.outer(e_k, e_k.conj()))
         for e_l in basis[k + 1:]:
             for v in (e_k + e_l, e_k + 1j * e_l):
                 v = v / np.linalg.norm(v)
                 probes.append(np.outer(v, v.conj()))
-    gaps = np.array([ops.apply(j, rho) - ops.apply(i, rho) for rho in probes])
+    return matcore._random_states(dim, rng, ops.SAMPLE_N), np.array(probes)
+
+
+def _one_stack_leq(i, j, rng):
+    """The probe side of ``operation_leq`` as it was first stacked: every random and
+    basis gap computed, then checked in one ``_first_outside`` call. The gaps of
+    each set are one GEMM of its probes with the Choi gap in natural form."""
+    gap = ops._gram(j.kraus) - ops._gram(i.kraus)
+    if matcore.psd_certified((gap + matcore.dagger(gap)) / 2):
+        return True
+    d = i.dim
+    action = gap.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    gaps = np.concatenate([(probes.reshape(-1, d * d) @ action.T).reshape(-1, d, d)
+                           for probes in _probe_sets(d, rng)])
     return matcore._first_outside(matcore._as_hermitian_stack(gaps, 1e-9)) is None
 
 
 def _order_pairs():
-    """200 seeded pairs at d = 2-5: unrelated operations, a scaled operation against
+    """200 seeded pairs at d = 2-8: unrelated operations, a scaled operation against
     its sum with another (certified one way), and an operation against itself
     scaled by 1 - 1e-10 or 1 - 1e-9 (either way, near the probes' tolerance)."""
     for k in range(200):
-        dim = 2 + k % 4
+        dim = 2 + k % 7
         rng = np.random.default_rng(k)
         i = ops.random_operation(dim, rng)
         if k % 4 == 0:
@@ -446,31 +456,45 @@ def _order_pairs():
 
 
 def test_operation_order_probes_random_states_first(monkeypatch):
-    # verdicts, and every Jacobi call in order, are those of the one-stack check
-    solves, applies, checks = [], [], []
-    real_bounds, real_apply, real_first = (matcore.spectral_bounds, ops.apply,
+    # verdicts, and every Jacobi call in order, are those of the one-stack check;
+    # no probe is applied, and a pair refuted by a random probe gets no basis gaps
+    solves, acted, checks = [], [], []
+    real_bounds, real_acted, real_first = (matcore.spectral_bounds, ops._acted,
                                            matcore._first_outside)
     monkeypatch.setattr(matcore, "spectral_bounds",
                         lambda m: solves.append(np.array(m)) or real_bounds(m))
-    monkeypatch.setattr(ops, "apply", lambda op, rho: applies.append(1) or real_apply(op, rho))
+    monkeypatch.setattr(ops, "_acted", lambda s, rhos: acted.append(len(rhos))
+                        or real_acted(s, rhos))
     monkeypatch.setattr(matcore, "_first_outside",
                         lambda h, *args: checks.append(len(h)) or real_first(h, *args))
+    monkeypatch.setattr(ops, "apply", None)
     outcomes = set()
     for k, i, j in _order_pairs():
         for a, b in ((i, j), (j, i)):
-            del solves[:], applies[:], checks[:]
+            del solves[:], checks[:]
             want = _one_stack_leq(a, b, np.random.default_rng(k))
             want_solves = [m.tobytes() for m in solves]
-            del solves[:], applies[:], checks[:]
+            del solves[:], acted[:], checks[:]
             got = ops.operation_leq(a, b, np.random.default_rng(k))
             assert got == want and [m.tobytes() for m in solves] == want_solves
-            if not got and checks == [ops.SAMPLE_N]:
-                assert len(applies) <= 2 * ops.SAMPLE_N  # refuted by a random probe
+            assert acted == checks
             outcomes.add((got, tuple(checks)))
     # the sweep reaches every path: certified, refuted by a random or a basis
     # probe, and uncertified pairs that hold
     assert {(got, len(checks)) for got, checks in outcomes} == {
         (True, 0), (False, 1), (False, 2), (True, 2)}
+
+
+def test_operation_order_gaps_are_the_applied_gaps():
+    # the gaps read off the natural form of the Choi gap are j(rho) - i(rho), on
+    # the first 56 pairs: 8 per dim, 2 of each kind
+    worst = 0.0
+    for k, i, j in itertools.islice(_order_pairs(), 56):
+        action = ops._natural(ops._gram(j.kraus) - ops._gram(i.kraus), i.dim)
+        for probes in _probe_sets(i.dim, np.random.default_rng(k)):
+            applied = np.array([ops.apply(j, rho) - ops.apply(i, rho) for rho in probes])
+            worst = max(worst, matcore.max_abs(ops._acted(action, probes) - applied))
+    assert worst <= 1e-13
 
 
 def _gram_superop(kraus):

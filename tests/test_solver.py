@@ -16,8 +16,10 @@ matrices whose squares overflow, and the root rule at norms up to 1e22.
 """
 
 import ast
+import functools
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from numpy.linalg import _umath_linalg
 
 from seqmeas import effects, matcore, observables, operations
 from seqmeas.effects import Effect, State, _computed
-from seqmeas.errors import DimensionError, NotEffect, NotPositive, SeqmeasError
+from seqmeas.errors import DimensionError, NotEffect, NotOrthogonal, NotPositive, SeqmeasError
 from seqmeas.matcore import PSD_TOL
 
 
@@ -245,6 +247,42 @@ def test_huge_finite_matrix_is_a_package_error_without_warnings(build):
             build()
 
 
+# A finite matrix whose entries near the largest float overflow in the reader's
+# arithmetic: M - M† (ASYMMETRIC), M + M† (the diagonal), the difference of
+# ``loewner_leq`` and the product W†W of a mixing matrix.
+BIGGEST = 1.7e308
+ASYMMETRIC = np.array([[0.0, BIGGEST], [-BIGGEST, 0.0]])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Effect(ASYMMETRIC), DimensionError),
+    (lambda: State(ASYMMETRIC), DimensionError),
+    (lambda: matcore.is_psd(ASYMMETRIC), DimensionError),
+    (lambda: matcore.as_hermitian(ASYMMETRIC), DimensionError),
+    (lambda: matcore.sqrt_psd(ASYMMETRIC), DimensionError),
+    (lambda: operations.sharp_operation([ASYMMETRIC]), DimensionError),
+    (lambda: Effect(np.diag([BIGGEST, BIGGEST])), DimensionError),
+    (lambda: matcore.loewner_leq(np.full((2, 2), -BIGGEST), np.full((2, 2), BIGGEST)),
+     DimensionError),
+    (lambda: operations.remix_kraus(operations.identity_channel(2), np.full((2, 2), 1e200)),
+     NotOrthogonal),
+], ids=["effect", "state", "is-psd", "as-hermitian", "sqrt", "sharp", "effect-sum", "loewner",
+        "remix"])
+def test_overflowing_reader_arithmetic_is_a_package_error_without_warnings(build, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build()
+
+
+def test_reader_arithmetic_near_the_largest_float_keeps_what_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        half = matcore.as_hermitian(np.array([[0.0, 1e308], [0.0, 0.0]]), tol=np.inf)
+        assert np.array_equal(half, np.array([[0.0, 5e307], [5e307, 0.0]]))
+        assert matcore.loewner_leq(np.diag([1e308, 0.0]), np.diag([1e308, 0.0]))
+
+
 def test_cholesky_gufunc_marks_each_failed_member_alone():
     """The contract ``matcore._cholesky_completes`` rests on: in a stack that mixes
     positive definite and other members, LAPACK's Cholesky gufunc returns NaN
@@ -460,6 +498,12 @@ def test_scalar_kernels_apply_the_stacked_rules_bit_for_bit(dim):
                 assert np.linalg.norm(r @ r - m) <= 1e-12 * np.linalg.norm(m)
 
 
+@functools.cache
+def _parsed(source: str) -> ast.Module:
+    """The syntax tree of a source text, parsed once: the scans only read it."""
+    return ast.parse(source)
+
+
 def _readers(source: str, name: str, calls: bool = False) -> list[str]:
     """The function around each read of ``name`` in a source text, as a bare name,
     an attribute or an import, or with ``calls`` only each call of it by name;
@@ -478,7 +522,7 @@ def _readers(source: str, name: str, calls: bool = False) -> list[str]:
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             visit(child, getattr(child, "name", "<lambda>") if inner else where)
 
-    visit(ast.parse(source), "<module>")
+    visit(_parsed(source), "<module>")
     return found
 
 
@@ -603,6 +647,9 @@ def test_one_body_builds_every_operation():
 # order of two caller matrices.
 READER_DOORS = ("_read", "as_square", "as_hermitian", "_as_hermitian_stack", "_symmetrized",
                 "loewner_leq")
+# The public functions that read the matrices they are given, as caller input.
+PUBLIC_READING_DOORS = ("apply", "loewner_leq", "is_psd", "sharp_operation", "sharp_instrument",
+                        "matrix_to_json")
 
 
 def test_library_output_passes_no_reader_or_public_constructor():
@@ -645,6 +692,26 @@ def test_library_output_passes_no_reader_or_public_constructor():
         ("instruments.py", "kraus_instrument", "as_square"),
         ("serialize.py", "matrix_to_json", "as_square"),
         ("serialize.py", "_matrix_list_from_json", "_read"),
+    }
+    # and the library calls a public reading door only where what it passes is a
+    # caller's, or where the door's reading is the point, counted per call
+    package = Path(matcore.__file__).parent
+    calls = Counter((str(path.relative_to(package)), where, name)
+                    for path in sorted(package.rglob("*.py"))
+                    for name in PUBLIC_READING_DOORS
+                    for where in _readers(path.read_text(), name, calls=True))
+    assert {hit: n for hit, n in calls.items() if not hit[0].startswith("laws/")} == {
+        # a caller's State: a member's probability (``Instrument._prob``), and the
+        # front of a conditioning, whose numerator is read off the induced effect
+        ("instruments.py", "<lambda>", "apply"): 1,
+        ("instruments.py", "cond_prob", "apply"): 1,
+        # the caller's vectors, whose projections the sharp constructors' stack
+        # reader rejects as ragged, empty or of mixed dims
+        ("operations.py", "atomic_operation", "sharp_operation"): 1,
+        ("instruments.py", "atomic_instrument", "sharp_instrument"): 1,
+        # the JSON writer, which reads each matrix it writes
+        ("serialize.py", "<lambda>", "matrix_to_json"): 2,
+        ("serialize.py", "to_json", "matrix_to_json"): 1,
     }
 
 
